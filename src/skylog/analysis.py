@@ -13,10 +13,12 @@ import math
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .geo import tangent_forward, tangent_inverse
-from .records import EndToEndRecord, MeasurementRecord, NeighborCellSample
+from .records import METRIC_FIELDS, EndToEndRecord, MeasurementRecord
+from .records import NEIGHBOR_METRICS as NEIGHBOR_FIELDS
 
 DEFAULT_RSRQ_POOR_DB = -19.0
 DEFAULT_TP_MIN_MBPS = 5.0
@@ -50,27 +52,21 @@ class TooFewSamples(ValueError):
     pass
 
 
-_SERVING_GETTERS: dict[str, Callable[[MeasurementRecord], float]] = {
-    "rsrp": lambda r: r.serving.rsrp_dbm,
-    "rsrq": lambda r: r.serving.rsrq_db,
-    "rssi": lambda r: r.serving.rssi_dbm,
-    "sinr": lambda r: r.serving.sinr_db,
-}
-_NEIGHBOR_GETTERS: dict[str, Callable[[NeighborCellSample], float]] = {
-    "rsrp": lambda n: n.rsrp_dbm,
-    "rsrq": lambda n: n.rsrq_db,
-    "rssi": lambda n: n.rssi_dbm,
-}
+# Metric short name -> value getter, derived from the records metric table.
+_SERVING = {m: attrgetter("serving." + f) for m, f in METRIC_FIELDS.items()}
+_NEIGHBOR = {m: attrgetter(f) for m, f in METRIC_FIELDS.items() if f in NEIGHBOR_FIELDS}
 
-SERVING_METRICS = tuple(sorted(_SERVING_GETTERS))
-NEIGHBOR_METRICS = tuple(sorted(_NEIGHBOR_GETTERS))
+_CELL_ID = attrgetter("serving.cell_id")
+
+SERVING_METRICS = tuple(_SERVING)
+NEIGHBOR_METRICS = tuple(_NEIGHBOR)
 
 
 def _serving_getter(metric: str) -> Callable[[MeasurementRecord], float]:
     try:
-        return _SERVING_GETTERS[metric]
+        return _SERVING[metric]
     except KeyError:
-        raise UnknownMetric(metric, _SERVING_GETTERS) from None
+        raise UnknownMetric(metric, _SERVING) from None
 
 
 @dataclass(frozen=True)
@@ -112,6 +108,17 @@ def _bin_stats(lower: Optional[float], values: Sequence[float]) -> BinStats:
     if n >= 2:
         std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
     return BinStats(lower, n, mean, std, min(values), max(values))
+
+
+def _group_stats(items: Iterable, key: Callable, getters: dict[str, Callable]) -> dict:
+    """Group items by key(item); per group, BinStats of each getter's values.
+    Groups come out in key order, metrics in getter order."""
+    groups: dict = defaultdict(list)
+    for item in items:
+        groups[key(item)].append(item)
+    return {k: {m: _bin_stats(None, [get(item) for item in members])
+                for m, get in getters.items()}
+            for k, members in sorted(groups.items())}
 
 
 def ecdf(samples: Sequence[float]) -> EcdfTable:
@@ -186,11 +193,9 @@ def per_cell_stats(records: Sequence[MeasurementRecord],
                    metric: str) -> dict[int, BinStats]:
     if not records:
         raise EmptyInput("no records")
-    get = _serving_getter(metric)
-    groups: dict[int, list[float]] = defaultdict(list)
-    for r in records:
-        groups[r.serving.cell_id].append(get(r))
-    return {cid: _bin_stats(None, vals) for cid, vals in sorted(groups.items())}
+    getters = {metric: _serving_getter(metric)}
+    return {cid: stats[metric]
+            for cid, stats in _group_stats(records, _CELL_ID, getters).items()}
 
 
 def neighbor_stats(
@@ -198,18 +203,11 @@ def neighbor_stats(
     """Stats per neighbor pci, pooled over every neighbor entry in the trace."""
     if not records:
         raise EmptyInput("no records")
-    pools: dict[int, dict[str, list[float]]] = defaultdict(
-        lambda: {m: [] for m in _NEIGHBOR_GETTERS})
-    total = 0
-    for r in records:
-        for nb in r.neighbors:
-            total += 1
-            for m, get in _NEIGHBOR_GETTERS.items():
-                pools[nb.pci][m].append(get(nb))
-    if total == 0:
+    pools = _group_stats((nb for r in records for nb in r.neighbors),
+                         attrgetter("pci"), _NEIGHBOR)
+    if not pools:
         raise EmptyInput("trace contains no neighbor entries")
-    return {pci: {m: _bin_stats(None, vals) for m, vals in by_metric.items()}
-            for pci, by_metric in sorted(pools.items())}
+    return pools
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
@@ -283,17 +281,14 @@ def grid_aggregate(records: Sequence[MeasurementRecord],
     if not records:
         raise EmptyInput("no records")
     anchor = records[0].pos
-    groups: dict[tuple[int, int, int], list[MeasurementRecord]] = defaultdict(list)
-    for r in records:
+
+    def voxel_of(r: MeasurementRecord) -> tuple[int, int, int]:
         x, y = tangent_forward(anchor.lat_deg, anchor.lon_deg,
                                r.pos.lat_deg, r.pos.lon_deg)
-        idx = (math.floor(x / ground_m), math.floor(y / ground_m),
-               math.floor(r.pos.alt_m_amsl / alt_m))
-        groups[idx].append(r)
-    cells = {}
-    for idx, recs in sorted(groups.items()):
-        cells[idx] = {m: _bin_stats(None, [get(r) for r in recs])
-                      for m, get in _SERVING_GETTERS.items()}
+        return (math.floor(x / ground_m), math.floor(y / ground_m),
+                math.floor(r.pos.alt_m_amsl / alt_m))
+
+    cells = _group_stats(records, voxel_of, _SERVING)
     return VoxelGrid(ground_m, alt_m, anchor.lat_deg, anchor.lon_deg, cells)
 
 
@@ -380,12 +375,7 @@ def coverage_report(ran_records: Sequence[MeasurementRecord],
         dominance = cell_dominance(ran)
         low = tuple(cid for cid, share in dominance.items()
                     if share < LOW_CONTRIBUTION_SHARE)
-        by_cell: dict[int, list[MeasurementRecord]] = defaultdict(list)
-        for r in ran:
-            by_cell[r.serving.cell_id].append(r)
-        per_cell = {cid: {m: _bin_stats(None, [get(r) for r in recs])
-                          for m, get in _SERVING_GETTERS.items()}
-                    for cid, recs in sorted(by_cell.items())}
+        per_cell = _group_stats(ran, _CELL_ID, _SERVING)
         try:
             neighbors = neighbor_stats(ran)
         except EmptyInput:

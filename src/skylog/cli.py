@@ -24,10 +24,9 @@ from .collector import (
     PlanPositionSource,
     SimClock,
     SystemClock,
-    TracePositionSource,
     run_collection,
 )
-from .geoexport import export_csv, export_geojson
+from .geoexport import csv_text, export_csv, export_geojson
 from .modem import ReplayBackend
 from .netprobe import MeasurementServer, ProbeConfig, rtt_probe, throughput_test
 from .records import (
@@ -206,8 +205,8 @@ def cmd_collect(args) -> int:
     else:
         if not args.replay:
             raise UsageError("--replay TRACE is required with the replay backend")
-        modem = ReplayBackend(args.replay)
-        source = TracePositionSource(args.replay)
+        # One pass over the trace serves both the reports and their positions.
+        modem = source = ReplayBackend(args.replay)
         engine = None
         clock = SimClock()  # re-ingesting a trace should not wait out wall time
     cfg = CollectorConfig(output_dir=args.out,
@@ -276,20 +275,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _stats_rows(bins) -> list[list]:
-    rows = []
-    for b in bins:
-        rows.append([b.lower, b.count, b.mean,
-                     "" if b.std is None else b.std, b.min, b.max])
-    return rows
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(str(cell) for cell in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def cmd_analyze(args) -> int:
     ran = [rec for p in args.ran for rec in read_trace(p)]
     e2e = [rec for p in args.e2e for rec in read_e2e_trace(p)]
@@ -313,7 +298,8 @@ def cmd_analyze(args) -> int:
             doc[f"alt_bins_{metric}"] = [b.to_doc() for b in bins]
             tables.append((f"alt-{metric}",
                            ["alt_lower_m", "count", "mean", "std", "min", "max"],
-                           _stats_rows(bins)))
+                           [[b.lower, b.count, b.mean, b.std, b.min, b.max]
+                            for b in bins]))
     rtt_medians = [r.rtt.p50_ms for r in e2e if r.rtt.p50_ms is not None]
     if rtt_medians:
         pdf = analysis.histogram_pdf(rtt_medians, args.rtt_bin)
@@ -323,8 +309,8 @@ def cmd_analyze(args) -> int:
 
     report_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     for suffix, header, rows in tables:
-        _write_csv(report_path.with_name(f"{report_path.stem}-{suffix}.csv"),
-                   header, rows)
+        report_path.with_name(f"{report_path.stem}-{suffix}.csv").write_text(
+            csv_text(header, rows), encoding="utf-8")
     print(json.dumps({"report": str(report_path),
                       "csv_tables": len(tables),
                       "fractions": doc["coverage"]["fractions"]}))

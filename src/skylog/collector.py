@@ -29,7 +29,6 @@ from .records import (
     RttSummary,
     encode_e2e,
     encode_record,
-    read_trace,
     validate_e2e,
     validate_record,
 )
@@ -99,21 +98,6 @@ class PlanPositionSource:
             return flight_position(self._plan, 0.0)
         elapsed_s = (self._clock.now_ms() - self._t0_ms) / 1000.0
         return flight_position(self._plan, max(elapsed_s, 0.0))
-
-
-class TracePositionSource:
-    """Replays positions from a trace in lockstep with a ReplayBackend."""
-
-    def __init__(self, trace_path):
-        self._positions = [rec.pos for rec in read_trace(trace_path)]
-        self._cursor = 0
-
-    def position(self) -> GeoPosition:
-        if self._cursor < len(self._positions):
-            pos = self._positions[self._cursor]
-            self._cursor += 1
-            return pos
-        return self._positions[-1]
 
 
 class E2eEngine(Protocol):
@@ -291,7 +275,13 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
                    e2e_engine: Optional[E2eEngine] = None,
                    stop_event: Optional[threading.Event] = None) -> RunSummary:
     """Run the sampling loop until duration elapses, the backend is exhausted,
-    or the stop event fires; returns the run summary after a full flush."""
+    or the stop event fires; returns the run summary after a full flush.
+
+    Each tick polls first and geo-tags second, so a position source that
+    follows the backend (replay) tags the report it just produced.  A poll
+    error other than the counted modem, range and syntax errors ends the
+    run: the threads are stopped after flushing every accepted record, and
+    the exception propagates unchanged."""
     out_dir = Path(cfg.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -310,10 +300,6 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
     writer.start()
     e2e_ms = int(cfg.e2e_interval_s * 1000)
     worker = None
-    if e2e_engine is not None and e2e_ms > 0:
-        worker = _E2eWorker(e2e_engine, writer)
-        worker.start()
-
     end_ms = None if cfg.duration_s is None else t0 + int(cfg.duration_s * 1000)
     source = getattr(modem, "descriptor", "hw")
     interval = cfg.sample_interval_ms
@@ -321,50 +307,54 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
     n_e2e = 0
     polls_failed = 0
 
-    while True:
-        if writer.error is not None:
-            break
-        if stop_event is not None and stop_event.is_set():
-            break
-        next_ran = t0 + n_ran * interval
-        deadlines = [next_ran]
-        next_e2e = None
-        if worker is not None:
-            next_e2e = t0 + n_e2e * e2e_ms
-            deadlines.append(next_e2e)
-        wake = min(deadlines)
-        if end_ms is not None and wake >= end_ms:
-            break
-        clock.sleep_until_ms(wake)
-        if stop_event is not None and stop_event.is_set():
-            break
-
-        if wake == next_ran:
-            pos = position_source.position()
-            try:
-                report = modem.poll()
-            except ReplayExhausted:
+    try:
+        if e2e_engine is not None and e2e_ms > 0:
+            worker = _E2eWorker(e2e_engine, writer)
+            worker.start()
+        while True:
+            if writer.error is not None:
                 break
-            except (ModemError, RangeError, ReportSyntaxError) as exc:
-                polls_failed += 1
-                log.warning("poll %d failed: %s", n_ran, exc)
-            else:
+            if stop_event is not None and stop_event.is_set():
+                break
+            next_ran = t0 + n_ran * interval
+            deadlines = [next_ran]
+            next_e2e = None
+            if worker is not None:
+                next_e2e = t0 + n_e2e * e2e_ms
+                deadlines.append(next_e2e)
+            wake = min(deadlines)
+            if end_ms is not None and wake >= end_ms:
+                break
+            clock.sleep_until_ms(wake)
+            if stop_event is not None and stop_event.is_set():
+                break
+
+            if wake == next_ran:
                 try:
-                    rec = assemble_record(report, pos, next_ran, source=source)
-                except ValueError as exc:
+                    report = modem.poll()
+                except ReplayExhausted:
+                    break
+                except (ModemError, RangeError, ReportSyntaxError) as exc:
                     polls_failed += 1
-                    log.warning("poll %d dropped: %s", n_ran, exc)
+                    log.warning("poll %d failed: %s", n_ran, exc)
                 else:
-                    writer.submit("ran", rec)
-            n_ran += 1
+                    try:
+                        rec = assemble_record(report, position_source.position(), next_ran,
+                                              source=source)
+                    except ValueError as exc:
+                        polls_failed += 1
+                        log.warning("poll %d dropped: %s", n_ran, exc)
+                    else:
+                        writer.submit("ran", rec)
+                n_ran += 1
 
-        if worker is not None and wake == next_e2e:
-            worker.submit(position_source.position(), next_e2e, n_e2e)
-            n_e2e += 1
-
-    if worker is not None:
-        worker.close()
-    writer.close()
+            if worker is not None and wake == next_e2e:
+                worker.submit(position_source.position(), next_e2e, n_e2e)
+                n_e2e += 1
+    finally:
+        if worker is not None:
+            worker.close()
+        writer.close()
     if writer.error is not None:
         raise RuntimeError(f"trace writer failed: {writer.error}")
 
@@ -380,7 +370,7 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
 
 __all__ = [
     "Clock", "SimClock", "SystemClock", "SIM_EPOCH_MS",
-    "PositionSource", "FixedPositionSource", "PlanPositionSource", "TracePositionSource",
+    "PositionSource", "FixedPositionSource", "PlanPositionSource",
     "E2eEngine", "CollectorConfig", "RunSummary",
     "assemble_record", "run_collection",
 ]

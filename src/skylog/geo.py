@@ -30,9 +30,4 @@ def tangent_inverse(anchor_lat_deg: float, anchor_lon_deg: float,
     return lat, lon
 
 
-def horizontal_distance_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    x, y = tangent_forward(lat1, lon1, lat2, lon2)
-    return math.hypot(x, y)
-
-
-__all__ = ["EARTH_RADIUS_M", "tangent_forward", "tangent_inverse", "horizontal_distance_m"]
+__all__ = ["EARTH_RADIUS_M", "tangent_forward", "tangent_inverse"]

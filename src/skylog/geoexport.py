@@ -2,31 +2,25 @@
 
 GeoJSON coordinates follow the standard's (lon, lat, alt) order with
 altitude above mean sea level; altitude is duplicated into the properties
-table for consumers that drop the third coordinate.  CSV float cells use
-repr-style formatting, so re-parsing them reproduces the stored values
-bit-for-bit.
+table for consumers that drop the third coordinate.  Every CSV skylog
+writes, the analyze distribution tables included, goes through csv_text:
+float cells use repr-style formatting, so re-parsing them reproduces the
+stored values bit-for-bit, and None becomes an empty cell.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .analysis import EmptyInput, UnknownMetric, VoxelGrid
-from .records import MAX_NEIGHBORS, MeasurementRecord
+from .records import MAX_NEIGHBORS, METRIC_FIELDS, MeasurementRecord
+from .records import NEIGHBOR_METRICS, SERVING_METRICS
 
-# metric name -> property/column key, in trace-schema order
-_METRIC_KEYS = {
-    "rsrp": "rsrp_dbm",
-    "rsrq": "rsrq_db",
-    "rssi": "rssi_dbm",
-    "sinr": "sinr_db",
-}
-
-_SERVING_FIELDS = ("earfcn", "pci", "cell_id", "tac",
-                   "rsrp_dbm", "rsrq_db", "rssi_dbm", "sinr_db")
-_NEIGHBOR_FIELDS = ("earfcn", "pci", "rsrp_dbm", "rsrq_db", "rssi_dbm")
+_SERVING_FIELDS = ("earfcn", "pci", "cell_id", "tac") + SERVING_METRICS
+_NEIGHBOR_FIELDS = ("earfcn", "pci") + NEIGHBOR_METRICS
+_NO_NEIGHBOR = [None] * len(_NEIGHBOR_FIELDS)
 
 RECORD_CSV_HEADER = (
     ["ts_unix_ms", "lat_deg", "lon_deg", "alt_m_amsl", "alt_m_agl"]
@@ -36,12 +30,12 @@ RECORD_CSV_HEADER = (
 )
 
 
-def _metric_keys(metric: Optional[str]) -> list[str]:
+def _metric_names(metric: Optional[str]) -> list[str]:
     if metric is None:
-        return list(_METRIC_KEYS.values())
-    if metric not in _METRIC_KEYS:
-        raise UnknownMetric(metric, _METRIC_KEYS)
-    return [_METRIC_KEYS[metric]]
+        return list(METRIC_FIELDS)
+    if metric not in METRIC_FIELDS:
+        raise UnknownMetric(metric, METRIC_FIELDS)
+    return [metric]
 
 
 def export_geojson(source: Union[Sequence[MeasurementRecord], VoxelGrid],
@@ -55,7 +49,7 @@ def export_geojson(source: Union[Sequence[MeasurementRecord], VoxelGrid],
 
 def _records_geojson(records: list[MeasurementRecord],
                      metric: Optional[str]) -> dict:
-    keys = _metric_keys(metric)
+    keys = [METRIC_FIELDS[m] for m in _metric_names(metric)]
     if not records:
         raise EmptyInput("no records to export")
     features = []
@@ -78,19 +72,18 @@ def _records_geojson(records: list[MeasurementRecord],
 
 
 def _grid_geojson(grid: VoxelGrid, metric: Optional[str]) -> dict:
-    keys = _metric_keys(metric)
+    names = _metric_names(metric)
     if not grid.cells:
         raise EmptyInput("voxel grid is empty")
-    by_key = {v: k for k, v in _METRIC_KEYS.items()}
     features = []
     for index in sorted(grid.cells):
         lat, lon, alt = grid.center_of(index)
         stats = grid.cells[index]
         props: dict = {"ix": index[0], "iy": index[1], "iz": index[2],
                        "alt_m_amsl": alt,
-                       "count": stats[by_key[keys[0]]].count}
-        for key in keys:
-            s = stats[by_key[key]]
+                       "count": stats[names[0]].count}
+        for name in names:
+            key, s = METRIC_FIELDS[name], stats[name]
             props[f"{key}_mean"] = s.mean
             props[f"{key}_std"] = s.std
             props[f"{key}_min"] = s.min
@@ -107,6 +100,15 @@ def _cell(value) -> str:
     return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The one CSV writer: LF line ends, repr floats, empty cells for None."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
 def export_csv(source: Union[Sequence[MeasurementRecord], VoxelGrid]) -> str:
     """Flat CSV rendering; one row per record or per voxel."""
     if isinstance(source, VoxelGrid):
@@ -117,40 +119,34 @@ def export_csv(source: Union[Sequence[MeasurementRecord], VoxelGrid]) -> str:
 def _records_csv(records: list[MeasurementRecord]) -> str:
     if not records:
         raise EmptyInput("no records to export")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RECORD_CSV_HEADER)
-    for r in records:
-        row = [_cell(r.ts_unix_ms), _cell(r.pos.lat_deg), _cell(r.pos.lon_deg),
-               _cell(r.pos.alt_m_amsl), _cell(r.pos.alt_m_agl)]
-        row += [_cell(getattr(r.serving, f)) for f in _SERVING_FIELDS]
-        for i in range(MAX_NEIGHBORS):
-            if i < len(r.neighbors):
-                row += [_cell(getattr(r.neighbors[i], f)) for f in _NEIGHBOR_FIELDS]
-            else:
-                row += [""] * len(_NEIGHBOR_FIELDS)
-        row.append(r.source)
-        writer.writerow(row)
-    return buf.getvalue()
+    return csv_text(RECORD_CSV_HEADER, map(_record_row, records))
+
+
+def _record_row(r: MeasurementRecord) -> list:
+    row = [r.ts_unix_ms, r.pos.lat_deg, r.pos.lon_deg, r.pos.alt_m_amsl, r.pos.alt_m_agl]
+    row += [getattr(r.serving, f) for f in _SERVING_FIELDS]
+    for i in range(MAX_NEIGHBORS):
+        if i < len(r.neighbors):
+            row += [getattr(r.neighbors[i], f) for f in _NEIGHBOR_FIELDS]
+        else:
+            row += _NO_NEIGHBOR
+    row.append(r.source)
+    return row
 
 
 def _grid_csv(grid: VoxelGrid) -> str:
     if not grid.cells:
         raise EmptyInput("voxel grid is empty")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = ["ix", "iy", "iz", "lat_deg", "lon_deg", "alt_m_amsl", "count"]
-    for key in _METRIC_KEYS.values():
+    for key in SERVING_METRICS:
         header += [f"{key}_mean", f"{key}_std", f"{key}_min", f"{key}_max"]
-    writer.writerow(header)
+    rows = []
     for index in sorted(grid.cells):
         lat, lon, alt = grid.center_of(index)
         stats = grid.cells[index]
-        row = [_cell(index[0]), _cell(index[1]), _cell(index[2]),
-               _cell(lat), _cell(lon), _cell(alt),
-               _cell(stats["rsrp"].count)]
-        for name in _METRIC_KEYS:
+        row = [*index, lat, lon, alt, stats["rsrp"].count]
+        for name in METRIC_FIELDS:
             s = stats[name]
-            row += [_cell(s.mean), _cell(s.std), _cell(s.min), _cell(s.max)]
-        writer.writerow(row)
-    return buf.getvalue()
+            row += [s.mean, s.std, s.min, s.max]
+        rows.append(row)
+    return csv_text(header, rows)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Protocol, Union, runtime_checkable
 
 from .records import (
+    GeoPosition,
     NeighborCellSample,
     ServingCellSample,
     read_trace,
@@ -255,25 +256,32 @@ def render_report(report: ModemReport) -> bytes:
 
 
 class ReplayBackend:
-    """Feeds a previously recorded trace back as successive poll results."""
+    """Feeds a previously recorded trace back as successive poll results.
+
+    Also the position source of a replay run: position() is the position
+    stored on the line whose report was polled last (the first line before
+    any poll), so each record keeps the position it was recorded with.
+    """
 
     descriptor = "replay"
 
     def __init__(self, trace_path):
         # Ingest errors (bad grammar, out-of-range fields) surface here, not on poll.
-        records = read_trace(trace_path)
-        self._reports = [ModemReport(rec.serving, rec.neighbors) for rec in records]
+        self._records = read_trace(trace_path)
         self._cursor = 0
 
     def __len__(self) -> int:
-        return len(self._reports)
+        return len(self._records)
 
     def poll(self) -> ModemReport:
-        if self._cursor >= len(self._reports):
-            raise ReplayExhausted(f"trace exhausted after {len(self._reports)} reports")
-        report = self._reports[self._cursor]
+        if self._cursor >= len(self._records):
+            raise ReplayExhausted(f"trace exhausted after {len(self._records)} reports")
+        rec = self._records[self._cursor]
         self._cursor += 1
-        return report
+        return ModemReport(rec.serving, rec.neighbors)
+
+    def position(self) -> GeoPosition:
+        return self._records[max(self._cursor - 1, 0)].pos
 
 
 __all__ = [

@@ -429,18 +429,6 @@ class MeasurementServer:
         conn.sendall(result.encode("utf-8"))
 
 
-def run_server(bind_addr: str, rtt_port: int, tp_port: int,
-               stop_event: Optional[threading.Event] = None,
-               dl_throttle_mbps: Optional[float] = None) -> None:
-    """Run the measurement server until signaled; bind failures raise."""
-    server = MeasurementServer(bind_addr, rtt_port, tp_port,
-                               dl_throttle_mbps=dl_throttle_mbps)
-    server.start()
-    log.info("measurement server on %s rtt=%d tp=%d",
-             bind_addr, server.rtt_port, server.tp_port)
-    server.wait(stop_event)
-
-
 class ProbeE2eEngine:
     """Collector-facing engine that runs real probes against a server."""
 
@@ -457,6 +445,6 @@ class ProbeE2eEngine:
 __all__ = [
     "ProbeConfig", "RttSummary", "HandshakeError", "PartialTransferError",
     "TokenBucket", "pack_echo", "unpack_echo",
-    "rtt_probe", "throughput_test", "MeasurementServer", "run_server",
+    "rtt_probe", "throughput_test", "MeasurementServer",
     "ProbeE2eEngine", "ECHO_MAGIC", "ECHO_VERSION", "ECHO_DATAGRAM_LEN",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 SOURCES = ("sim", "replay", "hw")
@@ -29,8 +30,11 @@ DB_FIELD_RANGES = {
     "sinr_db": (-20.0, 40.0),
 }
 
-SERVING_METRICS = ("rsrp_dbm", "rsrq_db", "rssi_dbm", "sinr_db")
-NEIGHBOR_METRICS = ("rsrp_dbm", "rsrq_db", "rssi_dbm")
+# The one table of metric names: short name -> record field, in trace-schema
+# order.  Analysis getters and export columns are derived from it.
+METRIC_FIELDS = {"rsrp": "rsrp_dbm", "rsrq": "rsrq_db", "rssi": "rssi_dbm", "sinr": "sinr_db"}
+SERVING_METRICS = tuple(METRIC_FIELDS.values())
+NEIGHBOR_METRICS = tuple(f for f in SERVING_METRICS if f != "sinr_db")  # no SINR per neighbor
 
 
 class TraceDecodeError(ValueError):
@@ -340,74 +344,79 @@ def _parse_json_line(text: str, line_no: Optional[int]) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str, kinds, line_no: Optional[int], where: str = ""):
-    if key not in doc:
-        raise TraceDecodeError(f"missing field '{where}{key}'", line=line_no)
-    value = doc[key]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise TraceDecodeError(f"field '{where}{key}' has wrong type", line=line_no)
-    return value
+_REQUIRED = object()
+_NUMBER = (int, float)
 
 
-def _optional_number(doc: dict, key: str, line_no: Optional[int], where: str = "") -> Optional[float]:
-    value = doc.get(key)
-    if value is None:
+def get_field(doc: dict, key: str, kind: type, fail, where: str = "", default=_REQUIRED):
+    """The one schema walker, for trace lines and config files alike.
+
+    kind is int, float (any number, returned as float), str, list or dict;
+    bools never count as numbers.  An absent key returns default, or fails
+    when there is none; default=None also accepts an explicit null.
+    fail(dotted_name, missing) builds the exception, so each format keeps
+    its own error type and wording.
+    """
+    value = doc.get(key, _REQUIRED)
+    if type(value) is kind:  # the common case; everything else takes the checks below
+        return value
+    if value is _REQUIRED:
+        if default is _REQUIRED:
+            raise fail(where + key, True)
+        return default
+    if value is None and default is None:
         return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise TraceDecodeError(f"field '{where}{key}' has wrong type", line=line_no)
-    return float(value)
+    if isinstance(value, bool) or not isinstance(value, _NUMBER if kind is float else kind):
+        raise fail(where + key, False)
+    return kind(value) if kind is float or kind is int else value
 
 
-_NUM = (int, float)
-
-
-def _decode_serving(doc: dict, line_no: Optional[int]) -> ServingCellSample:
-    return ServingCellSample(
-        earfcn=int(_require(doc, "earfcn", int, line_no, "serving.")),
-        pci=int(_require(doc, "pci", int, line_no, "serving.")),
-        cell_id=int(_require(doc, "cell_id", int, line_no, "serving.")),
-        tac=int(_require(doc, "tac", int, line_no, "serving.")),
-        rsrp_dbm=float(_require(doc, "rsrp_dbm", _NUM, line_no, "serving.")),
-        rsrq_db=float(_require(doc, "rsrq_db", _NUM, line_no, "serving.")),
-        rssi_dbm=float(_require(doc, "rssi_dbm", _NUM, line_no, "serving.")),
-        sinr_db=float(_require(doc, "sinr_db", _NUM, line_no, "serving.")),
+def position_from_doc(doc: dict, fail, where: str = "", with_agl: bool = True) -> GeoPosition:
+    """Parse lat/lon/alt fields; alt_m_agl may be absent or null."""
+    return GeoPosition(
+        lat_deg=get_field(doc, "lat_deg", float, fail, where),
+        lon_deg=get_field(doc, "lon_deg", float, fail, where),
+        alt_m_amsl=get_field(doc, "alt_m_amsl", float, fail, where),
+        alt_m_agl=get_field(doc, "alt_m_agl", float, fail, where, None) if with_agl else None,
     )
 
 
-def _decode_neighbor(doc: dict, line_no: Optional[int], idx: int) -> NeighborCellSample:
-    where = f"neighbors[{idx}]."
-    return NeighborCellSample(
-        earfcn=int(_require(doc, "earfcn", int, line_no, where)),
-        pci=int(_require(doc, "pci", int, line_no, where)),
-        rsrp_dbm=float(_require(doc, "rsrp_dbm", _NUM, line_no, where)),
-        rsrq_db=float(_require(doc, "rsrq_db", _NUM, line_no, where)),
-        rssi_dbm=float(_require(doc, "rssi_dbm", _NUM, line_no, where)),
-    )
+def _field_error(line_no: Optional[int], name: str, missing: bool) -> TraceDecodeError:
+    if missing:
+        return TraceDecodeError(f"missing field '{name}'", line=line_no)
+    return TraceDecodeError(f"field '{name}' has wrong type", line=line_no)
+
+
+# (field, kind) in dataclass field order, so a decoded row feeds the constructor.
+_SERVING_SCHEMA = (("earfcn", int), ("pci", int), ("cell_id", int), ("tac", int),
+                   *((f, float) for f in SERVING_METRICS))
+_NEIGHBOR_SCHEMA = (("earfcn", int), ("pci", int), *((f, float) for f in NEIGHBOR_METRICS))
+
+
+def _decode_fields(doc: dict, schema, fail, where: str) -> list:
+    return [get_field(doc, key, kind, fail, where) for key, kind in schema]
 
 
 def decode_record(text: str, line_no: Optional[int] = None) -> MeasurementRecord:
     """Decode one trace line. Unknown fields are ignored (forward compatibility)."""
     doc = _parse_json_line(text, line_no)
-    serving_doc = _require(doc, "serving", dict, line_no)
-    neighbors_doc = _require(doc, "neighbors", list, line_no)
-    source = _require(doc, "source", str, line_no)
+    fail = partial(_field_error, line_no)
+    serving_doc = get_field(doc, "serving", dict, fail)
+    neighbors_doc = get_field(doc, "neighbors", list, fail)
+    source = get_field(doc, "source", str, fail)
     if source not in SOURCES:
         raise TraceDecodeError(f"unknown source '{source}'", line=line_no)
-    pos = GeoPosition(
-        lat_deg=float(_require(doc, "lat_deg", _NUM, line_no)),
-        lon_deg=float(_require(doc, "lon_deg", _NUM, line_no)),
-        alt_m_amsl=float(_require(doc, "alt_m_amsl", _NUM, line_no)),
-        alt_m_agl=_optional_number(doc, "alt_m_agl", line_no),
-    )
+    pos = position_from_doc(doc, fail)
     neighbors = []
     for i, item in enumerate(neighbors_doc):
         if not isinstance(item, dict):
-            raise TraceDecodeError(f"field 'neighbors[{i}]' has wrong type", line=line_no)
-        neighbors.append(_decode_neighbor(item, line_no, i))
+            raise fail(f"neighbors[{i}]", False)
+        neighbors.append(NeighborCellSample(
+            *_decode_fields(item, _NEIGHBOR_SCHEMA, fail, f"neighbors[{i}].")))
     return MeasurementRecord(
-        ts_unix_ms=int(_require(doc, "ts_unix_ms", int, line_no)),
+        ts_unix_ms=get_field(doc, "ts_unix_ms", int, fail),
         pos=pos,
-        serving=_decode_serving(serving_doc, line_no),
+        serving=ServingCellSample(*_decode_fields(serving_doc, _SERVING_SCHEMA, fail, "serving.")),
         neighbors=tuple(neighbors),
         source=source,
     )
@@ -415,74 +424,59 @@ def decode_record(text: str, line_no: Optional[int] = None) -> MeasurementRecord
 
 def decode_e2e(text: str, line_no: Optional[int] = None) -> EndToEndRecord:
     doc = _parse_json_line(text, line_no)
-    rtt_doc = _require(doc, "rtt", dict, line_no)
+    fail = partial(_field_error, line_no)
+    rtt_doc = get_field(doc, "rtt", dict, fail)
     rtt = RttSummary(
-        sent=int(_require(rtt_doc, "sent", int, line_no, "rtt.")),
-        received=int(_require(rtt_doc, "received", int, line_no, "rtt.")),
-        min_ms=_optional_number(rtt_doc, "min_ms", line_no, "rtt."),
-        mean_ms=_optional_number(rtt_doc, "mean_ms", line_no, "rtt."),
-        p50_ms=_optional_number(rtt_doc, "p50_ms", line_no, "rtt."),
-        max_ms=_optional_number(rtt_doc, "max_ms", line_no, "rtt."),
-        loss_fraction=float(_require(rtt_doc, "loss_fraction", _NUM, line_no, "rtt.")),
+        sent=get_field(rtt_doc, "sent", int, fail, "rtt."),
+        received=get_field(rtt_doc, "received", int, fail, "rtt."),
+        min_ms=get_field(rtt_doc, "min_ms", float, fail, "rtt.", None),
+        mean_ms=get_field(rtt_doc, "mean_ms", float, fail, "rtt.", None),
+        p50_ms=get_field(rtt_doc, "p50_ms", float, fail, "rtt.", None),
+        max_ms=get_field(rtt_doc, "max_ms", float, fail, "rtt.", None),
+        loss_fraction=get_field(rtt_doc, "loss_fraction", float, fail, "rtt."),
     )
-    pos = GeoPosition(
-        lat_deg=float(_require(doc, "lat_deg", _NUM, line_no)),
-        lon_deg=float(_require(doc, "lon_deg", _NUM, line_no)),
-        alt_m_amsl=float(_require(doc, "alt_m_amsl", _NUM, line_no)),
-    )
+    pos = position_from_doc(doc, fail, with_agl=False)
     return EndToEndRecord(
-        ts_unix_ms=int(_require(doc, "ts_unix_ms", int, line_no)),
+        ts_unix_ms=get_field(doc, "ts_unix_ms", int, fail),
         pos=pos,
         rtt=rtt,
-        dl_mbps=float(_require(doc, "dl_mbps", _NUM, line_no)),
-        ul_mbps=float(_require(doc, "ul_mbps", _NUM, line_no)),
-        duration_s=float(_require(doc, "duration_s", _NUM, line_no)),
+        dl_mbps=get_field(doc, "dl_mbps", float, fail),
+        ul_mbps=get_field(doc, "ul_mbps", float, fail),
+        duration_s=get_field(doc, "duration_s", float, fail),
     )
+
+
+def _read_lines(path, decode, validate) -> list:
+    """The one trace-reading loop: decode and validate each non-empty line and
+    enforce strictly increasing timestamps, naming the line on any failure."""
+    records = []
+    last_ts: Optional[int] = None
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            rec = decode(line, line_no=line_no)
+            result = validate(rec)
+            if not result:
+                raise TraceDecodeError(result.message, line=line_no)
+            if last_ts is not None and rec.ts_unix_ms <= last_ts:
+                raise TraceDecodeError(
+                    f"ts_unix_ms not strictly increasing ({rec.ts_unix_ms} after {last_ts})",
+                    line=line_no,
+                )
+            last_ts = rec.ts_unix_ms
+            records.append(rec)
+    return records
 
 
 def read_trace(path) -> list[MeasurementRecord]:
     """Ingest a RAN trace file, enforcing validity and timestamp monotonicity."""
-    records: list[MeasurementRecord] = []
-    last_ts: Optional[int] = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            rec = decode_record(line, line_no=line_no)
-            result = validate_record(rec)
-            if not result:
-                raise TraceDecodeError(result.message, line=line_no)
-            if last_ts is not None and rec.ts_unix_ms <= last_ts:
-                raise TraceDecodeError(
-                    f"ts_unix_ms not strictly increasing ({rec.ts_unix_ms} after {last_ts})",
-                    line=line_no,
-                )
-            last_ts = rec.ts_unix_ms
-            records.append(rec)
-    return records
+    return _read_lines(path, decode_record, validate_record)
 
 
 def read_e2e_trace(path) -> list[EndToEndRecord]:
-    records: list[EndToEndRecord] = []
-    last_ts: Optional[int] = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            rec = decode_e2e(line, line_no=line_no)
-            result = validate_e2e(rec)
-            if not result:
-                raise TraceDecodeError(result.message, line=line_no)
-            if last_ts is not None and rec.ts_unix_ms <= last_ts:
-                raise TraceDecodeError(
-                    f"ts_unix_ms not strictly increasing ({rec.ts_unix_ms} after {last_ts})",
-                    line=line_no,
-                )
-            last_ts = rec.ts_unix_ms
-            records.append(rec)
-    return records
+    return _read_lines(path, decode_e2e, validate_e2e)
 
 
 __all__ = [
@@ -490,7 +484,7 @@ __all__ = [
     "RttSummary", "EndToEndRecord", "ValidationResult", "TraceDecodeError",
     "validate_record", "validate_e2e", "validate_position", "validate_serving",
     "validate_neighbor", "encode_record", "decode_record", "encode_e2e", "decode_e2e",
-    "read_trace", "read_e2e_trace", "quantize_db",
-    "DB_FIELD_RANGES", "SERVING_METRICS", "NEIGHBOR_METRICS", "SOURCES",
+    "read_trace", "read_e2e_trace", "quantize_db", "get_field", "position_from_doc",
+    "DB_FIELD_RANGES", "METRIC_FIELDS", "SERVING_METRICS", "NEIGHBOR_METRICS", "SOURCES",
     "MAX_NEIGHBORS", "PCI_MAX", "CELL_ID_MAX", "TAC_MAX",
 ]

@@ -14,6 +14,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .geo import tangent_forward
@@ -24,6 +25,8 @@ from .records import (
     NeighborCellSample,
     RttSummary,
     ServingCellSample,
+    get_field,
+    position_from_doc,
 )
 
 LIGHT_SPEED_M_S = 299792458.0
@@ -359,59 +362,38 @@ def _load_doc(path) -> dict:
     return doc
 
 
-_REQUIRED = object()
-
-
-def _cfg_get(doc: dict, key: str, kinds, path, where: str = "", default=_REQUIRED):
-    if key not in doc:
-        if default is not _REQUIRED:
-            return default
-        raise ConfigError(f"missing key '{where}{key}'", path=path)
-    value = doc[key]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ConfigError(f"key '{where}{key}' has wrong type", path=path)
-    return value
-
-
-def _pos_from_doc(doc: dict, path, where: str) -> GeoPosition:
-    num = (int, float)
-    agl = doc.get("alt_m_agl")
-    if agl is not None and (not isinstance(agl, num) or isinstance(agl, bool)):
-        raise ConfigError(f"key '{where}alt_m_agl' has wrong type", path=path)
-    return GeoPosition(
-        lat_deg=float(_cfg_get(doc, "lat_deg", num, path, where)),
-        lon_deg=float(_cfg_get(doc, "lon_deg", num, path, where)),
-        alt_m_amsl=float(_cfg_get(doc, "alt_m_amsl", num, path, where)),
-        alt_m_agl=float(agl) if agl is not None else None,
-    )
+def _key_error(path, name: str, missing: bool) -> ConfigError:
+    if missing:
+        return ConfigError(f"missing key '{name}'", path=path)
+    return ConfigError(f"key '{name}' has wrong type", path=path)
 
 
 def environment_from_doc(doc: dict, path=None) -> RadioEnvironment:
-    num = (int, float)
-    stations_doc = _cfg_get(doc, "stations", list, path)
+    fail = partial(_key_error, path)
+    stations_doc = get_field(doc, "stations", list, fail)
     stations = []
     for i, st_doc in enumerate(stations_doc):
         where = f"stations[{i}]."
         if not isinstance(st_doc, dict):
-            raise ConfigError(f"key 'stations[{i}]' has wrong type", path=path)
-        site_doc = _cfg_get(st_doc, "site_pos", dict, path, where)
+            raise fail(f"stations[{i}]", False)
+        site_doc = get_field(st_doc, "site_pos", dict, fail, where)
         stations.append(BaseStation(
-            site_pos=_pos_from_doc(site_doc, path, where + "site_pos."),
-            eirp_dbm=float(_cfg_get(st_doc, "eirp_dbm", num, path, where)),
-            earfcn=int(_cfg_get(st_doc, "earfcn", int, path, where)),
-            pci=int(_cfg_get(st_doc, "pci", int, path, where)),
-            cell_id=int(_cfg_get(st_doc, "cell_id", int, path, where)),
-            tac=int(_cfg_get(st_doc, "tac", int, path, where)),
+            site_pos=position_from_doc(site_doc, fail, where + "site_pos."),
+            eirp_dbm=get_field(st_doc, "eirp_dbm", float, fail, where),
+            earfcn=get_field(st_doc, "earfcn", int, fail, where),
+            pci=get_field(st_doc, "pci", int, fail, where),
+            cell_id=get_field(st_doc, "cell_id", int, fail, where),
+            tac=get_field(st_doc, "tac", int, fail, where),
         ))
     env = RadioEnvironment(
         stations=tuple(stations),
-        n_los=float(_cfg_get(doc, "n_los", num, path, default=2.2)),
-        n_nlos=float(_cfg_get(doc, "n_nlos", num, path, default=3.5)),
-        shadow_sigma_db=float(_cfg_get(doc, "shadow_sigma_db", num, path, default=6.0)),
-        n_prb=int(_cfg_get(doc, "n_prb", int, path, default=50)),
-        noise_dbm=float(_cfg_get(doc, "noise_dbm", num, path, default=-104.5)),
-        freq_hz=float(_cfg_get(doc, "freq_hz", num, path, default=2.1e9)),
-        seed=int(_cfg_get(doc, "seed", int, path, default=0)),
+        n_los=get_field(doc, "n_los", float, fail, default=2.2),
+        n_nlos=get_field(doc, "n_nlos", float, fail, default=3.5),
+        shadow_sigma_db=get_field(doc, "shadow_sigma_db", float, fail, default=6.0),
+        n_prb=get_field(doc, "n_prb", int, fail, default=50),
+        noise_dbm=get_field(doc, "noise_dbm", float, fail, default=-104.5),
+        freq_hz=get_field(doc, "freq_hz", float, fail, default=2.1e9),
+        seed=get_field(doc, "seed", int, fail, default=0),
     )
     try:
         _check_environment(env)
@@ -421,18 +403,18 @@ def environment_from_doc(doc: dict, path=None) -> RadioEnvironment:
 
 
 def plan_from_doc(doc: dict, path=None) -> FlightPlan:
-    num = (int, float)
-    wps_doc = _cfg_get(doc, "waypoints", list, path)
+    fail = partial(_key_error, path)
+    wps_doc = get_field(doc, "waypoints", list, fail)
     waypoints = []
     for i, wp_doc in enumerate(wps_doc):
         where = f"waypoints[{i}]."
         if not isinstance(wp_doc, dict):
-            raise ConfigError(f"key 'waypoints[{i}]' has wrong type", path=path)
-        pos_doc = _cfg_get(wp_doc, "pos", dict, path, where)
+            raise fail(f"waypoints[{i}]", False)
+        pos_doc = get_field(wp_doc, "pos", dict, fail, where)
         waypoints.append(Waypoint(
-            pos=_pos_from_doc(pos_doc, path, where + "pos."),
-            speed_mps=float(_cfg_get(wp_doc, "speed_mps", num, path, where)),
-            hover_s=float(_cfg_get(wp_doc, "hover_s", num, path, where, default=0.0)),
+            pos=position_from_doc(pos_doc, fail, where + "pos."),
+            speed_mps=get_field(wp_doc, "speed_mps", float, fail, where),
+            hover_s=get_field(wp_doc, "hover_s", float, fail, where, default=0.0),
         ))
     plan = FlightPlan(waypoints=tuple(waypoints))
     try:

@@ -11,13 +11,13 @@ from skylog.collector import (
     PlanPositionSource,
     SIM_EPOCH_MS,
     SimClock,
-    TracePositionSource,
     assemble_record,
     run_collection,
 )
 from skylog.modem import ModemError, ModemReport, ReplayBackend
 from skylog.records import GeoPosition, read_e2e_trace, read_trace
 from skylog.simenv import (
+    DistanceTooSmall,
     FlightPlan,
     RadioEnvironment,
     SimE2eEngine,
@@ -175,8 +175,8 @@ def test_sim_collect_replay_round_trip(tmp_path):
 
     replay_cfg = CollectorConfig(output_dir=str(out_b), duration_s=90.0,
                                  e2e_interval_s=0)
-    summary_b = run_collection(replay_cfg, SimClock(), ReplayBackend(trace_a),
-                               TracePositionSource(trace_a))
+    replay = ReplayBackend(trace_a)
+    summary_b = run_collection(replay_cfg, SimClock(), replay, replay)
     trace_b = [p for p in summary_b.files if p.endswith(".trace")][0]
     replayed = read_trace(trace_b)
     assert len(replayed) == len(originals) == 90
@@ -193,8 +193,8 @@ def test_replay_exhaustion_stops_cleanly(tmp_path):
 
     out_b = tmp_path / "b"
     replay_cfg = CollectorConfig(output_dir=str(out_b), duration_s=900.0, e2e_interval_s=0)
-    summary_b = run_collection(replay_cfg, SimClock(), ReplayBackend(trace_a),
-                               TracePositionSource(trace_a))
+    replay = ReplayBackend(trace_a)
+    summary_b = run_collection(replay_cfg, SimClock(), replay, replay)
     assert summary_b.records_written == 30
     assert summary_b.polls_failed == 0
 
@@ -239,3 +239,49 @@ def test_unwritable_output_is_fatal(tmp_path):
     pos = GeoPosition(lat_deg=40.0, lon_deg=-100.0, alt_m_amsl=302.0, alt_m_agl=2.0)
     with pytest.raises(RuntimeError, match="not writable"):
         run_collection(cfg, SimClock(), FlakyBackend(set()), FixedPositionSource(pos))
+
+
+class CrashingBackend(FlakyBackend):
+    """Accepts crash_at polls, then raises an exception the loop does not handle."""
+
+    def __init__(self, crash_at):
+        super().__init__(set())
+        self.crash_at = crash_at
+
+    def poll(self) -> ModemReport:
+        if self.calls == self.crash_at:
+            raise DistanceTooSmall("distance 0.400 m below 1 m reference")
+        return super().poll()
+
+
+def test_unexpected_poll_error_flushes_and_stops_threads(tmp_path):
+    cfg = CollectorConfig(output_dir=str(tmp_path), duration_s=None, e2e_interval_s=10.0)
+    pos = GeoPosition(lat_deg=40.0, lon_deg=-100.0, alt_m_amsl=302.0, alt_m_agl=2.0)
+    engine = SimE2eEngine(canonical_env())
+    with pytest.raises(DistanceTooSmall, match="0.400 m"):
+        run_collection(cfg, SimClock(), CrashingBackend(500), FixedPositionSource(pos),
+                       e2e_engine=engine)
+    assert len(read_trace(next(tmp_path.glob("*.trace")))) == 500
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("skylog-")]
+
+
+def test_replay_with_e2e_keeps_each_line_position(tmp_path):
+    cfg, clock, modem, source, engine = sim_setup(tmp_path / "a", duration=300.0)
+    summary_a = run_collection(cfg, clock, modem, source, engine)
+    trace_a = [p for p in summary_a.files if p.endswith(".trace")][0]
+    originals = read_trace(trace_a)
+
+    replay = ReplayBackend(trace_a)
+    replay_cfg = CollectorConfig(output_dir=str(tmp_path / "b"), duration_s=300.0,
+                                 e2e_interval_s=60.0)
+    summary_b = run_collection(replay_cfg, SimClock(), replay, replay,
+                               e2e_engine=SimE2eEngine(canonical_env()))
+    replayed = read_all_ran(summary_b)
+    assert len(replayed) == len(originals) == 300
+    for orig, rep in zip(originals, replayed):
+        assert dataclasses.replace(rep, source="sim") == orig
+    pos_at = {rec.ts_unix_ms: rec.pos for rec in replayed}
+    e2e = read_e2e_trace([p for p in summary_b.files if p.endswith(".e2e")][0])
+    assert len(e2e) == summary_b.e2e_tests_run == 5
+    for rec in e2e:  # e2e lines store no height above ground
+        assert rec.pos == dataclasses.replace(pos_at[rec.ts_unix_ms], alt_m_agl=None)

@@ -284,3 +284,69 @@ def test_property_encoded_db_fields_have_one_decimal(rec):
     for nbr in doc["neighbors"]:
         for key in ("rsrp_dbm", "rsrq_db", "rssi_dbm"):
             assert math.isclose(nbr[key] * 10, round(nbr[key] * 10), abs_tol=1e-9)
+
+
+# --- schema walker strictness: one test per kind of bad field ---
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("serving", "sinr_db"), _DELETE, "missing field 'serving.sinr_db'"),
+    (("serving", "pci"), True, "field 'serving.pci' has wrong type"),
+    (("lat_deg",), None, "field 'lat_deg' has wrong type"),
+    (("alt_m_agl",), False, "field 'alt_m_agl' has wrong type"),
+    (("ts_unix_ms",), 1.7e12, "field 'ts_unix_ms' has wrong type"),
+    (("neighbors", 0, "rsrq_db"), "-14.0", "field 'neighbors[0].rsrq_db' has wrong type"),
+    (("neighbors", 0), [1], "field 'neighbors[0]' has wrong type"),
+    (("source",), None, "field 'source' has wrong type"),
+])
+def test_decode_record_names_bad_field_and_line(record, path, value, message):
+    doc = json.loads(encode_record(record))
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    if value is _DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(TraceDecodeError) as exc_info:
+        decode_record(json.dumps(doc), line_no=4)
+    assert str(exc_info.value) == f"line 4: {message}"
+    assert exc_info.value.line == 4
+
+
+@pytest.mark.parametrize("agl", [_DELETE, None])
+def test_decode_record_agl_may_be_absent_or_null(record, agl):
+    doc = json.loads(encode_record(record))
+    if agl is _DELETE:
+        del doc["alt_m_agl"]
+    else:
+        doc["alt_m_agl"] = agl
+    assert decode_record(json.dumps(doc)).pos.alt_m_agl is None
+
+
+def test_decode_e2e_optional_and_required_fields(e2e_record):
+    doc = json.loads(encode_e2e(e2e_record))
+    del doc["rtt"]["min_ms"]
+    doc["rtt"]["max_ms"] = None
+    doc["alt_m_agl"] = "ignored: e2e lines carry no height above ground"
+    rec = decode_e2e(json.dumps(doc))
+    assert (rec.rtt.min_ms, rec.rtt.max_ms, rec.pos.alt_m_agl) == (None, None, None)
+    doc["rtt"]["loss_fraction"] = None
+    with pytest.raises(TraceDecodeError, match=r"field 'rtt\.loss_fraction' has wrong type"):
+        decode_e2e(json.dumps(doc), line_no=2)
+    doc["rtt"]["loss_fraction"] = 0.05
+    del doc["dl_mbps"]
+    with pytest.raises(TraceDecodeError, match="missing field 'dl_mbps'"):
+        decode_e2e(json.dumps(doc))
+
+
+def test_read_e2e_trace_names_line(tmp_path, e2e_record):
+    later = make_e2e(ts_unix_ms=e2e_record.ts_unix_ms + 60_000, dl_mbps=-1.0)
+    path = tmp_path / "t.e2e"
+    path.write_text(encode_e2e(e2e_record) + "\n\n" + encode_e2e(later) + "\n")
+    with pytest.raises(TraceDecodeError, match="throughput negative") as exc_info:
+        read_e2e_trace(path)
+    assert exc_info.value.line == 3

@@ -332,6 +332,29 @@ def test_load_environment_eirp_bounds(tmp_path):
         load_environment(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(n_los=None), "key 'n_los' has wrong type"),
+    (lambda d: d.update(seed=True), "key 'seed' has wrong type"),
+    (lambda d: d.pop("stations"), "missing key 'stations'"),
+    (lambda d: d["stations"].append(7), "key 'stations[2]' has wrong type"),
+    (lambda d: d["stations"][0].update(eirp_dbm=None),
+     "key 'stations[0].eirp_dbm' has wrong type"),
+    (lambda d: d["stations"][1]["site_pos"].update(alt_m_agl="30"),
+     "key 'stations[1].site_pos.alt_m_agl' has wrong type"),
+    (lambda d: d["stations"][0]["site_pos"].pop("lon_deg"),
+     "missing key 'stations[0].site_pos.lon_deg'"),
+])
+def test_load_environment_names_bad_key_and_path(tmp_path, edit, message):
+    doc = env_doc()
+    edit(doc)
+    path = tmp_path / "e.env"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as exc_info:
+        load_environment(path)
+    assert str(exc_info.value) == f"{path}: {message}"
+    assert exc_info.value.path == path
+
+
 def plan_doc(levels=3):
     wps = []
     for k in range(levels):
@@ -357,6 +380,18 @@ def test_load_flight_plan_ceiling(tmp_path):
     path = tmp_path / "p.plan"
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="ceiling"):
+        load_flight_plan(path)
+
+
+def test_load_flight_plan_hover_defaults_but_null_refused(tmp_path):
+    doc = plan_doc()
+    del doc["waypoints"][0]["hover_s"]
+    path = tmp_path / "p.plan"
+    path.write_text(json.dumps(doc))
+    assert load_flight_plan(path).waypoints[0].hover_s == 0.0
+    doc["waypoints"][0]["hover_s"] = None
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"key 'waypoints\[0\]\.hover_s' has wrong type"):
         load_flight_plan(path)
 
 
