@@ -15,13 +15,13 @@ import signal
 import sys
 import threading
 import time
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 from . import analysis
 from .collector import (
     CollectorConfig,
-    PlanPositionSource,
     SimClock,
     SystemClock,
     run_collection,
@@ -36,7 +36,7 @@ from .records import (
     read_e2e_trace,
     read_trace,
 )
-from .simenv import SimE2eEngine, SimModemBackend, load_environment, load_flight_plan
+from .simenv import SimE2eEngine, SimModemBackend, flight_position, load_environment, load_flight_plan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -198,15 +198,16 @@ def cmd_collect(args) -> int:
         if not args.plan:
             raise UsageError("--plan is required with the sim backend")
         env = _load_env(args.config, args.seed)
-        source = PlanPositionSource(load_flight_plan(args.plan))
-        modem = SimModemBackend(env, source.position)
+        position_at = partial(flight_position, load_flight_plan(args.plan))
+        modem = SimModemBackend(env)
         engine = SimE2eEngine(env) if args.e2e_interval > 0 else None
         clock = SystemClock()
     else:
         if not args.replay:
             raise UsageError("--replay TRACE is required with the replay backend")
         # One pass over the trace serves both the reports and their positions.
-        modem = source = ReplayBackend(args.replay)
+        modem = ReplayBackend(args.replay)
+        position_at = modem.position
         engine = None
         clock = SimClock()  # re-ingesting a trace should not wait out wall time
     cfg = CollectorConfig(output_dir=args.out,
@@ -216,7 +217,7 @@ def cmd_collect(args) -> int:
     previous = {s: signal.signal(s, lambda *_: stop.set())
                 for s in (signal.SIGINT, signal.SIGTERM)}
     try:
-        summary = run_collection(cfg, clock, modem, source,
+        summary = run_collection(cfg, clock, modem, position_at,
                                  e2e_engine=engine, stop_event=stop)
     finally:
         for s, handler in previous.items():
@@ -267,10 +268,9 @@ def cmd_simulate(args) -> int:
                           sample_interval_ms=args.interval_ms,
                           e2e_interval_s=args.e2e_interval,
                           duration_s=args.duration, run_id=args.run_id)
-    source = PlanPositionSource(plan)
-    modem = SimModemBackend(env, source.position)
     engine = SimE2eEngine(env) if args.e2e_interval > 0 else None
-    summary = run_collection(cfg, SimClock(), modem, source, e2e_engine=engine)
+    summary = run_collection(cfg, SimClock(), SimModemBackend(env),
+                             partial(flight_position, plan), e2e_engine=engine)
     print(json.dumps(summary.to_doc()))
     return EXIT_OK
 

@@ -1,14 +1,15 @@
 """Fixed-cadence sampling daemon.
 
-Polls a modem backend once per tick, geo-tags the report from a position
-source, and appends validated records to rotating trace files.  End-to-end
-tests fire on their own cadence and run on a worker thread so a
-seconds-long throughput test never punches holes in the 1 Hz RAN series.
+Reads the position once per tick, polls a modem backend with it, and
+appends the report, tagged with that position, as a validated record to
+rotating trace files.  End-to-end tests fire on their own cadence and run
+on a worker thread so a seconds-long throughput test never punches holes
+in the 1 Hz RAN series.
 
 Ticks are scheduled on absolute deadlines (t0 + n*interval) so cadence
-cannot drift over an hour-long flight, and records are stamped with the
-scheduled tick time from the injected clock, which makes simulated runs
-bit-reproducible.
+cannot drift over an hour-long flight.  Records are stamped with the
+scheduled tick time from the injected clock, and the position is read at
+that time too, which makes simulated runs bit-reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 from .modem import ModemBackend, ModemError, ModemReport, RangeError, ReplayExhausted, ReportSyntaxError
 from .records import (
@@ -32,7 +33,6 @@ from .records import (
     validate_e2e,
     validate_record,
 )
-from .simenv import FlightPlan, flight_position
 
 log = logging.getLogger("skylog.collector")
 
@@ -67,37 +67,6 @@ class SystemClock:
         delta_s = (deadline_ms - self.now_ms()) / 1000.0
         if delta_s > 0:
             time.sleep(delta_s)
-
-
-class PositionSource(Protocol):
-    def position(self) -> GeoPosition: ...
-
-
-class FixedPositionSource:
-    def __init__(self, pos: GeoPosition):
-        self._pos = pos
-
-    def position(self) -> GeoPosition:
-        return self._pos
-
-
-class PlanPositionSource:
-    """Follows a flight plan against the run clock; bound at run start."""
-
-    def __init__(self, plan: FlightPlan):
-        self._plan = plan
-        self._clock: Optional[Clock] = None
-        self._t0_ms = 0
-
-    def bind(self, clock: Clock, t0_ms: int) -> None:
-        self._clock = clock
-        self._t0_ms = t0_ms
-
-    def position(self) -> GeoPosition:
-        if self._clock is None:
-            return flight_position(self._plan, 0.0)
-        elapsed_s = (self._clock.now_ms() - self._t0_ms) / 1000.0
-        return flight_position(self._plan, max(elapsed_s, 0.0))
 
 
 class E2eEngine(Protocol):
@@ -271,14 +240,16 @@ class _E2eWorker(threading.Thread):
 
 
 def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
-                   position_source: PositionSource,
+                   position_at: Callable[[float], GeoPosition],
                    e2e_engine: Optional[E2eEngine] = None,
                    stop_event: Optional[threading.Event] = None) -> RunSummary:
     """Run the sampling loop until duration elapses, the backend is exhausted,
     or the stop event fires; returns the run summary after a full flush.
 
-    Each tick polls first and geo-tags second, so a position source that
-    follows the backend (replay) tags the report it just produced.  A poll
+    Only this loop knows the flight time: each wake calls position_at once
+    with the scheduled offset in seconds from the run start, and hands that
+    position to modem.poll on a RAN tick and to the e2e worker on an e2e
+    tick.  ReplayExhausted from either call ends the run cleanly.  A poll
     error other than the counted modem, range and syntax errors ends the
     run: the threads are stopped after flushing every accepted record, and
     the exception propagates unchanged."""
@@ -293,8 +264,6 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
 
     t0 = clock.now_ms()
     run_id = cfg.run_id or f"run{t0}"
-    if hasattr(position_source, "bind"):
-        position_source.bind(clock, t0)
 
     writer = _TraceWriter(out_dir, run_id, cfg.max_file_records)
     writer.start()
@@ -328,10 +297,14 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
             clock.sleep_until_ms(wake)
             if stop_event is not None and stop_event.is_set():
                 break
+            try:
+                pos = position_at((wake - t0) / 1000.0)
+            except ReplayExhausted:
+                break
 
             if wake == next_ran:
                 try:
-                    report = modem.poll()
+                    report = modem.poll(pos)
                 except ReplayExhausted:
                     break
                 except (ModemError, RangeError, ReportSyntaxError) as exc:
@@ -339,8 +312,7 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
                     log.warning("poll %d failed: %s", n_ran, exc)
                 else:
                     try:
-                        rec = assemble_record(report, position_source.position(), next_ran,
-                                              source=source)
+                        rec = assemble_record(report, pos, next_ran, source=source)
                     except ValueError as exc:
                         polls_failed += 1
                         log.warning("poll %d dropped: %s", n_ran, exc)
@@ -349,7 +321,7 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
                 n_ran += 1
 
             if worker is not None and wake == next_e2e:
-                worker.submit(position_source.position(), next_e2e, n_e2e)
+                worker.submit(pos, next_e2e, n_e2e)
                 n_e2e += 1
     finally:
         if worker is not None:
@@ -370,7 +342,6 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
 
 __all__ = [
     "Clock", "SimClock", "SystemClock", "SIM_EPOCH_MS",
-    "PositionSource", "FixedPositionSource", "PlanPositionSource",
     "E2eEngine", "CollectorConfig", "RunSummary",
     "assemble_record", "run_collection",
 ]

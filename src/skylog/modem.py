@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from typing import Optional, Protocol, Union, runtime_checkable
 
 from .records import (
+    MAX_NEIGHBORS,
     GeoPosition,
+    MeasurementRecord,
     NeighborCellSample,
     ServingCellSample,
     read_trace,
-    validate_neighbor,
-    validate_serving,
+    validate_cells,
 )
 
 
@@ -74,19 +75,14 @@ class ModemBackend(Protocol):
 
     descriptor: str
 
-    def poll(self) -> ModemReport: ...
+    def poll(self, pos: GeoPosition) -> ModemReport:
+        """Next report, tagged with pos: a simulator samples there, a hardware driver ignores it."""
 
 
 def _validate_report(report: ModemReport) -> None:
-    result = validate_serving(report.serving)
+    result = validate_cells(report.serving, report.neighbors)
     if not result:
         raise RangeError(result.field, result.value)
-    for i, nbr in enumerate(report.neighbors):
-        result = validate_neighbor(nbr, prefix=f"neighbors[{i}].")
-        if not result:
-            raise RangeError(result.field, result.value)
-        if (nbr.earfcn, nbr.pci) == (report.serving.earfcn, report.serving.pci):
-            raise RangeError(f"neighbors[{i}]", (nbr.earfcn, nbr.pci))
 
 
 class _Scanner:
@@ -229,8 +225,8 @@ def parse_report(raw: Union[bytes, bytearray, str]) -> ModemReport:
     serving = _parse_serving(sc)
     neighbors = []
     while sc.looking_at("+NBR"):
-        if len(neighbors) == 8:
-            sc.fail("'OK' (at most 8 neighbor lines)")
+        if len(neighbors) == MAX_NEIGHBORS:
+            sc.fail(f"'OK' (at most {MAX_NEIGHBORS} neighbor lines)")
         neighbors.append(_parse_neighbor(sc))
     sc.expect("OK", "'OK' or '+NBR: '")
     sc.expect_crlf()
@@ -258,9 +254,10 @@ def render_report(report: ModemReport) -> bytes:
 class ReplayBackend:
     """Feeds a previously recorded trace back as successive poll results.
 
-    Also the position source of a replay run: position() is the position
-    stored on the line whose report was polled last (the first line before
-    any poll), so each record keeps the position it was recorded with.
+    Also the position source of a replay run: position(t_s) is the position
+    stored on the line the next poll returns, so each record keeps the
+    position it was recorded with; poll ignores the position it is given.
+    Both raise ReplayExhausted once every line has been polled.
     """
 
     descriptor = "replay"
@@ -270,18 +267,18 @@ class ReplayBackend:
         self._records = read_trace(trace_path)
         self._cursor = 0
 
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def poll(self) -> ModemReport:
+    def _next(self) -> MeasurementRecord:
         if self._cursor >= len(self._records):
             raise ReplayExhausted(f"trace exhausted after {len(self._records)} reports")
-        rec = self._records[self._cursor]
+        return self._records[self._cursor]
+
+    def poll(self, pos: GeoPosition) -> ModemReport:
+        rec = self._next()
         self._cursor += 1
         return ModemReport(rec.serving, rec.neighbors)
 
-    def position(self) -> GeoPosition:
-        return self._records[max(self._cursor - 1, 0)].pos
+    def position(self, t_s: float) -> GeoPosition:
+        return self._next().pos
 
 
 __all__ = [

@@ -219,16 +219,21 @@ def validate_record(rec: MeasurementRecord) -> ValidationResult:
     result = validate_position(rec.pos)
     if not result:
         return result
-    result = validate_serving(rec.serving)
+    return validate_cells(rec.serving, rec.neighbors)
+
+
+def validate_cells(serving: ServingCellSample, neighbors) -> ValidationResult:
+    """Serving cell, neighbor count, then each neighbor; shared with modem reports."""
+    result = validate_serving(serving)
     if not result:
         return result
-    if len(rec.neighbors) > MAX_NEIGHBORS:
-        return _violation("neighbors", len(rec.neighbors), f"more than {MAX_NEIGHBORS} neighbors")
-    for i, nbr in enumerate(rec.neighbors):
+    if len(neighbors) > MAX_NEIGHBORS:
+        return _violation("neighbors", len(neighbors), f"more than {MAX_NEIGHBORS} neighbors")
+    for i, nbr in enumerate(neighbors):
         result = validate_neighbor(nbr, prefix=f"neighbors[{i}].")
         if not result:
             return result
-        if (nbr.earfcn, nbr.pci) == (rec.serving.earfcn, rec.serving.pci):
+        if (nbr.earfcn, nbr.pci) == (serving.earfcn, serving.pci):
             return _violation(f"neighbors[{i}]", (nbr.earfcn, nbr.pci), "neighbor duplicates serving cell")
     return _OK
 
@@ -482,8 +487,9 @@ def read_e2e_trace(path) -> list[EndToEndRecord]:
 __all__ = [
     "GeoPosition", "ServingCellSample", "NeighborCellSample", "MeasurementRecord",
     "RttSummary", "EndToEndRecord", "ValidationResult", "TraceDecodeError",
-    "validate_record", "validate_e2e", "validate_position", "validate_serving",
-    "validate_neighbor", "encode_record", "decode_record", "encode_e2e", "decode_e2e",
+    "validate_record", "validate_cells", "validate_e2e", "validate_position",
+    "validate_serving", "validate_neighbor", "encode_record", "decode_record",
+    "encode_e2e", "decode_e2e",
     "read_trace", "read_e2e_trace", "quantize_db", "get_field", "position_from_doc",
     "DB_FIELD_RANGES", "METRIC_FIELDS", "SERVING_METRICS", "NEIGHBOR_METRICS", "SOURCES",
     "MAX_NEIGHBORS", "PCI_MAX", "CELL_ID_MAX", "TAC_MAX",

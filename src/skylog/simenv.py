@@ -21,6 +21,7 @@ from .geo import tangent_forward
 from .modem import ModemReport
 from .records import (
     DB_FIELD_RANGES,
+    MAX_NEIGHBORS,
     GeoPosition,
     NeighborCellSample,
     RttSummary,
@@ -272,7 +273,7 @@ def radio_sample(env: RadioEnvironment, pos: GeoPosition) -> ModemReport:
             rsrq_db=_clamp("rsrq_db", q),
             rssi_dbm=serving.rssi_dbm,
         )
-        for nst, p, q in raw.neighbor_powers[:8])
+        for nst, p, q in raw.neighbor_powers[:MAX_NEIGHBORS])
     return ModemReport(serving=serving, neighbors=neighbors)
 
 
@@ -438,17 +439,16 @@ def load_flight_plan(path) -> FlightPlan:
 
 class SimModemBackend:
     """Modem backend that samples the simulated environment at the position
-    the supplied callable reports at poll time."""
+    it is polled with."""
 
     descriptor = "sim"
 
-    def __init__(self, env: RadioEnvironment, position_of_now):
+    def __init__(self, env: RadioEnvironment):
         _check_environment(env)
         self.env = env
-        self._position_of_now = position_of_now
 
-    def poll(self) -> ModemReport:
-        return radio_sample(self.env, self._position_of_now())
+    def poll(self, pos: GeoPosition) -> ModemReport:
+        return radio_sample(self.env, pos)
 
 
 class SimE2eEngine:

@@ -11,6 +11,7 @@ import random
 import socket
 import time
 from dataclasses import replace
+from functools import partial
 from importlib import resources
 
 import jsonschema
@@ -25,7 +26,6 @@ from skylog import analysis
 from skylog.cli import main
 from skylog.collector import (
     CollectorConfig,
-    PlanPositionSource,
     SimClock,
     assemble_record,
     run_collection,
@@ -75,8 +75,8 @@ def collect_sim(out_dir, duration_s: float, run_id: str):
     cfg = CollectorConfig(output_dir=str(out_dir), sample_interval_ms=1000,
                           e2e_interval_s=0.0, duration_s=duration_s,
                           run_id=run_id)
-    source = PlanPositionSource(plan)
-    summary = run_collection(cfg, SimClock(), SimModemBackend(env, source.position),
+    source = partial(flight_position, plan)
+    summary = run_collection(cfg, SimClock(), SimModemBackend(env),
                              source)
     records = []
     for path in sorted(f for f in summary.files if f.endswith(".trace")):

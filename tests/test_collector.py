@@ -2,13 +2,13 @@
 
 import dataclasses
 import threading
+from functools import partial
 
 import pytest
 
+from skylog import collector
 from skylog.collector import (
     CollectorConfig,
-    FixedPositionSource,
-    PlanPositionSource,
     SIM_EPOCH_MS,
     SimClock,
     assemble_record,
@@ -23,6 +23,7 @@ from skylog.simenv import (
     SimE2eEngine,
     SimModemBackend,
     Waypoint,
+    flight_position,
 )
 
 from conftest import make_neighbor, make_serving
@@ -47,8 +48,8 @@ def sim_setup(tmp_path, seed=7, duration=60.0, e2e_interval=60.0, **cfg_over):
     env = canonical_env(seed)
     plan = climb_plan()
     clock = SimClock()
-    source = PlanPositionSource(plan)
-    modem = SimModemBackend(env, source.position)
+    source = partial(flight_position, plan)
+    modem = SimModemBackend(env)
     engine = SimE2eEngine(env)
     cfg = CollectorConfig(output_dir=str(tmp_path), duration_s=duration,
                           e2e_interval_s=e2e_interval, **cfg_over)
@@ -94,7 +95,7 @@ class FlakyBackend:
         self.fail_at = set(fail_at)
         self.calls = 0
 
-    def poll(self) -> ModemReport:
+    def poll(self, pos) -> ModemReport:
         i = self.calls
         self.calls += 1
         if i in self.fail_at:
@@ -107,7 +108,7 @@ def test_failed_polls_are_counted_and_skipped(tmp_path):
     clock = SimClock()
     backend = FlakyBackend(fail_at={3, 7})
     pos = GeoPosition(lat_deg=40.0, lon_deg=-100.0, alt_m_amsl=302.0, alt_m_agl=2.0)
-    summary = run_collection(cfg, clock, backend, FixedPositionSource(pos))
+    summary = run_collection(cfg, clock, backend, lambda _t: pos)
     assert summary.records_written == 8
     assert summary.polls_failed == 2
     assert summary.polls_attempted == 10
@@ -121,7 +122,7 @@ def test_rotation_10_10_5(tmp_path):
     clock = SimClock()
     backend = FlakyBackend(fail_at=set())
     pos = GeoPosition(lat_deg=40.0, lon_deg=-100.0, alt_m_amsl=302.0, alt_m_agl=2.0)
-    summary = run_collection(cfg, clock, backend, FixedPositionSource(pos))
+    summary = run_collection(cfg, clock, backend, lambda _t: pos)
     traces = [p for p in summary.files if p.endswith(".trace")]
     assert [len(read_trace(p)) for p in traces] == [10, 10, 5]
     # concatenation preserves order and monotonicity
@@ -176,7 +177,7 @@ def test_sim_collect_replay_round_trip(tmp_path):
     replay_cfg = CollectorConfig(output_dir=str(out_b), duration_s=90.0,
                                  e2e_interval_s=0)
     replay = ReplayBackend(trace_a)
-    summary_b = run_collection(replay_cfg, SimClock(), replay, replay)
+    summary_b = run_collection(replay_cfg, SimClock(), replay, replay.position)
     trace_b = [p for p in summary_b.files if p.endswith(".trace")][0]
     replayed = read_trace(trace_b)
     assert len(replayed) == len(originals) == 90
@@ -194,9 +195,66 @@ def test_replay_exhaustion_stops_cleanly(tmp_path):
     out_b = tmp_path / "b"
     replay_cfg = CollectorConfig(output_dir=str(out_b), duration_s=900.0, e2e_interval_s=0)
     replay = ReplayBackend(trace_a)
-    summary_b = run_collection(replay_cfg, SimClock(), replay, replay)
+    summary_b = run_collection(replay_cfg, SimClock(), replay, replay.position)
     assert summary_b.records_written == 30
     assert summary_b.polls_failed == 0
+
+
+def test_replay_of_empty_trace_ends_cleanly(tmp_path):
+    empty = tmp_path / "empty.trace"
+    empty.write_text("")
+    replay = ReplayBackend(empty)
+    cfg = CollectorConfig(output_dir=str(tmp_path / "out"), duration_s=60.0, e2e_interval_s=0)
+    summary = run_collection(cfg, SimClock(), replay, replay.position)
+    assert (summary.records_written, summary.polls_failed) == (0, 0)
+
+
+def test_position_read_once_per_wake_and_polled_with(tmp_path, monkeypatch):
+    plan = climb_plan()
+    reads = []
+
+    def position_at(t_s):
+        reads.append((t_s, flight_position(plan, t_s)))
+        return reads[-1][1]
+
+    polled, tagged = [], []
+
+    class RecordingBackend(SimModemBackend):
+        def poll(self, pos):
+            polled.append(pos)
+            return super().poll(pos)
+
+    def tag(report, pos, *args, **kwargs):
+        tagged.append(pos)
+        return assemble_record(report, pos, *args, **kwargs)
+
+    monkeypatch.setattr(collector, "assemble_record", tag)
+    cfg = CollectorConfig(output_dir=str(tmp_path), duration_s=30.0, e2e_interval_s=1.5)
+    summary = run_collection(cfg, SimClock(), RecordingBackend(canonical_env()), position_at,
+                             SimE2eEngine(canonical_env()))
+    # 30 RAN ticks plus the 10 e2e ticks at odd multiples of 1.5 s
+    wakes = sorted({float(k) for k in range(30)} | {1.5 * k for k in range(20)})
+    assert [t for t, _ in reads] == wakes
+    assert summary.records_written == 30 and summary.e2e_tests_run == 20
+    read_at = dict(reads)
+    assert all(pos is read_at[float(k)] for k, pos in enumerate(polled))
+    assert len(tagged) == len(polled) == 30
+    assert all(t is p for t, p in zip(tagged, polled))
+
+
+def test_e2e_only_wakes_read_their_own_time(tmp_path):
+    cfg, clock, modem, source, engine = sim_setup(tmp_path, duration=60.0, e2e_interval=1.5,
+                                                  sample_interval_ms=1000)
+    summary = run_collection(cfg, clock, modem, source, engine)
+    e2e = read_e2e_trace([p for p in summary.files if p.endswith(".e2e")][0])
+    assert len(e2e) == 40
+    plan = climb_plan()
+    for rec in e2e:
+        want = flight_position(plan, (rec.ts_unix_ms - SIM_EPOCH_MS) / 1000.0)
+        assert (rec.pos.lat_deg, rec.pos.lon_deg, rec.pos.alt_m_amsl) == \
+            (want.lat_deg, want.lon_deg, want.alt_m_amsl)
+    # the climb starts at 30 s, so the e2e-only ticks after it read distinct heights
+    assert len({rec.pos.alt_m_amsl for rec in e2e[20:]}) == 20
 
 
 def test_identical_setup_is_bit_identical(tmp_path):
@@ -238,7 +296,7 @@ def test_unwritable_output_is_fatal(tmp_path):
     cfg = CollectorConfig(output_dir=str(blocked), duration_s=5.0, e2e_interval_s=0)
     pos = GeoPosition(lat_deg=40.0, lon_deg=-100.0, alt_m_amsl=302.0, alt_m_agl=2.0)
     with pytest.raises(RuntimeError, match="not writable"):
-        run_collection(cfg, SimClock(), FlakyBackend(set()), FixedPositionSource(pos))
+        run_collection(cfg, SimClock(), FlakyBackend(set()), lambda _t: pos)
 
 
 class CrashingBackend(FlakyBackend):
@@ -248,10 +306,10 @@ class CrashingBackend(FlakyBackend):
         super().__init__(set())
         self.crash_at = crash_at
 
-    def poll(self) -> ModemReport:
+    def poll(self, pos) -> ModemReport:
         if self.calls == self.crash_at:
             raise DistanceTooSmall("distance 0.400 m below 1 m reference")
-        return super().poll()
+        return super().poll(pos)
 
 
 def test_unexpected_poll_error_flushes_and_stops_threads(tmp_path):
@@ -259,7 +317,7 @@ def test_unexpected_poll_error_flushes_and_stops_threads(tmp_path):
     pos = GeoPosition(lat_deg=40.0, lon_deg=-100.0, alt_m_amsl=302.0, alt_m_agl=2.0)
     engine = SimE2eEngine(canonical_env())
     with pytest.raises(DistanceTooSmall, match="0.400 m"):
-        run_collection(cfg, SimClock(), CrashingBackend(500), FixedPositionSource(pos),
+        run_collection(cfg, SimClock(), CrashingBackend(500), lambda _t: pos,
                        e2e_engine=engine)
     assert len(read_trace(next(tmp_path.glob("*.trace")))) == 500
     assert not [t.name for t in threading.enumerate() if t.name.startswith("skylog-")]
@@ -274,7 +332,7 @@ def test_replay_with_e2e_keeps_each_line_position(tmp_path):
     replay = ReplayBackend(trace_a)
     replay_cfg = CollectorConfig(output_dir=str(tmp_path / "b"), duration_s=300.0,
                                  e2e_interval_s=60.0)
-    summary_b = run_collection(replay_cfg, SimClock(), replay, replay,
+    summary_b = run_collection(replay_cfg, SimClock(), replay, replay.position,
                                e2e_engine=SimE2eEngine(canonical_env()))
     replayed = read_all_ran(summary_b)
     assert len(replayed) == len(originals) == 300

@@ -77,6 +77,13 @@ def test_render_eight_neighbors():
     assert parse_report(wire).neighbors == nbrs
 
 
+def test_render_nine_neighbors_raises_range_error():
+    nbrs = tuple(make_neighbor(pci=200 + i) for i in range(9))
+    with pytest.raises(RangeError) as exc_info:
+        render_report(ModemReport(serving=make_serving(), neighbors=nbrs))
+    assert (exc_info.value.field, exc_info.value.value) == ("neighbors", 9)
+
+
 def test_render_uses_crlf_and_one_decimal():
     wire = render_report(ModemReport(serving=make_serving(rsrp_dbm=-95.0)))
     text = wire.decode("ascii")
@@ -118,11 +125,11 @@ def test_replay_backend_in_order(tmp_path):
     path.write_text("".join(encode_record(r) + "\n" for r in recs))
     backend = ReplayBackend(path)
     assert backend.descriptor == "replay"
-    got = [backend.poll() for _ in range(3)]
+    got = [backend.poll(None) for _ in range(3)]
     assert [g.serving.pci for g in got] == [100, 101, 102]
     assert got[0].neighbors == recs[0].neighbors
     with pytest.raises(ReplayExhausted):
-        backend.poll()
+        backend.poll(None)
 
 
 def test_replay_backend_rejects_bad_file_on_construction(tmp_path):

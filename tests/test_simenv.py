@@ -408,11 +408,10 @@ def test_sim_backend_polls_position_at_poll_time():
     stations = [station_at(900, -450, pci=101, cell_id=1),
                 station_at(-350, 120, pci=47, cell_id=3)]
     env = env_with(stations, seed=9)
-    positions = iter([uav_at(0, 0, 2.0), uav_at(1200, 0, 102.0)])
-    backend = SimModemBackend(env, lambda: next(positions))
+    backend = SimModemBackend(env)
     assert backend.descriptor == "sim"
-    first = backend.poll()
-    second = backend.poll()
+    first = backend.poll(uav_at(0, 0, 2.0))
+    second = backend.poll(uav_at(1200, 0, 102.0))
     direct_second = radio_sample(env, uav_at(1200, 0, 102.0))
     assert second == direct_second
     assert first != second
