@@ -8,6 +8,7 @@ analyze, export.  Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -190,10 +191,24 @@ def _load_env(path: str, seed_override: Optional[int]):
     return env
 
 
+@contextlib.contextmanager
+def _stop_on_signals():
+    """An Event that SIGINT and SIGTERM set, with the previous handlers put back
+    on exit.  Installed explicitly because a process started with SIGINT
+    ignored (a background job) never gets a KeyboardInterrupt."""
+    stop = threading.Event()
+    previous = {s: signal.signal(s, lambda *_: stop.set())
+                for s in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        yield stop
+    finally:
+        for s, handler in previous.items():
+            signal.signal(s, handler)
+
+
 def cmd_collect(args) -> int:
     if args.backend == "hw":
         raise UsageError("no hardware modem driver is built in; use sim or replay")
-    stop = threading.Event()
     if args.backend == "sim":
         if not args.plan:
             raise UsageError("--plan is required with the sim backend")
@@ -214,14 +229,9 @@ def cmd_collect(args) -> int:
                           sample_interval_ms=args.interval_ms,
                           e2e_interval_s=args.e2e_interval,
                           duration_s=args.duration, run_id=args.run_id)
-    previous = {s: signal.signal(s, lambda *_: stop.set())
-                for s in (signal.SIGINT, signal.SIGTERM)}
-    try:
+    with _stop_on_signals() as stop:
         summary = run_collection(cfg, clock, modem, position_at,
                                  e2e_engine=engine, stop_event=stop)
-    finally:
-        for s, handler in previous.items():
-            signal.signal(s, handler)
     print(json.dumps(summary.to_doc()))
     return EXIT_OK
 
@@ -230,10 +240,11 @@ def cmd_serve(args) -> int:
     server = MeasurementServer(args.bind, args.rtt_port, args.tp_port,
                                dl_throttle_mbps=args.dl_throttle_mbps)
     server.start()
-    print(json.dumps({"bind": args.bind, "rtt_port": server.rtt_port,
-                      "tp_port": server.tp_port}), flush=True)
     try:
-        server.wait()
+        with _stop_on_signals() as stop:
+            print(json.dumps({"bind": args.bind, "rtt_port": server.rtt_port,
+                              "tp_port": server.tp_port}), flush=True)
+            server.wait(stop)
     finally:
         server.stop()
     return EXIT_OK

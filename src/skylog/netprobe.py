@@ -311,13 +311,15 @@ class MeasurementServer:
             t.join(timeout=2.0)
 
     def wait(self, stop_event: Optional[threading.Event] = None) -> None:
-        """Block until the given event (or KeyboardInterrupt) stops the server."""
+        """Block until the given event (or KeyboardInterrupt) stops the server.
+
+        The event is polled, not waited on: a signal handler that sets it runs
+        on this thread, and Event.set would block forever on the lock that
+        Event.wait holds between its timed sleeps.
+        """
         try:
-            while not self._stop.is_set():
-                if stop_event is not None and stop_event.wait(timeout=0.2):
-                    break
-                if stop_event is None:
-                    time.sleep(0.2)
+            while not self._stop.is_set() and not (stop_event is not None and stop_event.is_set()):
+                time.sleep(0.2)
         except KeyboardInterrupt:
             pass
         self.stop()

@@ -21,6 +21,8 @@ CELL_ID_MAX = 2**28 - 1
 PCI_MAX = 503
 TAC_MAX = 65535
 AGL_CEILING_M = 200.0
+LAT_MAX_DEG = 90.0
+LON_MAX_DEG = 180.0
 
 # 3GPP-style reporting envelopes; values outside are refused at ingest.
 DB_FIELD_RANGES = {
@@ -49,7 +51,7 @@ class TraceDecodeError(ValueError):
         super().__init__(where + message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPosition:
     """WGS84 position; altitude above mean sea level, optionally above ground."""
 
@@ -59,7 +61,7 @@ class GeoPosition:
     alt_m_agl: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServingCellSample:
     earfcn: int
     pci: int
@@ -71,7 +73,7 @@ class ServingCellSample:
     sinr_db: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeighborCellSample:
     earfcn: int
     pci: int
@@ -80,7 +82,7 @@ class NeighborCellSample:
     rssi_dbm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementRecord:
     """One geo-tagged RAN sample: serving cell plus neighbor list."""
 
@@ -166,7 +168,7 @@ def _check_cell_identity(sample, prefix: str = "") -> Optional[ValidationResult]
 
 
 def validate_position(pos: GeoPosition) -> ValidationResult:
-    for name, bound in (("lat_deg", 90.0), ("lon_deg", 180.0)):
+    for name, bound in (("lat_deg", LAT_MAX_DEG), ("lon_deg", LON_MAX_DEG)):
         value = getattr(pos, name)
         bad = _check_finite(name, value)
         if bad is not None:
@@ -254,13 +256,24 @@ def validate_e2e(rec: EndToEndRecord) -> ValidationResult:
     else:
         if any(s is None for s in stats):
             return _violation("rtt", stats, "rtt statistics missing with replies present")
+        for name, value in zip(("rtt.min_ms", "rtt.mean_ms", "rtt.p50_ms", "rtt.max_ms"), stats):
+            bad = _check_finite(name, value)
+            if bad is not None:
+                return bad
         if not (rtt.min_ms <= rtt.p50_ms <= rtt.max_ms):
             return _violation("rtt.p50_ms", rtt.p50_ms, "rtt p50 outside [min, max]")
         if not (rtt.min_ms <= rtt.mean_ms <= rtt.max_ms):
             return _violation("rtt.mean_ms", rtt.mean_ms, "rtt mean outside [min, max]")
+    bad = _check_finite("rtt.loss_fraction", rtt.loss_fraction)
+    if bad is not None:
+        return bad
     expected_loss = (rtt.sent - rtt.received) / rtt.sent
     if abs(rtt.loss_fraction - expected_loss) > 1e-9:
         return _violation("rtt.loss_fraction", rtt.loss_fraction, "loss_fraction inconsistent with sent/received")
+    for name in ("dl_mbps", "ul_mbps", "duration_s"):
+        bad = _check_finite(name, getattr(rec, name))
+        if bad is not None:
+            return bad
     if rec.dl_mbps < 0 or rec.ul_mbps < 0:
         return _violation("dl_mbps" if rec.dl_mbps < 0 else "ul_mbps",
                           min(rec.dl_mbps, rec.ul_mbps), "throughput negative")
@@ -451,9 +464,92 @@ def decode_e2e(text: str, line_no: Optional[int] = None) -> EndToEndRecord:
     )
 
 
-def _read_lines(path, decode, validate) -> list:
-    """The one trace-reading loop: decode and validate each non-empty line and
-    enforce strictly increasing timestamps, naming the line on any failure."""
+def _checked(rec, validate, line_no: int):
+    """rec when validate accepts it, else the violation as a TraceDecodeError."""
+    result = validate(rec)
+    if not result:
+        raise TraceDecodeError(result.message, line=line_no)
+    return rec
+
+
+_RSRP_LO, _RSRP_HI = DB_FIELD_RANGES["rsrp_dbm"]
+_RSRQ_LO, _RSRQ_HI = DB_FIELD_RANGES["rsrq_db"]
+_RSSI_LO, _RSSI_HI = DB_FIELD_RANGES["rssi_dbm"]
+_SINR_LO, _SINR_HI = DB_FIELD_RANGES["sinr_db"]
+
+
+def _clean_record(doc) -> Optional[MeasurementRecord]:
+    """The record a parsed trace line stands for, built in one pass, when every
+    field is present, exactly typed (a float field holds a float, not an int),
+    finite and within the bounds validate_record enforces; None otherwise.
+
+    It never accepts a line the reference path (decode_record, then
+    validate_record) refuses, so a None only sends the line there.  Unknown
+    keys are ignored, as decode_record ignores them.
+    """
+    try:
+        s = doc["serving"]
+        earfcn, pci, cell_id, tac = s["earfcn"], s["pci"], s["cell_id"], s["tac"]
+        rsrp, rsrq, rssi, sinr = s["rsrp_dbm"], s["rsrq_db"], s["rssi_dbm"], s["sinr_db"]
+        lat, lon, amsl = doc["lat_deg"], doc["lon_deg"], doc["alt_m_amsl"]
+        agl = doc.get("alt_m_agl")
+        ts, source, nbrs = doc["ts_unix_ms"], doc["source"], doc["neighbors"]
+        # Chained comparisons are False for NaN, so each bounded check also
+        # rejects non-finite values.
+        if not (type(ts) is int and source in SOURCES
+                and type(lat) is float and -LAT_MAX_DEG <= lat <= LAT_MAX_DEG
+                and type(lon) is float and -LON_MAX_DEG <= lon <= LON_MAX_DEG
+                and type(amsl) is float and -math.inf < amsl < math.inf
+                and (agl is None or type(agl) is float and 0.0 <= agl <= AGL_CEILING_M)
+                and type(earfcn) is int and earfcn >= 0
+                and type(pci) is int and 0 <= pci <= PCI_MAX
+                and type(cell_id) is int and 0 <= cell_id <= CELL_ID_MAX
+                and type(tac) is int and 0 <= tac <= TAC_MAX
+                and type(rsrp) is float and _RSRP_LO <= rsrp <= _RSRP_HI
+                and type(rsrq) is float and _RSRQ_LO <= rsrq <= _RSRQ_HI
+                and type(rssi) is float and _RSSI_LO <= rssi <= _RSSI_HI
+                and type(sinr) is float and _SINR_LO <= sinr <= _SINR_HI
+                and rssi >= rsrp
+                and type(nbrs) is list and len(nbrs) <= MAX_NEIGHBORS):
+            return None
+        neighbors = []
+        for n in nbrs:
+            n_earfcn, n_pci = n["earfcn"], n["pci"]
+            n_rsrp, n_rsrq, n_rssi = n["rsrp_dbm"], n["rsrq_db"], n["rssi_dbm"]
+            if not (type(n_earfcn) is int and n_earfcn >= 0
+                    and type(n_pci) is int and 0 <= n_pci <= PCI_MAX
+                    and type(n_rsrp) is float and _RSRP_LO <= n_rsrp <= _RSRP_HI
+                    and type(n_rsrq) is float and _RSRQ_LO <= n_rsrq <= _RSRQ_HI
+                    and type(n_rssi) is float and _RSSI_LO <= n_rssi <= _RSSI_HI
+                    and (n_earfcn != earfcn or n_pci != pci)):
+                return None
+            neighbors.append(NeighborCellSample(n_earfcn, n_pci, n_rsrp, n_rsrq, n_rssi))
+    except (KeyError, TypeError):  # a missing key, or a scalar or list where an object belongs
+        return None
+    return MeasurementRecord(ts, GeoPosition(lat, lon, amsl, agl),
+                             ServingCellSample(earfcn, pci, cell_id, tac, rsrp, rsrq, rssi, sinr),
+                             tuple(neighbors), source)
+
+
+def _ingest_record(text: str, line_no: int) -> MeasurementRecord:
+    """read_trace's step per line: the one-pass check, and for a line it
+    refuses, the reference path, whose error names the line and field."""
+    try:
+        rec = _clean_record(json.loads(text))
+    except json.JSONDecodeError:
+        rec = None
+    if rec is None:
+        rec = _checked(decode_record(text, line_no), validate_record, line_no)
+    return rec
+
+
+def _ingest_e2e(text: str, line_no: int) -> EndToEndRecord:
+    return _checked(decode_e2e(text, line_no), validate_e2e, line_no)
+
+
+def _read_lines(path, ingest) -> list:
+    """The one trace-reading loop: ingest(text, line_no) each non-empty line
+    and enforce strictly increasing timestamps, naming the line on failure."""
     records = []
     last_ts: Optional[int] = None
     with open(path, encoding="utf-8") as fh:
@@ -461,10 +557,7 @@ def _read_lines(path, decode, validate) -> list:
             line = line.rstrip("\n")
             if not line:
                 continue
-            rec = decode(line, line_no=line_no)
-            result = validate(rec)
-            if not result:
-                raise TraceDecodeError(result.message, line=line_no)
+            rec = ingest(line, line_no)
             if last_ts is not None and rec.ts_unix_ms <= last_ts:
                 raise TraceDecodeError(
                     f"ts_unix_ms not strictly increasing ({rec.ts_unix_ms} after {last_ts})",
@@ -477,11 +570,11 @@ def _read_lines(path, decode, validate) -> list:
 
 def read_trace(path) -> list[MeasurementRecord]:
     """Ingest a RAN trace file, enforcing validity and timestamp monotonicity."""
-    return _read_lines(path, decode_record, validate_record)
+    return _read_lines(path, _ingest_record)
 
 
 def read_e2e_trace(path) -> list[EndToEndRecord]:
-    return _read_lines(path, decode_e2e, validate_e2e)
+    return _read_lines(path, _ingest_e2e)
 
 
 __all__ = [
@@ -492,5 +585,5 @@ __all__ = [
     "encode_e2e", "decode_e2e",
     "read_trace", "read_e2e_trace", "quantize_db", "get_field", "position_from_doc",
     "DB_FIELD_RANGES", "METRIC_FIELDS", "SERVING_METRICS", "NEIGHBOR_METRICS", "SOURCES",
-    "MAX_NEIGHBORS", "PCI_MAX", "CELL_ID_MAX", "TAC_MAX",
+    "MAX_NEIGHBORS", "PCI_MAX", "CELL_ID_MAX", "TAC_MAX", "AGL_CEILING_M", "LAT_MAX_DEG", "LON_MAX_DEG",
 ]

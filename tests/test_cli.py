@@ -252,3 +252,24 @@ def test_probe_against_served_endpoints(capsys, tmp_path):
         except subprocess.TimeoutExpired:
             proc.kill()
             raise
+
+
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)
+def test_serve_stops_on_signal_with_sigint_ignored(sig):
+    # A background job starts with SIGINT ignored, so Python never raises
+    # KeyboardInterrupt; serve must still stop cleanly on SIGINT and SIGTERM.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skylog.cli", "serve", "--bind", "127.0.0.1",
+         "--rtt-port", "0", "--tp-port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+    try:
+        assert "rtt_port" in json.loads(proc.stdout.readline())
+        proc.send_signal(sig)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()

@@ -1,14 +1,24 @@
 """Record validation and trace round-trip behaviour."""
 
+import dataclasses
 import json
 import math
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skylog.cli import main as cli_main
 from skylog.records import (
+    AGL_CEILING_M,
+    CELL_ID_MAX,
     DB_FIELD_RANGES,
+    LAT_MAX_DEG,
+    LON_MAX_DEG,
+    MAX_NEIGHBORS,
+    PCI_MAX,
+    TAC_MAX,
     GeoPosition,
     MeasurementRecord,
     NeighborCellSample,
@@ -206,6 +216,28 @@ def test_e2e_loss_fraction_consistency():
     assert validate_e2e(make_e2e(rtt=rtt)).field == "rtt.loss_fraction"
 
 
+@pytest.mark.parametrize("changes, field", [
+    ({"dl_mbps": math.nan}, "dl_mbps"),
+    ({"ul_mbps": math.inf}, "ul_mbps"),
+    ({"dl_mbps": -math.inf}, "dl_mbps"),
+    ({"duration_s": math.inf}, "duration_s"),
+    ({"rtt.loss_fraction": math.nan}, "rtt.loss_fraction"),
+    ({"rtt.p50_ms": math.nan}, "rtt.p50_ms"),
+    ({f"rtt.{k}": math.inf for k in ("min_ms", "mean_ms", "p50_ms", "max_ms")}, "rtt.min_ms"),
+])
+def test_read_e2e_trace_rejects_non_finite(tmp_path, e2e_record, changes, field):
+    doc = json.loads(encode_e2e(e2e_record))
+    for name, value in changes.items():
+        *parents, key = name.split(".")
+        target = doc[parents[0]] if parents else doc
+        target[key] = value
+    path = tmp_path / "t.e2e"
+    path.write_text(json.dumps(doc) + "\n")
+    with pytest.raises(TraceDecodeError) as exc_info:
+        read_e2e_trace(path)
+    assert str(exc_info.value) == f"line 1: {field} is not finite"
+
+
 def test_read_e2e_trace(tmp_path, e2e_record):
     later = make_e2e(ts_unix_ms=e2e_record.ts_unix_ms + 60_000)
     path = tmp_path / "p.e2e"
@@ -350,3 +382,151 @@ def test_read_e2e_trace_names_line(tmp_path, e2e_record):
     with pytest.raises(TraceDecodeError, match="throughput negative") as exc_info:
         read_e2e_trace(path)
     assert exc_info.value.line == 3
+
+
+# --- read_trace's one-pass check against the reference path ---
+
+def _reference_read(text: str, line_no: int) -> list:
+    """What read_trace must do with one line: decode_record, validate_record,
+    and the violation raised as a TraceDecodeError naming the line."""
+    rec = decode_record(text, line_no)
+    result = validate_record(rec)
+    if not result:
+        raise TraceDecodeError(result.message, line=line_no)
+    return [rec]
+
+
+def _outcome(read, *args):
+    try:
+        return "ok", read(*args)
+    except TraceDecodeError as exc:
+        return "error", (str(exc), exc.line, exc.column)
+
+
+def _field_types(recs) -> list:
+    """type() of every field, nested records included, so an int read where
+    the reference gives a float shows even though the two compare equal."""
+    out = []
+    for rec in recs:
+        for obj in (rec, rec.pos, rec.serving, *rec.neighbors):
+            out.append([type(getattr(obj, f.name)) for f in dataclasses.fields(obj)])
+    return out
+
+
+@pytest.fixture(scope="module")
+def simulated_line(tmp_path_factory) -> str:
+    out = tmp_path_factory.mktemp("sim")
+    env = resources.files("skylog").joinpath("data/threecell.env")
+    plan = resources.files("skylog").joinpath("data/climb.plan")
+    assert cli_main(["--seed", "7", "simulate", "--env", str(env), "--plan", str(plan),
+                     "--duration", "2", "--out", str(out)]) == 0
+    line = next(out.glob("*.trace")).read_text().splitlines()[0]
+    assert len(json.loads(line)["neighbors"]) == 2
+    return line
+
+
+_BOUNDS = {  # field -> (low, high, one step); None for an open side
+    **{name: (lo, hi, 0.1) for name, (lo, hi) in DB_FIELD_RANGES.items()},
+    "lat_deg": (-LAT_MAX_DEG, LAT_MAX_DEG, 0.1),
+    "lon_deg": (-LON_MAX_DEG, LON_MAX_DEG, 0.1),
+    "alt_m_agl": (0.0, AGL_CEILING_M, 0.1),
+    "earfcn": (0, None, 1),
+    "pci": (0, PCI_MAX, 1),
+    "cell_id": (0, CELL_ID_MAX, 1),
+    "tac": (0, TAC_MAX, 1),
+}
+
+
+def _leaf_values(key: str, value) -> list:
+    """Every single-field replacement value: null, bool, string, the other
+    number type, NaN, +-Infinity, and each bound and one step past it."""
+    out = [None, True, "x"]
+    if type(value) in (int, float):
+        out += [float(value) if type(value) is int else int(value), math.nan, math.inf, -math.inf]
+    lo, hi, step = _BOUNDS.get(key, (None, None, 0))
+    if lo is not None:
+        out += [lo, round(lo - step, 1)]
+    if hi is not None:
+        out += [hi, round(hi + step, 1)]
+    return out
+
+
+def _mutations(doc: dict) -> list:
+    """(path, apply) pairs; apply edits a copy of doc in place."""
+    def put(path, value):
+        def apply(d):
+            *parents, key = path
+            for step in parents:
+                d = d[step]
+            if value is _DELETE:
+                del d[key]
+            else:
+                d[key] = value
+        return path, apply
+
+    leaves = [((k,), v) for k, v in doc.items()]
+    leaves += [(("serving", k), v) for k, v in doc["serving"].items()]
+    leaves += [(("neighbors", i, k), v) for i, n in enumerate(doc["neighbors"]) for k, v in n.items()]
+    out = []
+    for path, value in leaves:
+        if isinstance(value, (dict, list)):
+            values = [None, True, "x", 7, {} if isinstance(value, list) else []]
+        else:
+            values = _leaf_values(path[-1], value)
+        out += [put(path, v) for v in [_DELETE, *values]]
+    for i in range(len(doc["neighbors"])):
+        out += [put(("neighbors", i), v) for v in (None, 7, [1])]
+    serving = doc["serving"]
+    out.append(put(("neighbors", 0, "earfcn"), serving["earfcn"]))
+    out.append(put(("neighbors", 0, "pci"), serving["pci"]))
+    nine = [{**doc["neighbors"][0], "pci": (serving["pci"] + 1 + i) % (PCI_MAX + 1)}
+            for i in range(MAX_NEIGHBORS + 1)]
+    out.append(put(("neighbors",), nine))
+    out.append(put(("neighbors",), nine[:MAX_NEIGHBORS]))
+    out.append(put(("vendor_extra",), {"x": 1}))
+    out.append(put(("serving", "vendor_extra"), 1))
+    return out
+
+
+# Fields a cross-field rule reads: rssi >= rsrp, and no neighbor repeating the
+# serving (earfcn, pci).
+_CROSS_CHECKED = {("serving", "rsrp_dbm"), ("serving", "rssi_dbm"),
+                  ("serving", "earfcn"), ("serving", "pci"),
+                  *((("neighbors", i, k) for i in range(MAX_NEIGHBORS) for k in ("earfcn", "pci")))}
+
+
+def test_read_trace_agrees_with_reference_path(tmp_path, simulated_line):
+    """Every single edit of a simulated line, and every pair of edits to two
+    fields whose outcome the singles leave open: two edits each accepted on
+    its own, or two edits to fields a cross-field rule reads.  (An edit that
+    a per-field check refuses is refused whatever else changes.)"""
+    base = json.loads(simulated_line)
+    mutations = _mutations(base)
+
+    def edited(*applies) -> str:
+        doc = json.loads(simulated_line)
+        for apply in applies:
+            apply(doc)
+        return json.dumps(doc)
+
+    clean = [_outcome(_reference_read, edited(apply), 3)[0] == "ok" for _, apply in mutations]
+    texts = [simulated_line, "[1]", "3", "null", simulated_line[:-1], simulated_line + "x"]
+    for i, (path_a, apply_a) in enumerate(mutations):
+        texts.append(edited(apply_a))
+        for j in range(i + 1, len(mutations)):
+            path_b, apply_b = mutations[j]
+            if path_a[:len(path_b)] == path_b or path_b[:len(path_a)] == path_a:
+                continue  # the same field, or one inside the other: not two edits
+            if (clean[i] and clean[j]) or (path_a in _CROSS_CHECKED and path_b in _CROSS_CHECKED):
+                texts.append(edited(apply_a, apply_b))
+    path = tmp_path / "t.trace"
+    mismatches = []
+    accepted = 0
+    for text in texts:
+        path.write_text("\n\n" + text + "\n")  # the line under test is line 3
+        got, want = _outcome(read_trace, path), _outcome(_reference_read, text, 3)
+        if got != want or (got[0] == "ok" and _field_types(got[1]) != _field_types(want[1])):
+            mismatches.append((text, got, want))
+        accepted += got[0] == "ok"
+    assert not mismatches[:5]
+    assert 0 < accepted < len(texts)
