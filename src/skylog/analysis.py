@@ -17,8 +17,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .geo import tangent_forward, tangent_inverse
-from .records import METRIC_FIELDS, EndToEndRecord, MeasurementRecord
-from .records import NEIGHBOR_METRICS as NEIGHBOR_FIELDS
+from .records import METRIC_FIELDS, NEIGHBOR_FIELDS, EndToEndRecord, MeasurementRecord
 
 DEFAULT_RSRQ_POOR_DB = -19.0
 DEFAULT_TP_MIN_MBPS = 5.0
@@ -42,6 +41,12 @@ class UnknownMetric(ValueError):
 
 class NonpositiveBinWidth(ValueError):
     pass
+
+
+def _check_bin_sizes(what: str, *sizes: float) -> None:
+    """Refuse any size that is not finite and positive; NaN fails both comparisons."""
+    if not all(0 < size < math.inf for size in sizes):
+        raise NonpositiveBinWidth(f"{what} must be positive, got {'x'.join(map(str, sizes))}")
 
 
 class LengthMismatch(ValueError):
@@ -144,8 +149,7 @@ def histogram_pdf(samples: Sequence[float],
     density) for every bin from the lowest occupied to the highest, empty
     ones included; densities integrate to one.
     """
-    if not (bin_width > 0) or math.isinf(bin_width):
-        raise NonpositiveBinWidth(f"bin width must be positive, got {bin_width}")
+    _check_bin_sizes("bin width", bin_width)
     if not samples:
         raise EmptyInput("histogram of zero samples")
     n = len(samples)
@@ -164,8 +168,7 @@ def altitude_bins(records: Sequence[MeasurementRecord], metric: str,
     trace falls back to sea-level altitude (with a warning) rather than
     mixing the two frames.
     """
-    if not (bin_m > 0):
-        raise NonpositiveBinWidth(f"bin width must be positive, got {bin_m}")
+    _check_bin_sizes("bin width", bin_m)
     if not records:
         raise EmptyInput("no records to bin")
     get = _serving_getter(metric)
@@ -275,9 +278,7 @@ class VoxelGrid:
 def grid_aggregate(records: Sequence[MeasurementRecord],
                    ground_m: float = 25.0,
                    alt_m: float = 10.0) -> VoxelGrid:
-    if not (ground_m > 0) or not (alt_m > 0):
-        raise NonpositiveBinWidth(
-            f"voxel sizes must be positive, got {ground_m}x{alt_m}")
+    _check_bin_sizes("voxel sizes", ground_m, alt_m)
     if not records:
         raise EmptyInput("no records")
     anchor = records[0].pos

@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import json
 import logging
+import math
 import signal
 import sys
 import threading
@@ -29,7 +30,7 @@ from .collector import (
 )
 from .geoexport import csv_text, export_csv, export_geojson
 from .modem import ReplayBackend
-from .netprobe import MeasurementServer, ProbeConfig, rtt_probe, throughput_test
+from .netprobe import MeasurementServer, ProbeConfig, ProbeE2eEngine
 from .records import (
     EndToEndRecord,
     GeoPosition,
@@ -64,7 +65,7 @@ def _grid_spec(text: str) -> tuple[float, float]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected GROUND,ALT meters (e.g. 25,10), got {text!r}")
-    if ground <= 0 or alt <= 0:
+    if not (0 < ground < math.inf and 0 < alt < math.inf):  # also refuses NaN
         raise argparse.ArgumentTypeError("voxel sizes must be positive")
     return ground, alt
 
@@ -261,13 +262,10 @@ def cmd_probe(args) -> int:
                           ul_throttle_mbps=args.ul_throttle_mbps)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    rtt = rtt_probe(cfg)
-    dl = throughput_test(cfg, "DL")
-    ul = throughput_test(cfg, "UL")
-    rec = EndToEndRecord(ts_unix_ms=time.time_ns() // 1_000_000,
-                         pos=GeoPosition(args.lat, args.lon, args.alt),
-                         rtt=rtt, dl_mbps=dl, ul_mbps=ul,
-                         duration_s=cfg.tp_duration_s)
+    pos = GeoPosition(args.lat, args.lon, args.alt)
+    rtt, dl, ul, duration = ProbeE2eEngine(cfg).measure(pos, salt=0)
+    rec = EndToEndRecord(ts_unix_ms=time.time_ns() // 1_000_000, pos=pos,
+                         rtt=rtt, dl_mbps=dl, ul_mbps=ul, duration_s=duration)
     print(encode_e2e(rec))
     return EXIT_OK
 
@@ -329,6 +327,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.format == "csv" and args.metric:
+        raise UsageError("--metric applies to geojson export only")
     records = read_trace(args.ran)
     if args.grid is not None:
         source = analysis.grid_aggregate(records, args.grid[0], args.grid[1])
@@ -342,8 +342,6 @@ def cmd_export(args) -> int:
         count = len(doc["features"])
         what = "features"
     else:
-        if args.metric:
-            raise UsageError("--metric applies to geojson export only")
         text = export_csv(source)
         out.write_text(text, encoding="utf-8")
         count = len(text.splitlines()) - 1

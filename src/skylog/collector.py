@@ -15,10 +15,11 @@ that time too, which makes simulated runs bit-reproducible.
 from __future__ import annotations
 
 import logging
+import math
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Protocol
 
@@ -89,8 +90,11 @@ class CollectorConfig:
             raise ValueError("sample_interval_ms must be >= 100")
         if self.max_file_records < 1:
             raise ValueError("max_file_records must be >= 1")
-        if self.e2e_interval_s < 0:
-            raise ValueError("e2e_interval_s must be >= 0")
+        # The deadlines are integer milliseconds, so inf and NaN are refused here.
+        if not (0 <= self.e2e_interval_s < math.inf):
+            raise ValueError("e2e_interval_s must be finite and >= 0")
+        if self.duration_s is not None and not (0 <= self.duration_s < math.inf):
+            raise ValueError("duration_s must be finite and >= 0")
 
 
 @dataclass
@@ -107,14 +111,7 @@ class RunSummary:
         return self.records_written + self.polls_failed
 
     def to_doc(self) -> dict:
-        return {
-            "records_written": self.records_written,
-            "polls_failed": self.polls_failed,
-            "e2e_tests_run": self.e2e_tests_run,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-            "files": list(self.files),
-        }
+        return asdict(self)
 
 
 def assemble_record(report: ModemReport, pos: GeoPosition, ts_unix_ms: int,
@@ -265,11 +262,11 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
     t0 = clock.now_ms()
     run_id = cfg.run_id or f"run{t0}"
 
+    e2e_ms = int(cfg.e2e_interval_s * 1000)
+    end_ms = None if cfg.duration_s is None else t0 + int(cfg.duration_s * 1000)
     writer = _TraceWriter(out_dir, run_id, cfg.max_file_records)
     writer.start()
-    e2e_ms = int(cfg.e2e_interval_s * 1000)
     worker = None
-    end_ms = None if cfg.duration_s is None else t0 + int(cfg.duration_s * 1000)
     source = getattr(modem, "descriptor", "hw")
     interval = cfg.sample_interval_ms
     n_ran = 0

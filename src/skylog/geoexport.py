@@ -16,16 +16,14 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .analysis import EmptyInput, UnknownMetric, VoxelGrid
 from .records import MAX_NEIGHBORS, METRIC_FIELDS, MeasurementRecord
-from .records import NEIGHBOR_METRICS, SERVING_METRICS
+from .records import NEIGHBOR_FIELDS, SERVING_FIELDS, SERVING_METRICS
 
-_SERVING_FIELDS = ("earfcn", "pci", "cell_id", "tac") + SERVING_METRICS
-_NEIGHBOR_FIELDS = ("earfcn", "pci") + NEIGHBOR_METRICS
-_NO_NEIGHBOR = [None] * len(_NEIGHBOR_FIELDS)
+_NO_NEIGHBOR = [None] * len(NEIGHBOR_FIELDS)
 
 RECORD_CSV_HEADER = (
     ["ts_unix_ms", "lat_deg", "lon_deg", "alt_m_amsl", "alt_m_agl"]
-    + list(_SERVING_FIELDS)
-    + [f"nbr{i}_{f}" for i in range(1, MAX_NEIGHBORS + 1) for f in _NEIGHBOR_FIELDS]
+    + list(SERVING_FIELDS)
+    + [f"nbr{i}_{f}" for i in range(1, MAX_NEIGHBORS + 1) for f in NEIGHBOR_FIELDS]
     + ["source"]
 )
 
@@ -124,10 +122,10 @@ def _records_csv(records: list[MeasurementRecord]) -> str:
 
 def _record_row(r: MeasurementRecord) -> list:
     row = [r.ts_unix_ms, r.pos.lat_deg, r.pos.lon_deg, r.pos.alt_m_amsl, r.pos.alt_m_agl]
-    row += [getattr(r.serving, f) for f in _SERVING_FIELDS]
+    row += [getattr(r.serving, f) for f in SERVING_FIELDS]
     for i in range(MAX_NEIGHBORS):
         if i < len(r.neighbors):
-            row += [getattr(r.neighbors[i], f) for f in _NEIGHBOR_FIELDS]
+            row += [getattr(r.neighbors[i], f) for f in NEIGHBOR_FIELDS]
         else:
             row += _NO_NEIGHBOR
     row.append(r.source)

@@ -20,7 +20,10 @@ from dataclasses import dataclass
 from typing import Optional, Protocol, Union, runtime_checkable
 
 from .records import (
+    DB_FIELD_RANGES,
     MAX_NEIGHBORS,
+    NEIGHBOR_FIELDS,
+    SERVING_FIELDS,
     GeoPosition,
     MeasurementRecord,
     NeighborCellSample,
@@ -167,42 +170,22 @@ def _to_text(raw: Union[bytes, bytearray, str]) -> str:
     return data.decode("ascii")
 
 
-def _parse_serving(sc: _Scanner) -> ServingCellSample:
-    sc.expect("+SRV: ")
-    earfcn = sc.take_uint()
-    sc.expect(",", "','")
-    pci = sc.take_uint()
-    sc.expect(",", "','")
-    cell_id = sc.take_uint()
-    sc.expect(",", "','")
-    tac = sc.take_uint()
-    sc.expect(",", "','")
-    rsrp = sc.take_db1()
-    sc.expect(",", "','")
-    rsrq = sc.take_db1()
-    sc.expect(",", "','")
-    rssi = sc.take_db1()
-    sc.expect(",", "','")
-    sinr = sc.take_db1()
+def _parse_cell(sc: _Scanner, prefix: str, cls, layout):
+    """One "+SRV: " or "+NBR: " line: the layout's fields, comma-separated."""
+    sc.expect(prefix)
+    values = []
+    for i, name in enumerate(layout):
+        if i:
+            sc.expect(",", "','")
+        values.append(sc.take_db1() if name in DB_FIELD_RANGES else sc.take_uint())
     sc.expect_crlf()
-    return ServingCellSample(earfcn=earfcn, pci=pci, cell_id=cell_id, tac=tac,
-                             rsrp_dbm=rsrp, rsrq_db=rsrq, rssi_dbm=rssi, sinr_db=sinr)
+    return cls(*values)
 
 
-def _parse_neighbor(sc: _Scanner) -> NeighborCellSample:
-    sc.expect("+NBR: ")
-    earfcn = sc.take_uint()
-    sc.expect(",", "','")
-    pci = sc.take_uint()
-    sc.expect(",", "','")
-    rsrp = sc.take_db1()
-    sc.expect(",", "','")
-    rsrq = sc.take_db1()
-    sc.expect(",", "','")
-    rssi = sc.take_db1()
-    sc.expect_crlf()
-    return NeighborCellSample(earfcn=earfcn, pci=pci,
-                              rsrp_dbm=rsrp, rsrq_db=rsrq, rssi_dbm=rssi)
+def _render_cell(prefix: str, cell, layout) -> str:
+    # Formatted by field, not by value: a dB field holding an int still gets one decimal.
+    return prefix + ",".join(f"{getattr(cell, name):.1f}" if name in DB_FIELD_RANGES
+                             else f"{getattr(cell, name)}" for name in layout)
 
 
 def parse_report(raw: Union[bytes, bytearray, str]) -> ModemReport:
@@ -222,12 +205,12 @@ def parse_report(raw: Union[bytes, bytearray, str]) -> ModemReport:
         raise ModemError(code)
     if not sc.looking_at("+SRV"):
         sc.fail("'+SRV: ' or 'ERROR: '")
-    serving = _parse_serving(sc)
+    serving = _parse_cell(sc, "+SRV: ", ServingCellSample, SERVING_FIELDS)
     neighbors = []
     while sc.looking_at("+NBR"):
         if len(neighbors) == MAX_NEIGHBORS:
             sc.fail(f"'OK' (at most {MAX_NEIGHBORS} neighbor lines)")
-        neighbors.append(_parse_neighbor(sc))
+        neighbors.append(_parse_cell(sc, "+NBR: ", NeighborCellSample, NEIGHBOR_FIELDS))
     sc.expect("OK", "'OK' or '+NBR: '")
     sc.expect_crlf()
     if not sc.at_end():
@@ -240,14 +223,9 @@ def parse_report(raw: Union[bytes, bytearray, str]) -> ModemReport:
 def render_report(report: ModemReport) -> bytes:
     """Render a report in the wire grammar; inverse of parse_report."""
     _validate_report(report)
-    s = report.serving
-    lines = [
-        f"+SRV: {s.earfcn},{s.pci},{s.cell_id},{s.tac},"
-        f"{s.rsrp_dbm:.1f},{s.rsrq_db:.1f},{s.rssi_dbm:.1f},{s.sinr_db:.1f}"
-    ]
-    for n in report.neighbors:
-        lines.append(f"+NBR: {n.earfcn},{n.pci},{n.rsrp_dbm:.1f},{n.rsrq_db:.1f},{n.rssi_dbm:.1f}")
-    lines.append("OK")
+    lines = [_render_cell("+SRV: ", report.serving, SERVING_FIELDS),
+             *(_render_cell("+NBR: ", n, NEIGHBOR_FIELDS) for n in report.neighbors),
+             "OK"]
     return ("\r\n".join(lines) + "\r\n").encode("ascii")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Optional
 
@@ -35,8 +35,6 @@ DB_FIELD_RANGES = {
 # The one table of metric names: short name -> record field, in trace-schema
 # order.  Analysis getters and export columns are derived from it.
 METRIC_FIELDS = {"rsrp": "rsrp_dbm", "rsrq": "rsrq_db", "rssi": "rssi_dbm", "sinr": "sinr_db"}
-SERVING_METRICS = tuple(METRIC_FIELDS.values())
-NEIGHBOR_METRICS = tuple(f for f in SERVING_METRICS if f != "sinr_db")  # no SINR per neighbor
 
 
 class TraceDecodeError(ValueError):
@@ -80,6 +78,15 @@ class NeighborCellSample:
     rsrp_dbm: float
     rsrq_db: float
     rssi_dbm: float
+
+
+# The one cell layout: field names in dataclass order, the order of the trace
+# objects, the modem report lines and the CSV columns.  A name in
+# DB_FIELD_RANGES is a one-decimal dB value; any other is an unsigned int.
+SERVING_FIELDS = tuple(f.name for f in fields(ServingCellSample))
+NEIGHBOR_FIELDS = tuple(f.name for f in fields(NeighborCellSample))
+SERVING_METRICS = tuple(f for f in SERVING_FIELDS if f in DB_FIELD_RANGES)
+NEIGHBOR_METRICS = tuple(f for f in NEIGHBOR_FIELDS if f in DB_FIELD_RANGES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,27 +298,10 @@ def quantize_db(value: float) -> float:
 # Trace line encoding (one JSON object per line)
 # ---------------------------------------------------------------------------
 
-def _serving_to_dict(s: ServingCellSample) -> dict:
-    return {
-        "earfcn": s.earfcn,
-        "pci": s.pci,
-        "cell_id": s.cell_id,
-        "tac": s.tac,
-        "rsrp_dbm": quantize_db(s.rsrp_dbm),
-        "rsrq_db": quantize_db(s.rsrq_db),
-        "rssi_dbm": quantize_db(s.rssi_dbm),
-        "sinr_db": quantize_db(s.sinr_db),
-    }
-
-
-def _neighbor_to_dict(n: NeighborCellSample) -> dict:
-    return {
-        "earfcn": n.earfcn,
-        "pci": n.pci,
-        "rsrp_dbm": quantize_db(n.rsrp_dbm),
-        "rsrq_db": quantize_db(n.rsrq_db),
-        "rssi_dbm": quantize_db(n.rssi_dbm),
-    }
+def _cell_to_dict(cell, layout) -> dict:
+    """A serving or neighbor sample as its trace object, dB fields quantized."""
+    return {name: quantize_db(getattr(cell, name)) if name in DB_FIELD_RANGES else getattr(cell, name)
+            for name in layout}
 
 
 def encode_record(rec: MeasurementRecord) -> str:
@@ -322,8 +312,8 @@ def encode_record(rec: MeasurementRecord) -> str:
         "lon_deg": rec.pos.lon_deg,
         "alt_m_amsl": rec.pos.alt_m_amsl,
         "alt_m_agl": rec.pos.alt_m_agl,
-        "serving": _serving_to_dict(rec.serving),
-        "neighbors": [_neighbor_to_dict(n) for n in rec.neighbors],
+        "serving": _cell_to_dict(rec.serving, SERVING_FIELDS),
+        "neighbors": [_cell_to_dict(n, NEIGHBOR_FIELDS) for n in rec.neighbors],
         "source": rec.source,
     }
     return json.dumps(doc, separators=(",", ":"))
@@ -405,10 +395,13 @@ def _field_error(line_no: Optional[int], name: str, missing: bool) -> TraceDecod
     return TraceDecodeError(f"field '{name}' has wrong type", line=line_no)
 
 
-# (field, kind) in dataclass field order, so a decoded row feeds the constructor.
-_SERVING_SCHEMA = (("earfcn", int), ("pci", int), ("cell_id", int), ("tac", int),
-                   *((f, float) for f in SERVING_METRICS))
-_NEIGHBOR_SCHEMA = (("earfcn", int), ("pci", int), *((f, float) for f in NEIGHBOR_METRICS))
+def _schema(layout) -> tuple:
+    """(field, kind) in dataclass field order, so a decoded row feeds the constructor."""
+    return tuple((name, float if name in DB_FIELD_RANGES else int) for name in layout)
+
+
+_SERVING_SCHEMA = _schema(SERVING_FIELDS)
+_NEIGHBOR_SCHEMA = _schema(NEIGHBOR_FIELDS)
 
 
 def _decode_fields(doc: dict, schema, fail, where: str) -> list:
@@ -584,6 +577,7 @@ __all__ = [
     "validate_serving", "validate_neighbor", "encode_record", "decode_record",
     "encode_e2e", "decode_e2e",
     "read_trace", "read_e2e_trace", "quantize_db", "get_field", "position_from_doc",
-    "DB_FIELD_RANGES", "METRIC_FIELDS", "SERVING_METRICS", "NEIGHBOR_METRICS", "SOURCES",
+    "DB_FIELD_RANGES", "METRIC_FIELDS", "SERVING_FIELDS", "NEIGHBOR_FIELDS",
+    "SERVING_METRICS", "NEIGHBOR_METRICS", "SOURCES",
     "MAX_NEIGHBORS", "PCI_MAX", "CELL_ID_MAX", "TAC_MAX", "AGL_CEILING_M", "LAT_MAX_DEG", "LON_MAX_DEG",
 ]

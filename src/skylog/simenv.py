@@ -237,7 +237,12 @@ def radio_sample_raw(env: RadioEnvironment, pos: GeoPosition) -> RawRadioSample:
     # Serving cell: strongest received power, ties to the lowest pci.
     serving, p_serv = min(powers, key=lambda sp: (-sp[1], sp[0].pci))
     noise_mw = _linear_mw(env.noise_dbm)
-    total_mw = sum(_linear_mw(p) for _, p in powers) + noise_mw
+    # Left to right on purpose: sum() of floats compensates from Python 3.12 on,
+    # which moves the last bit and so the trace bytes between versions.
+    total_mw = 0.0
+    for _, p in powers:
+        total_mw += _linear_mw(p)
+    total_mw += noise_mw
     rssi = _dbm(total_mw)
     prb_gain = 10.0 * math.log10(env.n_prb)
     rsrq = prb_gain + p_serv - rssi

@@ -138,8 +138,9 @@ def test_altitude_bins_unknown_metric():
         altitude_bins([make_record()], "snr")
     with pytest.raises(EmptyInput):
         altitude_bins([], "rsrp")
-    with pytest.raises(NonpositiveBinWidth):
-        altitude_bins([make_record()], "rsrp", bin_m=0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(NonpositiveBinWidth, match="bin width must be positive"):
+            altitude_bins([make_record()], "rsrp", bin_m=bad)
 
 
 def test_altitude_bins_amsl_fallback_warns():
@@ -359,6 +360,11 @@ def test_grid_center_round_trip():
 def test_grid_rejects_bad_sizes():
     with pytest.raises(NonpositiveBinWidth):
         grid_aggregate([make_record()], ground_m=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(NonpositiveBinWidth, match="voxel sizes must be positive"):
+            grid_aggregate([make_record()], ground_m=bad)
+        with pytest.raises(NonpositiveBinWidth, match="voxel sizes must be positive"):
+            grid_aggregate([make_record()], alt_m=bad)
     with pytest.raises(EmptyInput):
         grid_aggregate([])
 

@@ -4,6 +4,7 @@ import json
 import signal
 import subprocess
 import sys
+import threading
 import time
 from importlib import resources
 
@@ -62,10 +63,23 @@ def test_missing_required_flags_usage_error():
 
 
 def test_malformed_grid_spec_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["export", "--ran", "x.trace", "--format", "csv",
-              "--grid", "25", "--out", str(tmp_path / "o.csv")])
-    assert exc.value.code == 1
+    for spec in ("25", "0,10", "inf,10", "25,inf", "nan,10"):
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "--ran", "x.trace", "--format", "csv",
+                  "--grid", spec, "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--duration", "inf"), ("--duration", "nan"),
+                                        ("--e2e-interval", "inf")])
+def test_simulate_nonfinite_time_is_runtime_error(capsys, tmp_path, flag, value):
+    times = {"--duration": "10", "--e2e-interval": "60", flag: value}
+    rc, _, err = run_cli(capsys, "simulate", "--env", ENV, "--plan", PLAN,
+                         "--out", str(tmp_path / "out"),
+                         *(arg for pair in times.items() for arg in pair))
+    assert rc == 2
+    assert "must be finite" in err
+    assert not any(t.name == "skylog-writer" for t in threading.enumerate())
 
 
 def test_collect_hw_backend_rejected(capsys):
@@ -113,11 +127,13 @@ def test_export_metric_with_csv_rejected(capsys, tmp_path):
                        "--duration", "5", "--out", str(out))
     assert rc == 0
     trace = next(out.glob("*.trace"))
+    missing = tmp_path / "missing"
     rc, _, err = run_cli(capsys, "export", "--ran", str(trace),
                          "--format", "csv", "--metric", "rsrp",
-                         "--out", str(tmp_path / "o.csv"))
+                         "--out", str(missing / "o.csv"))
     assert rc == 1
     assert "geojson" in err
+    assert not missing.exists()  # refused before any work
 
 
 # --- simulate ---

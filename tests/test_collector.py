@@ -1,6 +1,7 @@
 """Sampling cadence, loss accounting, rotation, durability, replay equality."""
 
 import dataclasses
+import math
 import threading
 from functools import partial
 
@@ -288,6 +289,13 @@ def test_config_bounds():
         CollectorConfig(output_dir="x", sample_interval_ms=50)
     with pytest.raises(ValueError):
         CollectorConfig(output_dir="x", max_file_records=0)
+    # Deadlines are integer milliseconds: a non-finite interval or duration
+    # must be refused before any thread starts.
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="e2e_interval_s"):
+            CollectorConfig(output_dir="x", e2e_interval_s=bad)
+        with pytest.raises(ValueError, match="duration_s"):
+            CollectorConfig(output_dir="x", duration_s=bad)
 
 
 def test_unwritable_output_is_fatal(tmp_path):

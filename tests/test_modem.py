@@ -85,10 +85,12 @@ def test_render_nine_neighbors_raises_range_error():
 
 
 def test_render_uses_crlf_and_one_decimal():
-    wire = render_report(ModemReport(serving=make_serving(rsrp_dbm=-95.0)))
-    text = wire.decode("ascii")
-    assert "\n" not in text.replace("\r\n", "")
-    assert "-95.0," in text
+    # An int in a dB field still renders with one decimal: the format follows the field.
+    for rsrp in (-95.0, -95):
+        wire = render_report(ModemReport(serving=make_serving(rsrp_dbm=rsrp)))
+        text = wire.decode("ascii")
+        assert "\n" not in text.replace("\r\n", "")
+        assert "-95.0," in text
 
 
 def test_round_trip_reference_report():
