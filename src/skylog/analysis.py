@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -26,6 +26,8 @@ DEFAULT_RTT_MAX_MS = 150.0
 # coverage report: their per-cell stats describe too little of the survey to
 # read as coverage quality on their own.
 LOW_CONTRIBUTION_SHARE = 0.05
+# histogram_pdf lists every bin from the lowest sample to the highest.
+MAX_HISTOGRAM_BINS = 1_000_000
 
 
 class EmptyInput(ValueError):
@@ -49,6 +51,14 @@ def _check_bin_sizes(what: str, *sizes: float) -> None:
         raise NonpositiveBinWidth(f"{what} must be positive, got {'x'.join(map(str, sizes))}")
 
 
+class TooManyBins(ValueError):
+    pass
+
+
+class NonfiniteThreshold(ValueError):
+    pass
+
+
 class LengthMismatch(ValueError):
     pass
 
@@ -62,9 +72,6 @@ _SERVING = {m: attrgetter("serving." + f) for m, f in METRIC_FIELDS.items()}
 _NEIGHBOR = {m: attrgetter(f) for m, f in METRIC_FIELDS.items() if f in NEIGHBOR_FIELDS}
 
 _CELL_ID = attrgetter("serving.cell_id")
-
-SERVING_METRICS = tuple(_SERVING)
-NEIGHBOR_METRICS = tuple(_NEIGHBOR)
 
 
 def _serving_getter(metric: str) -> Callable[[MeasurementRecord], float]:
@@ -152,12 +159,15 @@ def histogram_pdf(samples: Sequence[float],
     _check_bin_sizes("bin width", bin_width)
     if not samples:
         raise EmptyInput("histogram of zero samples")
+    lo, hi = min(samples) / bin_width, max(samples) / bin_width
+    n_bins = math.floor(hi) - math.floor(lo) + 1 if math.isfinite(hi - lo) else math.inf
+    if n_bins > MAX_HISTOGRAM_BINS:  # inf: a quotient overflowed, so no bin index exists
+        raise TooManyBins(f"bin width {bin_width!r} gives {n_bins:.7g} bins; the cap is "
+                          f"{MAX_HISTOGRAM_BINS}")
     n = len(samples)
     counts: Counter[int] = Counter(math.floor(x / bin_width) for x in samples)
-    first = math.floor(min(samples) / bin_width)
-    last = math.floor(max(samples) / bin_width)
     return [(i * bin_width, counts.get(i, 0) / (n * bin_width))
-            for i in range(first, last + 1)]
+            for i in range(math.floor(lo), math.floor(hi) + 1)]
 
 
 def altitude_bins(records: Sequence[MeasurementRecord], metric: str,
@@ -171,16 +181,14 @@ def altitude_bins(records: Sequence[MeasurementRecord], metric: str,
     _check_bin_sizes("bin width", bin_m)
     if not records:
         raise EmptyInput("no records to bin")
-    get = _serving_getter(metric)
-    alts = [r.pos.alt_m_agl for r in records]
-    if any(a is None for a in alts):
+    getters = {metric: _serving_getter(metric)}
+    alt = attrgetter("pos.alt_m_agl")
+    if any(r.pos.alt_m_agl is None for r in records):
         warnings.warn("alt_m_agl missing on some records; binning by alt_m_amsl",
                       stacklevel=2)
-        alts = [r.pos.alt_m_amsl for r in records]
-    groups: dict[int, list[float]] = defaultdict(list)
-    for alt, rec in zip(alts, records):
-        groups[math.floor(alt / bin_m)].append(get(rec))
-    return [_bin_stats(i * bin_m, vals) for i, vals in sorted(groups.items())]
+        alt = attrgetter("pos.alt_m_amsl")
+    groups = _group_stats(records, lambda r: math.floor(alt(r) / bin_m), getters)
+    return [replace(stats[metric], lower=i * bin_m) for i, stats in groups.items()]
 
 
 def cell_dominance(records: Sequence[MeasurementRecord]) -> dict[int, float]:
@@ -355,6 +363,10 @@ def coverage_report(ran_records: Sequence[MeasurementRecord],
     the RSRQ fraction is computed over per-voxel means instead of raw
     samples, so hovering in one spot no longer over-weights that spot.
     """
+    for name, value in [("rsrq_poor_db", rsrq_poor_db), ("tp_min_mbps", tp_min_mbps),
+                        ("rtt_max_ms", rtt_max_ms)]:
+        if not math.isfinite(value):  # NaN would compare false against every sample
+            raise NonfiniteThreshold(f"threshold {name} must be finite, got {value!r}")
     ran = list(ran_records)
     e2e = list(e2e_records)
     if not ran and not e2e:

@@ -32,6 +32,7 @@ from .geoexport import csv_text, export_csv, export_geojson
 from .modem import ReplayBackend
 from .netprobe import MeasurementServer, ProbeConfig, ProbeE2eEngine
 from .records import (
+    METRIC_FIELDS,
     EndToEndRecord,
     GeoPosition,
     encode_e2e,
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="export a trace for map rendering")
     p.add_argument("--ran", required=True, metavar="TRACE", help="RAN trace file")
     p.add_argument("--format", required=True, choices=["geojson", "csv"])
-    p.add_argument("--metric", choices=list(analysis.SERVING_METRICS),
+    p.add_argument("--metric", choices=list(METRIC_FIELDS),
                    help="limit geojson properties to one metric")
     p.add_argument("--grid", type=_grid_spec, default=None, metavar="GROUND,ALT",
                    help="aggregate into voxels of this size instead of "
@@ -294,28 +295,24 @@ def cmd_analyze(args) -> int:
         grid_ground_m=ground_m, grid_alt_m=alt_m)
 
     doc: dict = {"coverage": report.to_doc()}
-    report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
     tables = []  # (suffix, header, rows)
     if ran:
-        table = analysis.ecdf([r.serving.rsrq_db for r in ran])
-        doc["ecdf_rsrq_db"] = [[x, f] for x, f in table]
-        tables.append(("ecdf-rsrq", ["rsrq_db", "cum_frac"],
-                       [[x, f] for x, f in table]))
+        doc["ecdf_rsrq_db"] = analysis.ecdf([r.serving.rsrq_db for r in ran]).points
+        tables.append(("ecdf-rsrq", ["rsrq_db", "cum_frac"], doc["ecdf_rsrq_db"]))
         for metric in ("rsrp", "sinr"):
             bins = analysis.altitude_bins(ran, metric, args.alt_bin)
             doc[f"alt_bins_{metric}"] = [b.to_doc() for b in bins]
             tables.append((f"alt-{metric}",
                            ["alt_lower_m", "count", "mean", "std", "min", "max"],
-                           [[b.lower, b.count, b.mean, b.std, b.min, b.max]
-                            for b in bins]))
+                           map(dataclasses.astuple, bins)))
     rtt_medians = [r.rtt.p50_ms for r in e2e if r.rtt.p50_ms is not None]
     if rtt_medians:
-        pdf = analysis.histogram_pdf(rtt_medians, args.rtt_bin)
-        doc["pdf_rtt_ms"] = [[start, density] for start, density in pdf]
-        tables.append(("pdf-rtt", ["bin_start_ms", "density"],
-                       [[s, d] for s, d in pdf]))
+        doc["pdf_rtt_ms"] = analysis.histogram_pdf(rtt_medians, args.rtt_bin)
+        tables.append(("pdf-rtt", ["bin_start_ms", "density"], doc["pdf_rtt_ms"]))
 
+    # Every reduction has run, so a refused input leaves no directory behind.
+    report_path = Path(args.report)
+    report_path.parent.mkdir(parents=True, exist_ok=True)
     report_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     for suffix, header, rows in tables:
         report_path.with_name(f"{report_path.stem}-{suffix}.csv").write_text(
@@ -332,20 +329,19 @@ def cmd_export(args) -> int:
     records = read_trace(args.ran)
     if args.grid is not None:
         source = analysis.grid_aggregate(records, args.grid[0], args.grid[1])
+        count = len(source.cells)
     else:
         source = records
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+        count = len(records)
     if args.format == "geojson":
-        doc = export_geojson(source, metric=args.metric)
-        out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        count = len(doc["features"])
+        text = json.dumps(export_geojson(source, metric=args.metric), indent=2) + "\n"
         what = "features"
     else:
         text = export_csv(source)
-        out.write_text(text, encoding="utf-8")
-        count = len(text.splitlines()) - 1
         what = "rows"
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text, encoding="utf-8")
     print(json.dumps({"out": str(out), "count": count, "kind": what}))
     return EXIT_OK
 

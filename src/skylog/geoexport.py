@@ -15,8 +15,8 @@ import io
 from typing import Iterable, Optional, Sequence, Union
 
 from .analysis import EmptyInput, UnknownMetric, VoxelGrid
-from .records import MAX_NEIGHBORS, METRIC_FIELDS, MeasurementRecord
-from .records import NEIGHBOR_FIELDS, SERVING_FIELDS, SERVING_METRICS
+from .records import MAX_NEIGHBORS, METRIC_FIELDS, NEIGHBOR_FIELDS, SERVING_FIELDS
+from .records import MeasurementRecord
 
 _NO_NEIGHBOR = [None] * len(NEIGHBOR_FIELDS)
 
@@ -59,38 +59,41 @@ def _records_geojson(records: list[MeasurementRecord],
             props["alt_m_agl"] = r.pos.alt_m_agl
         for key in keys:
             props[key] = getattr(r.serving, key)
-        features.append({
-            "type": "Feature",
-            "geometry": {"type": "Point",
-                         "coordinates": [r.pos.lon_deg, r.pos.lat_deg,
-                                         r.pos.alt_m_amsl]},
-            "properties": props,
-        })
+        features.append(_point(r.pos.lon_deg, r.pos.lat_deg, r.pos.alt_m_amsl, props))
     return {"type": "FeatureCollection", "features": features}
 
 
-def _grid_geojson(grid: VoxelGrid, metric: Optional[str]) -> dict:
-    names = _metric_names(metric)
+def _point(lon: float, lat: float, alt: float, props: dict) -> dict:
+    """One GeoJSON Point feature, coordinates in the standard's order."""
+    return {"type": "Feature",
+            "geometry": {"type": "Point", "coordinates": [lon, lat, alt]},
+            "properties": props}
+
+
+def _voxel_rows(grid: VoxelGrid, names: list[str]) -> list[dict]:
+    """One row per voxel in index order: indices, center, sample count, then
+    mean/std/min/max of each named metric.  Both grid exports render these."""
     if not grid.cells:
         raise EmptyInput("voxel grid is empty")
-    features = []
+    rows = []
     for index in sorted(grid.cells):
         lat, lon, alt = grid.center_of(index)
         stats = grid.cells[index]
-        props: dict = {"ix": index[0], "iy": index[1], "iz": index[2],
-                       "alt_m_amsl": alt,
-                       "count": stats[names[0]].count}
+        row = {"ix": index[0], "iy": index[1], "iz": index[2],
+               "lat_deg": lat, "lon_deg": lon, "alt_m_amsl": alt,
+               "count": stats[names[0]].count}
         for name in names:
             key, s = METRIC_FIELDS[name], stats[name]
-            props[f"{key}_mean"] = s.mean
-            props[f"{key}_std"] = s.std
-            props[f"{key}_min"] = s.min
-            props[f"{key}_max"] = s.max
-        features.append({
-            "type": "Feature",
-            "geometry": {"type": "Point", "coordinates": [lon, lat, alt]},
-            "properties": props,
-        })
+            row.update((f"{key}_{stat}", getattr(s, stat))
+                       for stat in ("mean", "std", "min", "max"))
+        rows.append(row)
+    return rows
+
+
+def _grid_geojson(grid: VoxelGrid, metric: Optional[str]) -> dict:
+    # A voxel's properties are its row without the center's lat/lon.
+    features = [_point(row.pop("lon_deg"), row.pop("lat_deg"), row["alt_m_amsl"], row)
+                for row in _voxel_rows(grid, _metric_names(metric))]
     return {"type": "FeatureCollection", "features": features}
 
 
@@ -133,18 +136,5 @@ def _record_row(r: MeasurementRecord) -> list:
 
 
 def _grid_csv(grid: VoxelGrid) -> str:
-    if not grid.cells:
-        raise EmptyInput("voxel grid is empty")
-    header = ["ix", "iy", "iz", "lat_deg", "lon_deg", "alt_m_amsl", "count"]
-    for key in SERVING_METRICS:
-        header += [f"{key}_mean", f"{key}_std", f"{key}_min", f"{key}_max"]
-    rows = []
-    for index in sorted(grid.cells):
-        lat, lon, alt = grid.center_of(index)
-        stats = grid.cells[index]
-        row = [*index, lat, lon, alt, stats["rsrp"].count]
-        for name in METRIC_FIELDS:
-            s = stats[name]
-            row += [s.mean, s.std, s.min, s.max]
-        rows.append(row)
-    return csv_text(header, rows)
+    rows = _voxel_rows(grid, _metric_names(None))
+    return csv_text(rows[0].keys(), (row.values() for row in rows))

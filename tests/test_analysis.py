@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skylog import analysis
 from skylog.analysis import (
     EmptyInput,
     LengthMismatch,
+    NonfiniteThreshold,
     NonpositiveBinWidth,
     TooFewSamples,
+    TooManyBins,
     UnknownMetric,
     altitude_bins,
     cell_dominance,
@@ -99,6 +102,18 @@ def test_histogram_rejects_bad_input():
             histogram_pdf([1.0], w)
     with pytest.raises(EmptyInput):
         histogram_pdf([], 1.0)
+
+
+def test_histogram_caps_bin_count(monkeypatch):
+    # refused before any bin is listed: this width would need ~6e301 of them
+    with pytest.raises(TooManyBins, match=r"bin width 1e-300 gives 6e\+301 bins"):
+        histogram_pdf([20.0, 80.0], 1e-300)
+    with pytest.raises(TooManyBins, match="gives inf bins"):  # 50 / 1e-310 overflows
+        histogram_pdf([50.0], 1e-310)
+    monkeypatch.setattr(analysis, "MAX_HISTOGRAM_BINS", 3)
+    assert len(histogram_pdf([0.5, 2.5], 1.0)) == 3
+    with pytest.raises(TooManyBins, match="gives 4 bins; the cap is 3"):
+        histogram_pdf([0.5, 3.5], 1.0)
 
 
 @given(st.lists(st.floats(-120, -40), min_size=1, max_size=200),
@@ -408,6 +423,14 @@ def test_report_flags_low_contribution_cell():
 def test_report_requires_some_input():
     with pytest.raises(EmptyInput):
         coverage_report([], [])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["rsrq_poor_db", "tp_min_mbps", "rtt_max_ms"])
+def test_report_refuses_nonfinite_threshold(name, value):
+    # NaN made every fraction 0.0; inf reached report.json as bare Infinity
+    with pytest.raises(NonfiniteThreshold, match=f"threshold {name} must be finite"):
+        coverage_report(rsrq_poor_trace(), rtt_coverage_trace(), **{name: value})
 
 
 def test_report_by_voxel_reweights_hover():

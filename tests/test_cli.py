@@ -136,6 +136,44 @@ def test_export_metric_with_csv_rejected(capsys, tmp_path):
     assert not missing.exists()  # refused before any work
 
 
+@pytest.fixture(scope="module")
+def short_flight(tmp_path_factory):
+    """(RAN trace, e2e trace) of a 120 s simulated flight with two e2e tests."""
+    out = tmp_path_factory.mktemp("short_flight")
+    assert main(["simulate", "--env", ENV, "--plan", PLAN, "--duration", "120",
+                 "--out", str(out)]) == 0
+    return next(out.glob("*.trace")), next(out.glob("*.e2e"))
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--alt-bin", "inf", "bin width must be positive"),
+    ("--rtt-bin", "1e-300", "bin width 1e-300 gives"),
+    ("--rsrq-poor", "nan", "threshold rsrq_poor_db must be finite"),
+    ("--tp-min", "nan", "threshold tp_min_mbps must be finite"),
+    ("--rtt-max", "nan", "threshold rtt_max_ms must be finite"),
+    ("--rtt-max", "inf", "threshold rtt_max_ms must be finite"),
+])
+def test_analyze_refuses_bad_value_before_writing(capsys, tmp_path, short_flight,
+                                                  flag, value, message):
+    trace, e2e = short_flight
+    rc, _, err = run_cli(capsys, "analyze", "--ran", str(trace), "--e2e", str(e2e),
+                         flag, value, "--report", str(tmp_path / "new" / "r.json"))
+    assert rc == 2
+    assert message in err
+    assert not (tmp_path / "new").exists()
+
+
+def test_export_empty_trace_writes_nothing(capsys, tmp_path):
+    empty = tmp_path / "empty.trace"
+    empty.write_text("")
+    for extra in ([], ["--grid", "25,10"]):
+        rc, _, err = run_cli(capsys, "export", "--ran", str(empty), "--format", "csv",
+                             *extra, "--out", str(tmp_path / "new" / "o.csv"))
+        assert rc == 2
+        assert "no records" in err
+        assert not (tmp_path / "new").exists()
+
+
 # --- simulate ---
 
 def test_simulate_cadence_and_summary(capsys, tmp_path):
@@ -235,7 +273,15 @@ def test_full_pipeline(capsys, tmp_path):
     assert rc == 0
     grid_doc = json.loads(voxels.read_text())
     assert 0 < len(grid_doc["features"]) <= n_sim
+    assert last_json_line(stdout)["count"] == len(grid_doc["features"])
     assert all("rsrp_dbm_mean" in f["properties"] for f in grid_doc["features"])
+
+    voxel_table = tmp_path / "voxels.csv"
+    rc, stdout, _ = run_cli(capsys, "export", "--ran", str(trace),
+                            "--format", "csv", "--grid", "25,10", "--out", str(voxel_table))
+    assert rc == 0
+    data_rows = voxel_table.read_text().splitlines()[1:]
+    assert last_json_line(stdout)["count"] == len(data_rows) == len(grid_doc["features"])
 
 
 # --- serve + probe over loopback ---
