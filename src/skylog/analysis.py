@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -71,34 +71,11 @@ class TooFewSamples(ValueError):
 _SERVING = {m: attrgetter("serving." + f) for m, f in METRIC_FIELDS.items()}
 _NEIGHBOR = {m: attrgetter(f) for m, f in METRIC_FIELDS.items() if f in NEIGHBOR_FIELDS}
 
-_CELL_ID = attrgetter("serving.cell_id")
-
-
-def _serving_getter(metric: str) -> Callable[[MeasurementRecord], float]:
-    try:
-        return _SERVING[metric]
-    except KeyError:
-        raise UnknownMetric(metric, _SERVING) from None
-
-
-@dataclass(frozen=True)
-class EcdfTable:
-    """Empirical CDF: strictly increasing unique values, final fraction 1."""
-
-    points: tuple[tuple[float, float], ...]
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 @dataclass(frozen=True)
 class BinStats:
     """Summary of one group of samples; std is absent below two samples."""
 
-    lower: Optional[float]
     count: int
     mean: float
     std: Optional[float]
@@ -106,20 +83,17 @@ class BinStats:
     max: float
 
     def to_doc(self) -> dict:
-        doc: dict = {"count": self.count, "mean": self.mean, "std": self.std,
-                     "min": self.min, "max": self.max}
-        if self.lower is not None:
-            doc["lower"] = self.lower
-        return doc
+        return {"count": self.count, "mean": self.mean, "std": self.std,
+                "min": self.min, "max": self.max}
 
 
-def _bin_stats(lower: Optional[float], values: Sequence[float]) -> BinStats:
+def _bin_stats(values: Sequence[float]) -> BinStats:
     n = len(values)
     mean = math.fsum(values) / n
     std = None
     if n >= 2:
         std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
-    return BinStats(lower, n, mean, std, min(values), max(values))
+    return BinStats(n, mean, std, min(values), max(values))
 
 
 def _group_stats(items: Iterable, key: Callable, getters: dict[str, Callable]) -> dict:
@@ -128,13 +102,14 @@ def _group_stats(items: Iterable, key: Callable, getters: dict[str, Callable]) -
     groups: dict = defaultdict(list)
     for item in items:
         groups[key(item)].append(item)
-    return {k: {m: _bin_stats(None, [get(item) for item in members])
+    return {k: {m: _bin_stats([get(item) for item in members])
                 for m, get in getters.items()}
             for k, members in sorted(groups.items())}
 
 
-def ecdf(samples: Sequence[float]) -> EcdfTable:
-    """F(x) = fraction of samples <= x, tabulated at each unique value."""
+def ecdf(samples: Sequence[float]) -> list[tuple[float, float]]:
+    """F(x) = fraction of samples <= x, tabulated at each unique value: the
+    values strictly increase and the final fraction is 1."""
     if not samples:
         raise EmptyInput("ecdf of zero samples")
     n = len(samples)
@@ -144,7 +119,7 @@ def ecdf(samples: Sequence[float]) -> EcdfTable:
         if i + 1 < n and ordered[i + 1] == v:
             continue  # merge duplicates: keep the last slot so F counts all of them
         points.append((v, (i + 1) / n))
-    return EcdfTable(tuple(points))
+    return points
 
 
 def histogram_pdf(samples: Sequence[float],
@@ -170,9 +145,10 @@ def histogram_pdf(samples: Sequence[float],
             for i in range(math.floor(lo), math.floor(hi) + 1)]
 
 
-def altitude_bins(records: Sequence[MeasurementRecord], metric: str,
-                  bin_m: float = 10.0) -> list[BinStats]:
-    """Per-altitude-band stats of a serving metric, bands of bin_m meters.
+def altitude_bins(records: Sequence[MeasurementRecord],
+                  bin_m: float = 10.0) -> dict[float, dict[str, BinStats]]:
+    """Per-altitude-band stats of every serving metric, keyed by the band's
+    lower bound; bands are bin_m meters tall.
 
     Heights are above ground; when any record lacks that field the whole
     trace falls back to sea-level altitude (with a warning) rather than
@@ -181,14 +157,12 @@ def altitude_bins(records: Sequence[MeasurementRecord], metric: str,
     _check_bin_sizes("bin width", bin_m)
     if not records:
         raise EmptyInput("no records to bin")
-    getters = {metric: _serving_getter(metric)}
     alt = attrgetter("pos.alt_m_agl")
     if any(r.pos.alt_m_agl is None for r in records):
         warnings.warn("alt_m_agl missing on some records; binning by alt_m_amsl",
                       stacklevel=2)
         alt = attrgetter("pos.alt_m_amsl")
-    groups = _group_stats(records, lambda r: math.floor(alt(r) / bin_m), getters)
-    return [replace(stats[metric], lower=i * bin_m) for i, stats in groups.items()]
+    return _group_stats(records, lambda r: math.floor(alt(r) / bin_m) * bin_m, _SERVING)
 
 
 def cell_dominance(records: Sequence[MeasurementRecord]) -> dict[int, float]:
@@ -200,13 +174,12 @@ def cell_dominance(records: Sequence[MeasurementRecord]) -> dict[int, float]:
     return {cid: c / n for cid, c in sorted(counts.items())}
 
 
-def per_cell_stats(records: Sequence[MeasurementRecord],
-                   metric: str) -> dict[int, BinStats]:
+def per_cell_stats(
+        records: Sequence[MeasurementRecord]) -> dict[int, dict[str, BinStats]]:
+    """Stats of every serving metric per serving cell_id."""
     if not records:
         raise EmptyInput("no records")
-    getters = {metric: _serving_getter(metric)}
-    return {cid: stats[metric]
-            for cid, stats in _group_stats(records, _CELL_ID, getters).items()}
+    return _group_stats(records, attrgetter("serving.cell_id"), _SERVING)
 
 
 def neighbor_stats(
@@ -388,7 +361,7 @@ def coverage_report(ran_records: Sequence[MeasurementRecord],
         dominance = cell_dominance(ran)
         low = tuple(cid for cid, share in dominance.items()
                     if share < LOW_CONTRIBUTION_SHARE)
-        per_cell = _group_stats(ran, _CELL_ID, _SERVING)
+        per_cell = per_cell_stats(ran)
         try:
             neighbors = neighbor_stats(ran)
         except EmptyInput:

@@ -297,14 +297,16 @@ def cmd_analyze(args) -> int:
     doc: dict = {"coverage": report.to_doc()}
     tables = []  # (suffix, header, rows)
     if ran:
-        doc["ecdf_rsrq_db"] = analysis.ecdf([r.serving.rsrq_db for r in ran]).points
+        doc["ecdf_rsrq_db"] = analysis.ecdf([r.serving.rsrq_db for r in ran])
         tables.append(("ecdf-rsrq", ["rsrq_db", "cum_frac"], doc["ecdf_rsrq_db"]))
+        bins = analysis.altitude_bins(ran, args.alt_bin)
         for metric in ("rsrp", "sinr"):
-            bins = analysis.altitude_bins(ran, metric, args.alt_bin)
-            doc[f"alt_bins_{metric}"] = [b.to_doc() for b in bins]
+            doc[f"alt_bins_{metric}"] = [{**s[metric].to_doc(), "lower": lower}
+                                         for lower, s in bins.items()]
             tables.append((f"alt-{metric}",
                            ["alt_lower_m", "count", "mean", "std", "min", "max"],
-                           map(dataclasses.astuple, bins)))
+                           [(lower, *dataclasses.astuple(s[metric]))
+                            for lower, s in bins.items()]))
     rtt_medians = [r.rtt.p50_ms for r in e2e if r.rtt.p50_ms is not None]
     if rtt_medians:
         doc["pdf_rtt_ms"] = analysis.histogram_pdf(rtt_medians, args.rtt_bin)

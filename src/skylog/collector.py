@@ -49,8 +49,8 @@ class Clock(Protocol):
 class SimClock:
     """Virtual clock: sleeping jumps straight to the deadline."""
 
-    def __init__(self, start_ms: int = SIM_EPOCH_MS):
-        self._now_ms = start_ms
+    def __init__(self):
+        self._now_ms = SIM_EPOCH_MS
 
     def now_ms(self) -> int:
         return self._now_ms

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import select
 import socket
@@ -31,6 +32,7 @@ ECHO_HEADER = struct.Struct(">IBIIQ")  # magic, version, session, seq, client-se
 ECHO_DATAGRAM_LEN = 64
 
 MAX_BLOCK_BYTES = 4 * 1024 * 1024
+MAX_CONTROL_LINE = 65536
 
 
 class HandshakeError(RuntimeError):
@@ -62,10 +64,18 @@ class ProbeConfig:
             raise ValueError("rtt counts and intervals must be positive")
         if self.rtt_timeout_ms < self.rtt_interval_ms:
             raise ValueError("rtt_timeout_ms must be >= rtt_interval_ms")
-        if self.tp_duration_s <= 0 or self.tp_block_bytes <= 0:
-            raise ValueError("throughput duration and block size must be positive")
+        if not 0 < self.tp_duration_s < math.inf:  # also refuses NaN
+            raise ValueError("throughput duration must be finite and positive")
+        if self.tp_block_bytes <= 0:
+            raise ValueError("throughput block size must be positive")
         if self.tp_block_bytes > MAX_BLOCK_BYTES:
             raise ValueError(f"tp_block_bytes above {MAX_BLOCK_BYTES}")
+        _check_throttle("ul_throttle_mbps", self.ul_throttle_mbps)
+
+
+def _check_throttle(name: str, rate_mbps: Optional[float]) -> None:
+    if rate_mbps is not None and not 0 < rate_mbps < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {rate_mbps!r}")
 
 
 def pack_echo(session: int, seq: int, send_us: int) -> bytes:
@@ -176,13 +186,14 @@ def rtt_probe(cfg: ProbeConfig) -> RttSummary:
 
 
 def _read_line(reader) -> bytes:
-    line = reader.readline(65536)
+    line = reader.readline(MAX_CONTROL_LINE)
     if not line.endswith(b"\n"):
         raise HandshakeError("connection closed before a complete control line")
     return line
 
 
-def _parse_result_line(line: bytes) -> dict:
+def _parse_result_line(line: bytes) -> tuple[int, float]:
+    """The server's (bytes, duration_s) from its result line."""
     try:
         doc = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -191,7 +202,13 @@ def _parse_result_line(line: bytes) -> dict:
         raise HandshakeError("malformed control line: not an object")
     if "error" in doc:
         raise HandshakeError(f"server rejected test: {doc['error']}")
-    return doc
+    nbytes, duration = doc.get("bytes"), doc.get("duration_s")
+    if not isinstance(nbytes, int) or isinstance(nbytes, bool) or nbytes < 0:
+        raise HandshakeError(f"malformed result line: bytes {nbytes!r}")
+    if (not isinstance(duration, (int, float)) or isinstance(duration, bool)
+            or not math.isfinite(duration)):
+        raise HandshakeError(f"malformed result line: duration_s {duration!r}")
+    return nbytes, duration
 
 
 def throughput_test(cfg: ProbeConfig, direction: str) -> float:
@@ -230,8 +247,7 @@ def _run_upload(cfg: ProbeConfig, sock: socket.socket) -> float:
     active_s = time.perf_counter() - start
     sock.shutdown(socket.SHUT_WR)
     reader = sock.makefile("rb")
-    result = _parse_result_line(_read_line(reader))
-    server_bytes = int(result["bytes"])
+    server_bytes, _ = _parse_result_line(_read_line(reader))
     if server_bytes != sent:
         raise PartialTransferError(
             f"server counted {server_bytes} of {sent} bytes", bytes_so_far=server_bytes)
@@ -239,8 +255,12 @@ def _run_upload(cfg: ProbeConfig, sock: socket.socket) -> float:
 
 
 def _run_download(cfg: ProbeConfig, sock: socket.socket) -> float:
-    chunks = []
+    # Payload blocks are zero-filled, so the last '{' starts the result line.
+    # Only the bytes from there on are kept, capped near a control line's
+    # length so a server that streams on past a '{' cannot grow them unbounded.
     total = 0
+    payload_bytes = -1  # stream offset of the last '{'
+    tail = b""
     while True:
         try:
             chunk = sock.recv(65536)
@@ -248,17 +268,15 @@ def _run_download(cfg: ProbeConfig, sock: socket.socket) -> float:
             raise PartialTransferError(f"download broke: {exc}", bytes_so_far=total) from exc
         if not chunk:
             break
-        chunks.append(chunk)
+        idx = chunk.rfind(b"{")
+        if idx >= 0:
+            payload_bytes, tail = total + idx, chunk[idx:]
+        elif payload_bytes >= 0 and len(tail) <= MAX_CONTROL_LINE:
+            tail += chunk
         total += len(chunk)
-    data = b"".join(chunks)
-    # payload blocks are zero-filled, so the last '{' starts the result line
-    idx = data.rfind(b"{")
-    if idx < 0:
+    if payload_bytes < 0:
         raise PartialTransferError("no result line received", bytes_so_far=total)
-    result = _parse_result_line(data[idx:])
-    payload_bytes = idx
-    server_bytes = int(result["bytes"])
-    sender_duration = float(result["duration_s"])
+    server_bytes, sender_duration = _parse_result_line(tail)
     if server_bytes != payload_bytes:
         raise PartialTransferError(
             f"received {payload_bytes} of {server_bytes} bytes", bytes_so_far=payload_bytes)
@@ -276,6 +294,7 @@ class MeasurementServer:
 
     def __init__(self, bind_addr: str = "0.0.0.0", rtt_port: int = 7701,
                  tp_port: int = 7702, dl_throttle_mbps: Optional[float] = None):
+        _check_throttle("dl_throttle_mbps", dl_throttle_mbps)
         self.bind_addr = bind_addr
         self.dl_throttle_mbps = dl_throttle_mbps
         self._stop = threading.Event()
@@ -360,7 +379,7 @@ class MeasurementServer:
         try:
             conn.settimeout(60.0)
             reader = conn.makefile("rb")
-            line = reader.readline(65536)
+            line = reader.readline(MAX_CONTROL_LINE)
             error = None
             header = None
             if not line.endswith(b"\n"):
@@ -392,8 +411,9 @@ class MeasurementServer:
         if direction not in ("UL", "DL"):
             return "dir must be UL or DL"
         duration = header.get("duration_s")
-        if not isinstance(duration, (int, float)) or isinstance(duration, bool) or duration <= 0:
-            return "duration_s must be positive"
+        if (not isinstance(duration, (int, float)) or isinstance(duration, bool)
+                or not 0 < duration < math.inf):
+            return "duration_s must be finite and positive"
         block = header.get("block_bytes")
         if not isinstance(block, int) or isinstance(block, bool) or block <= 0:
             return "block_bytes must be a positive integer"

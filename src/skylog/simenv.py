@@ -41,6 +41,8 @@ LOS_P_FULL_AT_M = 100.0  # altitude at which LoS becomes certain
 
 DL_CAP_MBPS = 150.0     # modem rate caps, DL/UL
 UL_CAP_MBPS = 50.0
+E2E_RTT_COUNT = 20      # echo probes per simulated end-to-end test
+E2E_TP_DURATION_S = 5.0  # seconds per simulated throughput direction
 SPECTRAL_EFF_CAP = 6.0  # bit/s/Hz ceiling of the rate mapping
 BANDWIDTH_MHZ = 10.0
 DL_UTILIZATION = 0.6
@@ -460,20 +462,17 @@ class SimE2eEngine:
     """End-to-end engine that derives service quality from the local SINR
     instead of touching the network."""
 
-    def __init__(self, env: RadioEnvironment, rtt_count: int = 20,
-                 tp_duration_s: float = 5.0):
+    def __init__(self, env: RadioEnvironment):
         _check_environment(env)
         self.env = env
-        self.rtt_count = rtt_count
-        self.tp_duration_s = tp_duration_s
 
     def measure(self, pos: GeoPosition, salt: int):
         report = radio_sample(self.env, pos)
         dl, ul, rtt_ms = synth_e2e(self.env, report.serving.sinr_db, salt=salt)
-        rtt = RttSummary(sent=self.rtt_count, received=self.rtt_count,
+        rtt = RttSummary(sent=E2E_RTT_COUNT, received=E2E_RTT_COUNT,
                          min_ms=rtt_ms, mean_ms=rtt_ms, p50_ms=rtt_ms, max_ms=rtt_ms,
                          loss_fraction=0.0)
-        return rtt, dl, ul, self.tp_duration_s
+        return rtt, dl, ul, E2E_TP_DURATION_S
 
 
 __all__ = [

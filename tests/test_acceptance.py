@@ -113,10 +113,10 @@ def test_criterion_2_altitude_trend():
             pos = flight_position(plan, float(t))
             records.append(assemble_record(radio_sample(env, pos), pos,
                                            EPOCH_MS + 1000 * t))
+        bins = analysis.altitude_bins(records, bin_m=10.0)
         for metric, acc in (("rsrp", rho_rsrp), ("sinr", rho_sinr)):
-            bins = analysis.altitude_bins(records, metric, bin_m=10.0)
-            acc.append(analysis.spearman_rho([b.lower for b in bins],
-                                             [b.mean for b in bins]))
+            acc.append(analysis.spearman_rho(list(bins),
+                                             [s[metric].mean for s in bins.values()]))
 
     assert sum(rho_rsrp) / len(rho_rsrp) > 0.8
     assert sum(rho_sinr) / len(rho_sinr) < -0.5
@@ -185,19 +185,20 @@ def test_criterion_5_statistics_match_brute_force():
                             alt_m_amsl=600.0 + agl, alt_m_agl=agl),
             serving=make_serving(rsrp_dbm=rng.uniform(-140.0, -44.0)),
             neighbors=()))
-    got = analysis.altitude_bins(records, "rsrp", bin_m=25.0)
+    got = {lower: s["rsrp"]
+           for lower, s in analysis.altitude_bins(records, bin_m=25.0).items()}
     groups = {}
     for rec in records:
         groups.setdefault(math.floor(rec.pos.alt_m_agl / 25.0),
                           []).append(rec.serving.rsrp_dbm)
-    expected_bins = []
+    expected_bins = {}
     for idx in sorted(groups):
         vals = groups[idx]
         mean = math.fsum(vals) / len(vals)
         std = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1))
-        expected_bins.append(analysis.BinStats(idx * 25.0, len(vals), mean, std,
-                                               min(vals), max(vals)))
-    assert got == expected_bins
+        expected_bins[idx * 25.0] = analysis.BinStats(len(vals), mean, std,
+                                                      min(vals), max(vals))
+    assert list(got.items()) == list(expected_bins.items())
 
     # voxel grid: recompute indices and per-cell stats from scratch
     vox_records = []

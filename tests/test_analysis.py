@@ -13,7 +13,6 @@ from skylog.analysis import (
     NonpositiveBinWidth,
     TooFewSamples,
     TooManyBins,
-    UnknownMetric,
     altitude_bins,
     cell_dominance,
     coverage_report,
@@ -25,7 +24,7 @@ from skylog.analysis import (
     spearman_rho,
 )
 from skylog.geo import tangent_inverse
-from skylog.records import GeoPosition, RttSummary
+from skylog.records import METRIC_FIELDS, GeoPosition, RttSummary
 
 from conftest import make_e2e, make_neighbor, make_record, make_serving
 from coverage_fixtures import (
@@ -70,7 +69,7 @@ def test_ecdf_matches_counting_oracle():
     assert list(table) == expected
     xs = [x for x, _ in table]
     assert xs == sorted(set(xs))
-    assert table.points[-1][1] == 1.0
+    assert table[-1][1] == 1.0
 
 
 # --- histogram ---
@@ -141,52 +140,56 @@ def test_histogram_matches_counting_oracle():
 def test_altitude_bins_two_bands():
     recs = [make_record(pos=pos_at(0, 0, agl=5.0)),
             make_record(pos=pos_at(0, 0, agl=15.0))]
-    bins = altitude_bins(recs, "rsrp", bin_m=10.0)
-    assert [(b.lower, b.count) for b in bins] == [(0.0, 1), (10.0, 1)]
-    one = bins[0]
+    bins = altitude_bins(recs, bin_m=10.0)
+    assert [(lower, s["rsrp"].count) for lower, s in bins.items()] == [(0.0, 1), (10.0, 1)]
+    one = bins[0.0]["rsrp"]
     assert one.min == one.mean == one.max == -95.0
     assert one.std is None
 
 
 def test_altitude_bins_unknown_metric():
-    with pytest.raises(UnknownMetric):
-        altitude_bins([make_record()], "snr")
     with pytest.raises(EmptyInput):
-        altitude_bins([], "rsrp")
+        altitude_bins([])
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(NonpositiveBinWidth, match="bin width must be positive"):
-            altitude_bins([make_record()], "rsrp", bin_m=bad)
+            altitude_bins([make_record()], bin_m=bad)
 
 
 def test_altitude_bins_amsl_fallback_warns():
     recs = [make_record(pos=GeoPosition(40.0, -100.0, 655.0, None)),
             make_record(pos=GeoPosition(40.0, -100.0, 665.0, 15.0))]
     with pytest.warns(UserWarning, match="alt_m_amsl"):
-        bins = altitude_bins(recs, "rsrp", bin_m=10.0)
+        bins = altitude_bins(recs, bin_m=10.0)
     # both records binned by AMSL, so lowers sit in the 650s/660s
-    assert [b.lower for b in bins] == [650.0, 660.0]
+    assert list(bins) == [650.0, 660.0]
 
 
 def test_altitude_bins_match_regroup_oracle():
     rng = random.Random(3)
     recs = [make_record(pos=pos_at(0, 0, agl=rng.uniform(0, 120)),
-                        serving=make_serving(rsrp_dbm=rng.uniform(-120, -60)))
+                        serving=make_serving(rsrp_dbm=rng.uniform(-120, -60),
+                                             rsrq_db=rng.uniform(-20, -3),
+                                             rssi_dbm=rng.uniform(-110, -50),
+                                             sinr_db=rng.uniform(-5, 30)))
             for _ in range(1000)]
-    bins = altitude_bins(recs, "rsrp", bin_m=10.0)
-    groups: dict[float, list[float]] = {}
+    bins = altitude_bins(recs, bin_m=10.0)
+    groups: dict[float, list] = {}
     for r in recs:
         lower = math.floor(r.pos.alt_m_agl / 10.0) * 10.0
-        groups.setdefault(lower, []).append(r.serving.rsrp_dbm)
-    assert len(bins) == len(groups)
-    for b in bins:
-        vals = groups[b.lower]
-        assert b.count == len(vals)
-        mean = math.fsum(vals) / len(vals)
-        assert b.mean == mean
-        assert b.std == math.sqrt(
-            math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1))
-        assert b.min == min(vals) and b.max == max(vals)
-        assert b.min <= b.mean <= b.max
+        groups.setdefault(lower, []).append(r.serving)
+    assert list(bins) == sorted(groups)
+    for lower, by_metric in bins.items():
+        assert list(by_metric) == list(METRIC_FIELDS)
+        for metric, field in METRIC_FIELDS.items():
+            b = by_metric[metric]
+            vals = [getattr(s, field) for s in groups[lower]]
+            assert b.count == len(vals)
+            mean = math.fsum(vals) / len(vals)
+            assert b.mean == mean
+            assert b.std == math.sqrt(
+                math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1))
+            assert b.min == min(vals) and b.max == max(vals)
+            assert b.min <= b.mean <= b.max
 
 
 # --- grouping ---
@@ -209,21 +212,26 @@ def test_cell_dominance_split():
 def test_per_cell_stats_single_record_collapses():
     recs = [make_record(serving=make_serving(cell_id=1, rsrp_dbm=-88.0)),
             make_record(serving=make_serving(cell_id=2, rsrp_dbm=-102.0))]
-    stats = per_cell_stats(recs, "rsrp")
-    assert stats[1].min == stats[1].mean == stats[1].max == -88.0
-    assert stats[2].count == 1 and stats[2].std is None
+    stats = per_cell_stats(recs)
+    assert stats[1]["rsrp"].min == stats[1]["rsrp"].mean == stats[1]["rsrp"].max == -88.0
+    assert stats[2]["rsrp"].count == 1 and stats[2]["rsrp"].std is None
 
 
 def test_per_cell_stats_match_regroup_oracle():
     rng = random.Random(5)
     recs = [make_record(serving=make_serving(cell_id=rng.choice([1, 2, 7]),
+                                             rsrp_dbm=rng.uniform(-120, -60),
+                                             rsrq_db=rng.uniform(-20, -3),
+                                             rssi_dbm=rng.uniform(-110, -50),
                                              sinr_db=rng.uniform(-5, 30)))
             for _ in range(400)]
-    stats = per_cell_stats(recs, "sinr")
+    stats = per_cell_stats(recs)
+    assert list(stats) == [1, 2, 7]
     for cid in (1, 2, 7):
-        vals = [r.serving.sinr_db for r in recs if r.serving.cell_id == cid]
-        assert stats[cid].count == len(vals)
-        assert stats[cid].mean == math.fsum(vals) / len(vals)
+        for metric, field in METRIC_FIELDS.items():
+            vals = [getattr(r.serving, field) for r in recs if r.serving.cell_id == cid]
+            assert stats[cid][metric].count == len(vals)
+            assert stats[cid][metric].mean == math.fsum(vals) / len(vals)
 
 
 def test_neighbor_stats_pools_by_pci():

@@ -2,6 +2,7 @@
 
 import json
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -105,6 +106,17 @@ def test_probe_inconsistent_timing_rejected(capsys):
     rc, _, err = run_cli(capsys, "probe", "--server", "127.0.0.1",
                          "--timeout-ms", "50", "--interval-ms", "200")
     assert rc == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_probe_nonfinite_duration_rejected(capsys, monkeypatch, value):
+    def no_socket(*_args, **_kwargs):
+        pytest.fail("probe opened a socket")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    rc, _, err = run_cli(capsys, "probe", "--server", "127.0.0.1", "--duration", value)
+    assert rc == 1
+    assert "finite" in err
 
 
 def test_simulate_missing_env_is_runtime_error(capsys, tmp_path):

@@ -1,12 +1,15 @@
 """Loopback echo/throughput behaviour, throttle oracle, failure modes."""
 
 import json
+import math
 import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
 
+from skylog import netprobe
 from skylog.netprobe import (
     ECHO_DATAGRAM_LEN,
     HandshakeError,
@@ -170,13 +173,15 @@ def test_concurrent_downloads(server):
 
 
 def test_zero_duration_rejected_at_handshake(server):
-    sock = socket.create_connection(("127.0.0.1", server.tp_port), timeout=5.0)
-    sock.sendall(b'{"dir":"DL","duration_s":0,"block_bytes":1024}\n')
-    reply = sock.makefile("rb").readline()
-    doc = json.loads(reply)
-    assert "error" in doc
-    assert "duration" in doc["error"]
-    sock.close()
+    # json parses the non-standard Infinity and NaN tokens into floats
+    for duration in (b"0", b"Infinity", b"NaN"):
+        sock = socket.create_connection(("127.0.0.1", server.tp_port), timeout=5.0)
+        sock.sendall(b'{"dir":"DL","duration_s":' + duration + b',"block_bytes":1024}\n')
+        reply = sock.makefile("rb").readline(65536)  # bounded: a bad server streams zeros
+        doc = json.loads(reply)
+        assert "error" in doc
+        assert "duration" in doc["error"]
+        sock.close()
 
 
 def test_bad_direction_rejected_at_handshake(server):
@@ -209,6 +214,81 @@ def test_client_raises_handshake_error_on_rejection(server):
         throughput_test(bad_cfg, "DL")
     t.join()
     rejecter.close()
+
+
+def serve_once(reply: bytes):
+    """A throughput server for one connection: it reads the header, drains
+    an upload, sends reply and closes.  Returns (port, thread, listener)."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def answer_once():
+        conn, _ = listener.accept()
+        header = json.loads(conn.makefile("rb").readline())
+        if header["dir"] == "UL":
+            while conn.recv(65536):
+                pass
+        conn.sendall(reply)
+        conn.close()
+
+    t = threading.Thread(target=answer_once, daemon=True)
+    t.start()
+    return listener.getsockname()[1], t, listener
+
+
+@pytest.mark.parametrize("direction", ["DL", "UL"])
+@pytest.mark.parametrize("result", [
+    b"{}\n",
+    b'{"bytes":null,"duration_s":1.0}\n',
+    b'{"bytes":true,"duration_s":1.0}\n',
+    b'{"bytes":-1,"duration_s":1.0}\n',
+    b'{"bytes":0,"duration_s":null}\n',
+    b'{"bytes":0,"duration_s":NaN}\n',
+    b'{"bytes":0,"duration_s":Infinity}\n',
+], ids=["empty", "bytes-null", "bytes-bool", "bytes-negative", "duration-null",
+        "duration-nan", "duration-inf"])
+def test_malformed_result_line_is_handshake_error(direction, result):
+    port, t, listener = serve_once(result)
+    cfg = ProbeConfig(server_host="127.0.0.1", rtt_port=1, tp_port=port,
+                      tp_duration_s=0.05, tp_block_bytes=1024, ul_throttle_mbps=8.0)
+    try:
+        with pytest.raises(HandshakeError, match="malformed result line"):
+            throughput_test(cfg, direction)
+    finally:
+        t.join(timeout=5.0)
+        listener.close()
+    assert not t.is_alive()
+
+
+class _StreamingSocket:
+    """recv() hands out n_blocks fresh zero blocks, then tail in 7-byte
+    pieces (so the result line straddles reads), then EOF."""
+
+    def __init__(self, n_blocks: int, block: int, tail: bytes):
+        self.left, self.block, self.tail = n_blocks, block, tail
+
+    def recv(self, _bufsize: int) -> bytes:
+        if self.left:
+            self.left -= 1
+            return bytes(self.block)
+        piece, self.tail = self.tail[:7], self.tail[7:]
+        return piece
+
+
+def test_download_memory_does_not_grow_with_payload():
+    n_blocks, block = 1024, 65536  # 64 MiB of payload
+    payload = n_blocks * block
+    sock = _StreamingSocket(n_blocks, block,
+                            json.dumps({"bytes": payload, "duration_s": 1.0}).encode() + b"\n")
+    tracemalloc.start()
+    try:
+        mbps = netprobe._run_download(ProbeConfig(), sock)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mbps == payload * 8 / 1.0 / 1e6
+    assert peak < 4 * 1024 * 1024
 
 
 def test_dl_partial_transfer_detected():
@@ -251,10 +331,16 @@ def test_probe_config_bounds():
         ProbeConfig(rtt_count=0)
     with pytest.raises(ValueError):
         ProbeConfig(rtt_timeout_ms=10, rtt_interval_ms=50)
-    with pytest.raises(ValueError):
-        ProbeConfig(tp_duration_s=0)
+    for bad in (0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ProbeConfig(tp_duration_s=bad)
     with pytest.raises(ValueError):
         ProbeConfig(tp_block_bytes=0)
+    for bad in (0.0, -5.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="ul_throttle_mbps"):
+            ProbeConfig(ul_throttle_mbps=bad)
+        with pytest.raises(ValueError, match="dl_throttle_mbps"):
+            MeasurementServer("127.0.0.1", 0, 0, dl_throttle_mbps=bad)
 
 
 def test_probe_engine_returns_full_tuple(server):
