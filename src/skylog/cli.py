@@ -28,7 +28,7 @@ from .collector import (
     SystemClock,
     run_collection,
 )
-from .geoexport import csv_text, export_csv, export_geojson
+from .geoexport import export_csv, export_geojson, write_csv
 from .modem import ReplayBackend
 from .netprobe import MeasurementServer, ProbeConfig, ProbeE2eEngine
 from .records import (
@@ -71,6 +71,16 @@ def _grid_spec(text: str) -> tuple[float, float]:
     return ground, alt
 
 
+def _port(text: str) -> int:
+    try:
+        port = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be 0-65535, got {port}")
+    return port
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="skylog",
                      description="UAV cellular-coverage survey toolkit")
@@ -106,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Measurement server; prints the bound ports "
                                    "as one JSON line, then serves until SIGINT.")
     p.add_argument("--bind", default="0.0.0.0", help="bind address")
-    p.add_argument("--rtt-port", type=int, default=7701, help="UDP echo port")
-    p.add_argument("--tp-port", type=int, default=7702, help="TCP throughput port")
+    p.add_argument("--rtt-port", type=_port, default=7701, help="UDP echo port")
+    p.add_argument("--tp-port", type=_port, default=7702, help="TCP throughput port")
     p.add_argument("--dl-throttle-mbps", type=float, default=None,
                    help="cap download streaming rate (testing aid)")
     p.set_defaults(func=cmd_serve)
@@ -116,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
                        description="RTT burst plus bidirectional throughput "
                                    "against a server; prints one record line.")
     p.add_argument("--server", required=True, help="server host")
-    p.add_argument("--rtt-port", type=int, default=7701)
-    p.add_argument("--tp-port", type=int, default=7702)
+    p.add_argument("--rtt-port", type=_port, default=7701)
+    p.add_argument("--tp-port", type=_port, default=7702)
     p.add_argument("--count", type=int, default=20, help="RTT probes per burst")
     p.add_argument("--interval-ms", type=int, default=200, help="RTT probe spacing")
     p.add_argument("--timeout-ms", type=int, default=1000, help="RTT reply timeout")
@@ -317,8 +327,7 @@ def cmd_analyze(args) -> int:
     report_path.parent.mkdir(parents=True, exist_ok=True)
     report_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     for suffix, header, rows in tables:
-        report_path.with_name(f"{report_path.stem}-{suffix}.csv").write_text(
-            csv_text(header, rows), encoding="utf-8")
+        write_csv(report_path.with_name(f"{report_path.stem}-{suffix}.csv"), header, rows)
     print(json.dumps({"report": str(report_path),
                       "csv_tables": len(tables),
                       "fractions": doc["coverage"]["fractions"]}))
@@ -328,23 +337,14 @@ def cmd_analyze(args) -> int:
 def cmd_export(args) -> int:
     if args.format == "csv" and args.metric:
         raise UsageError("--metric applies to geojson export only")
-    records = read_trace(args.ran)
+    source = read_trace(args.ran)
     if args.grid is not None:
-        source = analysis.grid_aggregate(records, args.grid[0], args.grid[1])
-        count = len(source.cells)
-    else:
-        source = records
-        count = len(records)
+        source = analysis.grid_aggregate(source, args.grid[0], args.grid[1])
     if args.format == "geojson":
-        text = json.dumps(export_geojson(source, metric=args.metric), indent=2) + "\n"
-        what = "features"
+        count, what = export_geojson(source, args.out, metric=args.metric), "features"
     else:
-        text = export_csv(source)
-        what = "rows"
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text, encoding="utf-8")
-    print(json.dumps({"out": str(out), "count": count, "kind": what}))
+        count, what = export_csv(source, args.out), "rows"
+    print(json.dumps({"out": str(Path(args.out)), "count": count, "kind": what}))
     return EXIT_OK
 
 

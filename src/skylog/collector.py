@@ -61,8 +61,14 @@ class SimClock:
 
 
 class SystemClock:
+    """Wall-anchored monotonic time: the wall clock is read once, so a step
+    of it (NTP, GPS fix) neither stalls nor races the tick schedule."""
+
+    def __init__(self):
+        self._offset_ns = time.time_ns() - time.monotonic_ns()
+
     def now_ms(self) -> int:
-        return time.time_ns() // 1_000_000
+        return (self._offset_ns + time.monotonic_ns()) // 1_000_000
 
     def sleep_until_ms(self, deadline_ms: int) -> None:
         delta_s = (deadline_ms - self.now_ms()) / 1000.0

@@ -1,22 +1,30 @@
-"""GeoJSON and CSV views of traces and voxel aggregates.
+"""GeoJSON and CSV views of traces and voxel aggregates, streamed to a file.
 
 GeoJSON coordinates follow the standard's (lon, lat, alt) order with
 altitude above mean sea level; altitude is duplicated into the properties
-table for consumers that drop the third coordinate.  Every CSV skylog
-writes, the analyze distribution tables included, goes through csv_text:
-float cells use repr-style formatting, so re-parsing them reproduces the
-stored values bit-for-bit, and None becomes an empty cell.
+table for consumers that drop the third coordinate.  Features are rendered
+and written one at a time, byte-identical to ``json.dumps(doc, indent=2)``
+of the whole document plus a newline.  Every CSV skylog writes, the analyze
+tables included, goes through write_csv: float cells use repr-style
+formatting, so re-parsing them reproduces the stored values bit-for-bit, and
+None becomes an empty cell.  Input errors are raised before the output path
+is touched; an I/O error mid-write can leave a partial file.
 """
 
 from __future__ import annotations
 
 import csv
-import io
-from typing import Iterable, Optional, Sequence, Union
+import json
+import math
+from json.encoder import encode_basestring_ascii
+from pathlib import Path
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .analysis import EmptyInput, UnknownMetric, VoxelGrid
 from .records import MAX_NEIGHBORS, METRIC_FIELDS, NEIGHBOR_FIELDS, SERVING_FIELDS
 from .records import MeasurementRecord
+
+Source = Union[Sequence[MeasurementRecord], VoxelGrid]
 
 _NO_NEIGHBOR = [None] * len(NEIGHBOR_FIELDS)
 
@@ -27,6 +35,20 @@ RECORD_CSV_HEADER = (
     + ["source"]
 )
 
+# How json.dumps writes each exact type.  Non-finite floats and every other
+# type (bools, containers, subclasses) go through json.dumps itself.
+_JSON_VALUE = {
+    float: lambda v: float.__repr__(v) if math.isfinite(v) else json.dumps(v),
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    type(None): lambda v: "null",
+}
+
+_FEATURE = ('    {\n      "type": "Feature",\n      "geometry": {\n'
+            '        "type": "Point",\n        "coordinates": [\n'
+            '          %s,\n          %s,\n          %s\n        ]\n      },\n'
+            '      "properties": {\n        %s\n      }\n    }')
+
 
 def _metric_names(metric: Optional[str]) -> list[str]:
     if metric is None:
@@ -36,91 +58,112 @@ def _metric_names(metric: Optional[str]) -> list[str]:
     return [metric]
 
 
-def export_geojson(source: Union[Sequence[MeasurementRecord], VoxelGrid],
-                   metric: Optional[str] = None) -> dict:
-    """Render records (one point each) or a voxel grid (one point per voxel
-    centroid) as a GeoJSON FeatureCollection document."""
+def _check_nonempty(source: Source) -> None:
     if isinstance(source, VoxelGrid):
-        return _grid_geojson(source, metric)
-    return _records_geojson(list(source), metric)
-
-
-def _records_geojson(records: list[MeasurementRecord],
-                     metric: Optional[str]) -> dict:
-    keys = [METRIC_FIELDS[m] for m in _metric_names(metric)]
-    if not records:
+        if not source.cells:
+            raise EmptyInput("voxel grid is empty")
+    elif not source:
         raise EmptyInput("no records to export")
-    features = []
-    for r in records:
-        props: dict = {"ts_unix_ms": r.ts_unix_ms, "source": r.source,
-                       "cell_id": r.serving.cell_id, "pci": r.serving.pci,
-                       "alt_m_amsl": r.pos.alt_m_amsl}
-        if r.pos.alt_m_agl is not None:
-            props["alt_m_agl"] = r.pos.alt_m_agl
-        for key in keys:
-            props[key] = getattr(r.serving, key)
-        features.append(_point(r.pos.lon_deg, r.pos.lat_deg, r.pos.alt_m_amsl, props))
-    return {"type": "FeatureCollection", "features": features}
 
 
-def _point(lon: float, lat: float, alt: float, props: dict) -> dict:
-    """One GeoJSON Point feature, coordinates in the standard's order."""
-    return {"type": "Feature",
-            "geometry": {"type": "Point", "coordinates": [lon, lat, alt]},
-            "properties": props}
+def _create(path) -> TextIO:
+    """Open path for writing as Path.write_text does, making its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w", encoding="utf-8")
 
 
-def _voxel_rows(grid: VoxelGrid, names: list[str]) -> list[dict]:
-    """One row per voxel in index order: indices, center, sample count, then
-    mean/std/min/max of each named metric.  Both grid exports render these."""
-    if not grid.cells:
-        raise EmptyInput("voxel grid is empty")
-    rows = []
-    for index in sorted(grid.cells):
-        lat, lon, alt = grid.center_of(index)
-        stats = grid.cells[index]
-        row = {"ix": index[0], "iy": index[1], "iz": index[2],
-               "lat_deg": lat, "lon_deg": lon, "alt_m_amsl": alt,
-               "count": stats[names[0]].count}
-        for name in names:
-            key, s = METRIC_FIELDS[name], stats[name]
-            row.update((f"{key}_{stat}", getattr(s, stat))
-                       for stat in ("mean", "std", "min", "max"))
-        rows.append(row)
-    return rows
+def _json_value(value) -> str:
+    return _JSON_VALUE.get(type(value), json.dumps)(value)
 
 
-def _grid_geojson(grid: VoxelGrid, metric: Optional[str]) -> dict:
+def _feature_text(lon, lat, alt, props: dict) -> str:
+    """One Point feature, props not empty, as json.dumps(..., indent=2) lays
+    it out inside the top-level "features" list, without separators."""
+    body = ",\n        ".join(f"{encode_basestring_ascii(k)}: {_json_value(v)}"
+                              for k, v in props.items())
+    return _FEATURE % (_json_value(lon), _json_value(lat), _json_value(alt), body)
+
+
+def export_geojson(source: Source, path, metric: Optional[str] = None) -> int:
+    """Write records (one point each) or a voxel grid (one point per voxel
+    centroid) to path as a GeoJSON FeatureCollection; returns the count."""
+    names = _metric_names(metric)
+    _check_nonempty(source)
+    if isinstance(source, VoxelGrid):
+        header = _voxel_header(names)
+        features = (_voxel_feature(dict(zip(header, row)))
+                    for row in _voxel_rows(source, names))
+    else:
+        keys = [METRIC_FIELDS[m] for m in names]
+        features = (_record_feature(r, keys) for r in source)
+    count = 0
+    with _create(path) as out:
+        out.write('{\n  "type": "FeatureCollection",\n  "features": [\n')
+        for text in features:
+            out.write(text if not count else ",\n" + text)
+            count += 1
+        out.write("\n  ]\n}\n")
+    return count
+
+
+def _record_feature(r: MeasurementRecord, keys: list[str]) -> str:
+    props: dict = {"ts_unix_ms": r.ts_unix_ms, "source": r.source,
+                   "cell_id": r.serving.cell_id, "pci": r.serving.pci,
+                   "alt_m_amsl": r.pos.alt_m_amsl}
+    if r.pos.alt_m_agl is not None:
+        props["alt_m_agl"] = r.pos.alt_m_agl
+    for key in keys:
+        props[key] = getattr(r.serving, key)
+    return _feature_text(r.pos.lon_deg, r.pos.lat_deg, r.pos.alt_m_amsl, props)
+
+
+def _voxel_feature(row: dict) -> str:
     # A voxel's properties are its row without the center's lat/lon.
-    features = [_point(row.pop("lon_deg"), row.pop("lat_deg"), row["alt_m_amsl"], row)
-                for row in _voxel_rows(grid, _metric_names(metric))]
-    return {"type": "FeatureCollection", "features": features}
+    return _feature_text(row.pop("lon_deg"), row.pop("lat_deg"), row["alt_m_amsl"], row)
+
+
+def _voxel_header(names: list[str]) -> list[str]:
+    return (["ix", "iy", "iz", "lat_deg", "lon_deg", "alt_m_amsl", "count"]
+            + [f"{METRIC_FIELDS[name]}_{stat}" for name in names
+               for stat in ("mean", "std", "min", "max")])
+
+
+def _voxel_rows(grid: VoxelGrid, names: list[str]) -> Iterator[list]:
+    """One row per voxel in index order, in _voxel_header's columns: indices,
+    center, sample count, then mean/std/min/max of each named metric.  Both
+    grid exports render these."""
+    for index in sorted(grid.cells):
+        stats = grid.cells[index]
+        row = [*index, *grid.center_of(index), stats[names[0]].count]
+        for name in names:
+            s = stats[name]
+            row += (s.mean, s.std, s.min, s.max)
+        yield row
 
 
 def _cell(value) -> str:
     return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """The one CSV writer: LF line ends, repr floats, empty cells for None."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_cell(v) for v in row] for row in rows)
-    return buf.getvalue()
+    with _create(path) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def export_csv(source: Union[Sequence[MeasurementRecord], VoxelGrid]) -> str:
-    """Flat CSV rendering; one row per record or per voxel."""
+def export_csv(source: Source, path) -> int:
+    """Flat CSV rendering, one row per record or per voxel, written to path;
+    returns the row count."""
+    _check_nonempty(source)
     if isinstance(source, VoxelGrid):
-        return _grid_csv(source)
-    return _records_csv(list(source))
-
-
-def _records_csv(records: list[MeasurementRecord]) -> str:
-    if not records:
-        raise EmptyInput("no records to export")
-    return csv_text(RECORD_CSV_HEADER, map(_record_row, records))
+        names = _metric_names(None)
+        write_csv(path, _voxel_header(names), _voxel_rows(source, names))
+        return len(source.cells)
+    write_csv(path, RECORD_CSV_HEADER, map(_record_row, source))
+    return len(source)
 
 
 def _record_row(r: MeasurementRecord) -> list:
@@ -133,8 +176,3 @@ def _record_row(r: MeasurementRecord) -> list:
             row += _NO_NEIGHBOR
     row.append(r.source)
     return row
-
-
-def _grid_csv(grid: VoxelGrid) -> str:
-    rows = _voxel_rows(grid, _metric_names(None))
-    return csv_text(rows[0].keys(), (row.values() for row in rows))

@@ -119,6 +119,22 @@ def test_probe_nonfinite_duration_rejected(capsys, monkeypatch, value):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("port", ["-1", "65536"])
+@pytest.mark.parametrize("argv", [["serve", "--bind", "127.0.0.1", "--tp-port", "0", "--rtt-port"],
+                                  ["serve", "--bind", "127.0.0.1", "--rtt-port", "0", "--tp-port"],
+                                  ["probe", "--server", "127.0.0.1", "--rtt-port"],
+                                  ["probe", "--server", "127.0.0.1", "--tp-port"]])
+def test_out_of_range_port_is_usage_error(capsys, monkeypatch, argv, port):
+    def no_socket(*_args, **_kwargs):
+        pytest.fail("opened a socket")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, port])
+    assert exc.value.code == 1
+    assert "port must be 0-65535" in capsys.readouterr().err
+
+
 def test_simulate_missing_env_is_runtime_error(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "simulate", "--env", str(tmp_path / "no.env"),
                          "--plan", PLAN, "--duration", "10",

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import threading
+import time
 from functools import partial
 
 import pytest
@@ -282,6 +283,19 @@ def test_assemble_record_sets_source_and_validates():
                       neighbors=(make_neighbor(earfcn=1300, pci=101),))
     with pytest.raises(ValueError, match="duplicates serving"):
         assemble_record(bad, pos, 1_700_000_000_000)
+
+
+def test_system_clock_schedule_ignores_wall_clock_step(monkeypatch):
+    clock = collector.SystemClock()
+    real_time_ns = time.time_ns
+    assert abs(clock.now_ms() - real_time_ns() // 1_000_000) < 1000  # wall-anchored
+    deadline = clock.now_ms() + 20
+    monkeypatch.setattr(time, "time_ns", lambda: real_time_ns() - 3600 * 10**9)
+    asked = []
+    monkeypatch.setattr(time, "sleep", asked.append)
+    clock.sleep_until_ms(deadline)
+    assert all(s <= 0.02 for s in asked)  # not the hour the wall clock fell back
+    assert clock.now_ms() >= deadline - 20  # stamps do not step back either
 
 
 def test_config_bounds():

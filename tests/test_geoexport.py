@@ -3,14 +3,17 @@ import io
 import json
 import math
 import random
+import tracemalloc
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skylog.analysis import EmptyInput, UnknownMetric, VoxelGrid, grid_aggregate
 from skylog.geo import EARTH_RADIUS_M, tangent_forward, tangent_inverse
-from skylog.geoexport import RECORD_CSV_HEADER, export_csv, export_geojson
-from skylog.records import GeoPosition, MeasurementRecord, NeighborCellSample
+from skylog.geoexport import RECORD_CSV_HEADER, _feature_text, export_csv, export_geojson
+from skylog.records import METRIC_FIELDS, GeoPosition, MeasurementRecord, NeighborCellSample
 
 from conftest import make_neighbor, make_record, make_serving
 
@@ -60,10 +63,27 @@ def spread_records(n, seed=31):
             for i in range(n)]
 
 
+def geojson_doc(tmp_path, source, **kwargs):
+    """Export to a file and parse it back; the count returned must match."""
+    out = tmp_path / "o.geojson"
+    count = export_geojson(source, out, **kwargs)
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert count == len(doc["features"])
+    return doc
+
+
+def csv_file_text(tmp_path, source):
+    out = tmp_path / "o.csv"
+    count = export_csv(source, out)
+    text = out.read_text(encoding="utf-8")
+    assert count == len(text.splitlines()) - 1
+    return text
+
+
 # --- GeoJSON: records ---
 
-def test_single_record_feature():
-    doc = export_geojson([make_record()])
+def test_single_record_feature(tmp_path):
+    doc = geojson_doc(tmp_path, [make_record()])
     assert doc["type"] == "FeatureCollection"
     (feat,) = doc["features"]
     assert feat["geometry"]["coordinates"] == [-100.0, 40.0, 650.0]  # lon first
@@ -71,48 +91,48 @@ def test_single_record_feature():
     assert feat["properties"]["alt_m_amsl"] == 650.0
 
 
-def test_record_features_count_preserved():
+def test_record_features_count_preserved(tmp_path):
     recs = spread_records(37)
-    doc = export_geojson(recs)
+    doc = geojson_doc(tmp_path, recs)
     assert len(doc["features"]) == 37
 
 
-def test_metric_selection_limits_properties():
-    doc = export_geojson([make_record()], metric="sinr")
+def test_metric_selection_limits_properties(tmp_path):
+    doc = geojson_doc(tmp_path, [make_record()], metric="sinr")
     props = doc["features"][0]["properties"]
     assert props["sinr_db"] == 12.5
     assert "rsrp_dbm" not in props and "rsrq_db" not in props
 
 
-def test_geojson_input_checks():
+def test_geojson_input_checks(tmp_path):
     with pytest.raises(EmptyInput):
-        export_geojson([])
+        export_geojson([], tmp_path / "o.geojson")
     with pytest.raises(UnknownMetric):
-        export_geojson([make_record()], metric="cqi")
+        export_geojson([make_record()], tmp_path / "o.geojson", metric="cqi")
 
 
-def test_record_geojson_passes_schema():
-    doc = export_geojson(spread_records(25))
+def test_record_geojson_passes_schema(tmp_path):
+    doc = geojson_doc(tmp_path, spread_records(25))
     jsonschema.validate(json.loads(json.dumps(doc)), FEATURE_COLLECTION_SCHEMA)
 
 
 # --- GeoJSON: voxel grid ---
 
-def test_grid_features_one_per_voxel():
+def test_grid_features_one_per_voxel(tmp_path):
     recs = spread_records(200)
     grid = grid_aggregate(recs, ground_m=50.0, alt_m=20.0)
-    doc = export_geojson(grid, metric="rsrp")
+    doc = geojson_doc(tmp_path, grid, metric="rsrp")
     assert len(doc["features"]) == len(grid.cells)
     total = sum(f["properties"]["count"] for f in doc["features"])
     assert total == 200
     jsonschema.validate(json.loads(json.dumps(doc)), FEATURE_COLLECTION_SCHEMA)
 
 
-def test_grid_centroid_matches_hand_inversion():
+def test_grid_centroid_matches_hand_inversion(tmp_path):
     recs = [make_record(pos=pos_at(0.0, 0.0, alt_amsl=650.0)),
             make_record(pos=pos_at(60.0, 80.0, alt_amsl=672.0))]
     grid = grid_aggregate(recs, ground_m=25.0, alt_m=10.0)
-    doc = export_geojson(grid, metric="rssi")
+    doc = geojson_doc(tmp_path, grid, metric="rssi")
     anchor = recs[0].pos
     feats = {(f["properties"]["ix"], f["properties"]["iy"], f["properties"]["iz"]): f
              for f in doc["features"]}
@@ -129,17 +149,17 @@ def test_grid_centroid_matches_hand_inversion():
     assert feat["properties"]["rssi_dbm_std"] is None  # single sample in voxel
 
 
-def test_grid_geojson_all_metrics_by_default():
+def test_grid_geojson_all_metrics_by_default(tmp_path):
     grid = grid_aggregate([make_record()], ground_m=25.0, alt_m=10.0)
-    props = export_geojson(grid)["features"][0]["properties"]
+    props = geojson_doc(tmp_path, grid)["features"][0]["properties"]
     for key in ("rsrp_dbm", "rsrq_db", "rssi_dbm", "sinr_db"):
         assert f"{key}_mean" in props and f"{key}_max" in props
 
 
 # --- CSV ---
 
-def test_csv_header_schema_order():
-    text = export_csv([make_record()])
+def test_csv_header_schema_order(tmp_path):
+    text = csv_file_text(tmp_path, [make_record()])
     header = text.splitlines()[0].split(",")
     assert header == RECORD_CSV_HEADER
     assert header[:5] == ["ts_unix_ms", "lat_deg", "lon_deg",
@@ -150,19 +170,19 @@ def test_csv_header_schema_order():
     assert header[-1] == "source"
 
 
-def test_csv_row_count():
-    text = export_csv(spread_records(12))
+def test_csv_row_count(tmp_path):
+    text = csv_file_text(tmp_path, spread_records(12))
     assert len(text.splitlines()) == 13
 
 
-def test_csv_round_trip_reproduces_records():
+def test_csv_round_trip_reproduces_records(tmp_path):
     full = make_record(neighbors=tuple(
         make_neighbor(pci=300 + i, rsrp_dbm=-100.0 - i) for i in range(8)))
     bare = make_record(ts_unix_ms=1_700_000_001_000, neighbors=(),
                        pos=GeoPosition(40.000123, -99.999877, 651.3, None))
     one = make_record(ts_unix_ms=1_700_000_002_000)
     originals = [full, bare, one]
-    rows = list(csv.DictReader(io.StringIO(export_csv(originals))))
+    rows = list(csv.DictReader(io.StringIO(csv_file_text(tmp_path, originals))))
     assert len(rows) == 3
     rebuilt = []
     for row in rows:
@@ -187,10 +207,10 @@ def test_csv_round_trip_reproduces_records():
     assert rebuilt == originals
 
 
-def test_csv_grid_rows_and_counts():
+def test_csv_grid_rows_and_counts(tmp_path):
     recs = spread_records(80)
     grid = grid_aggregate(recs, ground_m=50.0, alt_m=20.0)
-    lines = export_csv(grid).splitlines()
+    lines = csv_file_text(tmp_path, grid).splitlines()
     assert len(lines) == len(grid.cells) + 1
     rows = list(csv.DictReader(io.StringIO("\n".join(lines))))
     assert sum(int(r["count"]) for r in rows) == 80
@@ -200,11 +220,72 @@ def test_csv_grid_rows_and_counts():
         assert float(r["rsrp_dbm_mean"]) == grid.cells[key]["rsrp"].mean
 
 
-def test_csv_empty_inputs_rejected():
+def test_csv_empty_inputs_rejected(tmp_path):
     with pytest.raises(EmptyInput):
-        export_csv([])
+        export_csv([], tmp_path / "o.csv")
     with pytest.raises(EmptyInput):
-        export_csv(VoxelGrid(10.0, 10.0, 40.0, -100.0, {}))
+        export_csv(VoxelGrid(10.0, 10.0, 40.0, -100.0, {}), tmp_path / "o.csv")
+
+
+# --- streaming ---
+
+# The two property layouts the exports write, in their order.
+RECORD_KEYS = ["ts_unix_ms", "source", "cell_id", "pci", "alt_m_amsl", "alt_m_agl",
+               *METRIC_FIELDS.values()]
+VOXEL_KEYS = ["ix", "iy", "iz", "alt_m_amsl", "count",
+              *(f"{key}_{stat}" for key in METRIC_FIELDS.values()
+                for stat in ("mean", "std", "min", "max"))]
+
+# Every scalar kind, including the ones json.dumps writes through its
+# fallbacks (NaN, +-Infinity, bools) and strings that need escaping.
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 1e-07, 1e16, 5e-324, 2.2250738585072014e-308,
+                     math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(['say "hi"', "back\\slash", "\x00\x07\x1f\n\t\r", "é—𝄞\u2028"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lon=json_scalars, lat=json_scalars, alt=json_scalars,
+       props=st.sampled_from([RECORD_KEYS, VOXEL_KEYS]).flatmap(
+           lambda keys: st.fixed_dictionaries({k: json_scalars for k in keys})))
+def test_feature_text_is_json_dumps_indent_2(lon, lat, alt, props):
+    feature = {"type": "Feature",
+               "geometry": {"type": "Point", "coordinates": [lon, lat, alt]},
+               "properties": props}
+    text = json.dumps({"features": [feature]}, indent=2)
+    head, tail = '{\n  "features": [\n', "\n  ]\n}"
+    assert text.startswith(head) and text.endswith(tail)
+    assert _feature_text(lon, lat, alt, props) == text[len(head):-len(tail)]
+
+
+def test_refused_export_touches_nothing(tmp_path):
+    out = tmp_path / "new" / "o"
+    with pytest.raises(EmptyInput):
+        export_geojson([], out)
+    with pytest.raises(UnknownMetric):
+        export_geojson([make_record()], out, metric="cqi")
+    with pytest.raises(EmptyInput):
+        export_csv(VoxelGrid(10.0, 10.0, 40.0, -100.0, {}), out)
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("export", [export_geojson, export_csv])
+def test_export_memory_does_not_grow_with_records(tmp_path, export):
+    # 20k records make a ~10 MB GeoJSON file; building the document or the
+    # whole text first costs tens of MB.
+    records = [make_record(ts_unix_ms=1_700_000_000_000 + i * 1000) for i in range(20_000)]
+    tracemalloc.start()
+    try:
+        assert export(records, tmp_path / "o") == 20_000
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # --- projection ---

@@ -36,6 +36,10 @@ DIGESTS = {
         "f24e3bf21f7e73aecd58e980b3a997b5ead1d639c29de54cea6f0b7b89ce6179",
     "voxels.csv":
         "491ea4f16a9f75132d9064bb3c6c2a726fa5edb23d415e13f19d7e56813da853",
+    "points-sinr.geojson":
+        "775221a5c07891e3b3a27102b689b9de3c386c98761af95d77febf7603ead67d",
+    "voxels-rsrp.geojson":
+        "27fe46a7a480f2caa5536058182b6d37a11044dc5df95984639d21fd37b7934d",
 }
 
 
@@ -55,6 +59,10 @@ def outputs(tmp_path_factory):
                      "--out", str(out / f"points.{fmt}")]) == 0
         assert main(["export", "--ran", trace, "--format", fmt, "--grid", "25,10",
                      "--out", str(out / f"voxels.{fmt}")]) == 0
+    assert main(["export", "--ran", trace, "--format", "geojson", "--metric", "sinr",
+                 "--out", str(out / "points-sinr.geojson")]) == 0
+    assert main(["export", "--ran", trace, "--format", "geojson", "--grid", "25,10",
+                 "--metric", "rsrp", "--out", str(out / "voxels-rsrp.geojson")]) == 0
     return out
 
 
