@@ -5,6 +5,13 @@ lognormal shadowing.  Every stochastic draw is a pure function of the
 environment seed and a spatial voxel, so a fixed (environment, plan, seed)
 triple always produces bit-identical traces, and hovering in place yields
 stable readings instead of per-sample fading.
+
+Because the draws are pure functions of integers, they are cached per
+(seed, cell, voxel) in a small bounded LRU: a hit returns the very floats a
+fresh blake2b digest would give, so the cache changes no output bit.  The
+aircraft stays in one 10 m voxel for several ticks, and an end-to-end test
+re-samples the tick's position, so most samples hit.  Each plan likewise
+keeps its leg flight times, computed once with the same float operations.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Optional
 
 from .geo import tangent_forward
@@ -101,6 +108,14 @@ class Waypoint:
 @dataclass(frozen=True)
 class FlightPlan:
     waypoints: tuple[Waypoint, ...]
+    # Seconds to fly leg i (waypoint i to i + 1), derived from the waypoints
+    # once.  Not part of the plan's identity: left out of ==, hash and repr.
+    leg_s: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        wps = self.waypoints
+        object.__setattr__(self, "leg_s", tuple(
+            _leg_length_m(a.pos, b.pos) / a.speed_mps for a, b in zip(wps, wps[1:])))
 
 
 def _check_station(st: BaseStation) -> None:
@@ -118,10 +133,10 @@ def _check_environment(env: RadioEnvironment) -> None:
         _check_station(st)
 
 
-def _check_plan(plan: FlightPlan) -> None:
-    if not plan.waypoints:
+def _check_waypoints(waypoints: tuple[Waypoint, ...]) -> None:
+    if not waypoints:
         raise ConfigError("flight plan needs at least one waypoint")
-    for i, wp in enumerate(plan.waypoints):
+    for i, wp in enumerate(waypoints):
         if wp.speed_mps <= 0:
             raise ConfigError(f"waypoint {i}: speed_mps must be > 0")
         if wp.hover_s < 0:
@@ -157,6 +172,14 @@ def _std_normal(domain: bytes, seed: int, *ints: int) -> float:
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
+@lru_cache(maxsize=512)
+def _voxel_draws(seed: int, cell_id: int, vx: int, vy: int, vz: int) -> tuple[float, float]:
+    """(u, z) of one cell in one voxel: the LoS uniform and the shadowing
+    normal.  Pure in its integer arguments, so the cache is exact."""
+    return (_uniform(b"skylog.los", seed, cell_id, vx, vy, vz),
+            _std_normal(b"skylog.shadow", seed, cell_id, vx, vy, vz))
+
+
 def _voxel(env: RadioEnvironment, pos: GeoPosition) -> tuple[int, int, int]:
     anchor = env.stations[0].site_pos
     x, y = tangent_forward(anchor.lat_deg, anchor.lon_deg, pos.lat_deg, pos.lon_deg)
@@ -182,31 +205,42 @@ def station_distance_m(station: BaseStation, pos: GeoPosition) -> float:
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def los_state(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) -> bool:
-    """True for line-of-sight.  Deterministic per (seed, station, voxel).
-
-    P(LoS) grows with UAV altitude: clamp(0.15 + 0.85*(agl/100), 0.15, 1.0).
-    """
+def _los_probability(pos: GeoPosition) -> float:
+    """P(LoS) grows with UAV altitude: clamp(0.15 + 0.85*(agl/100), 0.15, 1.0)."""
     agl = pos.alt_m_agl if pos.alt_m_agl is not None else 0.0
-    p = min(max(LOS_P_FLOOR + (1.0 - LOS_P_FLOOR) * agl / LOS_P_FULL_AT_M, LOS_P_FLOOR), 1.0)
-    vx, vy, vz = _voxel(env, pos)
-    u = _uniform(b"skylog.los", env.seed, station.cell_id, vx, vy, vz)
-    return u < p
+    return min(max(LOS_P_FLOOR + (1.0 - LOS_P_FLOOR) * agl / LOS_P_FULL_AT_M, LOS_P_FLOOR), 1.0)
+
+
+def _link(env: RadioEnvironment, station: BaseStation, voxel: tuple[int, int, int],
+          los_p: float) -> tuple[bool, float]:
+    """(line of sight, shadowing dB) of one station seen from one voxel."""
+    u, z = _voxel_draws(env.seed, station.cell_id, *voxel)
+    return u < los_p, env.shadow_sigma_db * z
+
+
+def _path_loss_db(env: RadioEnvironment, station: BaseStation, pos: GeoPosition,
+                  voxel: tuple[int, int, int], los_p: float, fspl_db: float) -> float:
+    d = station_distance_m(station, pos)
+    if d < 1.0:
+        raise DistanceTooSmall(f"distance {d:.3f} m below 1 m reference")
+    los, shadow = _link(env, station, voxel, los_p)
+    n = env.n_los if los else env.n_nlos
+    return fspl_db + 10.0 * n * math.log10(d) + shadow
+
+
+def los_state(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) -> bool:
+    """True for line-of-sight.  Deterministic per (seed, station, voxel)."""
+    return _link(env, station, _voxel(env, pos), _los_probability(pos))[0]
 
 
 def shadow_db(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) -> float:
     """Lognormal shadowing term, frozen per (seed, station, voxel)."""
-    vx, vy, vz = _voxel(env, pos)
-    z = _std_normal(b"skylog.shadow", env.seed, station.cell_id, vx, vy, vz)
-    return env.shadow_sigma_db * z
+    return _link(env, station, _voxel(env, pos), _los_probability(pos))[1]
 
 
 def path_loss_db(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) -> float:
-    d = station_distance_m(station, pos)
-    if d < 1.0:
-        raise DistanceTooSmall(f"distance {d:.3f} m below 1 m reference")
-    n = env.n_los if los_state(env, station, pos) else env.n_nlos
-    return fspl_1m_db(env.freq_hz) + 10.0 * n * math.log10(d) + shadow_db(env, station, pos)
+    return _path_loss_db(env, station, pos, _voxel(env, pos), _los_probability(pos),
+                         fspl_1m_db(env.freq_hz))
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +269,20 @@ class RawRadioSample:
 
 
 def radio_sample_raw(env: RadioEnvironment, pos: GeoPosition) -> RawRadioSample:
-    powers = [(st, st.eirp_dbm - path_loss_db(env, st, pos)) for st in env.stations]
-    # Serving cell: strongest received power, ties to the lowest pci.
-    serving, p_serv = min(powers, key=lambda sp: (-sp[1], sp[0].pci))
+    # The voxel, the LoS probability and the 1 m loss are the same for every
+    # station, so they are computed once per sample.
+    voxel = _voxel(env, pos)
+    los_p = _los_probability(pos)
+    fspl_db = fspl_1m_db(env.freq_hz)
+    powers = [(st, st.eirp_dbm - _path_loss_db(env, st, pos, voxel, los_p, fspl_db))
+              for st in env.stations]
+    # Strongest received power first, ties to the lowest pci.  The sort is
+    # stable, so its head is the serving cell and its tail the neighbors.
+    (serving, p_serv), *rest = sorted(powers, key=lambda sp: (-sp[1], sp[0].pci))
     noise_mw = _linear_mw(env.noise_dbm)
-    # Left to right on purpose: sum() of floats compensates from Python 3.12 on,
-    # which moves the last bit and so the trace bytes between versions.
+    # Left to right in station order on purpose: sum() of floats compensates
+    # from Python 3.12 on, which moves the last bit and so the trace bytes
+    # between versions.
     total_mw = 0.0
     for _, p in powers:
         total_mw += _linear_mw(p)
@@ -250,15 +292,20 @@ def radio_sample_raw(env: RadioEnvironment, pos: GeoPosition) -> RawRadioSample:
     rsrq = prb_gain + p_serv - rssi
     interference_mw = total_mw - noise_mw - _linear_mw(p_serv)
     sinr = p_serv - _dbm(interference_mw + noise_mw)
-    rest = sorted(((st, p) for st, p in powers if st is not serving),
-                  key=lambda sp: (-sp[1], sp[0].pci))
     neighbor_powers = tuple((st, p, prb_gain + p - rssi) for st, p in rest)
     return RawRadioSample(serving=serving, rsrp_dbm=p_serv, rsrq_db=rsrq,
                           rssi_dbm=rssi, sinr_db=sinr, neighbor_powers=neighbor_powers)
 
 
-def _clamp(name: str, value: float) -> float:
-    lo, hi = DB_FIELD_RANGES[name]
+# Reportable ranges, looked up once instead of on every clamp.
+_RSRP_RANGE = DB_FIELD_RANGES["rsrp_dbm"]
+_RSRQ_RANGE = DB_FIELD_RANGES["rsrq_db"]
+_RSSI_RANGE = DB_FIELD_RANGES["rssi_dbm"]
+_SINR_RANGE = DB_FIELD_RANGES["sinr_db"]
+
+
+def _clamp(value: float, bounds: tuple[float, float]) -> float:
+    lo, hi = bounds
     return min(max(value, lo), hi)
 
 
@@ -268,16 +315,16 @@ def radio_sample(env: RadioEnvironment, pos: GeoPosition) -> ModemReport:
     st = raw.serving
     serving = ServingCellSample(
         earfcn=st.earfcn, pci=st.pci, cell_id=st.cell_id, tac=st.tac,
-        rsrp_dbm=_clamp("rsrp_dbm", raw.rsrp_dbm),
-        rsrq_db=_clamp("rsrq_db", raw.rsrq_db),
-        rssi_dbm=_clamp("rssi_dbm", raw.rssi_dbm),
-        sinr_db=_clamp("sinr_db", raw.sinr_db),
+        rsrp_dbm=_clamp(raw.rsrp_dbm, _RSRP_RANGE),
+        rsrq_db=_clamp(raw.rsrq_db, _RSRQ_RANGE),
+        rssi_dbm=_clamp(raw.rssi_dbm, _RSSI_RANGE),
+        sinr_db=_clamp(raw.sinr_db, _SINR_RANGE),
     )
     neighbors = tuple(
         NeighborCellSample(
             earfcn=nst.earfcn, pci=nst.pci,
-            rsrp_dbm=_clamp("rsrp_dbm", p),
-            rsrq_db=_clamp("rsrq_db", q),
+            rsrp_dbm=_clamp(p, _RSRP_RANGE),
+            rsrq_db=_clamp(q, _RSRQ_RANGE),
             rssi_dbm=serving.rssi_dbm,
         )
         for nst, p, q in raw.neighbor_powers[:MAX_NEIGHBORS])
@@ -289,14 +336,12 @@ def radio_sample(env: RadioEnvironment, pos: GeoPosition) -> ModemReport:
 # ---------------------------------------------------------------------------
 
 def _lerp_pos(a: GeoPosition, b: GeoPosition, f: float) -> GeoPosition:
-    def lerp(u, v):
-        return u + (v - u) * f
     agl = None
     if a.alt_m_agl is not None and b.alt_m_agl is not None:
-        agl = lerp(a.alt_m_agl, b.alt_m_agl)
-    return GeoPosition(lat_deg=lerp(a.lat_deg, b.lat_deg),
-                       lon_deg=lerp(a.lon_deg, b.lon_deg),
-                       alt_m_amsl=lerp(a.alt_m_amsl, b.alt_m_amsl),
+        agl = a.alt_m_agl + (b.alt_m_agl - a.alt_m_agl) * f
+    return GeoPosition(lat_deg=a.lat_deg + (b.lat_deg - a.lat_deg) * f,
+                       lon_deg=a.lon_deg + (b.lon_deg - a.lon_deg) * f,
+                       alt_m_amsl=a.alt_m_amsl + (b.alt_m_amsl - a.alt_m_amsl) * f,
                        alt_m_agl=agl)
 
 
@@ -310,17 +355,17 @@ def flight_position(plan: FlightPlan, t_s: float) -> GeoPosition:
     """Position at t seconds into the plan: hover at each waypoint, then fly
     the leg to the next at the departing waypoint's speed.  Past the end,
     the aircraft holds the final waypoint."""
-    if t_s < 0:
-        raise ValueError("t_s must be >= 0")
+    if not 0 <= t_s < math.inf:
+        raise ValueError("t_s must be finite and >= 0")
     t = float(t_s)
     wps = plan.waypoints
-    for i, wp in enumerate(wps):
+    # One subtraction per hover and per leg, in flight order: pre-summed
+    # segment start times would round differently and move positions.
+    for i, leg_s in enumerate(plan.leg_s):
+        wp = wps[i]
         if t < wp.hover_s:
             return wp.pos
         t -= wp.hover_s
-        if i + 1 == len(wps):
-            break
-        leg_s = _leg_length_m(wp.pos, wps[i + 1].pos) / wp.speed_mps
         if t < leg_s:
             return _lerp_pos(wp.pos, wps[i + 1].pos, t / leg_s if leg_s > 0 else 1.0)
         t -= leg_s
@@ -329,8 +374,8 @@ def flight_position(plan: FlightPlan, t_s: float) -> GeoPosition:
 
 def plan_duration_s(plan: FlightPlan) -> float:
     total = sum(wp.hover_s for wp in plan.waypoints)
-    for a, b in zip(plan.waypoints, plan.waypoints[1:]):
-        total += _leg_length_m(a.pos, b.pos) / a.speed_mps
+    for leg_s in plan.leg_s:
+        total += leg_s
     return total
 
 
@@ -424,12 +469,13 @@ def plan_from_doc(doc: dict, path=None) -> FlightPlan:
             speed_mps=get_field(wp_doc, "speed_mps", float, fail, where),
             hover_s=get_field(wp_doc, "hover_s", float, fail, where, default=0.0),
         ))
-    plan = FlightPlan(waypoints=tuple(waypoints))
+    waypoints = tuple(waypoints)
     try:
-        _check_plan(plan)
+        # Before the plan exists: a zero speed would fail its leg table.
+        _check_waypoints(waypoints)
     except ConfigError as exc:
         raise ConfigError(str(exc), path=path) from None
-    return plan
+    return FlightPlan(waypoints=waypoints)
 
 
 def load_environment(path) -> RadioEnvironment:

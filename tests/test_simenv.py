@@ -1,11 +1,22 @@
 """Propagation, LoS model, radio sampling, flight paths, config loading."""
 
+import dataclasses
 import json
 import math
+import pickle
+import sys
+import threading
+from collections import Counter
+from functools import partial
+from importlib.resources import files
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from skylog.geo import tangent_inverse
+from skylog import simenv
+from skylog.collector import CollectorConfig, SimClock, run_collection
+from skylog.geo import tangent_forward, tangent_inverse
 from skylog.records import GeoPosition, validate_serving
 from skylog.simenv import (
     BaseStation,
@@ -13,6 +24,8 @@ from skylog.simenv import (
     DistanceTooSmall,
     FlightPlan,
     RadioEnvironment,
+    RawRadioSample,
+    SimE2eEngine,
     SimModemBackend,
     Waypoint,
     flight_position,
@@ -239,6 +252,43 @@ def test_flight_interpolates_altitude():
     assert mid.alt_m_amsl == pytest.approx(315.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("t_s", [float("nan"), math.inf, -math.inf, -1.0])
+def test_flight_refuses_non_finite_or_negative_time(t_s):
+    plan = FlightPlan(waypoints=(wp(0, 0, 10), wp(100, 0, 10)))
+    with pytest.raises(ValueError, match=r"^t_s must be finite and >= 0$"):
+        flight_position(plan, t_s)
+
+
+def test_flight_plan_leg_table_is_derived_state():
+    plan = FlightPlan(waypoints=(wp(0, 0, 10, speed=10.0), wp(100, 0, 10)))
+    assert plan.leg_s == (simenv._leg_length_m(plan.waypoints[0].pos,
+                                               plan.waypoints[1].pos) / 10.0,)
+    # Left out of ==, hash and repr: two plans differing only there are one plan.
+    other = FlightPlan(waypoints=plan.waypoints)
+    object.__setattr__(other, "leg_s", (123.0,))
+    assert other == plan
+    assert hash(other) == hash(plan)
+    assert "leg_s" not in repr(plan)
+    with pytest.raises(TypeError):
+        FlightPlan(waypoints=plan.waypoints, leg_s=(1.0,))
+    # replace() builds a new plan, so the table follows the new waypoints.
+    moved = dataclasses.replace(plan, waypoints=(wp(0, 0, 10, speed=5.0), wp(0, 60, 20)))
+    assert moved.leg_s == (simenv._leg_length_m(moved.waypoints[0].pos,
+                                                moved.waypoints[1].pos) / 5.0,)
+    restored = pickle.loads(pickle.dumps(plan))
+    assert restored == plan
+    assert restored.leg_s == plan.leg_s
+
+
+def test_flight_plan_zero_speed_is_a_config_error(tmp_path):
+    doc = plan_doc()
+    doc["waypoints"][0]["speed_mps"] = 0.0
+    path = tmp_path / "p.plan"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"waypoint 0: speed_mps must be > 0"):
+        load_flight_plan(path)
+
+
 # --- e2e synthesis ---
 
 def test_synth_e2e_caps():
@@ -415,3 +465,193 @@ def test_sim_backend_polls_position_at_poll_time():
     direct_second = radio_sample(env, uav_at(1200, 0, 102.0))
     assert second == direct_second
     assert first != second
+
+
+# --- tick fast path: exact against the per-call formulas, and bounded work ---
+
+DATA = files("skylog") / "data"
+
+
+def shipped_env(seed=7):
+    return dataclasses.replace(load_environment(DATA / "threecell.env"), seed=seed)
+
+
+def shipped_plan():
+    return load_flight_plan(DATA / "climb.plan")
+
+
+def reference_position(plan, t_s):
+    """The walk before the leg table: every leg length recomputed per call."""
+    t = float(t_s)
+    wps = plan.waypoints
+    for i, w in enumerate(wps):
+        if t < w.hover_s:
+            return w.pos
+        t -= w.hover_s
+        if i + 1 == len(wps):
+            break
+        a, b = w.pos, wps[i + 1].pos
+        leg_s = simenv._leg_length_m(a, b) / w.speed_mps
+        if t < leg_s:
+            f = t / leg_s if leg_s > 0 else 1.0
+            agl = None
+            if a.alt_m_agl is not None and b.alt_m_agl is not None:
+                agl = a.alt_m_agl + (b.alt_m_agl - a.alt_m_agl) * f
+            return GeoPosition(lat_deg=a.lat_deg + (b.lat_deg - a.lat_deg) * f,
+                               lon_deg=a.lon_deg + (b.lon_deg - a.lon_deg) * f,
+                               alt_m_amsl=a.alt_m_amsl + (b.alt_m_amsl - a.alt_m_amsl) * f,
+                               alt_m_agl=agl)
+        t -= leg_s
+    return wps[-1].pos
+
+
+def reference_raw(env, pos):
+    """radio_sample_raw before the draw cache: per station, its own voxel,
+    LoS probability, 1 m loss and two fresh digests."""
+    powers = []
+    for st in env.stations:
+        anchor = env.stations[0].site_pos
+        x, y = tangent_forward(anchor.lat_deg, anchor.lon_deg, pos.lat_deg, pos.lon_deg)
+        agl = pos.alt_m_agl if pos.alt_m_agl is not None else 0.0
+        vox = (math.floor(x / simenv.VOXEL_M), math.floor(y / simenv.VOXEL_M),
+               math.floor(agl / simenv.VOXEL_M))
+        p_los = min(max(simenv.LOS_P_FLOOR + (1.0 - simenv.LOS_P_FLOOR) * agl
+                        / simenv.LOS_P_FULL_AT_M, simenv.LOS_P_FLOOR), 1.0)
+        u = simenv._uniform(b"skylog.los", env.seed, st.cell_id, *vox)
+        z = simenv._std_normal(b"skylog.shadow", env.seed, st.cell_id, *vox)
+        n = env.n_los if u < p_los else env.n_nlos
+        d = station_distance_m(st, pos)
+        loss = fspl_1m_db(env.freq_hz) + 10.0 * n * math.log10(d) + env.shadow_sigma_db * z
+        powers.append((st, st.eirp_dbm - loss))
+    serving, p_serv = min(powers, key=lambda sp: (-sp[1], sp[0].pci))
+    noise_mw = 10.0 ** (env.noise_dbm / 10.0)
+    total_mw = 0.0
+    for _, p in powers:
+        total_mw += 10.0 ** (p / 10.0)
+    total_mw += noise_mw
+    rssi = 10.0 * math.log10(total_mw)
+    prb_gain = 10.0 * math.log10(env.n_prb)
+    interference_mw = total_mw - noise_mw - 10.0 ** (p_serv / 10.0)
+    sinr = p_serv - 10.0 * math.log10(interference_mw + noise_mw)
+    rest = sorted(((st, p) for st, p in powers if st is not serving),
+                  key=lambda sp: (-sp[1], sp[0].pci))
+    return RawRadioSample(serving=serving, rsrp_dbm=p_serv, rsrq_db=prb_gain + p_serv - rssi,
+                          rssi_dbm=rssi, sinr_db=sinr,
+                          neighbor_powers=tuple((st, p, prb_gain + p - rssi) for st, p in rest))
+
+
+def test_flight_position_exact_on_shipped_plan():
+    plan = shipped_plan()
+    duration = math.ceil(plan_duration_s(plan))
+    assert duration == 2060
+    for t in range(duration):
+        assert flight_position(plan, t) == reference_position(plan, t)
+
+
+def test_plan_duration_exact_on_shipped_plan():
+    plan = shipped_plan()
+    total = sum(w.hover_s for w in plan.waypoints)
+    for a, b in zip(plan.waypoints, plan.waypoints[1:]):
+        total += simenv._leg_length_m(a.pos, b.pos) / a.speed_mps
+    assert plan_duration_s(plan) == total
+
+
+waypoint_args = hst.tuples(
+    hst.floats(-2000.0, 2000.0), hst.floats(-2000.0, 2000.0), hst.floats(0.0, 122.0),
+    hst.floats(0.5, 30.0), hst.floats(0.0, 60.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=hst.lists(waypoint_args, min_size=1, max_size=6),
+       fractions=hst.lists(hst.floats(0.0, 1.1), min_size=1, max_size=20))
+def test_flight_position_exact_on_generated_plans(args, fractions):
+    plan = FlightPlan(waypoints=tuple(wp(x, y, agl, speed=v, hover=h)
+                                      for x, y, agl, v, h in args))
+    duration = plan_duration_s(plan)
+    for f in fractions:
+        t = f * duration
+        assert flight_position(plan, t) == reference_position(plan, t)
+
+
+def test_radio_sample_raw_exact_over_seed7_flight():
+    env, plan = shipped_env(), shipped_plan()
+    positions = [flight_position(plan, t) for t in range(2060)]
+    simenv._voxel_draws.cache_clear()
+    for _pass in ("cold cache", "warm cache"):
+        for pos in positions:
+            assert radio_sample_raw(env, pos) == reference_raw(env, pos)
+
+
+def test_draw_cache_shared_by_threads_stays_exact():
+    """The e2e worker samples on its own thread through the same draw cache.
+    Threads racing on the same keys, switching as often as the interpreter
+    allows, must still get the per-call reference every time."""
+    env, plan = shipped_env(), shipped_plan()
+    positions = [flight_position(plan, t) for t in (0, 700, 1400)]
+    expected = [reference_raw(env, pos) for pos in positions]
+    mismatches = []
+
+    def sample(offset):
+        for k in range(1500):
+            i = (k + offset) % len(positions)
+            if radio_sample_raw(env, positions[i]) != expected[i]:
+                mismatches.append(i)
+
+    simenv._voxel_draws.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sample, args=(n,)) for n in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert mismatches == []
+
+
+def test_radio_sample_refuses_within_1m_of_any_mast():
+    far = station_at(900, -450, pci=101, cell_id=1)
+    near = station_at(0, 0, antenna_m=30.0, pci=47, cell_id=3)
+    for stations in ([near], [far, near]):
+        env = env_with(stations, seed=7)
+        with pytest.raises(DistanceTooSmall):
+            radio_sample(env, uav_at(0, 0.5, 30.0))
+
+
+def test_tick_work_is_bounded(tmp_path, monkeypatch):
+    """One whole seed-7 flight of climb.plan, e2e on, counts pure work: the
+    leg table and the per-voxel draw cache must keep it per-sample small.
+    Only deterministic counts are checked, no timing."""
+    env, plan = shipped_env(), shipped_plan()
+    duration = math.ceil(plan_duration_s(plan))
+    voxels = {simenv._voxel(env, flight_position(plan, t)) for t in range(duration)}
+    simenv._voxel_draws.cache_clear()
+    counts = Counter()
+    lock = threading.Lock()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            with lock:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("tangent_forward", "_digest", "_leg_length_m", "radio_sample"):
+        monkeypatch.setattr(simenv, name, counted(name, getattr(simenv, name)))
+    cfg = CollectorConfig(output_dir=str(tmp_path), duration_s=duration, e2e_interval_s=60)
+    summary = run_collection(cfg, SimClock(), SimModemBackend(env),
+                             partial(flight_position, plan), e2e_engine=SimE2eEngine(env))
+    stations = len(env.stations)
+    e2e_tests = summary.e2e_tests_run
+    assert (summary.records_written, summary.polls_failed, e2e_tests) == (duration, 0, 35)
+    assert counts["_leg_length_m"] == 0
+    # One sample per tick plus one per e2e test, each projecting the voxel
+    # once and each station's distance once.
+    assert counts["radio_sample"] == duration + e2e_tests
+    assert counts["tangent_forward"] <= (stations + 1) * counts["radio_sample"]
+    # Two digests per (station, voxel) and one RTT jitter draw per e2e test;
+    # without the cache this is six per sample.
+    assert counts["_digest"] <= 2 * stations * len(voxels) + e2e_tests
