@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from typing import Optional
 
@@ -85,8 +86,6 @@ class NeighborCellSample:
 # DB_FIELD_RANGES is a one-decimal dB value; any other is an unsigned int.
 SERVING_FIELDS = tuple(f.name for f in fields(ServingCellSample))
 NEIGHBOR_FIELDS = tuple(f.name for f in fields(NeighborCellSample))
-SERVING_METRICS = tuple(f for f in SERVING_FIELDS if f in DB_FIELD_RANGES)
-NEIGHBOR_METRICS = tuple(f for f in NEIGHBOR_FIELDS if f in DB_FIELD_RANGES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,71 +153,50 @@ def _check_finite(field_name: str, value: float) -> Optional[ValidationResult]:
     return None
 
 
-def _check_db_ranges(sample, metrics, prefix: str = "") -> Optional[ValidationResult]:
-    for name in metrics:
-        value = getattr(sample, name)
-        bad = _check_finite(prefix + name, value)
-        if bad is not None:
-            return bad
-        lo, hi = DB_FIELD_RANGES[name]
+# Inclusive (lo, hi) of every bounded record field.  An int bound is an
+# identity or channel number; a float bound is finite, so the one chained
+# lo <= v <= hi also refuses NaN and +-inf.
+_BOUNDS = {
+    "lat_deg": (-LAT_MAX_DEG, LAT_MAX_DEG),
+    "lon_deg": (-LON_MAX_DEG, LON_MAX_DEG),
+    "alt_m_amsl": (-sys.float_info.max, sys.float_info.max),
+    "alt_m_agl": (0.0, AGL_CEILING_M),
+    **DB_FIELD_RANGES,
+    "earfcn": (0, math.inf),
+    "pci": (0, PCI_MAX),
+    "cell_id": (0, CELL_ID_MAX),
+    "tac": (0, TAC_MAX),
+}
+
+
+def _checks(layout) -> tuple:
+    return tuple((name, *_BOUNDS[name]) for name in layout)
+
+
+_POSITION_CHECKS = _checks(("lat_deg", "lon_deg", "alt_m_amsl", "alt_m_agl"))
+_SERVING_CHECKS = _checks(SERVING_FIELDS)
+_NEIGHBOR_CHECKS = _checks(NEIGHBOR_FIELDS)
+
+
+def _check_fields(obj, checks, prefix: str = "") -> ValidationResult:
+    """The first field of obj outside its bounds, or OK; a message is built
+    only on failure."""
+    for name, lo, hi in checks:
+        value = getattr(obj, name)
         if not (lo <= value <= hi):
-            return _violation(prefix + name, value, f"{prefix + name} out of [{lo:g},{hi:g}]")
-    return None
-
-
-def _check_cell_identity(sample, prefix: str = "") -> Optional[ValidationResult]:
-    if sample.earfcn < 0:
-        return _violation(prefix + "earfcn", sample.earfcn, f"{prefix}earfcn negative")
-    if not (0 <= sample.pci <= PCI_MAX):
-        return _violation(prefix + "pci", sample.pci, f"{prefix}pci out of [0,{PCI_MAX}]")
-    return None
+            if type(lo) is int:
+                message = "negative" if hi == math.inf else f"out of [{lo},{hi}]"
+            elif not math.isfinite(value):
+                message = "is not finite"
+            else:
+                message = f"out of [{lo:g},{hi:g}]"
+            return _violation(prefix + name, value, f"{prefix}{name} {message}")
+    return _OK
 
 
 def validate_position(pos: GeoPosition) -> ValidationResult:
-    for name, bound in (("lat_deg", LAT_MAX_DEG), ("lon_deg", LON_MAX_DEG)):
-        value = getattr(pos, name)
-        bad = _check_finite(name, value)
-        if bad is not None:
-            return bad
-        if not (-bound <= value <= bound):
-            return _violation(name, value, f"{name} out of [{-bound:g},{bound:g}]")
-    bad = _check_finite("alt_m_amsl", pos.alt_m_amsl)
-    if bad is not None:
-        return bad
-    if pos.alt_m_agl is not None:
-        bad = _check_finite("alt_m_agl", pos.alt_m_agl)
-        if bad is not None:
-            return bad
-        if not (0.0 <= pos.alt_m_agl <= AGL_CEILING_M):
-            return _violation("alt_m_agl", pos.alt_m_agl, f"alt_m_agl out of [0,{AGL_CEILING_M:g}]")
-    return _OK
-
-
-def validate_serving(sample: ServingCellSample, prefix: str = "") -> ValidationResult:
-    bad = _check_cell_identity(sample, prefix)
-    if bad is not None:
-        return bad
-    if not (0 <= sample.cell_id <= CELL_ID_MAX):
-        return _violation(prefix + "cell_id", sample.cell_id, f"{prefix}cell_id out of [0,{CELL_ID_MAX}]")
-    if not (0 <= sample.tac <= TAC_MAX):
-        return _violation(prefix + "tac", sample.tac, f"{prefix}tac out of [0,{TAC_MAX}]")
-    bad = _check_db_ranges(sample, SERVING_METRICS, prefix)
-    if bad is not None:
-        return bad
-    # Total wideband power includes the reference-signal component.
-    if sample.rssi_dbm < sample.rsrp_dbm:
-        return _violation(prefix + "rssi_dbm", sample.rssi_dbm, f"{prefix}rssi_dbm below rsrp_dbm")
-    return _OK
-
-
-def validate_neighbor(sample: NeighborCellSample, prefix: str = "") -> ValidationResult:
-    bad = _check_cell_identity(sample, prefix)
-    if bad is not None:
-        return bad
-    bad = _check_db_ranges(sample, NEIGHBOR_METRICS, prefix)
-    if bad is not None:
-        return bad
-    return _OK
+    # alt_m_agl, checked last, may be absent.
+    return _check_fields(pos, _POSITION_CHECKS if pos.alt_m_agl is not None else _POSITION_CHECKS[:-1])
 
 
 def validate_record(rec: MeasurementRecord) -> ValidationResult:
@@ -233,13 +211,16 @@ def validate_record(rec: MeasurementRecord) -> ValidationResult:
 
 def validate_cells(serving: ServingCellSample, neighbors) -> ValidationResult:
     """Serving cell, neighbor count, then each neighbor; shared with modem reports."""
-    result = validate_serving(serving)
+    result = _check_fields(serving, _SERVING_CHECKS)
     if not result:
         return result
+    # Total wideband power includes the reference-signal component.
+    if serving.rssi_dbm < serving.rsrp_dbm:
+        return _violation("rssi_dbm", serving.rssi_dbm, "rssi_dbm below rsrp_dbm")
     if len(neighbors) > MAX_NEIGHBORS:
         return _violation("neighbors", len(neighbors), f"more than {MAX_NEIGHBORS} neighbors")
     for i, nbr in enumerate(neighbors):
-        result = validate_neighbor(nbr, prefix=f"neighbors[{i}].")
+        result = _check_fields(nbr, _NEIGHBOR_CHECKS, f"neighbors[{i}].")
         if not result:
             return result
         if (nbr.earfcn, nbr.pci) == (serving.earfcn, serving.pci):
@@ -352,7 +333,7 @@ def _parse_json_line(text: str, line_no: Optional[int]) -> dict:
     return doc
 
 
-_REQUIRED = object()
+_REQUIRED = MISSING  # dataclasses' marker, so a field's default passes straight through
 _NUMBER = (int, float)
 
 
@@ -574,10 +555,9 @@ __all__ = [
     "GeoPosition", "ServingCellSample", "NeighborCellSample", "MeasurementRecord",
     "RttSummary", "EndToEndRecord", "ValidationResult", "TraceDecodeError",
     "validate_record", "validate_cells", "validate_e2e", "validate_position",
-    "validate_serving", "validate_neighbor", "encode_record", "decode_record",
-    "encode_e2e", "decode_e2e",
+    "encode_record", "decode_record", "encode_e2e", "decode_e2e",
     "read_trace", "read_e2e_trace", "quantize_db", "get_field", "position_from_doc",
     "DB_FIELD_RANGES", "METRIC_FIELDS", "SERVING_FIELDS", "NEIGHBOR_FIELDS",
-    "SERVING_METRICS", "NEIGHBOR_METRICS", "SOURCES",
+    "SOURCES",
     "MAX_NEIGHBORS", "PCI_MAX", "CELL_ID_MAX", "TAC_MAX", "AGL_CEILING_M", "LAT_MAX_DEG", "LON_MAX_DEG",
 ]

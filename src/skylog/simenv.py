@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial
 from typing import Optional
 
@@ -35,6 +35,7 @@ from .records import (
     ServingCellSample,
     get_field,
     position_from_doc,
+    validate_position,
 )
 
 LIGHT_SPEED_M_S = 299792458.0
@@ -122,13 +123,26 @@ def _check_station(st: BaseStation) -> None:
     if not (30.0 <= st.eirp_dbm <= 65.0):
         raise ConfigError(f"station pci={st.pci}: eirp_dbm {st.eirp_dbm} outside [30,65]")
     agl = st.site_pos.alt_m_agl
-    if agl is None or agl <= 0:
+    if agl is None or not (0 < agl < math.inf):
         raise ConfigError(f"station pci={st.pci}: antenna height must be > 0 m AGL")
+    # A mast may stand taller than the UAV ceiling that bounds a record's AGL.
+    result = validate_position(replace(st.site_pos, alt_m_agl=None))
+    if not result:
+        raise ConfigError(f"station pci={st.pci}: site_pos.{result.message}")
 
 
 def _check_environment(env: RadioEnvironment) -> None:
     if not env.stations:
         raise ConfigError("environment needs at least one station")
+    for name in ("n_los", "n_nlos", "freq_hz"):
+        if not (0 < getattr(env, name) < math.inf):
+            raise ConfigError(f"{name} must be finite and > 0")
+    if not (0 <= env.shadow_sigma_db < math.inf):
+        raise ConfigError("shadow_sigma_db must be finite and >= 0")
+    if not (-math.inf < env.noise_dbm < math.inf):
+        raise ConfigError("noise_dbm must be finite")
+    if not (env.n_prb >= 1):
+        raise ConfigError("n_prb must be >= 1")
     for st in env.stations:
         _check_station(st)
 
@@ -137,15 +151,19 @@ def _check_waypoints(waypoints: tuple[Waypoint, ...]) -> None:
     if not waypoints:
         raise ConfigError("flight plan needs at least one waypoint")
     for i, wp in enumerate(waypoints):
-        if wp.speed_mps <= 0:
+        # Written so that NaN fails each check: every comparison with it is False.
+        if not (0 < wp.speed_mps < math.inf):
             raise ConfigError(f"waypoint {i}: speed_mps must be > 0")
-        if wp.hover_s < 0:
+        if not (0 <= wp.hover_s < math.inf):
             raise ConfigError(f"waypoint {i}: hover_s must be >= 0")
         agl = wp.pos.alt_m_agl
         if agl is None:
             raise ConfigError(f"waypoint {i}: alt_m_agl required")
         if agl > PLAN_AGL_CEILING_M:
             raise ConfigError(f"waypoint {i}: alt_m_agl {agl} above {PLAN_AGL_CEILING_M} m ceiling")
+        result = validate_position(wp.pos)
+        if not result:
+            raise ConfigError(f"waypoint {i}: {result.message}")
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +439,17 @@ def _key_error(path, name: str, missing: bool) -> ConfigError:
     return ConfigError(f"key '{name}' has wrong type", path=path)
 
 
+# Field annotations are strings here (from __future__ import annotations).
+_SCALAR_KINDS = {"float": float, "int": int}
+
+
+def _scalar_fields(cls, doc: dict, fail, where: str = "") -> dict:
+    """Every float and int field of the dataclass cls, read from doc by name,
+    with the field's own default (a field without one is required)."""
+    return {f.name: get_field(doc, f.name, _SCALAR_KINDS[f.type], fail, where, f.default)
+            for f in fields(cls) if f.type in _SCALAR_KINDS}
+
+
 def environment_from_doc(doc: dict, path=None) -> RadioEnvironment:
     fail = partial(_key_error, path)
     stations_doc = get_field(doc, "stations", list, fail)
@@ -430,24 +459,9 @@ def environment_from_doc(doc: dict, path=None) -> RadioEnvironment:
         if not isinstance(st_doc, dict):
             raise fail(f"stations[{i}]", False)
         site_doc = get_field(st_doc, "site_pos", dict, fail, where)
-        stations.append(BaseStation(
-            site_pos=position_from_doc(site_doc, fail, where + "site_pos."),
-            eirp_dbm=get_field(st_doc, "eirp_dbm", float, fail, where),
-            earfcn=get_field(st_doc, "earfcn", int, fail, where),
-            pci=get_field(st_doc, "pci", int, fail, where),
-            cell_id=get_field(st_doc, "cell_id", int, fail, where),
-            tac=get_field(st_doc, "tac", int, fail, where),
-        ))
-    env = RadioEnvironment(
-        stations=tuple(stations),
-        n_los=get_field(doc, "n_los", float, fail, default=2.2),
-        n_nlos=get_field(doc, "n_nlos", float, fail, default=3.5),
-        shadow_sigma_db=get_field(doc, "shadow_sigma_db", float, fail, default=6.0),
-        n_prb=get_field(doc, "n_prb", int, fail, default=50),
-        noise_dbm=get_field(doc, "noise_dbm", float, fail, default=-104.5),
-        freq_hz=get_field(doc, "freq_hz", float, fail, default=2.1e9),
-        seed=get_field(doc, "seed", int, fail, default=0),
-    )
+        stations.append(BaseStation(site_pos=position_from_doc(site_doc, fail, where + "site_pos."),
+                                    **_scalar_fields(BaseStation, st_doc, fail, where)))
+    env = RadioEnvironment(stations=tuple(stations), **_scalar_fields(RadioEnvironment, doc, fail))
     try:
         _check_environment(env)
     except ConfigError as exc:
@@ -464,11 +478,8 @@ def plan_from_doc(doc: dict, path=None) -> FlightPlan:
         if not isinstance(wp_doc, dict):
             raise fail(f"waypoints[{i}]", False)
         pos_doc = get_field(wp_doc, "pos", dict, fail, where)
-        waypoints.append(Waypoint(
-            pos=position_from_doc(pos_doc, fail, where + "pos."),
-            speed_mps=get_field(wp_doc, "speed_mps", float, fail, where),
-            hover_s=get_field(wp_doc, "hover_s", float, fail, where, default=0.0),
-        ))
+        waypoints.append(Waypoint(pos=position_from_doc(pos_doc, fail, where + "pos."),
+                                  **_scalar_fields(Waypoint, wp_doc, fail, where)))
     waypoints = tuple(waypoints)
     try:
         # Before the plan exists: a zero speed would fail its leg table.

@@ -143,6 +143,20 @@ def test_simulate_missing_env_is_runtime_error(capsys, tmp_path):
     assert "no.env" in err
 
 
+def test_simulate_nan_environment_exits_before_any_tick(capsys, tmp_path):
+    env = json.loads(resources.files("skylog").joinpath("data/threecell.env").read_text())
+    env["shadow_sigma_db"] = float("nan")
+    env_path = tmp_path / "nan.env"
+    env_path.write_text(json.dumps(env))
+    out = tmp_path / "out"
+    rc, stdout, err = run_cli(capsys, "simulate", "--env", str(env_path), "--plan", PLAN,
+                              "--duration", "30", "--out", str(out))
+    assert rc == 2
+    assert "shadow_sigma_db must be finite" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_analyze_missing_trace_is_runtime_error(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "analyze", "--ran", str(tmp_path / "no.trace"),
                          "--report", str(tmp_path / "report.json"))

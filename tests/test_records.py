@@ -17,7 +17,9 @@ from skylog.records import (
     LAT_MAX_DEG,
     LON_MAX_DEG,
     MAX_NEIGHBORS,
+    NEIGHBOR_FIELDS,
     PCI_MAX,
+    SERVING_FIELDS,
     TAC_MAX,
     GeoPosition,
     MeasurementRecord,
@@ -530,3 +532,158 @@ def test_read_trace_agrees_with_reference_path(tmp_path, simulated_line):
         accepted += got[0] == "ok"
     assert not mismatches[:5]
     assert 0 < accepted < len(texts)
+
+
+# --- exact messages of the per-field checks, pinned ---
+
+_POSITION_FIELDS = ("lat_deg", "lon_deg", "alt_m_amsl", "alt_m_agl")
+
+
+def _outside(name: str) -> dict:
+    """The values just past each bound of a field, and the three non-finite
+    ones.  alt_m_amsl has no bound but finiteness; earfcn no upper bound."""
+    cases = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
+    lo, hi, _ = _BOUNDS.get(name, (None, None, None))
+    if type(lo) is int:
+        cases["below"] = lo - 1
+        if hi is not None:
+            cases["above"] = hi + 1
+    elif lo is not None:
+        cases["below"] = math.nextafter(lo, -math.inf)
+        cases["above"] = math.nextafter(hi, math.inf)
+    return cases
+
+
+def _field_check_outcomes(tmp_path) -> dict:
+    """(part, field, case) -> (validate_record's field, its message,
+    read_trace's error) for one field of make_record() set to one value."""
+    base = make_record()
+    path = tmp_path / "t.trace"
+    out = {}
+    for part, names in (("pos", _POSITION_FIELDS), ("serving", SERVING_FIELDS),
+                        ("neighbors", NEIGHBOR_FIELDS)):
+        for name in names:
+            for case, value in _outside(name).items():
+                doc = json.loads(encode_record(base))
+                if part == "pos":
+                    rec = dataclasses.replace(base, pos=dataclasses.replace(base.pos, **{name: value}))
+                    doc[name] = value
+                elif part == "serving":
+                    rec = dataclasses.replace(base, serving=dataclasses.replace(base.serving, **{name: value}))
+                    doc["serving"][name] = value
+                else:
+                    nbr = dataclasses.replace(base.neighbors[0], **{name: value})
+                    rec = dataclasses.replace(base, neighbors=(nbr,))
+                    doc["neighbors"][0][name] = value
+                result = validate_record(rec)
+                path.write_text(json.dumps(doc) + "\n")
+                try:
+                    read_trace(path)
+                    error = None
+                except TraceDecodeError as exc:
+                    error = str(exc)
+                out[part, name, case] = (result.field, result.message, error)
+    return out
+
+
+# Computed with the field-by-field validators the bounds walk replaced, so a
+# change to any message shows here.  test_read_trace_agrees_with_reference_path
+# cannot see one: both of its paths would change together.
+_PINNED_FIELD_CHECKS = {
+    ('pos', 'lat_deg', 'nan'): ('lat_deg', 'lat_deg is not finite', 'line 1: lat_deg is not finite'),
+    ('pos', 'lat_deg', '+inf'): ('lat_deg', 'lat_deg is not finite', 'line 1: lat_deg is not finite'),
+    ('pos', 'lat_deg', '-inf'): ('lat_deg', 'lat_deg is not finite', 'line 1: lat_deg is not finite'),
+    ('pos', 'lat_deg', 'below'): ('lat_deg', 'lat_deg out of [-90,90]', 'line 1: lat_deg out of [-90,90]'),
+    ('pos', 'lat_deg', 'above'): ('lat_deg', 'lat_deg out of [-90,90]', 'line 1: lat_deg out of [-90,90]'),
+    ('pos', 'lon_deg', 'nan'): ('lon_deg', 'lon_deg is not finite', 'line 1: lon_deg is not finite'),
+    ('pos', 'lon_deg', '+inf'): ('lon_deg', 'lon_deg is not finite', 'line 1: lon_deg is not finite'),
+    ('pos', 'lon_deg', '-inf'): ('lon_deg', 'lon_deg is not finite', 'line 1: lon_deg is not finite'),
+    ('pos', 'lon_deg', 'below'): ('lon_deg', 'lon_deg out of [-180,180]', 'line 1: lon_deg out of [-180,180]'),
+    ('pos', 'lon_deg', 'above'): ('lon_deg', 'lon_deg out of [-180,180]', 'line 1: lon_deg out of [-180,180]'),
+    ('pos', 'alt_m_amsl', 'nan'): ('alt_m_amsl', 'alt_m_amsl is not finite', 'line 1: alt_m_amsl is not finite'),
+    ('pos', 'alt_m_amsl', '+inf'): ('alt_m_amsl', 'alt_m_amsl is not finite', 'line 1: alt_m_amsl is not finite'),
+    ('pos', 'alt_m_amsl', '-inf'): ('alt_m_amsl', 'alt_m_amsl is not finite', 'line 1: alt_m_amsl is not finite'),
+    ('pos', 'alt_m_agl', 'nan'): ('alt_m_agl', 'alt_m_agl is not finite', 'line 1: alt_m_agl is not finite'),
+    ('pos', 'alt_m_agl', '+inf'): ('alt_m_agl', 'alt_m_agl is not finite', 'line 1: alt_m_agl is not finite'),
+    ('pos', 'alt_m_agl', '-inf'): ('alt_m_agl', 'alt_m_agl is not finite', 'line 1: alt_m_agl is not finite'),
+    ('pos', 'alt_m_agl', 'below'): ('alt_m_agl', 'alt_m_agl out of [0,200]', 'line 1: alt_m_agl out of [0,200]'),
+    ('pos', 'alt_m_agl', 'above'): ('alt_m_agl', 'alt_m_agl out of [0,200]', 'line 1: alt_m_agl out of [0,200]'),
+    ('serving', 'earfcn', 'nan'): (None, None, "line 1: field 'serving.earfcn' has wrong type"),
+    ('serving', 'earfcn', '+inf'): (None, None, "line 1: field 'serving.earfcn' has wrong type"),
+    ('serving', 'earfcn', '-inf'): ('earfcn', 'earfcn negative', "line 1: field 'serving.earfcn' has wrong type"),
+    ('serving', 'earfcn', 'below'): ('earfcn', 'earfcn negative', 'line 1: earfcn negative'),
+    ('serving', 'pci', 'nan'): ('pci', 'pci out of [0,503]', "line 1: field 'serving.pci' has wrong type"),
+    ('serving', 'pci', '+inf'): ('pci', 'pci out of [0,503]', "line 1: field 'serving.pci' has wrong type"),
+    ('serving', 'pci', '-inf'): ('pci', 'pci out of [0,503]', "line 1: field 'serving.pci' has wrong type"),
+    ('serving', 'pci', 'below'): ('pci', 'pci out of [0,503]', 'line 1: pci out of [0,503]'),
+    ('serving', 'pci', 'above'): ('pci', 'pci out of [0,503]', 'line 1: pci out of [0,503]'),
+    ('serving', 'cell_id', 'nan'): ('cell_id', 'cell_id out of [0,268435455]', "line 1: field 'serving.cell_id' has wrong type"),
+    ('serving', 'cell_id', '+inf'): ('cell_id', 'cell_id out of [0,268435455]', "line 1: field 'serving.cell_id' has wrong type"),
+    ('serving', 'cell_id', '-inf'): ('cell_id', 'cell_id out of [0,268435455]', "line 1: field 'serving.cell_id' has wrong type"),
+    ('serving', 'cell_id', 'below'): ('cell_id', 'cell_id out of [0,268435455]', 'line 1: cell_id out of [0,268435455]'),
+    ('serving', 'cell_id', 'above'): ('cell_id', 'cell_id out of [0,268435455]', 'line 1: cell_id out of [0,268435455]'),
+    ('serving', 'tac', 'nan'): ('tac', 'tac out of [0,65535]', "line 1: field 'serving.tac' has wrong type"),
+    ('serving', 'tac', '+inf'): ('tac', 'tac out of [0,65535]', "line 1: field 'serving.tac' has wrong type"),
+    ('serving', 'tac', '-inf'): ('tac', 'tac out of [0,65535]', "line 1: field 'serving.tac' has wrong type"),
+    ('serving', 'tac', 'below'): ('tac', 'tac out of [0,65535]', 'line 1: tac out of [0,65535]'),
+    ('serving', 'tac', 'above'): ('tac', 'tac out of [0,65535]', 'line 1: tac out of [0,65535]'),
+    ('serving', 'rsrp_dbm', 'nan'): ('rsrp_dbm', 'rsrp_dbm is not finite', 'line 1: rsrp_dbm is not finite'),
+    ('serving', 'rsrp_dbm', '+inf'): ('rsrp_dbm', 'rsrp_dbm is not finite', 'line 1: rsrp_dbm is not finite'),
+    ('serving', 'rsrp_dbm', '-inf'): ('rsrp_dbm', 'rsrp_dbm is not finite', 'line 1: rsrp_dbm is not finite'),
+    ('serving', 'rsrp_dbm', 'below'): ('rsrp_dbm', 'rsrp_dbm out of [-140,-44]', 'line 1: rsrp_dbm out of [-140,-44]'),
+    ('serving', 'rsrp_dbm', 'above'): ('rsrp_dbm', 'rsrp_dbm out of [-140,-44]', 'line 1: rsrp_dbm out of [-140,-44]'),
+    ('serving', 'rsrq_db', 'nan'): ('rsrq_db', 'rsrq_db is not finite', 'line 1: rsrq_db is not finite'),
+    ('serving', 'rsrq_db', '+inf'): ('rsrq_db', 'rsrq_db is not finite', 'line 1: rsrq_db is not finite'),
+    ('serving', 'rsrq_db', '-inf'): ('rsrq_db', 'rsrq_db is not finite', 'line 1: rsrq_db is not finite'),
+    ('serving', 'rsrq_db', 'below'): ('rsrq_db', 'rsrq_db out of [-24,-3]', 'line 1: rsrq_db out of [-24,-3]'),
+    ('serving', 'rsrq_db', 'above'): ('rsrq_db', 'rsrq_db out of [-24,-3]', 'line 1: rsrq_db out of [-24,-3]'),
+    ('serving', 'rssi_dbm', 'nan'): ('rssi_dbm', 'rssi_dbm is not finite', 'line 1: rssi_dbm is not finite'),
+    ('serving', 'rssi_dbm', '+inf'): ('rssi_dbm', 'rssi_dbm is not finite', 'line 1: rssi_dbm is not finite'),
+    ('serving', 'rssi_dbm', '-inf'): ('rssi_dbm', 'rssi_dbm is not finite', 'line 1: rssi_dbm is not finite'),
+    ('serving', 'rssi_dbm', 'below'): ('rssi_dbm', 'rssi_dbm out of [-120,-10]', 'line 1: rssi_dbm out of [-120,-10]'),
+    ('serving', 'rssi_dbm', 'above'): ('rssi_dbm', 'rssi_dbm out of [-120,-10]', 'line 1: rssi_dbm out of [-120,-10]'),
+    ('serving', 'sinr_db', 'nan'): ('sinr_db', 'sinr_db is not finite', 'line 1: sinr_db is not finite'),
+    ('serving', 'sinr_db', '+inf'): ('sinr_db', 'sinr_db is not finite', 'line 1: sinr_db is not finite'),
+    ('serving', 'sinr_db', '-inf'): ('sinr_db', 'sinr_db is not finite', 'line 1: sinr_db is not finite'),
+    ('serving', 'sinr_db', 'below'): ('sinr_db', 'sinr_db out of [-20,40]', 'line 1: sinr_db out of [-20,40]'),
+    ('serving', 'sinr_db', 'above'): ('sinr_db', 'sinr_db out of [-20,40]', 'line 1: sinr_db out of [-20,40]'),
+    ('neighbors', 'earfcn', 'nan'): (None, None, "line 1: field 'neighbors[0].earfcn' has wrong type"),
+    ('neighbors', 'earfcn', '+inf'): (None, None, "line 1: field 'neighbors[0].earfcn' has wrong type"),
+    ('neighbors', 'earfcn', '-inf'): ('neighbors[0].earfcn', 'neighbors[0].earfcn negative', "line 1: field 'neighbors[0].earfcn' has wrong type"),
+    ('neighbors', 'earfcn', 'below'): ('neighbors[0].earfcn', 'neighbors[0].earfcn negative', 'line 1: neighbors[0].earfcn negative'),
+    ('neighbors', 'pci', 'nan'): ('neighbors[0].pci', 'neighbors[0].pci out of [0,503]', "line 1: field 'neighbors[0].pci' has wrong type"),
+    ('neighbors', 'pci', '+inf'): ('neighbors[0].pci', 'neighbors[0].pci out of [0,503]', "line 1: field 'neighbors[0].pci' has wrong type"),
+    ('neighbors', 'pci', '-inf'): ('neighbors[0].pci', 'neighbors[0].pci out of [0,503]', "line 1: field 'neighbors[0].pci' has wrong type"),
+    ('neighbors', 'pci', 'below'): ('neighbors[0].pci', 'neighbors[0].pci out of [0,503]', 'line 1: neighbors[0].pci out of [0,503]'),
+    ('neighbors', 'pci', 'above'): ('neighbors[0].pci', 'neighbors[0].pci out of [0,503]', 'line 1: neighbors[0].pci out of [0,503]'),
+    ('neighbors', 'rsrp_dbm', 'nan'): ('neighbors[0].rsrp_dbm', 'neighbors[0].rsrp_dbm is not finite', 'line 1: neighbors[0].rsrp_dbm is not finite'),
+    ('neighbors', 'rsrp_dbm', '+inf'): ('neighbors[0].rsrp_dbm', 'neighbors[0].rsrp_dbm is not finite', 'line 1: neighbors[0].rsrp_dbm is not finite'),
+    ('neighbors', 'rsrp_dbm', '-inf'): ('neighbors[0].rsrp_dbm', 'neighbors[0].rsrp_dbm is not finite', 'line 1: neighbors[0].rsrp_dbm is not finite'),
+    ('neighbors', 'rsrp_dbm', 'below'): ('neighbors[0].rsrp_dbm', 'neighbors[0].rsrp_dbm out of [-140,-44]', 'line 1: neighbors[0].rsrp_dbm out of [-140,-44]'),
+    ('neighbors', 'rsrp_dbm', 'above'): ('neighbors[0].rsrp_dbm', 'neighbors[0].rsrp_dbm out of [-140,-44]', 'line 1: neighbors[0].rsrp_dbm out of [-140,-44]'),
+    ('neighbors', 'rsrq_db', 'nan'): ('neighbors[0].rsrq_db', 'neighbors[0].rsrq_db is not finite', 'line 1: neighbors[0].rsrq_db is not finite'),
+    ('neighbors', 'rsrq_db', '+inf'): ('neighbors[0].rsrq_db', 'neighbors[0].rsrq_db is not finite', 'line 1: neighbors[0].rsrq_db is not finite'),
+    ('neighbors', 'rsrq_db', '-inf'): ('neighbors[0].rsrq_db', 'neighbors[0].rsrq_db is not finite', 'line 1: neighbors[0].rsrq_db is not finite'),
+    ('neighbors', 'rsrq_db', 'below'): ('neighbors[0].rsrq_db', 'neighbors[0].rsrq_db out of [-24,-3]', 'line 1: neighbors[0].rsrq_db out of [-24,-3]'),
+    ('neighbors', 'rsrq_db', 'above'): ('neighbors[0].rsrq_db', 'neighbors[0].rsrq_db out of [-24,-3]', 'line 1: neighbors[0].rsrq_db out of [-24,-3]'),
+    ('neighbors', 'rssi_dbm', 'nan'): ('neighbors[0].rssi_dbm', 'neighbors[0].rssi_dbm is not finite', 'line 1: neighbors[0].rssi_dbm is not finite'),
+    ('neighbors', 'rssi_dbm', '+inf'): ('neighbors[0].rssi_dbm', 'neighbors[0].rssi_dbm is not finite', 'line 1: neighbors[0].rssi_dbm is not finite'),
+    ('neighbors', 'rssi_dbm', '-inf'): ('neighbors[0].rssi_dbm', 'neighbors[0].rssi_dbm is not finite', 'line 1: neighbors[0].rssi_dbm is not finite'),
+    ('neighbors', 'rssi_dbm', 'below'): ('neighbors[0].rssi_dbm', 'neighbors[0].rssi_dbm out of [-120,-10]', 'line 1: neighbors[0].rssi_dbm out of [-120,-10]'),
+    ('neighbors', 'rssi_dbm', 'above'): ('neighbors[0].rssi_dbm', 'neighbors[0].rssi_dbm out of [-120,-10]', 'line 1: neighbors[0].rssi_dbm out of [-120,-10]'),
+}
+
+# A NaN earfcn set in code passed the old `earfcn < 0` check; the bounds walk
+# refuses it, as it refuses a NaN pci.  No trace can carry one: the decoder
+# refuses a float earfcn.
+_NAN_EARFCN_REFUSED = {
+    ("serving", "earfcn", "nan"): ("earfcn", "earfcn negative"),
+    ("neighbors", "earfcn", "nan"): ("neighbors[0].earfcn", "neighbors[0].earfcn negative"),
+}
+
+
+def test_field_check_messages_are_pinned(tmp_path):
+    want = dict(_PINNED_FIELD_CHECKS)
+    for key, (field, message) in _NAN_EARFCN_REFUSED.items():
+        want[key] = (field, message, want[key][2])
+    assert _field_check_outcomes(tmp_path) == want

@@ -17,7 +17,7 @@ from hypothesis import strategies as hst
 from skylog import simenv
 from skylog.collector import CollectorConfig, SimClock, run_collection
 from skylog.geo import tangent_forward, tangent_inverse
-from skylog.records import GeoPosition, validate_serving
+from skylog.records import GeoPosition, validate_cells
 from skylog.simenv import (
     BaseStation,
     ConfigError,
@@ -28,6 +28,7 @@ from skylog.simenv import (
     SimE2eEngine,
     SimModemBackend,
     Waypoint,
+    environment_from_doc,
     flight_position,
     fspl_1m_db,
     load_environment,
@@ -35,6 +36,7 @@ from skylog.simenv import (
     los_state,
     path_loss_db,
     plan_duration_s,
+    plan_from_doc,
     radio_sample,
     radio_sample_raw,
     station_distance_m,
@@ -181,7 +183,7 @@ def test_radio_sample_emits_valid_serving():
     env = env_with(stations, seed=11)
     for i in range(50):
         report = radio_sample(env, uav_at(40.0 * i, 11.0 * i, 2.0 + (i % 12) * 10))
-        assert validate_serving(report.serving).ok
+        assert validate_cells(report.serving, ()).ok
         assert len(report.neighbors) == 2
         for nbr in report.neighbors:
             assert (nbr.earfcn, nbr.pci) != (report.serving.earfcn, report.serving.pci)
@@ -352,6 +354,7 @@ def test_load_environment_defaults(tmp_path):
     env = load_environment(path)
     assert (env.n_los, env.n_nlos, env.shadow_sigma_db) == (2.2, 3.5, 6.0)
     assert (env.n_prb, env.noise_dbm, env.freq_hz, env.seed) == (50, -104.5, 2.1e9, 0)
+    assert environment_from_doc(doc) == RadioEnvironment(stations=env.stations)
 
 
 def test_load_environment_bad_json_has_position(tmp_path):
@@ -438,7 +441,9 @@ def test_load_flight_plan_hover_defaults_but_null_refused(tmp_path):
     del doc["waypoints"][0]["hover_s"]
     path = tmp_path / "p.plan"
     path.write_text(json.dumps(doc))
-    assert load_flight_plan(path).waypoints[0].hover_s == 0.0
+    wp = load_flight_plan(path).waypoints[0]
+    assert wp.hover_s == 0.0
+    assert plan_from_doc(doc).waypoints[0] == Waypoint(wp.pos, doc["waypoints"][0]["speed_mps"])
     doc["waypoints"][0]["hover_s"] = None
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=r"key 'waypoints\[0\]\.hover_s' has wrong type"):
@@ -450,6 +455,56 @@ def test_load_flight_plan_empty_rejected(tmp_path):
     path.write_text(json.dumps({"waypoints": []}))
     with pytest.raises(ConfigError, match="at least one"):
         load_flight_plan(path)
+
+
+def _wp(i, **values):
+    return lambda d: d["waypoints"][i].update(values)
+
+
+def _site(i, **values):
+    return lambda d: d["stations"][i]["site_pos"].update(values)
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("plan", _wp(1, speed_mps=math.nan), "waypoint 1: speed_mps must be > 0"),
+    ("plan", _wp(1, speed_mps=math.inf), "waypoint 1: speed_mps must be > 0"),
+    ("plan", _wp(2, hover_s=math.nan), "waypoint 2: hover_s must be >= 0"),
+    ("plan", _wp(2, hover_s=math.inf), "waypoint 2: hover_s must be >= 0"),
+    ("plan", lambda d: d["waypoints"][0]["pos"].update(alt_m_agl=math.nan),
+     "waypoint 0: alt_m_agl is not finite"),
+    ("plan", lambda d: d["waypoints"][0]["pos"].update(alt_m_agl=-1.0),
+     "waypoint 0: alt_m_agl out of [0,200]"),
+    ("plan", lambda d: d["waypoints"][1]["pos"].update(lat_deg=95.0),
+     "waypoint 1: lat_deg out of [-90,90]"),
+    ("env", _site(0, alt_m_agl=math.nan), "station pci=101: antenna height must be > 0 m AGL"),
+    ("env", _site(1, lat_deg=95.0), "station pci=205: site_pos.lat_deg out of [-90,90]"),
+    ("env", _site(1, alt_m_amsl=math.inf), "station pci=205: site_pos.alt_m_amsl is not finite"),
+    ("env", lambda d: d.update(shadow_sigma_db=math.nan), "shadow_sigma_db must be finite and >= 0"),
+    ("env", lambda d: d.update(shadow_sigma_db=-1.0), "shadow_sigma_db must be finite and >= 0"),
+    ("env", lambda d: d.update(noise_dbm=math.nan), "noise_dbm must be finite"),
+    ("env", lambda d: d.update(freq_hz=math.nan), "freq_hz must be finite and > 0"),
+    ("env", lambda d: d.update(freq_hz=-1.0), "freq_hz must be finite and > 0"),
+    ("env", lambda d: d.update(n_los=0.0), "n_los must be finite and > 0"),
+    ("env", lambda d: d.update(n_nlos=math.inf), "n_nlos must be finite and > 0"),
+    ("env", lambda d: d.update(n_prb=0), "n_prb must be >= 1"),
+])
+def test_config_values_out_of_bounds_refused(tmp_path, kind, edit, message):
+    make_doc, load = {"env": (env_doc, load_environment), "plan": (plan_doc, load_flight_plan)}[kind]
+    doc = make_doc()
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity as the tokens json.load accepts
+    with pytest.raises(ConfigError) as exc_info:
+        load(path)
+    assert str(exc_info.value) == f"{path}: {message}"
+
+
+def test_site_mast_may_stand_above_the_uav_ceiling(tmp_path):
+    doc = env_doc()
+    doc["stations"][0]["site_pos"].update(alt_m_amsl=550.0, alt_m_agl=250.0)
+    path = tmp_path / "e.env"
+    path.write_text(json.dumps(doc))
+    assert load_environment(path).stations[0].site_pos.alt_m_agl == 250.0
 
 
 # --- simulated backend ---
