@@ -1,20 +1,23 @@
 """Statistical reductions over measurement traces.
 
 Everything in this module is a deterministic pure function of its inputs:
-no clocks, no RNG, no I/O.  Means and variances are accumulated with
-math.fsum, which is exactly rounded and therefore independent of input
-order; grouped results can be compared bit-for-bit against a straight
-reimplementation.
+no clocks, no RNG, no I/O.  One pass (Survey) keeps a {value: count} tally
+per group and metric; values are stored to 0.1 dB, so a tally is bounded by
+the surveyed area, not by flight time.  Means and variances are accumulated
+with math.fsum, which is exactly rounded and therefore independent of input
+order: a tally expanded value by value gives the floats of the sample list,
+and grouped results can be compared bit-for-bit against a reimplementation.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geo import tangent_forward, tangent_inverse
 from .records import METRIC_FIELDS, NEIGHBOR_FIELDS, EndToEndRecord, MeasurementRecord
@@ -67,9 +70,12 @@ class TooFewSamples(ValueError):
     pass
 
 
-# Metric short name -> value getter, derived from the records metric table.
-_SERVING = {m: attrgetter("serving." + f) for m, f in METRIC_FIELDS.items()}
-_NEIGHBOR = {m: attrgetter(f) for m, f in METRIC_FIELDS.items() if f in NEIGHBOR_FIELDS}
+# Metric short names in METRIC_FIELDS order, and a getter of their values.
+_SERVING = tuple(METRIC_FIELDS)
+_NEIGHBOR = tuple(m for m, f in METRIC_FIELDS.items() if f in NEIGHBOR_FIELDS)
+_serving_values = attrgetter(*(METRIC_FIELDS[m] for m in _SERVING))
+_neighbor_values = attrgetter(*(METRIC_FIELDS[m] for m in _NEIGHBOR))
+_RSRQ = _SERVING.index("rsrq")
 
 
 @dataclass(frozen=True)
@@ -87,39 +93,48 @@ class BinStats:
                 "min": self.min, "max": self.max}
 
 
-def _bin_stats(values: Sequence[float]) -> BinStats:
-    n = len(values)
-    mean = math.fsum(values) / n
+def _bin_stats(tally: dict[float, int]) -> BinStats:
+    """Stats of the samples a tally counts, equal to those of the sample list."""
+    n = sum(tally.values())
+    mean = math.fsum(chain.from_iterable(repeat(v, c) for v, c in tally.items())) / n
     std = None
     if n >= 2:
-        std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
-    return BinStats(n, mean, std, min(values), max(values))
+        squares = chain.from_iterable(repeat((v - mean) ** 2, c) for v, c in tally.items())
+        std = math.sqrt(math.fsum(squares) / (n - 1))
+    return BinStats(n, mean, std, min(tally), max(tally))
 
 
-def _group_stats(items: Iterable, key: Callable, getters: dict[str, Callable]) -> dict:
-    """Group items by key(item); per group, BinStats of each getter's values.
-    Groups come out in key order, metrics in getter order."""
-    groups: dict = defaultdict(list)
-    for item in items:
-        groups[key(item)].append(item)
-    return {k: {m: _bin_stats([get(item) for item in members])
-                for m, get in getters.items()}
-            for k, members in sorted(groups.items())}
+def _count(groups: dict, key, values: tuple) -> None:
+    """Add one sample of each metric to the tallies of group key."""
+    tallies = groups.get(key)
+    if tallies is None:
+        groups[key] = [{v: 1} for v in values]
+    else:
+        for tally, v in zip(tallies, values):
+            tally[v] = tally.get(v, 0) + 1
 
 
-def ecdf(samples: Sequence[float]) -> list[tuple[float, float]]:
+def _table(groups: dict, names: tuple) -> dict:
+    """{key: {metric: BinStats}} of each group's tallies, in key order."""
+    return {k: dict(zip(names, map(_bin_stats, tallies)))
+            for k, tallies in sorted(groups.items())}
+
+
+def _ecdf(tally: dict[float, int]) -> list[tuple[float, float]]:
+    n = sum(tally.values())
+    if not n:
+        raise EmptyInput("ecdf of zero samples")
+    points, at_or_below = [], 0
+    for v in sorted(tally):
+        at_or_below += tally[v]
+        points.append((v, at_or_below / n))
+    return points
+
+
+def ecdf(samples: Iterable[float]) -> list[tuple[float, float]]:
     """F(x) = fraction of samples <= x, tabulated at each unique value: the
     values strictly increase and the final fraction is 1."""
-    if not samples:
-        raise EmptyInput("ecdf of zero samples")
-    n = len(samples)
-    ordered = sorted(samples)
-    points = []
-    for i, v in enumerate(ordered):
-        if i + 1 < n and ordered[i + 1] == v:
-            continue  # merge duplicates: keep the last slot so F counts all of them
-        points.append((v, (i + 1) / n))
-    return points
+    return _ecdf(Counter(samples))
 
 
 def histogram_pdf(samples: Sequence[float],
@@ -145,53 +160,36 @@ def histogram_pdf(samples: Sequence[float],
             for i in range(math.floor(lo), math.floor(hi) + 1)]
 
 
-def altitude_bins(records: Sequence[MeasurementRecord],
+def _nonempty(survey: Survey, message: str = "no records") -> Survey:
+    if not survey.n:
+        raise EmptyInput(message)
+    return survey
+
+
+def altitude_bins(records: Iterable[MeasurementRecord],
                   bin_m: float = 10.0) -> dict[float, dict[str, BinStats]]:
-    """Per-altitude-band stats of every serving metric, keyed by the band's
-    lower bound; bands are bin_m meters tall.
-
-    Heights are above ground; when any record lacks that field the whole
-    trace falls back to sea-level altitude (with a warning) rather than
-    mixing the two frames.
-    """
-    _check_bin_sizes("bin width", bin_m)
-    if not records:
-        raise EmptyInput("no records to bin")
-    alt = attrgetter("pos.alt_m_agl")
-    if any(r.pos.alt_m_agl is None for r in records):
-        warnings.warn("alt_m_agl missing on some records; binning by alt_m_amsl",
-                      stacklevel=2)
-        alt = attrgetter("pos.alt_m_amsl")
-    return _group_stats(records, lambda r: math.floor(alt(r) / bin_m) * bin_m, _SERVING)
+    """Survey.altitude_bins of records, in bands bin_m meters tall."""
+    return _nonempty(Survey(records, bin_m), "no records to bin").altitude_bins()
 
 
-def cell_dominance(records: Sequence[MeasurementRecord]) -> dict[int, float]:
+def cell_dominance(records: Iterable[MeasurementRecord]) -> dict[int, float]:
     """Share of serving-cell samples per cell_id; shares sum to one."""
-    if not records:
-        raise EmptyInput("no records")
-    counts = Counter(r.serving.cell_id for r in records)
-    n = len(records)
-    return {cid: c / n for cid, c in sorted(counts.items())}
+    return _nonempty(Survey(records)).dominance()
 
 
 def per_cell_stats(
-        records: Sequence[MeasurementRecord]) -> dict[int, dict[str, BinStats]]:
+        records: Iterable[MeasurementRecord]) -> dict[int, dict[str, BinStats]]:
     """Stats of every serving metric per serving cell_id."""
-    if not records:
-        raise EmptyInput("no records")
-    return _group_stats(records, attrgetter("serving.cell_id"), _SERVING)
+    return _table(_nonempty(Survey(records)).cells, _SERVING)
 
 
 def neighbor_stats(
-        records: Sequence[MeasurementRecord]) -> dict[int, dict[str, BinStats]]:
+        records: Iterable[MeasurementRecord]) -> dict[int, dict[str, BinStats]]:
     """Stats per neighbor pci, pooled over every neighbor entry in the trace."""
-    if not records:
-        raise EmptyInput("no records")
-    pools = _group_stats((nb for r in records for nb in r.neighbors),
-                         attrgetter("pci"), _NEIGHBOR)
-    if not pools:
+    pcis = _nonempty(Survey(records)).pcis
+    if not pcis:
         raise EmptyInput("trace contains no neighbor entries")
-    return pools
+    return _table(pcis, _NEIGHBOR)
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
@@ -256,22 +254,12 @@ class VoxelGrid:
         return sum(stats["rsrp"].count for stats in self.cells.values())
 
 
-def grid_aggregate(records: Sequence[MeasurementRecord],
+def grid_aggregate(records: Iterable[MeasurementRecord],
                    ground_m: float = 25.0,
                    alt_m: float = 10.0) -> VoxelGrid:
-    _check_bin_sizes("voxel sizes", ground_m, alt_m)
-    if not records:
-        raise EmptyInput("no records")
-    anchor = records[0].pos
-
-    def voxel_of(r: MeasurementRecord) -> tuple[int, int, int]:
-        x, y = tangent_forward(anchor.lat_deg, anchor.lon_deg,
-                               r.pos.lat_deg, r.pos.lon_deg)
-        return (math.floor(x / ground_m), math.floor(y / ground_m),
-                math.floor(r.pos.alt_m_amsl / alt_m))
-
-    cells = _group_stats(records, voxel_of, _SERVING)
-    return VoxelGrid(ground_m, alt_m, anchor.lat_deg, anchor.lon_deg, cells)
+    survey = _nonempty(Survey(records, grid=(ground_m, alt_m)))
+    return VoxelGrid(ground_m, alt_m, survey.anchor.lat_deg, survey.anchor.lon_deg,
+                     _table(survey.voxels, _SERVING))
 
 
 @dataclass(frozen=True)
@@ -318,8 +306,107 @@ class CoverageReport:
         }
 
 
-def coverage_report(ran_records: Sequence[MeasurementRecord],
-                    e2e_records: Sequence[EndToEndRecord],
+class Survey:
+    """One pass over RAN records, keeping one tally per metric for each
+    serving cell_id, altitude band (above ground, None from the first record
+    without that height; and above sea level), neighbor pci and, given
+    grid=(ground_m, alt_m), voxel, indexed as in VoxelGrid from anchor, the
+    first record's position."""
+
+    def __init__(self, records: Iterable[MeasurementRecord], alt_bin_m: float = 10.0,
+                 grid: Optional[tuple[float, float]] = None) -> None:
+        _check_bin_sizes("bin width", alt_bin_m)
+        if grid is not None:
+            _check_bin_sizes("voxel sizes", *grid)
+        self.grid = grid
+        cells, agl, amsl, pcis, voxels = groupings = ({}, {}, {}, {}, {})
+        self.cells, self.agl, self.amsl, self.pcis, self.voxels = groupings
+        floor, n = math.floor, 0
+        for n, r in enumerate(records, start=1):
+            pos, values = r.pos, _serving_values(r.serving)
+            _count(cells, r.serving.cell_id, values)
+            if agl is not None and pos.alt_m_agl is None:
+                agl = self.agl = None
+            if agl is not None:
+                _count(agl, floor(pos.alt_m_agl / alt_bin_m) * alt_bin_m, values)
+            _count(amsl, floor(pos.alt_m_amsl / alt_bin_m) * alt_bin_m, values)
+            for nb in r.neighbors:
+                _count(pcis, nb.pci, _neighbor_values(nb))
+            if grid is not None:
+                if n == 1:
+                    self.anchor = anchor = pos
+                x, y = tangent_forward(anchor.lat_deg, anchor.lon_deg, pos.lat_deg, pos.lon_deg)
+                _count(voxels, (floor(x / grid[0]), floor(y / grid[0]),
+                                floor(pos.alt_m_amsl / grid[1])), values)
+        self.n = n
+
+    def altitude_bins(self) -> dict[float, dict[str, BinStats]]:
+        """Per-altitude-band stats of every serving metric, keyed by the band's
+        lower bound.  Heights are above ground; when any record lacks that
+        field the whole trace falls back to sea-level altitude (with a
+        warning) rather than mixing the two frames."""
+        if self.agl is not None:
+            return _table(self.agl, _SERVING)
+        warnings.warn("alt_m_agl missing on some records; binning by alt_m_amsl", stacklevel=2)
+        return _table(self.amsl, _SERVING)
+
+    def dominance(self) -> dict[int, float]:
+        return {cid: sum(tallies[_RSRQ].values()) / self.n
+                for cid, tallies in sorted(self.cells.items())}
+
+    def rsrq(self) -> Counter:
+        """The serving RSRQ tally of the whole survey."""
+        return sum((Counter(tallies[_RSRQ]) for tallies in self.cells.values()), Counter())
+
+    def ecdf_rsrq(self) -> list[tuple[float, float]]:
+        return _ecdf(self.rsrq())
+
+    def report(self, e2e_records: Iterable[EndToEndRecord], *,
+               rsrq_poor_db: float = DEFAULT_RSRQ_POOR_DB,
+               tp_min_mbps: float = DEFAULT_TP_MIN_MBPS,
+               rtt_max_ms: float = DEFAULT_RTT_MAX_MS) -> CoverageReport:
+        """coverage_report of this survey, by voxel when it has a grid."""
+        for name, value in [("rsrq_poor_db", rsrq_poor_db), ("tp_min_mbps", tp_min_mbps),
+                            ("rtt_max_ms", rtt_max_ms)]:
+            if not math.isfinite(value):  # NaN would compare false against every sample
+                raise NonfiniteThreshold(f"threshold {name} must be finite, got {value!r}")
+        e2e = list(e2e_records)
+        if not self.n and not e2e:
+            raise EmptyInput("nothing to report: both traces are empty")
+
+        frac_rsrq_poor = None
+        dominance: dict[int, float] = {}
+        low: tuple[int, ...] = ()
+        if self.n:
+            if self.grid is not None:
+                means = [_bin_stats(tallies[_RSRQ]).mean for tallies in self.voxels.values()]
+                frac_rsrq_poor = sum(1 for m in means if m < rsrq_poor_db) / len(means)
+            else:
+                frac_rsrq_poor = (sum(c for v, c in self.rsrq().items() if v < rsrq_poor_db)
+                                  / self.n)
+            dominance = self.dominance()
+            low = tuple(cid for cid, share in dominance.items()
+                        if share < LOW_CONTRIBUTION_SHARE)
+
+        frac_dl = frac_ul = frac_rtt = None
+        if e2e:
+            n = len(e2e)
+            frac_dl = sum(1 for r in e2e if r.dl_mbps >= tp_min_mbps) / n
+            frac_ul = sum(1 for r in e2e if r.ul_mbps >= tp_min_mbps) / n
+            frac_rtt = sum(1 for r in e2e
+                           if r.rtt.p50_ms is not None and r.rtt.p50_ms <= rtt_max_ms) / n
+
+        return CoverageReport(
+            n_ran_samples=self.n, n_e2e_samples=len(e2e),
+            rsrq_poor_db=rsrq_poor_db, tp_min_mbps=tp_min_mbps,
+            rtt_max_ms=rtt_max_ms, by_voxel=self.grid is not None,
+            frac_rsrq_poor=frac_rsrq_poor, frac_dl_ge=frac_dl, frac_ul_ge=frac_ul,
+            frac_rtt_le=frac_rtt, dominance=dominance, low_contribution_cells=low,
+            per_cell=_table(self.cells, _SERVING), neighbors=_table(self.pcis, _NEIGHBOR))
+
+
+def coverage_report(ran_records: Iterable[MeasurementRecord],
+                    e2e_records: Iterable[EndToEndRecord],
                     *,
                     rsrq_poor_db: float = DEFAULT_RSRQ_POOR_DB,
                     tp_min_mbps: float = DEFAULT_TP_MIN_MBPS,
@@ -336,49 +423,5 @@ def coverage_report(ran_records: Sequence[MeasurementRecord],
     the RSRQ fraction is computed over per-voxel means instead of raw
     samples, so hovering in one spot no longer over-weights that spot.
     """
-    for name, value in [("rsrq_poor_db", rsrq_poor_db), ("tp_min_mbps", tp_min_mbps),
-                        ("rtt_max_ms", rtt_max_ms)]:
-        if not math.isfinite(value):  # NaN would compare false against every sample
-            raise NonfiniteThreshold(f"threshold {name} must be finite, got {value!r}")
-    ran = list(ran_records)
-    e2e = list(e2e_records)
-    if not ran and not e2e:
-        raise EmptyInput("nothing to report: both traces are empty")
-
-    frac_rsrq_poor = None
-    dominance: dict[int, float] = {}
-    low: tuple[int, ...] = ()
-    per_cell: dict[int, dict[str, BinStats]] = {}
-    neighbors: dict[int, dict[str, BinStats]] = {}
-    if ran:
-        if by_voxel:
-            grid = grid_aggregate(ran, grid_ground_m, grid_alt_m)
-            means = [stats["rsrq"].mean for stats in grid.cells.values()]
-            frac_rsrq_poor = sum(1 for m in means if m < rsrq_poor_db) / len(means)
-        else:
-            frac_rsrq_poor = (sum(1 for r in ran if r.serving.rsrq_db < rsrq_poor_db)
-                              / len(ran))
-        dominance = cell_dominance(ran)
-        low = tuple(cid for cid, share in dominance.items()
-                    if share < LOW_CONTRIBUTION_SHARE)
-        per_cell = per_cell_stats(ran)
-        try:
-            neighbors = neighbor_stats(ran)
-        except EmptyInput:
-            neighbors = {}
-
-    frac_dl = frac_ul = frac_rtt = None
-    if e2e:
-        n = len(e2e)
-        frac_dl = sum(1 for r in e2e if r.dl_mbps >= tp_min_mbps) / n
-        frac_ul = sum(1 for r in e2e if r.ul_mbps >= tp_min_mbps) / n
-        frac_rtt = sum(1 for r in e2e
-                       if r.rtt.p50_ms is not None and r.rtt.p50_ms <= rtt_max_ms) / n
-
-    return CoverageReport(
-        n_ran_samples=len(ran), n_e2e_samples=len(e2e),
-        rsrq_poor_db=rsrq_poor_db, tp_min_mbps=tp_min_mbps,
-        rtt_max_ms=rtt_max_ms, by_voxel=by_voxel,
-        frac_rsrq_poor=frac_rsrq_poor, frac_dl_ge=frac_dl, frac_ul_ge=frac_ul,
-        frac_rtt_le=frac_rtt, dominance=dominance, low_contribution_cells=low,
-        per_cell=per_cell, neighbors=neighbors)
+    return Survey(ran_records, grid=(grid_ground_m, grid_alt_m) if by_voxel else None).report(
+        e2e_records, rsrq_poor_db=rsrq_poor_db, tp_min_mbps=tp_min_mbps, rtt_max_ms=rtt_max_ms)

@@ -18,6 +18,7 @@ import sys
 import threading
 import time
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -36,8 +37,8 @@ from .records import (
     EndToEndRecord,
     GeoPosition,
     encode_e2e,
+    iter_trace,
     read_e2e_trace,
-    read_trace,
 )
 from .simenv import SimE2eEngine, SimModemBackend, flight_position, load_environment, load_flight_plan
 
@@ -296,20 +297,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    ran = [rec for p in args.ran for rec in read_trace(p)]
+    survey = analysis.Survey(chain.from_iterable(map(iter_trace, args.ran)), args.alt_bin,
+                             args.grid if args.by_voxel else None)
     e2e = [rec for p in args.e2e for rec in read_e2e_trace(p)]
-    ground_m, alt_m = args.grid
-    report = analysis.coverage_report(
-        ran, e2e, rsrq_poor_db=args.rsrq_poor, tp_min_mbps=args.tp_min,
-        rtt_max_ms=args.rtt_max, by_voxel=args.by_voxel,
-        grid_ground_m=ground_m, grid_alt_m=alt_m)
+    report = survey.report(e2e, rsrq_poor_db=args.rsrq_poor, tp_min_mbps=args.tp_min,
+                           rtt_max_ms=args.rtt_max)
 
     doc: dict = {"coverage": report.to_doc()}
     tables = []  # (suffix, header, rows)
-    if ran:
-        doc["ecdf_rsrq_db"] = analysis.ecdf([r.serving.rsrq_db for r in ran])
+    if survey.n:
+        doc["ecdf_rsrq_db"] = survey.ecdf_rsrq()
         tables.append(("ecdf-rsrq", ["rsrq_db", "cum_frac"], doc["ecdf_rsrq_db"]))
-        bins = analysis.altitude_bins(ran, args.alt_bin)
+        bins = survey.altitude_bins()
         for metric in ("rsrp", "sinr"):
             doc[f"alt_bins_{metric}"] = [{**s[metric].to_doc(), "lower": lower}
                                          for lower, s in bins.items()]
@@ -337,7 +336,7 @@ def cmd_analyze(args) -> int:
 def cmd_export(args) -> int:
     if args.format == "csv" and args.metric:
         raise UsageError("--metric applies to geojson export only")
-    source = read_trace(args.ran)
+    source = iter_trace(args.ran)
     if args.grid is not None:
         source = analysis.grid_aggregate(source, args.grid[0], args.grid[1])
     if args.format == "geojson":

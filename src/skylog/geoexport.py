@@ -7,15 +7,20 @@ and written one at a time, byte-identical to ``json.dumps(doc, indent=2)``
 of the whole document plus a newline.  Every CSV skylog writes, the analyze
 tables included, goes through write_csv: float cells use repr-style
 formatting, so re-parsing them reproduces the stored values bit-for-bit, and
-None becomes an empty cell.  Input errors are raised before the output path
-is touched; an I/O error mid-write can leave a partial file.
+None becomes an empty cell.  An empty source or unknown metric is refused
+before the output path is touched.  Records are rendered as they are read,
+into a temporary sibling that replaces the path only once complete, so a
+failed export (a bad trace line, a full disk) leaves the path as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
@@ -24,7 +29,7 @@ from .analysis import EmptyInput, UnknownMetric, VoxelGrid
 from .records import MAX_NEIGHBORS, METRIC_FIELDS, NEIGHBOR_FIELDS, SERVING_FIELDS
 from .records import MeasurementRecord
 
-Source = Union[Sequence[MeasurementRecord], VoxelGrid]
+Source = Union[Iterable[MeasurementRecord], VoxelGrid]
 
 _NO_NEIGHBOR = [None] * len(NEIGHBOR_FIELDS)
 
@@ -58,19 +63,33 @@ def _metric_names(metric: Optional[str]) -> list[str]:
     return [metric]
 
 
-def _check_nonempty(source: Source) -> None:
+def _nonempty(source: Source) -> Source:
+    """source, with records read one ahead to show there is at least one."""
     if isinstance(source, VoxelGrid):
         if not source.cells:
             raise EmptyInput("voxel grid is empty")
-    elif not source:
-        raise EmptyInput("no records to export")
+        return source
+    records = iter(source)
+    for first in records:
+        return chain((first,), records)
+    raise EmptyInput("no records to export")
 
 
-def _create(path) -> TextIO:
-    """Open path for writing as Path.write_text does, making its directory."""
+@contextlib.contextmanager
+def _create(path) -> Iterator[TextIO]:
+    """Write path's content to a temporary file, then make path's directory
+    and move the file over path; on any error the file is removed.  The file
+    sits beside path, or in its nearest existing ancestor, so a failed
+    export makes no directory."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path.open("w", encoding="utf-8")
+    tmp = next(d for d in path.parents if d.is_dir()) / f".{path.name}.tmp"
+    try:
+        with tmp.open("w", encoding="utf-8") as out:
+            yield out
+        path.parent.mkdir(parents=True, exist_ok=True)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _json_value(value) -> str:
@@ -89,7 +108,7 @@ def export_geojson(source: Source, path, metric: Optional[str] = None) -> int:
     """Write records (one point each) or a voxel grid (one point per voxel
     centroid) to path as a GeoJSON FeatureCollection; returns the count."""
     names = _metric_names(metric)
-    _check_nonempty(source)
+    source = _nonempty(source)
     if isinstance(source, VoxelGrid):
         header = _voxel_header(names)
         features = (_voxel_feature(dict(zip(header, row)))
@@ -146,24 +165,26 @@ def _cell(value) -> str:
     return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """The one CSV writer: LF line ends, repr floats, empty cells for None."""
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
+    """The one CSV writer: LF line ends, repr floats, empty cells for None;
+    returns the row count."""
+    count = 0
     with _create(path) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        for count, row in enumerate(rows, start=1):
+            writer.writerow([_cell(v) for v in row])
+    return count
 
 
 def export_csv(source: Source, path) -> int:
     """Flat CSV rendering, one row per record or per voxel, written to path;
     returns the row count."""
-    _check_nonempty(source)
+    source = _nonempty(source)
     if isinstance(source, VoxelGrid):
         names = _metric_names(None)
-        write_csv(path, _voxel_header(names), _voxel_rows(source, names))
-        return len(source.cells)
-    write_csv(path, RECORD_CSV_HEADER, map(_record_row, source))
-    return len(source)
+        return write_csv(path, _voxel_header(names), _voxel_rows(source, names))
+    return write_csv(path, RECORD_CSV_HEADER, map(_record_row, source))
 
 
 def _record_row(r: MeasurementRecord) -> list:

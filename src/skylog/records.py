@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
-from typing import Optional
+from typing import Iterator, Optional
 
 SOURCES = ("sim", "replay", "hw")
 
@@ -506,7 +506,7 @@ def _clean_record(doc) -> Optional[MeasurementRecord]:
 
 
 def _ingest_record(text: str, line_no: int) -> MeasurementRecord:
-    """read_trace's step per line: the one-pass check, and for a line it
+    """iter_trace's step per line: the one-pass check, and for a line it
     refuses, the reference path, whose error names the line and field."""
     try:
         rec = _clean_record(json.loads(text))
@@ -521,10 +521,9 @@ def _ingest_e2e(text: str, line_no: int) -> EndToEndRecord:
     return _checked(decode_e2e(text, line_no), validate_e2e, line_no)
 
 
-def _read_lines(path, ingest) -> list:
+def _read_lines(path, ingest) -> Iterator:
     """The one trace-reading loop: ingest(text, line_no) each non-empty line
     and enforce strictly increasing timestamps, naming the line on failure."""
-    records = []
     last_ts: Optional[int] = None
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -538,17 +537,22 @@ def _read_lines(path, ingest) -> list:
                     line=line_no,
                 )
             last_ts = rec.ts_unix_ms
-            records.append(rec)
-    return records
+            yield rec
 
 
-def read_trace(path) -> list[MeasurementRecord]:
-    """Ingest a RAN trace file, enforcing validity and timestamp monotonicity."""
+def iter_trace(path) -> Iterator[MeasurementRecord]:
+    """Yield a RAN trace file's records as they are read, enforcing validity
+    and timestamp monotonicity; a bad line raises when the stream reaches it."""
     return _read_lines(path, _ingest_record)
 
 
+def read_trace(path) -> list[MeasurementRecord]:
+    """Ingest a whole RAN trace file; see iter_trace."""
+    return list(iter_trace(path))
+
+
 def read_e2e_trace(path) -> list[EndToEndRecord]:
-    return _read_lines(path, _ingest_e2e)
+    return list(_read_lines(path, _ingest_e2e))
 
 
 __all__ = [
@@ -556,7 +560,7 @@ __all__ = [
     "RttSummary", "EndToEndRecord", "ValidationResult", "TraceDecodeError",
     "validate_record", "validate_cells", "validate_e2e", "validate_position",
     "encode_record", "decode_record", "encode_e2e", "decode_e2e",
-    "read_trace", "read_e2e_trace", "quantize_db", "get_field", "position_from_doc",
+    "iter_trace", "read_trace", "read_e2e_trace", "quantize_db", "get_field", "position_from_doc",
     "DB_FIELD_RANGES", "METRIC_FIELDS", "SERVING_FIELDS", "NEIGHBOR_FIELDS",
     "SOURCES",
     "MAX_NEIGHBORS", "PCI_MAX", "CELL_ID_MAX", "TAC_MAX", "AGL_CEILING_M", "LAT_MAX_DEG", "LON_MAX_DEG",

@@ -33,6 +33,8 @@ from .records import (
     NeighborCellSample,
     RttSummary,
     ServingCellSample,
+    _check_fields,
+    _checks,
     get_field,
     position_from_doc,
     validate_position,
@@ -120,6 +122,9 @@ class FlightPlan:
 
 
 def _check_station(st: BaseStation) -> None:
+    result = _check_fields(st, _checks(("earfcn", "pci", "cell_id", "tac")))
+    if not result:
+        raise ConfigError(f"station pci={st.pci}: {result.message}")
     if not (30.0 <= st.eirp_dbm <= 65.0):
         raise ConfigError(f"station pci={st.pci}: eirp_dbm {st.eirp_dbm} outside [30,65]")
     agl = st.site_pos.alt_m_agl

@@ -43,6 +43,29 @@ def pos_at(x_east: float, y_north: float, alt_amsl: float = 650.0,
     return GeoPosition(lat_deg=lat, lon_deg=lon, alt_m_amsl=alt_amsl, alt_m_agl=agl)
 
 
+# --- tallies ---
+
+# Stored values are quantized to 0.1 dB; drawing from a small pool gives repeats.
+quantized_samples = st.lists(st.floats(-140.0, 40.0).map(lambda v: round(v, 1)),
+                             min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(quantized_samples, st.randoms(use_true_random=False))
+def test_bin_stats_of_a_tally_equal_the_list_formula(samples, rng):
+    rng.shuffle(samples)
+    tally: dict = {}
+    for v in samples:  # in stream order, as a survey pass counts them
+        tally[v] = tally.get(v, 0) + 1
+    n = len(samples)
+    mean = math.fsum(samples) / n
+    std = math.sqrt(math.fsum((v - mean) ** 2 for v in samples) / (n - 1)) if n > 1 else None
+    got = analysis._bin_stats(tally)
+    # repr tells every float apart, -0.0 from 0.0 included
+    assert repr(got) == repr(analysis.BinStats(n, mean, std, min(samples), max(samples)))
+
+
 # --- ecdf ---
 
 def test_ecdf_basic():

@@ -1,18 +1,24 @@
 """End-to-end command-line behavior: exit codes, output contracts, pipelines."""
 
 import json
+import math
 import signal
 import socket
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from importlib import resources
 
 import pytest
 
 from skylog.cli import main
-from skylog.records import read_e2e_trace, read_trace
+from skylog.geo import tangent_inverse
+from skylog.records import GeoPosition, encode_record, read_e2e_trace, read_trace
+from skylog.simenv import ConfigError, load_environment
+
+from conftest import make_neighbor, make_record, make_serving
 
 
 def fixture(name: str) -> str:
@@ -157,6 +163,22 @@ def test_simulate_nan_environment_exits_before_any_tick(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_simulate_bad_station_identity_exits_before_any_tick(capsys, tmp_path):
+    env = json.loads(resources.files("skylog").joinpath("data/threecell.env").read_text())
+    env["stations"][0]["pci"] = 600
+    env_path = tmp_path / "pci600.env"
+    env_path.write_text(json.dumps(env))
+    with pytest.raises(ConfigError, match=r"station pci=600: pci out of \[0,503\]"):
+        load_environment(env_path)
+    out = tmp_path / "out"
+    rc, stdout, err = run_cli(capsys, "simulate", "--env", str(env_path), "--plan", PLAN,
+                              "--duration", "30", "--out", str(out))
+    assert rc == 2
+    assert "station pci=600: pci out of [0,503]" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_analyze_missing_trace_is_runtime_error(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "analyze", "--ran", str(tmp_path / "no.trace"),
                          "--report", str(tmp_path / "report.json"))
@@ -214,6 +236,102 @@ def test_export_empty_trace_writes_nothing(capsys, tmp_path):
         assert rc == 2
         assert "no records" in err
         assert not (tmp_path / "new").exists()
+
+
+@pytest.fixture(scope="module")
+def whole_flight(tmp_path_factory):
+    """RAN trace of the whole 2060 s shipped plan."""
+    out = tmp_path_factory.mktemp("whole_flight")
+    assert main(["simulate", "--env", ENV, "--plan", PLAN, "--duration", "2060",
+                 "--e2e-interval", "0", "--out", str(out)]) == 0
+    return next(out.glob("*.trace"))
+
+
+@pytest.mark.parametrize("extra", [["--format", "geojson"], ["--format", "csv"],
+                                   ["--format", "csv", "--grid", "25,10"]])
+def test_refused_export_leaves_the_target_as_it_was(capsys, tmp_path, whole_flight, extra):
+    lines = whole_flight.read_text().splitlines(keepends=True)
+    assert len(lines) == 2060
+    lines[999] = lines[999][:40] + "\n"  # line 1000 cut off mid-object
+    bad = tmp_path / "bad.trace"
+    bad.write_text("".join(lines))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "points"
+    target.write_bytes(b"previous export\n")
+    rc, stdout, err = run_cli(capsys, "export", "--ran", str(bad), *extra, "--out", str(target))
+    assert rc == 2
+    assert "line 1000" in err
+    assert stdout == ""
+    assert target.read_bytes() == b"previous export\n"
+    rc, _, err = run_cli(capsys, "export", "--ran", str(bad), *extra,
+                         "--out", str(out_dir / "new" / "points"))
+    assert rc == 2
+    assert "line 1000" in err
+    assert list(out_dir.iterdir()) == [target]  # no temporary file or new directory left
+
+
+def write_orbit_trace(path, n: int) -> None:
+    """n records of a survey that keeps circling one 100 m loop at four
+    heights under three cells: the record count grows with n, while the
+    surveyed area and the set of stored values do not."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(n):
+            k = i % 240
+            lat, lon = tangent_inverse(40.0, -100.0, 100.0 * math.cos(k * math.pi / 30),
+                                       100.0 * math.sin(k * math.pi / 30))
+            agl = 40.0 + 20.0 * (k // 60)
+            level = round(-90.0 + 0.5 * (k % 60) - 0.1 * (i % 7), 1)
+            serving = make_serving(cell_id=1 + k % 3, rsrp_dbm=level,
+                                   rsrq_db=round(-10.0 - 0.1 * (i % 11), 1),
+                                   rssi_dbm=round(level + 25.0, 1),
+                                   sinr_db=round(level + 100.0, 1))
+            rec = make_record(ts_unix_ms=1_700_000_000_000 + 1000 * i,
+                              pos=GeoPosition(lat, lon, 600.0 + agl, agl), serving=serving,
+                              neighbors=(make_neighbor(pci=200 + k % 4,
+                                                       rsrp_dbm=round(level - 6.0, 1)),))
+            fh.write(encode_record(rec) + "\n")
+
+
+@pytest.fixture(scope="module")
+def orbit_trace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("orbit") / "orbit.trace"
+    write_orbit_trace(path, 20_000)
+    return path
+
+
+def traced_peak(argv) -> tuple[int, int]:
+    """main(argv)'s exit code and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return rc, peak
+
+
+def test_analyze_memory_does_not_grow_with_records(capsys, tmp_path, orbit_trace):
+    # Measured at 0.9 MiB for these 20k records; reading them into a list
+    # first peaked at 15.7 MiB.
+    report = tmp_path / "r.json"
+    rc, peak = traced_peak(["analyze", "--by-voxel", "--ran", str(orbit_trace),
+                            "--report", str(report)])
+    assert rc == 0
+    assert json.loads(report.read_text())["coverage"]["n_ran_samples"] == 20_000
+    assert peak < 3 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["geojson", "csv"])
+def test_export_from_file_memory_does_not_grow_with_records(capsys, tmp_path, orbit_trace,
+                                                            fmt):
+    # Measured at 0.1 (geojson) and 0.2 MiB (csv); reading the records into
+    # a list first peaked at 15 MiB.
+    rc, peak = traced_peak(["export", "--ran", str(orbit_trace), "--format", fmt,
+                            "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert last_json_line(capsys.readouterr().out)["count"] == 20_000
+    assert peak < 2 * 2**20
 
 
 # --- simulate ---

@@ -31,6 +31,7 @@ from skylog.records import (
     decode_record,
     encode_e2e,
     encode_record,
+    iter_trace,
     read_e2e_trace,
     read_trace,
     validate_e2e,
@@ -177,6 +178,18 @@ def test_read_trace_rejects_nonmonotonic_ts(tmp_path, record):
     with pytest.raises(TraceDecodeError, match="strictly increasing") as exc_info:
         read_trace(path)
     assert exc_info.value.line == 2
+
+
+def test_iter_trace_yields_records_before_a_bad_line(tmp_path):
+    good = [make_record(ts_unix_ms=1_700_000_000_000 + i * 1000) for i in range(2)]
+    bad = make_record(ts_unix_ms=1_700_000_002_000, serving=make_serving(rsrp_dbm=-30.0))
+    path = tmp_path / "t.trace"
+    path.write_text("".join(encode_record(r) + "\n" for r in [*good, bad, *good]))
+    stream = iter_trace(path)
+    assert [next(stream), next(stream)] == good
+    with pytest.raises(TraceDecodeError, match="rsrp_dbm") as exc_info:
+        next(stream)
+    assert exc_info.value.line == 3
 
 
 def test_read_trace_rejects_out_of_range(tmp_path):

@@ -465,6 +465,10 @@ def _site(i, **values):
     return lambda d: d["stations"][i]["site_pos"].update(values)
 
 
+def _station(i, **values):
+    return lambda d: d["stations"][i].update(values)
+
+
 @pytest.mark.parametrize("kind, edit, message", [
     ("plan", _wp(1, speed_mps=math.nan), "waypoint 1: speed_mps must be > 0"),
     ("plan", _wp(1, speed_mps=math.inf), "waypoint 1: speed_mps must be > 0"),
@@ -479,6 +483,10 @@ def _site(i, **values):
     ("env", _site(0, alt_m_agl=math.nan), "station pci=101: antenna height must be > 0 m AGL"),
     ("env", _site(1, lat_deg=95.0), "station pci=205: site_pos.lat_deg out of [-90,90]"),
     ("env", _site(1, alt_m_amsl=math.inf), "station pci=205: site_pos.alt_m_amsl is not finite"),
+    ("env", _station(1, pci=600), "station pci=600: pci out of [0,503]"),
+    ("env", _station(0, earfcn=-1), "station pci=101: earfcn negative"),
+    ("env", _station(0, cell_id=2**28), "station pci=101: cell_id out of [0,268435455]"),
+    ("env", _station(1, tac=65536), "station pci=205: tac out of [0,65535]"),
     ("env", lambda d: d.update(shadow_sigma_db=math.nan), "shadow_sigma_db must be finite and >= 0"),
     ("env", lambda d: d.update(shadow_sigma_db=-1.0), "shadow_sigma_db must be finite and >= 0"),
     ("env", lambda d: d.update(noise_dbm=math.nan), "noise_dbm must be finite"),
