@@ -25,6 +25,7 @@ from .records import METRIC_FIELDS, NEIGHBOR_FIELDS, EndToEndRecord, Measurement
 DEFAULT_RSRQ_POOR_DB = -19.0
 DEFAULT_TP_MIN_MBPS = 5.0
 DEFAULT_RTT_MAX_MS = 150.0
+DEFAULT_GRID_M = (25.0, 10.0)  # voxel (ground, altitude) sizes
 # Serving cells with fewer than this share of samples are called out in the
 # coverage report: their per-cell stats describe too little of the survey to
 # read as coverage quality on their own.
@@ -255,8 +256,8 @@ class VoxelGrid:
 
 
 def grid_aggregate(records: Iterable[MeasurementRecord],
-                   ground_m: float = 25.0,
-                   alt_m: float = 10.0) -> VoxelGrid:
+                   ground_m: float = DEFAULT_GRID_M[0],
+                   alt_m: float = DEFAULT_GRID_M[1]) -> VoxelGrid:
     survey = _nonempty(Survey(records, grid=(ground_m, alt_m)))
     return VoxelGrid(ground_m, alt_m, survey.anchor.lat_deg, survey.anchor.lon_deg,
                      _table(survey.voxels, _SERVING))
@@ -412,8 +413,8 @@ def coverage_report(ran_records: Iterable[MeasurementRecord],
                     tp_min_mbps: float = DEFAULT_TP_MIN_MBPS,
                     rtt_max_ms: float = DEFAULT_RTT_MAX_MS,
                     by_voxel: bool = False,
-                    grid_ground_m: float = 25.0,
-                    grid_alt_m: float = 10.0) -> CoverageReport:
+                    grid_ground_m: float = DEFAULT_GRID_M[0],
+                    grid_alt_m: float = DEFAULT_GRID_M[1]) -> CoverageReport:
     """Coverage summary of a survey against quality thresholds.
 
     frac_rsrq_poor counts samples strictly below the threshold; throughput

@@ -29,7 +29,7 @@ from .collector import (
     SystemClock,
     run_collection,
 )
-from .geoexport import export_csv, export_geojson, write_csv
+from .geoexport import _create, export_csv, export_geojson, write_csv
 from .modem import ReplayBackend
 from .netprobe import MeasurementServer, ProbeConfig, ProbeE2eEngine
 from .records import (
@@ -39,6 +39,7 @@ from .records import (
     encode_e2e,
     iter_trace,
     read_e2e_trace,
+    validate_position,
 )
 from .simenv import SimE2eEngine, SimModemBackend, flight_position, load_environment, load_flight_plan
 
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="altitude bin height, m (default: 10)")
     p.add_argument("--rtt-bin", type=float, default=10.0,
                    help="RTT histogram bin width, ms (default: 10)")
-    p.add_argument("--grid", type=_grid_spec, default=(25.0, 10.0),
+    p.add_argument("--grid", type=_grid_spec, default=None,
                    metavar="GROUND,ALT", help="voxel sizes in m (default: 25,10)")
     p.add_argument("--by-voxel", action="store_true",
                    help="weight the RSRQ fraction by occupied voxel instead of "
@@ -275,6 +276,9 @@ def cmd_probe(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     pos = GeoPosition(args.lat, args.lon, args.alt)
+    result = validate_position(pos)
+    if not result:
+        raise UsageError(f"tag position: {result.message}")
     rtt, dl, ul, duration = ProbeE2eEngine(cfg).measure(pos, salt=0)
     rec = EndToEndRecord(ts_unix_ms=time.time_ns() // 1_000_000, pos=pos,
                          rtt=rtt, dl_mbps=dl, ul_mbps=ul, duration_s=duration)
@@ -297,8 +301,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.grid is not None and not args.by_voxel:
+        raise UsageError("--grid needs --by-voxel")
     survey = analysis.Survey(chain.from_iterable(map(iter_trace, args.ran)), args.alt_bin,
-                             args.grid if args.by_voxel else None)
+                             (args.grid or analysis.DEFAULT_GRID_M) if args.by_voxel else None)
     e2e = [rec for p in args.e2e for rec in read_e2e_trace(p)]
     report = survey.report(e2e, rsrq_poor_db=args.rsrq_poor, tp_min_mbps=args.tp_min,
                            rtt_max_ms=args.rtt_max)
@@ -321,12 +327,13 @@ def cmd_analyze(args) -> int:
         doc["pdf_rtt_ms"] = analysis.histogram_pdf(rtt_medians, args.rtt_bin)
         tables.append(("pdf-rtt", ["bin_start_ms", "density"], doc["pdf_rtt_ms"]))
 
-    # Every reduction has run, so a refused input leaves no directory behind.
+    # Every reduction has run, so a refused input leaves no directory behind;
+    # each file replaces its path only once complete, the report last.
     report_path = Path(args.report)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     for suffix, header, rows in tables:
         write_csv(report_path.with_name(f"{report_path.stem}-{suffix}.csv"), header, rows)
+    with _create(report_path) as out:
+        out.write(json.dumps(doc, indent=2) + "\n")
     print(json.dumps({"report": str(report_path),
                       "csv_tables": len(tables),
                       "fractions": doc["coverage"]["fractions"]}))

@@ -147,25 +147,23 @@ def _violation(field_name: str, value: object, message: str) -> ValidationResult
     return ValidationResult(field=field_name, value=value, message=message)
 
 
-def _check_finite(field_name: str, value: float) -> Optional[ValidationResult]:
-    if not math.isfinite(value):
-        return _violation(field_name, value, f"{field_name} is not finite")
-    return None
-
+_FINITE = (-sys.float_info.max, sys.float_info.max)
 
 # Inclusive (lo, hi) of every bounded record field.  An int bound is an
 # identity or channel number; a float bound is finite, so the one chained
-# lo <= v <= hi also refuses NaN and +-inf.
+# lo <= v <= hi also refuses NaN and +-inf, and _FINITE refuses only those.
 _BOUNDS = {
     "lat_deg": (-LAT_MAX_DEG, LAT_MAX_DEG),
     "lon_deg": (-LON_MAX_DEG, LON_MAX_DEG),
-    "alt_m_amsl": (-sys.float_info.max, sys.float_info.max),
+    "alt_m_amsl": _FINITE,
     "alt_m_agl": (0.0, AGL_CEILING_M),
     **DB_FIELD_RANGES,
     "earfcn": (0, math.inf),
     "pci": (0, PCI_MAX),
     "cell_id": (0, CELL_ID_MAX),
     "tac": (0, TAC_MAX),
+    **dict.fromkeys(("min_ms", "mean_ms", "p50_ms", "max_ms", "loss_fraction",
+                     "dl_mbps", "ul_mbps", "duration_s"), _FINITE),
 }
 
 
@@ -176,6 +174,8 @@ def _checks(layout) -> tuple:
 _POSITION_CHECKS = _checks(("lat_deg", "lon_deg", "alt_m_amsl", "alt_m_agl"))
 _SERVING_CHECKS = _checks(SERVING_FIELDS)
 _NEIGHBOR_CHECKS = _checks(NEIGHBOR_FIELDS)
+_RTT_CHECKS = _checks(("min_ms", "mean_ms", "p50_ms", "max_ms", "loss_fraction"))
+_SERVICE_CHECKS = _checks(("dl_mbps", "ul_mbps", "duration_s"))
 
 
 def _check_fields(obj, checks, prefix: str = "") -> ValidationResult:
@@ -244,24 +244,22 @@ def validate_e2e(rec: EndToEndRecord) -> ValidationResult:
     else:
         if any(s is None for s in stats):
             return _violation("rtt", stats, "rtt statistics missing with replies present")
-        for name, value in zip(("rtt.min_ms", "rtt.mean_ms", "rtt.p50_ms", "rtt.max_ms"), stats):
-            bad = _check_finite(name, value)
-            if bad is not None:
-                return bad
+        result = _check_fields(rtt, _RTT_CHECKS[:-1], "rtt.")
+        if not result:
+            return result
         if not (rtt.min_ms <= rtt.p50_ms <= rtt.max_ms):
             return _violation("rtt.p50_ms", rtt.p50_ms, "rtt p50 outside [min, max]")
         if not (rtt.min_ms <= rtt.mean_ms <= rtt.max_ms):
             return _violation("rtt.mean_ms", rtt.mean_ms, "rtt mean outside [min, max]")
-    bad = _check_finite("rtt.loss_fraction", rtt.loss_fraction)
-    if bad is not None:
-        return bad
+    result = _check_fields(rtt, _RTT_CHECKS[-1:], "rtt.")
+    if not result:
+        return result
     expected_loss = (rtt.sent - rtt.received) / rtt.sent
     if abs(rtt.loss_fraction - expected_loss) > 1e-9:
         return _violation("rtt.loss_fraction", rtt.loss_fraction, "loss_fraction inconsistent with sent/received")
-    for name in ("dl_mbps", "ul_mbps", "duration_s"):
-        bad = _check_finite(name, getattr(rec, name))
-        if bad is not None:
-            return bad
+    result = _check_fields(rec, _SERVICE_CHECKS)
+    if not result:
+        return result
     if rec.dl_mbps < 0 or rec.ul_mbps < 0:
         return _violation("dl_mbps" if rec.dl_mbps < 0 else "ul_mbps",
                           min(rec.dl_mbps, rec.ul_mbps), "throughput negative")
@@ -300,22 +298,16 @@ def encode_record(rec: MeasurementRecord) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+_RTT_FIELDS = tuple(f.name for f in fields(RttSummary))
+
+
 def encode_e2e(rec: EndToEndRecord) -> str:
-    rtt = rec.rtt
     doc = {
         "ts_unix_ms": rec.ts_unix_ms,
         "lat_deg": rec.pos.lat_deg,
         "lon_deg": rec.pos.lon_deg,
         "alt_m_amsl": rec.pos.alt_m_amsl,
-        "rtt": {
-            "sent": rtt.sent,
-            "received": rtt.received,
-            "min_ms": rtt.min_ms,
-            "mean_ms": rtt.mean_ms,
-            "p50_ms": rtt.p50_ms,
-            "max_ms": rtt.max_ms,
-            "loss_fraction": rtt.loss_fraction,
-        },
+        "rtt": {name: getattr(rec.rtt, name) for name in _RTT_FIELDS},
         "dl_mbps": rec.dl_mbps,
         "ul_mbps": rec.ul_mbps,
         "duration_s": rec.duration_s,
@@ -338,13 +330,15 @@ _NUMBER = (int, float)
 
 
 def get_field(doc: dict, key: str, kind: type, fail, where: str = "", default=_REQUIRED):
-    """The one schema walker, for trace lines and config files alike.
+    """One field of a trace line or config file, type-checked.
 
     kind is int, float (any number, returned as float), str, list or dict;
     bools never count as numbers.  An absent key returns default, or fails
     when there is none; default=None also accepts an explicit null.
     fail(dotted_name, missing) builds the exception, so each format keeps
-    its own error type and wording.
+    its own error type and wording.  Called directly only for what
+    scalar_fields leaves out: nested objects and lists, source, the optional
+    alt_m_agl, and RttSummary's fields.
     """
     value = doc.get(key, _REQUIRED)
     if type(value) is kind:  # the common case; everything else takes the checks below
@@ -360,12 +354,24 @@ def get_field(doc: dict, key: str, kind: type, fail, where: str = "", default=_R
     return kind(value) if kind is float or kind is int else value
 
 
+_SCALAR_KINDS = {"float": float, "int": int}  # annotations are strings here
+
+
+def scalar_fields(cls, doc: dict, fail, where: str = "") -> dict:
+    """Every float and int field of the dataclass cls, read from doc by name,
+    with the field's own default (a field without one is required).  It reads
+    the trace cells, positions and e2e scalars, and the config files' scalars.
+    _clean_record stays literal: a table walk there cost a third more per
+    record.  RttSummary's decode stays explicit: loss_fraction's default
+    would make a required trace field optional."""
+    return {f.name: get_field(doc, f.name, _SCALAR_KINDS[f.type], fail, where, f.default)
+            for f in fields(cls) if f.type in _SCALAR_KINDS}
+
+
 def position_from_doc(doc: dict, fail, where: str = "", with_agl: bool = True) -> GeoPosition:
     """Parse lat/lon/alt fields; alt_m_agl may be absent or null."""
     return GeoPosition(
-        lat_deg=get_field(doc, "lat_deg", float, fail, where),
-        lon_deg=get_field(doc, "lon_deg", float, fail, where),
-        alt_m_amsl=get_field(doc, "alt_m_amsl", float, fail, where),
+        **scalar_fields(GeoPosition, doc, fail, where),
         alt_m_agl=get_field(doc, "alt_m_agl", float, fail, where, None) if with_agl else None,
     )
 
@@ -374,19 +380,6 @@ def _field_error(line_no: Optional[int], name: str, missing: bool) -> TraceDecod
     if missing:
         return TraceDecodeError(f"missing field '{name}'", line=line_no)
     return TraceDecodeError(f"field '{name}' has wrong type", line=line_no)
-
-
-def _schema(layout) -> tuple:
-    """(field, kind) in dataclass field order, so a decoded row feeds the constructor."""
-    return tuple((name, float if name in DB_FIELD_RANGES else int) for name in layout)
-
-
-_SERVING_SCHEMA = _schema(SERVING_FIELDS)
-_NEIGHBOR_SCHEMA = _schema(NEIGHBOR_FIELDS)
-
-
-def _decode_fields(doc: dict, schema, fail, where: str) -> list:
-    return [get_field(doc, key, kind, fail, where) for key, kind in schema]
 
 
 def decode_record(text: str, line_no: Optional[int] = None) -> MeasurementRecord:
@@ -404,11 +397,11 @@ def decode_record(text: str, line_no: Optional[int] = None) -> MeasurementRecord
         if not isinstance(item, dict):
             raise fail(f"neighbors[{i}]", False)
         neighbors.append(NeighborCellSample(
-            *_decode_fields(item, _NEIGHBOR_SCHEMA, fail, f"neighbors[{i}].")))
+            **scalar_fields(NeighborCellSample, item, fail, f"neighbors[{i}].")))
     return MeasurementRecord(
-        ts_unix_ms=get_field(doc, "ts_unix_ms", int, fail),
+        **scalar_fields(MeasurementRecord, doc, fail),
         pos=pos,
-        serving=ServingCellSample(*_decode_fields(serving_doc, _SERVING_SCHEMA, fail, "serving.")),
+        serving=ServingCellSample(**scalar_fields(ServingCellSample, serving_doc, fail, "serving.")),
         neighbors=tuple(neighbors),
         source=source,
     )
@@ -427,15 +420,8 @@ def decode_e2e(text: str, line_no: Optional[int] = None) -> EndToEndRecord:
         max_ms=get_field(rtt_doc, "max_ms", float, fail, "rtt.", None),
         loss_fraction=get_field(rtt_doc, "loss_fraction", float, fail, "rtt."),
     )
-    pos = position_from_doc(doc, fail, with_agl=False)
-    return EndToEndRecord(
-        ts_unix_ms=get_field(doc, "ts_unix_ms", int, fail),
-        pos=pos,
-        rtt=rtt,
-        dl_mbps=get_field(doc, "dl_mbps", float, fail),
-        ul_mbps=get_field(doc, "ul_mbps", float, fail),
-        duration_s=get_field(doc, "duration_s", float, fail),
-    )
+    return EndToEndRecord(pos=position_from_doc(doc, fail, with_agl=False), rtt=rtt,
+                          **scalar_fields(EndToEndRecord, doc, fail))
 
 
 def _checked(rec, validate, line_no: int):
@@ -560,7 +546,8 @@ __all__ = [
     "RttSummary", "EndToEndRecord", "ValidationResult", "TraceDecodeError",
     "validate_record", "validate_cells", "validate_e2e", "validate_position",
     "encode_record", "decode_record", "encode_e2e", "decode_e2e",
-    "iter_trace", "read_trace", "read_e2e_trace", "quantize_db", "get_field", "position_from_doc",
+    "iter_trace", "read_trace", "read_e2e_trace", "quantize_db", "get_field", "scalar_fields",
+    "position_from_doc",
     "DB_FIELD_RANGES", "METRIC_FIELDS", "SERVING_FIELDS", "NEIGHBOR_FIELDS",
     "SOURCES",
     "MAX_NEIGHBORS", "PCI_MAX", "CELL_ID_MAX", "TAC_MAX", "AGL_CEILING_M", "LAT_MAX_DEG", "LON_MAX_DEG",

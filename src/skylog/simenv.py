@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from typing import Optional
 
@@ -37,6 +37,7 @@ from .records import (
     _checks,
     get_field,
     position_from_doc,
+    scalar_fields,
     validate_position,
 )
 
@@ -444,17 +445,6 @@ def _key_error(path, name: str, missing: bool) -> ConfigError:
     return ConfigError(f"key '{name}' has wrong type", path=path)
 
 
-# Field annotations are strings here (from __future__ import annotations).
-_SCALAR_KINDS = {"float": float, "int": int}
-
-
-def _scalar_fields(cls, doc: dict, fail, where: str = "") -> dict:
-    """Every float and int field of the dataclass cls, read from doc by name,
-    with the field's own default (a field without one is required)."""
-    return {f.name: get_field(doc, f.name, _SCALAR_KINDS[f.type], fail, where, f.default)
-            for f in fields(cls) if f.type in _SCALAR_KINDS}
-
-
 def environment_from_doc(doc: dict, path=None) -> RadioEnvironment:
     fail = partial(_key_error, path)
     stations_doc = get_field(doc, "stations", list, fail)
@@ -465,8 +455,8 @@ def environment_from_doc(doc: dict, path=None) -> RadioEnvironment:
             raise fail(f"stations[{i}]", False)
         site_doc = get_field(st_doc, "site_pos", dict, fail, where)
         stations.append(BaseStation(site_pos=position_from_doc(site_doc, fail, where + "site_pos."),
-                                    **_scalar_fields(BaseStation, st_doc, fail, where)))
-    env = RadioEnvironment(stations=tuple(stations), **_scalar_fields(RadioEnvironment, doc, fail))
+                                    **scalar_fields(BaseStation, st_doc, fail, where)))
+    env = RadioEnvironment(stations=tuple(stations), **scalar_fields(RadioEnvironment, doc, fail))
     try:
         _check_environment(env)
     except ConfigError as exc:
@@ -484,7 +474,7 @@ def plan_from_doc(doc: dict, path=None) -> FlightPlan:
             raise fail(f"waypoints[{i}]", False)
         pos_doc = get_field(wp_doc, "pos", dict, fail, where)
         waypoints.append(Waypoint(pos=position_from_doc(pos_doc, fail, where + "pos."),
-                                  **_scalar_fields(Waypoint, wp_doc, fail, where)))
+                                  **scalar_fields(Waypoint, wp_doc, fail, where)))
     waypoints = tuple(waypoints)
     try:
         # Before the plan exists: a zero speed would fail its leg table.

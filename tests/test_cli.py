@@ -2,6 +2,7 @@
 
 import json
 import math
+import resource
 import signal
 import socket
 import subprocess
@@ -125,6 +126,23 @@ def test_probe_nonfinite_duration_rejected(capsys, monkeypatch, value):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--lat", "95", "lat_deg out of [-90,90]"),
+    ("--lon", "-181", "lon_deg out of [-180,180]"),
+    ("--lat", "nan", "lat_deg is not finite"),
+    ("--alt", "inf", "alt_m_amsl is not finite"),
+])
+def test_probe_refuses_a_position_its_reader_refuses(capsys, monkeypatch, flag, value, message):
+    def no_socket(*_args, **_kwargs):
+        pytest.fail("probe opened a socket")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    rc, out, err = run_cli(capsys, "probe", "--server", "127.0.0.1", flag, value)
+    assert rc == 1
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("port", ["-1", "65536"])
 @pytest.mark.parametrize("argv", [["serve", "--bind", "127.0.0.1", "--tp-port", "0", "--rtt-port"],
                                   ["serve", "--bind", "127.0.0.1", "--rtt-port", "0", "--tp-port"],
@@ -225,6 +243,45 @@ def test_analyze_refuses_bad_value_before_writing(capsys, tmp_path, short_flight
     assert rc == 2
     assert message in err
     assert not (tmp_path / "new").exists()
+
+
+def test_analyze_grid_without_by_voxel_rejected(capsys, tmp_path, short_flight):
+    trace, _ = short_flight
+    rc, _, err = run_cli(capsys, "analyze", "--ran", str(trace), "--grid", "5,5",
+                         "--report", str(tmp_path / "new" / "r.json"))
+    assert rc == 1
+    assert "--by-voxel" in err
+    assert not (tmp_path / "new").exists()
+
+
+def test_analyze_by_voxel_defaults_to_the_25_10_grid(capsys, tmp_path, short_flight):
+    trace, _ = short_flight
+    for name, extra in (("default", []), ("explicit", ["--grid", "25,10"])):
+        rc, _, _ = run_cli(capsys, "analyze", "--by-voxel", "--ran", str(trace), *extra,
+                           "--report", str(tmp_path / name / "r.json"))
+        assert rc == 0
+    for path in sorted((tmp_path / "default").iterdir()):
+        assert path.read_bytes() == (tmp_path / "explicit" / path.name).read_bytes()
+
+
+def _limit_file_size():
+    # A full disk: writes past 4096 bytes fail with EFBIG instead of a signal.
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+
+def test_failed_analyze_leaves_the_previous_report(tmp_path, short_flight):
+    trace, e2e = short_flight
+    report = tmp_path / "report.json"
+    report.write_bytes(b"previous report\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "skylog.cli", "analyze", "--ran", str(trace), "--e2e", str(e2e),
+         "--report", str(report)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_file_size)
+    assert proc.returncode == 2
+    assert "File too large" in proc.stderr
+    assert report.read_bytes() == b"previous report\n"
+    assert not (tmp_path / ".report.json.tmp").exists()
 
 
 def test_export_empty_trace_writes_nothing(capsys, tmp_path):

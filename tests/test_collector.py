@@ -365,3 +365,57 @@ def test_replay_with_e2e_keeps_each_line_position(tmp_path):
     assert len(e2e) == summary_b.e2e_tests_run == 5
     for rec in e2e:  # e2e lines store no height above ground
         assert rec.pos == dataclasses.replace(pos_at[rec.ts_unix_ms], alt_m_agl=None)
+
+
+class FaultyE2eEngine(SimE2eEngine):
+    """The simulated engine, except on test number fault_at: it returns a NaN
+    download rate, or raises when raises is set."""
+
+    def __init__(self, env, fault_at, raises=False):
+        super().__init__(env)
+        self.fault_at = fault_at
+        self.raises = raises
+        self.calls = 0
+
+    def measure(self, pos, salt):
+        i = self.calls
+        self.calls += 1
+        rtt, dl, ul, duration = super().measure(pos, salt)
+        if i == self.fault_at:
+            if self.raises:
+                raise ConnectionResetError("server went away")
+            dl = math.nan
+        return rtt, dl, ul, duration
+
+
+@pytest.mark.parametrize("raises, logged", [(False, "dl_mbps is not finite"),
+                                            (True, "end-to-end test failed")])
+def test_a_failed_e2e_test_is_dropped_and_the_run_continues(tmp_path, caplog, raises, logged):
+    cfg, clock, modem, source, _ = sim_setup(tmp_path, duration=600.0, e2e_interval=60.0)
+    engine = FaultyE2eEngine(canonical_env(), fault_at=1, raises=raises)
+    summary = run_collection(cfg, clock, modem, source, engine)
+    assert engine.calls == 10
+    assert summary.e2e_tests_run == 9
+    assert summary.records_written == 600
+    e2e = read_e2e_trace(next(p for p in summary.files if p.endswith(".e2e")))
+    assert [r.ts_unix_ms - SIM_EPOCH_MS for r in e2e] == [60_000 * k for k in range(10) if k != 1]
+    assert logged in caplog.text
+
+
+def test_trace_writer_failure_keeps_written_lines_and_stops_threads(tmp_path, monkeypatch):
+    encode = collector.encode_record
+    calls = 0
+
+    def failing_encode(rec):
+        nonlocal calls
+        calls += 1
+        if calls == 50:
+            raise OSError(28, "No space left on device")
+        return encode(rec)
+
+    monkeypatch.setattr(collector, "encode_record", failing_encode)
+    cfg, clock, modem, source, engine = sim_setup(tmp_path, duration=600.0)
+    with pytest.raises(RuntimeError, match="trace writer failed"):
+        run_collection(cfg, clock, modem, source, engine)
+    assert len(read_trace(next(tmp_path.glob("*.trace")))) == 49
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("skylog-")]

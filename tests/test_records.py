@@ -374,6 +374,93 @@ def test_decode_record_agl_may_be_absent_or_null(record, agl):
     assert decode_record(json.dumps(doc)).pos.alt_m_agl is None
 
 
+# Every required field of each line kind, with the message computed from the
+# readers the dataclass-driven scalar_fields replaced.  A dataclass default
+# that made one of them optional would decode the line instead of raising.
+_RAN_REQUIRED = [
+    (("ts_unix_ms",), "line 3: missing field 'ts_unix_ms'"),
+    (("lat_deg",), "line 3: missing field 'lat_deg'"),
+    (("lon_deg",), "line 3: missing field 'lon_deg'"),
+    (("alt_m_amsl",), "line 3: missing field 'alt_m_amsl'"),
+    (("source",), "line 3: missing field 'source'"),
+    (("serving",), "line 3: missing field 'serving'"),
+    (("neighbors",), "line 3: missing field 'neighbors'"),
+    (("serving", "earfcn"), "line 3: missing field 'serving.earfcn'"),
+    (("serving", "pci"), "line 3: missing field 'serving.pci'"),
+    (("serving", "cell_id"), "line 3: missing field 'serving.cell_id'"),
+    (("serving", "tac"), "line 3: missing field 'serving.tac'"),
+    (("serving", "rsrp_dbm"), "line 3: missing field 'serving.rsrp_dbm'"),
+    (("serving", "rsrq_db"), "line 3: missing field 'serving.rsrq_db'"),
+    (("serving", "rssi_dbm"), "line 3: missing field 'serving.rssi_dbm'"),
+    (("serving", "sinr_db"), "line 3: missing field 'serving.sinr_db'"),
+    (("neighbors", 0, "earfcn"), "line 3: missing field 'neighbors[0].earfcn'"),
+    (("neighbors", 0, "pci"), "line 3: missing field 'neighbors[0].pci'"),
+    (("neighbors", 0, "rsrp_dbm"), "line 3: missing field 'neighbors[0].rsrp_dbm'"),
+    (("neighbors", 0, "rsrq_db"), "line 3: missing field 'neighbors[0].rsrq_db'"),
+    (("neighbors", 0, "rssi_dbm"), "line 3: missing field 'neighbors[0].rssi_dbm'"),
+]
+
+_E2E_REQUIRED = [
+    (("ts_unix_ms",), "line 3: missing field 'ts_unix_ms'"),
+    (("lat_deg",), "line 3: missing field 'lat_deg'"),
+    (("lon_deg",), "line 3: missing field 'lon_deg'"),
+    (("alt_m_amsl",), "line 3: missing field 'alt_m_amsl'"),
+    (("rtt",), "line 3: missing field 'rtt'"),
+    (("rtt", "sent"), "line 3: missing field 'rtt.sent'"),
+    (("rtt", "received"), "line 3: missing field 'rtt.received'"),
+    (("rtt", "loss_fraction"), "line 3: missing field 'rtt.loss_fraction'"),
+    (("dl_mbps",), "line 3: missing field 'dl_mbps'"),
+    (("ul_mbps",), "line 3: missing field 'ul_mbps'"),
+    (("duration_s",), "line 3: missing field 'duration_s'"),
+]
+
+
+def _without(text: str, path) -> str:
+    doc = json.loads(text)
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    del target[path[-1]]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("path, message", _RAN_REQUIRED)
+def test_decode_record_requires_each_field(record, path, message):
+    with pytest.raises(TraceDecodeError) as exc_info:
+        decode_record(_without(encode_record(record), path), line_no=3)
+    assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize("path, message", _E2E_REQUIRED)
+def test_decode_e2e_requires_each_field(e2e_record, path, message):
+    with pytest.raises(TraceDecodeError) as exc_info:
+        decode_e2e(_without(encode_e2e(e2e_record), path), line_no=3)
+    assert str(exc_info.value) == message
+
+
+_E2E_FINITE_CHECKS = {
+    "min_ms": ("rtt.min_ms", "rtt.min_ms is not finite"),
+    "mean_ms": ("rtt.mean_ms", "rtt.mean_ms is not finite"),
+    "p50_ms": ("rtt.p50_ms", "rtt.p50_ms is not finite"),
+    "max_ms": ("rtt.max_ms", "rtt.max_ms is not finite"),
+    "loss_fraction": ("rtt.loss_fraction", "rtt.loss_fraction is not finite"),
+    "dl_mbps": ("dl_mbps", "dl_mbps is not finite"),
+    "ul_mbps": ("ul_mbps", "ul_mbps is not finite"),
+    "duration_s": ("duration_s", "duration_s is not finite"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", list(_E2E_FINITE_CHECKS))
+def test_validate_e2e_finite_check_messages_are_pinned(e2e_record, name, value):
+    if name in ("dl_mbps", "ul_mbps", "duration_s"):
+        rec = dataclasses.replace(e2e_record, **{name: value})
+    else:
+        rec = dataclasses.replace(e2e_record, rtt=dataclasses.replace(e2e_record.rtt, **{name: value}))
+    result = validate_e2e(rec)
+    assert (result.field, result.message) == _E2E_FINITE_CHECKS[name]
+
+
 def test_decode_e2e_optional_and_required_fields(e2e_record):
     doc = json.loads(encode_e2e(e2e_record))
     del doc["rtt"]["min_ms"]
