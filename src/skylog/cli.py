@@ -328,11 +328,13 @@ def cmd_analyze(args) -> int:
         tables.append(("pdf-rtt", ["bin_start_ms", "density"], doc["pdf_rtt_ms"]))
 
     # Every reduction has run, so a refused input leaves no directory behind;
-    # each file replaces its path only once complete, the report last.
+    # no file replaces its path until all of them are written.
     report_path = Path(args.report)
-    for suffix, header, rows in tables:
-        write_csv(report_path.with_name(f"{report_path.stem}-{suffix}.csv"), header, rows)
-    with _create(report_path) as out:
+    table_paths = [report_path.with_name(f"{report_path.stem}-{suffix}.csv")
+                   for suffix, _, _ in tables]
+    with _create(*table_paths, report_path) as [*table_outs, out]:
+        for table_out, (_, header, rows) in zip(table_outs, tables):
+            write_csv(table_out, header, rows)
         out.write(json.dumps(doc, indent=2) + "\n")
     print(json.dumps({"report": str(report_path),
                       "csv_tables": len(tables),

@@ -4,13 +4,22 @@ GeoJSON coordinates follow the standard's (lon, lat, alt) order with
 altitude above mean sea level; altitude is duplicated into the properties
 table for consumers that drop the third coordinate.  Features are rendered
 and written one at a time, byte-identical to ``json.dumps(doc, indent=2)``
-of the whole document plus a newline.  Every CSV skylog writes, the analyze
-tables included, goes through write_csv: float cells use repr-style
-formatting, so re-parsing them reproduces the stored values bit-for-bit, and
-None becomes an empty cell.  An empty source or unknown metric is refused
-before the output path is touched.  Records are rendered as they are read,
-into a temporary sibling that replaces the path only once complete, so a
-failed export (a bad trace line, a full disk) leaves the path as it was.
+of the whole document plus a newline.  A record feature has a fast path:
+export_geojson builds one %-template per property layout, once per call,
+and a record for which records.plain_values holds (ts_unix_ms, cell_id and
+pci exact ints, the source one of SOURCES, coordinates, altitudes and
+metrics exact floats with a finite sum) is rendered straight into it.  Any
+other record, a null alt_m_agl included, goes through the reference path,
+_record_feature and _feature_text, which write each value as json.dumps does.
+
+Every CSV skylog writes, the analyze tables included, goes through
+write_csv: float cells use repr-style formatting, so re-parsing them
+reproduces the stored values bit-for-bit, and None becomes an empty cell.
+An empty source or unknown metric is refused before the output path is
+touched.  Records are rendered as they are read, into a temporary sibling
+that replaces the path only once complete, so a failed export (a bad trace
+line, a full disk) leaves the path as it was; _create does the same for a
+set of files, none replaced unless all are written.
 """
 
 from __future__ import annotations
@@ -22,12 +31,13 @@ import math
 import os
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .analysis import EmptyInput, UnknownMetric, VoxelGrid
 from .records import MAX_NEIGHBORS, METRIC_FIELDS, NEIGHBOR_FIELDS, SERVING_FIELDS
-from .records import MeasurementRecord
+from .records import MeasurementRecord, plain_values
 
 Source = Union[Iterable[MeasurementRecord], VoxelGrid]
 
@@ -76,20 +86,23 @@ def _nonempty(source: Source) -> Source:
 
 
 @contextlib.contextmanager
-def _create(path) -> Iterator[TextIO]:
-    """Write path's content to a temporary file, then make path's directory
-    and move the file over path; on any error the file is removed.  The file
-    sits beside path, or in its nearest existing ancestor, so a failed
-    export makes no directory."""
-    path = Path(path)
-    tmp = next(d for d in path.parents if d.is_dir()) / f".{path.name}.tmp"
+def _create(*paths) -> Iterator[list[TextIO]]:
+    """Open one temporary file per path; once every one is written and
+    closed, make each path's directory and move its file over it.  On any
+    error every temporary file is removed and no path changes.  A file sits
+    beside its path, or in the nearest existing ancestor, so a failed write
+    makes no directory."""
+    paths = [Path(p) for p in paths]
+    tmps = [next(d for d in p.parents if d.is_dir()) / f".{p.name}.tmp" for p in paths]
     try:
-        with tmp.open("w", encoding="utf-8") as out:
-            yield out
-        path.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(tmp.open("w", encoding="utf-8")) for tmp in tmps]
+        for path, tmp in zip(paths, tmps):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 def _json_value(value) -> str:
@@ -114,10 +127,9 @@ def export_geojson(source: Source, path, metric: Optional[str] = None) -> int:
         features = (_voxel_feature(dict(zip(header, row)))
                     for row in _voxel_rows(source, names))
     else:
-        keys = [METRIC_FIELDS[m] for m in names]
-        features = (_record_feature(r, keys) for r in source)
+        features = _record_features(source, [METRIC_FIELDS[m] for m in names])
     count = 0
-    with _create(path) as out:
+    with _create(path) as [out]:
         out.write('{\n  "type": "FeatureCollection",\n  "features": [\n')
         for text in features:
             out.write(text if not count else ",\n" + text)
@@ -126,7 +138,27 @@ def export_geojson(source: Source, path, metric: Optional[str] = None) -> int:
     return count
 
 
+def _record_features(records: Iterable[MeasurementRecord], keys: list[str]) -> Iterator[str]:
+    """Each record's feature text.  A plain record (records.plain_values: the
+    three ints, the source, and every coordinate, altitude and metric an
+    exact finite float) fills one template made for this property layout;
+    any other, a null alt_m_agl included, goes through _record_feature."""
+    props = ['"ts_unix_ms": %d', '"source": "%s"', '"cell_id": %d', '"pci": %d',
+             '"alt_m_amsl": %r', '"alt_m_agl": %r', *(f'"{key}": %r' for key in keys)]
+    template = _FEATURE % ("%r", "%r", "%r", ",\n        ".join(props))
+    cell = attrgetter("cell_id", "pci", *keys)
+    for r in records:
+        pos = r.pos
+        lon, lat, amsl, agl = pos.lon_deg, pos.lat_deg, pos.alt_m_amsl, pos.alt_m_agl
+        cell_id, pci, *values = cell(r.serving)
+        if plain_values(r.source, (r.ts_unix_ms, cell_id, pci), (lon, lat, amsl, agl, *values)):
+            yield template % (lon, lat, amsl, r.ts_unix_ms, r.source, cell_id, pci, amsl, agl, *values)
+        else:
+            yield _record_feature(r, keys)
+
+
 def _record_feature(r: MeasurementRecord, keys: list[str]) -> str:
+    """One record's feature text, for any record: the reference path."""
     props: dict = {"ts_unix_ms": r.ts_unix_ms, "source": r.source,
                    "cell_id": r.serving.cell_id, "pci": r.serving.pci,
                    "alt_m_amsl": r.pos.alt_m_amsl}
@@ -165,15 +197,14 @@ def _cell(value) -> str:
     return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
-    """The one CSV writer: LF line ends, repr floats, empty cells for None;
-    returns the row count."""
+def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> int:
+    """The one CSV writer, to an open file: LF line ends, repr floats, empty
+    cells for None; returns the row count."""
     count = 0
-    with _create(path) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for count, row in enumerate(rows, start=1):
-            writer.writerow([_cell(v) for v in row])
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for count, row in enumerate(rows, start=1):
+        writer.writerow([_cell(v) for v in row])
     return count
 
 
@@ -183,8 +214,11 @@ def export_csv(source: Source, path) -> int:
     source = _nonempty(source)
     if isinstance(source, VoxelGrid):
         names = _metric_names(None)
-        return write_csv(path, _voxel_header(names), _voxel_rows(source, names))
-    return write_csv(path, RECORD_CSV_HEADER, map(_record_row, source))
+        header, rows = _voxel_header(names), _voxel_rows(source, names)
+    else:
+        header, rows = RECORD_CSV_HEADER, map(_record_row, source)
+    with _create(path) as [out]:
+        return write_csv(out, header, rows)
 
 
 def _record_row(r: MeasurementRecord) -> list:

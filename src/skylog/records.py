@@ -4,6 +4,21 @@ Every other module exchanges data through the types defined here.  Trace
 files are UTF-8, one JSON object per LF-terminated line.  dB/dBm fields are
 stored with one decimal digit of precision, matching commodity modem
 reporting granularity.
+
+Each per-line boundary has one exact fast path for the plain record and a
+reference path for everything else:
+
+- encode_record fills one %-template (_RECORD_LINE, _NEIGHBOR_LINE) when
+  plain_values holds: the source is one of SOURCES as an exact str, every
+  int field an exact int, and every float field an exact float with a
+  finite sum.  Any other record goes through _encode_record_reference,
+  json.dumps of the trace object.  Both give the same bytes.
+- _ingest_record scans a line with json's object scanner and builds the
+  record with _clean_record when the scan covers the whole line and every
+  field is exactly typed and within bounds.  Any other line (a BOM,
+  surrounding whitespace, trailing data, a refused field) goes through
+  decode_record and validate_record, whose errors name the line, column
+  and field.
 """
 
 from __future__ import annotations
@@ -283,8 +298,58 @@ def _cell_to_dict(cell, layout) -> dict:
             for name in layout}
 
 
+_FLOAT_ONLY, _INT_ONLY = {float}, {int}
+
+
+def plain_values(source, ints, floats) -> bool:
+    """True when source is one of SOURCES as an exact str, every value of ints
+    an exact int and every value of floats an exact, finite float: a record
+    the fixed-layout writers may render with %d, %r and a bare source.  Any
+    NaN or infinity makes the sum non-finite; a sum of finite values that
+    overflows only sends the record to the reference path."""
+    return (type(source) is str and source in SOURCES
+            and {*map(type, ints)} == _INT_ONLY and {*map(type, floats)} == _FLOAT_ONLY
+            and math.isfinite(sum(floats)))
+
+
+def _line_template(layout) -> str:
+    """A cell's compact trace object: %d for an int field, %r for a dB field."""
+    return "{" + ",".join(f'"{name}":%r' if name in DB_FIELD_RANGES else f'"{name}":%d'
+                          for name in layout) + "}"
+
+
+_NEIGHBOR_LINE = _line_template(NEIGHBOR_FIELDS)
+_RECORD_LINE = ('{"ts_unix_ms":%d,"lat_deg":%r,"lon_deg":%r,"alt_m_amsl":%r,"alt_m_agl":%r,'
+                '"serving":' + _line_template(SERVING_FIELDS) + ',"neighbors":[%s],"source":"%s"}')
+
+
 def encode_record(rec: MeasurementRecord) -> str:
-    """Encode one record as a single trace line (no trailing newline)."""
+    """Encode one record as a single trace line (no trailing newline): the
+    json.dumps bytes of its trace object, dB fields quantized.  A plain
+    record fills _RECORD_LINE; any other goes through the reference path.
+    The field reads stay literal, as in _clean_record, for speed."""
+    pos, s, nbrs = rec.pos, rec.serving, rec.neighbors
+    ints = [rec.ts_unix_ms, s.earfcn, s.pci, s.cell_id, s.tac]
+    floats = [pos.lat_deg, pos.lon_deg, pos.alt_m_amsl, pos.alt_m_agl,
+              s.rsrp_dbm, s.rsrq_db, s.rssi_dbm, s.sinr_db]
+    for n in nbrs:
+        ints += (n.earfcn, n.pci)
+        floats += (n.rsrp_dbm, n.rsrq_db, n.rssi_dbm)
+    if not plain_values(rec.source, ints, floats):
+        return _encode_record_reference(rec)
+    # round(x, 1) is quantize_db, inlined.
+    return _RECORD_LINE % (
+        rec.ts_unix_ms, pos.lat_deg, pos.lon_deg, pos.alt_m_amsl, pos.alt_m_agl,
+        s.earfcn, s.pci, s.cell_id, s.tac,
+        round(s.rsrp_dbm, 1), round(s.rsrq_db, 1), round(s.rssi_dbm, 1), round(s.sinr_db, 1),
+        ",".join([_NEIGHBOR_LINE % (n.earfcn, n.pci,
+                                    round(n.rsrp_dbm, 1), round(n.rsrq_db, 1), round(n.rssi_dbm, 1))
+                  for n in nbrs]),
+        rec.source)
+
+
+def _encode_record_reference(rec: MeasurementRecord) -> str:
+    """encode_record for any record: the trace object through json.dumps."""
     doc = {
         "ts_unix_ms": rec.ts_unix_ms,
         "lat_deg": rec.pos.lat_deg,
@@ -491,12 +556,19 @@ def _clean_record(doc) -> Optional[MeasurementRecord]:
                              tuple(neighbors), source)
 
 
+_scan_once = json.JSONDecoder().scan_once  # json.loads's object scanner, without its checks
+
+
 def _ingest_record(text: str, line_no: int) -> MeasurementRecord:
-    """iter_trace's step per line: the one-pass check, and for a line it
-    refuses, the reference path, whose error names the line and field."""
+    """iter_trace's step per line: the scanner and the one-pass check, and for
+    a line either refuses, the reference path, whose error names the line,
+    column and field.  The scanner starts at column 1 and must end at the
+    last character, so a BOM, surrounding whitespace or trailing data goes
+    to json.loads in the reference path."""
     try:
-        rec = _clean_record(json.loads(text))
-    except json.JSONDecodeError:
+        doc, end = _scan_once(text, 0)
+        rec = _clean_record(doc) if end == len(text) else None
+    except (StopIteration, json.JSONDecodeError):
         rec = None
     if rec is None:
         rec = _checked(decode_record(text, line_no), validate_record, line_no)
@@ -545,7 +617,7 @@ __all__ = [
     "GeoPosition", "ServingCellSample", "NeighborCellSample", "MeasurementRecord",
     "RttSummary", "EndToEndRecord", "ValidationResult", "TraceDecodeError",
     "validate_record", "validate_cells", "validate_e2e", "validate_position",
-    "encode_record", "decode_record", "encode_e2e", "decode_e2e",
+    "encode_record", "decode_record", "encode_e2e", "decode_e2e", "plain_values",
     "iter_trace", "read_trace", "read_e2e_trace", "quantize_db", "get_field", "scalar_fields",
     "position_from_doc",
     "DB_FIELD_RANGES", "METRIC_FIELDS", "SERVING_FIELDS", "NEIGHBOR_FIELDS",

@@ -274,6 +274,11 @@ def test_failed_analyze_leaves_the_previous_report(tmp_path, short_flight):
     trace, e2e = short_flight
     report = tmp_path / "report.json"
     report.write_bytes(b"previous report\n")
+    # The previous run's four tables: none may be replaced unless all are.
+    tables = [tmp_path / f"report-{suffix}.csv"
+              for suffix in ("ecdf-rsrq", "alt-rsrp", "alt-sinr", "pdf-rtt")]
+    for table in tables:
+        table.write_bytes(f"previous {table.name}\n".encode())
     proc = subprocess.run(
         [sys.executable, "-m", "skylog.cli", "analyze", "--ran", str(trace), "--e2e", str(e2e),
          "--report", str(report)],
@@ -281,7 +286,9 @@ def test_failed_analyze_leaves_the_previous_report(tmp_path, short_flight):
     assert proc.returncode == 2
     assert "File too large" in proc.stderr
     assert report.read_bytes() == b"previous report\n"
-    assert not (tmp_path / ".report.json.tmp").exists()
+    for table in tables:
+        assert table.read_bytes() == f"previous {table.name}\n".encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in [report, *tables])
 
 
 def test_export_empty_trace_writes_nothing(capsys, tmp_path):

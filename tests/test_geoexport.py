@@ -12,10 +12,17 @@ from hypothesis import strategies as st
 
 from skylog.analysis import EmptyInput, UnknownMetric, VoxelGrid, grid_aggregate
 from skylog.geo import EARTH_RADIUS_M, tangent_forward, tangent_inverse
-from skylog.geoexport import RECORD_CSV_HEADER, _feature_text, export_csv, export_geojson
+from skylog.geoexport import (
+    RECORD_CSV_HEADER,
+    _feature_text,
+    _record_features,
+    export_csv,
+    export_geojson,
+)
 from skylog.records import METRIC_FIELDS, GeoPosition, MeasurementRecord, NeighborCellSample
 
 from conftest import make_neighbor, make_record, make_serving
+from record_strategies import any_records
 
 # Structural subset of RFC 7946: enough to catch wrong nesting, wrong
 # coordinate arity, or non-numeric coordinates.
@@ -261,6 +268,20 @@ def test_feature_text_is_json_dumps_indent_2(lon, lat, alt, props):
     head, tail = '{\n  "features": [\n', "\n  ]\n}"
     assert text.startswith(head) and text.endswith(tail)
     assert _feature_text(lon, lat, alt, props) == text[len(head):-len(tail)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rec=any_records(), metric=st.sampled_from([None, *METRIC_FIELDS]))
+def test_record_feature_fast_path_is_feature_text(rec, metric):
+    keys = list(METRIC_FIELDS.values()) if metric is None else [METRIC_FIELDS[metric]]
+    props = {"ts_unix_ms": rec.ts_unix_ms, "source": rec.source,
+             "cell_id": rec.serving.cell_id, "pci": rec.serving.pci,
+             "alt_m_amsl": rec.pos.alt_m_amsl}
+    if rec.pos.alt_m_agl is not None:
+        props["alt_m_agl"] = rec.pos.alt_m_agl
+    props.update((key, getattr(rec.serving, key)) for key in keys)
+    want = _feature_text(rec.pos.lon_deg, rec.pos.lat_deg, rec.pos.alt_m_amsl, props)
+    assert list(_record_features([rec], keys)) == [want]
 
 
 def test_refused_export_touches_nothing(tmp_path):

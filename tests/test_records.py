@@ -39,6 +39,7 @@ from skylog.records import (
 )
 
 from conftest import make_e2e, make_neighbor, make_record, make_serving
+from record_strategies import any_records
 
 
 def test_valid_record_passes(record):
@@ -333,6 +334,27 @@ def test_property_encoded_db_fields_have_one_decimal(rec):
             assert math.isclose(nbr[key] * 10, round(nbr[key] * 10), abs_tol=1e-9)
 
 
+# --- encode_record's fixed-layout path against json.dumps ---
+
+def _reference_line(rec) -> str:
+    """The trace line as json.dumps writes the record's trace object."""
+    def cell(obj, layout):
+        return {name: round(getattr(obj, name), 1) if name in DB_FIELD_RANGES else getattr(obj, name)
+                for name in layout}
+    doc = {"ts_unix_ms": rec.ts_unix_ms, "lat_deg": rec.pos.lat_deg, "lon_deg": rec.pos.lon_deg,
+           "alt_m_amsl": rec.pos.alt_m_amsl, "alt_m_agl": rec.pos.alt_m_agl,
+           "serving": cell(rec.serving, SERVING_FIELDS),
+           "neighbors": [cell(n, NEIGHBOR_FIELDS) for n in rec.neighbors],
+           "source": rec.source}
+    return json.dumps(doc, separators=(",", ":"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_records())
+def test_encode_record_is_json_dumps_of_the_trace_object(rec):
+    assert encode_record(rec) == _reference_line(rec)
+
+
 # --- schema walker strictness: one test per kind of bad field ---
 
 _DELETE = object()
@@ -612,7 +634,11 @@ def test_read_trace_agrees_with_reference_path(tmp_path, simulated_line):
         return json.dumps(doc)
 
     clean = [_outcome(_reference_read, edited(apply), 3)[0] == "ok" for _, apply in mutations]
-    texts = [simulated_line, "[1]", "3", "null", simulated_line[:-1], simulated_line + "x"]
+    texts = [simulated_line, "[1]", "3", "null", simulated_line[:-1], simulated_line + "x",
+             # whole lines the scanner leaves to json.loads: a BOM, surrounding
+             # whitespace, two objects, an array of the object
+             "\ufeff" + simulated_line, "  " + simulated_line, simulated_line + "\r",
+             simulated_line + " ", simulated_line + simulated_line, "[" + simulated_line + "]"]
     for i, (path_a, apply_a) in enumerate(mutations):
         texts.append(edited(apply_a))
         for j in range(i + 1, len(mutations)):
