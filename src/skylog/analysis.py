@@ -1,8 +1,9 @@
 """Statistical reductions over measurement traces.
 
 Everything in this module is a deterministic pure function of its inputs:
-no clocks, no RNG, no I/O.  One pass (Survey) keeps a {value: count} tally
-per group and metric; values are stored to 0.1 dB, so a tally is bounded by
+no clocks, no RNG, no I/O.  One pass (Survey) reduces rows (records.iter_rows
+yields them; no record object is built) into a {value: count} tally per
+group and metric; values are stored to 0.1 dB, so a tally is bounded by
 the surveyed area, not by flight time.  Means and variances are accumulated
 with math.fsum, which is exactly rounded and therefore independent of input
 order: a tally expanded value by value gives the floats of the sample list,
@@ -16,11 +17,12 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .geo import tangent_forward, tangent_inverse
-from .records import METRIC_FIELDS, NEIGHBOR_FIELDS, EndToEndRecord, MeasurementRecord
+from .records import (METRIC_FIELDS, NEIGHBOR_FIELDS, ROW_FIELDS, EndToEndRecord, MeasurementRecord,
+                      _row_of)
 
 DEFAULT_RSRQ_POOR_DB = -19.0
 DEFAULT_TP_MIN_MBPS = 5.0
@@ -71,11 +73,13 @@ class TooFewSamples(ValueError):
     pass
 
 
-# Metric short names in METRIC_FIELDS order, and a getter of their values.
+# Metric short names in METRIC_FIELDS order; getters of Survey's reads from a row and a neighbor.
 _SERVING = tuple(METRIC_FIELDS)
 _NEIGHBOR = tuple(m for m, f in METRIC_FIELDS.items() if f in NEIGHBOR_FIELDS)
-_serving_values = attrgetter(*(METRIC_FIELDS[m] for m in _SERVING))
-_neighbor_values = attrgetter(*(METRIC_FIELDS[m] for m in _NEIGHBOR))
+_place = itemgetter(*map(ROW_FIELDS.index, ("cell_id", "lat_deg", "lon_deg", "alt_m_amsl",
+                                           "alt_m_agl", "neighbors", *METRIC_FIELDS.values())))
+_neighbor_values = itemgetter(*(NEIGHBOR_FIELDS.index(METRIC_FIELDS[m]) for m in _NEIGHBOR))
+_PCI = NEIGHBOR_FIELDS.index("pci")
 _RSRQ = _SERVING.index("rsrq")
 
 
@@ -105,7 +109,7 @@ def _bin_stats(tally: dict[float, int]) -> BinStats:
     return BinStats(n, mean, std, min(tally), max(tally))
 
 
-def _count(groups: dict, key, values: tuple) -> None:
+def _count(groups: dict, key, values: Sequence) -> None:
     """Add one sample of each metric to the tallies of group key."""
     tallies = groups.get(key)
     if tallies is None:
@@ -170,24 +174,24 @@ def _nonempty(survey: Survey, message: str = "no records") -> Survey:
 def altitude_bins(records: Iterable[MeasurementRecord],
                   bin_m: float = 10.0) -> dict[float, dict[str, BinStats]]:
     """Survey.altitude_bins of records, in bands bin_m meters tall."""
-    return _nonempty(Survey(records, bin_m), "no records to bin").altitude_bins()
+    return _nonempty(Survey(map(_row_of, records), bin_m), "no records to bin").altitude_bins()
 
 
 def cell_dominance(records: Iterable[MeasurementRecord]) -> dict[int, float]:
     """Share of serving-cell samples per cell_id; shares sum to one."""
-    return _nonempty(Survey(records)).dominance()
+    return _nonempty(Survey(map(_row_of, records))).dominance()
 
 
 def per_cell_stats(
         records: Iterable[MeasurementRecord]) -> dict[int, dict[str, BinStats]]:
     """Stats of every serving metric per serving cell_id."""
-    return _table(_nonempty(Survey(records)).cells, _SERVING)
+    return _table(_nonempty(Survey(map(_row_of, records))).cells, _SERVING)
 
 
 def neighbor_stats(
         records: Iterable[MeasurementRecord]) -> dict[int, dict[str, BinStats]]:
     """Stats per neighbor pci, pooled over every neighbor entry in the trace."""
-    pcis = _nonempty(Survey(records)).pcis
+    pcis = _nonempty(Survey(map(_row_of, records))).pcis
     if not pcis:
         raise EmptyInput("trace contains no neighbor entries")
     return _table(pcis, _NEIGHBOR)
@@ -258,9 +262,7 @@ class VoxelGrid:
 def grid_aggregate(records: Iterable[MeasurementRecord],
                    ground_m: float = DEFAULT_GRID_M[0],
                    alt_m: float = DEFAULT_GRID_M[1]) -> VoxelGrid:
-    survey = _nonempty(Survey(records, grid=(ground_m, alt_m)))
-    return VoxelGrid(ground_m, alt_m, survey.anchor.lat_deg, survey.anchor.lon_deg,
-                     _table(survey.voxels, _SERVING))
+    return Survey(map(_row_of, records), grid=(ground_m, alt_m)).voxel_grid()
 
 
 @dataclass(frozen=True)
@@ -308,13 +310,13 @@ class CoverageReport:
 
 
 class Survey:
-    """One pass over RAN records, keeping one tally per metric for each
-    serving cell_id, altitude band (above ground, None from the first record
-    without that height; and above sea level), neighbor pci and, given
-    grid=(ground_m, alt_m), voxel, indexed as in VoxelGrid from anchor, the
-    first record's position."""
+    """One pass over RAN records as records.ROW_FIELDS rows, keeping one tally
+    per metric for each serving cell_id, altitude band (above ground, None
+    from the first record without that height; and above sea level), neighbor
+    pci and, given grid=(ground_m, alt_m), voxel, indexed as in VoxelGrid
+    from anchor, the first record's (lat, lon)."""
 
-    def __init__(self, records: Iterable[MeasurementRecord], alt_bin_m: float = 10.0,
+    def __init__(self, rows: Iterable[tuple], alt_bin_m: float = 10.0,
                  grid: Optional[tuple[float, float]] = None) -> None:
         _check_bin_sizes("bin width", alt_bin_m)
         if grid is not None:
@@ -323,23 +325,28 @@ class Survey:
         cells, agl, amsl, pcis, voxels = groupings = ({}, {}, {}, {}, {})
         self.cells, self.agl, self.amsl, self.pcis, self.voxels = groupings
         floor, n = math.floor, 0
-        for n, r in enumerate(records, start=1):
-            pos, values = r.pos, _serving_values(r.serving)
-            _count(cells, r.serving.cell_id, values)
-            if agl is not None and pos.alt_m_agl is None:
+        for n, row in enumerate(rows, start=1):
+            cell_id, lat, lon, amsl_m, agl_m, nbrs, *values = _place(row)
+            _count(cells, cell_id, values)
+            if agl is not None and agl_m is None:
                 agl = self.agl = None
             if agl is not None:
-                _count(agl, floor(pos.alt_m_agl / alt_bin_m) * alt_bin_m, values)
-            _count(amsl, floor(pos.alt_m_amsl / alt_bin_m) * alt_bin_m, values)
-            for nb in r.neighbors:
-                _count(pcis, nb.pci, _neighbor_values(nb))
+                _count(agl, floor(agl_m / alt_bin_m) * alt_bin_m, values)
+            _count(amsl, floor(amsl_m / alt_bin_m) * alt_bin_m, values)
+            for nb in nbrs:
+                _count(pcis, nb[_PCI], _neighbor_values(nb))
             if grid is not None:
                 if n == 1:
-                    self.anchor = anchor = pos
-                x, y = tangent_forward(anchor.lat_deg, anchor.lon_deg, pos.lat_deg, pos.lon_deg)
+                    self.anchor = anchor_lat, anchor_lon = lat, lon
+                x, y = tangent_forward(anchor_lat, anchor_lon, lat, lon)
                 _count(voxels, (floor(x / grid[0]), floor(y / grid[0]),
-                                floor(pos.alt_m_amsl / grid[1])), values)
+                                floor(amsl_m / grid[1])), values)
         self.n = n
+
+    def voxel_grid(self) -> VoxelGrid:
+        """grid_aggregate of a survey made with a grid."""
+        _nonempty(self)
+        return VoxelGrid(*self.grid, *self.anchor, _table(self.voxels, _SERVING))
 
     def altitude_bins(self) -> dict[float, dict[str, BinStats]]:
         """Per-altitude-band stats of every serving metric, keyed by the band's
@@ -424,5 +431,6 @@ def coverage_report(ran_records: Iterable[MeasurementRecord],
     the RSRQ fraction is computed over per-voxel means instead of raw
     samples, so hovering in one spot no longer over-weights that spot.
     """
-    return Survey(ran_records, grid=(grid_ground_m, grid_alt_m) if by_voxel else None).report(
+    return Survey(map(_row_of, ran_records),
+                  grid=(grid_ground_m, grid_alt_m) if by_voxel else None).report(
         e2e_records, rsrq_poor_db=rsrq_poor_db, tp_min_mbps=tp_min_mbps, rtt_max_ms=rtt_max_ms)

@@ -37,6 +37,7 @@ from .records import (
     EndToEndRecord,
     GeoPosition,
     encode_e2e,
+    iter_rows,
     iter_trace,
     read_e2e_trace,
     validate_position,
@@ -303,7 +304,7 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     if args.grid is not None and not args.by_voxel:
         raise UsageError("--grid needs --by-voxel")
-    survey = analysis.Survey(chain.from_iterable(map(iter_trace, args.ran)), args.alt_bin,
+    survey = analysis.Survey(chain.from_iterable(map(iter_rows, args.ran)), args.alt_bin,
                              (args.grid or analysis.DEFAULT_GRID_M) if args.by_voxel else None)
     e2e = [rec for p in args.e2e for rec in read_e2e_trace(p)]
     report = survey.report(e2e, rsrq_poor_db=args.rsrq_poor, tp_min_mbps=args.tp_min,
@@ -345,9 +346,8 @@ def cmd_analyze(args) -> int:
 def cmd_export(args) -> int:
     if args.format == "csv" and args.metric:
         raise UsageError("--metric applies to geojson export only")
-    source = iter_trace(args.ran)
-    if args.grid is not None:
-        source = analysis.grid_aggregate(source, args.grid[0], args.grid[1])
+    source = (analysis.Survey(iter_rows(args.ran), grid=args.grid).voxel_grid()
+              if args.grid is not None else iter_trace(args.ran))
     if args.format == "geojson":
         count, what = export_geojson(source, args.out, metric=args.metric), "features"
     else:

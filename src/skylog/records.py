@@ -1,9 +1,10 @@
 """Canonical measurement record types and the line-oriented trace format.
 
 Every other module exchanges data through the types defined here.  Trace
-files are UTF-8, one JSON object per LF-terminated line.  dB/dBm fields are
-stored with one decimal digit of precision, matching commodity modem
-reporting granularity.
+files are UTF-8, one JSON object per LF-terminated line; a lone CR is not a
+line break, and a CR before the LF is dropped, so CRLF reads as LF.  dB/dBm
+fields are stored with one decimal digit of precision, matching commodity
+modem reporting granularity.
 
 Each per-line boundary has one exact fast path for the plain record and a
 reference path for everything else:
@@ -13,12 +14,14 @@ reference path for everything else:
   int field an exact int, and every float field an exact float with a
   finite sum.  Any other record goes through _encode_record_reference,
   json.dumps of the trace object.  Both give the same bytes.
-- _ingest_record scans a line with json's object scanner and builds the
-  record with _clean_record when the scan covers the whole line and every
-  field is exactly typed and within bounds.  Any other line (a BOM,
-  surrounding whitespace, trailing data, a refused field) goes through
-  decode_record and validate_record, whose errors name the line, column
-  and field.
+- _ingest_row scans a line with json's object scanner and, when the scan
+  covers the whole line, builds its row (ROW_FIELDS) with _clean_row, whose
+  guard requires every field to be present, exactly typed, finite and within
+  the bounds, neighbor count and cross-field rules of validate_record.
+  Any other line (a BOM, surrounding whitespace, trailing data, a refused
+  field) goes through decode_record and validate_record, whose errors name
+  the line, column and field, and then _row_of.  analysis.Survey reduces
+  iter_rows's rows; iter_trace maps _record_of over them.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional
 
 SOURCES = ("sim", "replay", "hw")
@@ -114,6 +118,29 @@ class MeasurementRecord:
     source: str = "sim"
 
 
+POSITION_FIELDS = tuple(f.name for f in fields(GeoPosition))
+# The one row layout of a RAN record: MeasurementRecord's fields, pos and serving
+# spread in place, neighbors a tuple of NEIGHBOR_FIELDS tuples; _clean_row spells it out.
+ROW_FIELDS = ("ts_unix_ms", *POSITION_FIELDS, *SERVING_FIELDS, "neighbors", "source")
+_POSITION_ROW = slice(1, 1 + len(POSITION_FIELDS))
+_SERVING_ROW = slice(_POSITION_ROW.stop, _POSITION_ROW.stop + len(SERVING_FIELDS))
+_position_row, _serving_row, _neighbor_row = (
+    attrgetter(*layout) for layout in (POSITION_FIELDS, SERVING_FIELDS, NEIGHBOR_FIELDS))
+
+
+def _row_of(rec: MeasurementRecord) -> tuple:
+    """rec as a ROW_FIELDS row."""
+    return (rec.ts_unix_ms, *_position_row(rec.pos), *_serving_row(rec.serving),
+            tuple(map(_neighbor_row, rec.neighbors)), rec.source)
+
+
+def _record_of(row: tuple) -> MeasurementRecord:
+    """The record a ROW_FIELDS row stands for; the inverse of _row_of."""
+    return MeasurementRecord(row[0], GeoPosition(*row[_POSITION_ROW]),
+                             ServingCellSample(*row[_SERVING_ROW]),
+                             tuple([NeighborCellSample(*n) for n in row[-2]]), row[-1])
+
+
 @dataclass(frozen=True)
 class RttSummary:
     """Round-trip statistics over one probe burst; stats absent when nothing came back."""
@@ -186,7 +213,7 @@ def _checks(layout) -> tuple:
     return tuple((name, *_BOUNDS[name]) for name in layout)
 
 
-_POSITION_CHECKS = _checks(("lat_deg", "lon_deg", "alt_m_amsl", "alt_m_agl"))
+_POSITION_CHECKS = _checks(POSITION_FIELDS)
 _SERVING_CHECKS = _checks(SERVING_FIELDS)
 _NEIGHBOR_CHECKS = _checks(NEIGHBOR_FIELDS)
 _RTT_CHECKS = _checks(("min_ms", "mean_ms", "p50_ms", "max_ms", "loss_fraction"))
@@ -327,7 +354,7 @@ def encode_record(rec: MeasurementRecord) -> str:
     """Encode one record as a single trace line (no trailing newline): the
     json.dumps bytes of its trace object, dB fields quantized.  A plain
     record fills _RECORD_LINE; any other goes through the reference path.
-    The field reads stay literal, as in _clean_record, for speed."""
+    The field reads stay literal, as in _clean_row, for speed."""
     pos, s, nbrs = rec.pos, rec.serving, rec.neighbors
     ints = [rec.ts_unix_ms, s.earfcn, s.pci, s.cell_id, s.tac]
     floats = [pos.lat_deg, pos.lon_deg, pos.alt_m_amsl, pos.alt_m_agl,
@@ -426,7 +453,7 @@ def scalar_fields(cls, doc: dict, fail, where: str = "") -> dict:
     """Every float and int field of the dataclass cls, read from doc by name,
     with the field's own default (a field without one is required).  It reads
     the trace cells, positions and e2e scalars, and the config files' scalars.
-    _clean_record stays literal: a table walk there cost a third more per
+    _clean_row stays literal: a table walk there cost a third more per
     record.  RttSummary's decode stays explicit: loss_fraction's default
     would make a required trace field optional."""
     return {f.name: get_field(doc, f.name, _SCALAR_KINDS[f.type], fail, where, f.default)
@@ -503,10 +530,10 @@ _RSSI_LO, _RSSI_HI = DB_FIELD_RANGES["rssi_dbm"]
 _SINR_LO, _SINR_HI = DB_FIELD_RANGES["sinr_db"]
 
 
-def _clean_record(doc) -> Optional[MeasurementRecord]:
-    """The record a parsed trace line stands for, built in one pass, when every
-    field is present, exactly typed (a float field holds a float, not an int),
-    finite and within the bounds validate_record enforces; None otherwise.
+def _clean_row(doc) -> Optional[tuple]:
+    """The row (ROW_FIELDS) a parsed trace line stands for, built in one pass,
+    when every field is present, exactly typed (a float field holds a float,
+    not an int), finite and within the bounds validate_record enforces.
 
     It never accepts a line the reference path (decode_record, then
     validate_record) refuses, so a None only sends the line there.  Unknown
@@ -548,60 +575,65 @@ def _clean_record(doc) -> Optional[MeasurementRecord]:
                     and type(n_rssi) is float and _RSSI_LO <= n_rssi <= _RSSI_HI
                     and (n_earfcn != earfcn or n_pci != pci)):
                 return None
-            neighbors.append(NeighborCellSample(n_earfcn, n_pci, n_rsrp, n_rsrq, n_rssi))
+            neighbors.append((n_earfcn, n_pci, n_rsrp, n_rsrq, n_rssi))
     except (KeyError, TypeError):  # a missing key, or a scalar or list where an object belongs
         return None
-    return MeasurementRecord(ts, GeoPosition(lat, lon, amsl, agl),
-                             ServingCellSample(earfcn, pci, cell_id, tac, rsrp, rsrq, rssi, sinr),
-                             tuple(neighbors), source)
+    return (ts, lat, lon, amsl, agl, earfcn, pci, cell_id, tac, rsrp, rsrq, rssi, sinr,
+            tuple(neighbors), source)
 
 
 _scan_once = json.JSONDecoder().scan_once  # json.loads's object scanner, without its checks
 
 
-def _ingest_record(text: str, line_no: int) -> MeasurementRecord:
-    """iter_trace's step per line: the scanner and the one-pass check, and for
+def _ingest_row(text: str, line_no: int) -> tuple:
+    """iter_rows's step per line: the scanner and the one-pass check, and for
     a line either refuses, the reference path, whose error names the line,
     column and field.  The scanner starts at column 1 and must end at the
     last character, so a BOM, surrounding whitespace or trailing data goes
     to json.loads in the reference path."""
     try:
         doc, end = _scan_once(text, 0)
-        rec = _clean_record(doc) if end == len(text) else None
+        row = _clean_row(doc) if end == len(text) else None
     except (StopIteration, json.JSONDecodeError):
-        rec = None
-    if rec is None:
-        rec = _checked(decode_record(text, line_no), validate_record, line_no)
-    return rec
+        row = None
+    if row is None:
+        row = _row_of(_checked(decode_record(text, line_no), validate_record, line_no))
+    return row
 
 
 def _ingest_e2e(text: str, line_no: int) -> EndToEndRecord:
     return _checked(decode_e2e(text, line_no), validate_e2e, line_no)
 
 
-def _read_lines(path, ingest) -> Iterator:
-    """The one trace-reading loop: ingest(text, line_no) each non-empty line
-    and enforce strictly increasing timestamps, naming the line on failure."""
+def _read_lines(path, ingest, ts_of) -> Iterator:
+    """The one trace-reading loop: ingest(text, line_no) each non-empty line and
+    enforce strictly increasing timestamps, ts_of(result), naming the line on failure."""
     last_ts: Optional[int] = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+            line = line.removesuffix("\n").removesuffix("\r")
             if not line:
                 continue
-            rec = ingest(line, line_no)
-            if last_ts is not None and rec.ts_unix_ms <= last_ts:
+            item = ingest(line, line_no)
+            ts = ts_of(item)
+            if last_ts is not None and ts <= last_ts:
                 raise TraceDecodeError(
-                    f"ts_unix_ms not strictly increasing ({rec.ts_unix_ms} after {last_ts})",
+                    f"ts_unix_ms not strictly increasing ({ts} after {last_ts})",
                     line=line_no,
                 )
-            last_ts = rec.ts_unix_ms
-            yield rec
+            last_ts = ts
+            yield item
+
+
+def iter_rows(path) -> Iterator[tuple]:
+    """Yield a RAN trace file's records as ROW_FIELDS rows as they are read, enforcing
+    validity and timestamp monotonicity; a bad line raises when the stream reaches it."""
+    return _read_lines(path, _ingest_row, itemgetter(0))
 
 
 def iter_trace(path) -> Iterator[MeasurementRecord]:
-    """Yield a RAN trace file's records as they are read, enforcing validity
-    and timestamp monotonicity; a bad line raises when the stream reaches it."""
-    return _read_lines(path, _ingest_record)
+    """iter_rows, as records."""
+    return map(_record_of, iter_rows(path))
 
 
 def read_trace(path) -> list[MeasurementRecord]:
@@ -610,7 +642,7 @@ def read_trace(path) -> list[MeasurementRecord]:
 
 
 def read_e2e_trace(path) -> list[EndToEndRecord]:
-    return list(_read_lines(path, _ingest_e2e))
+    return list(_read_lines(path, _ingest_e2e, attrgetter("ts_unix_ms")))
 
 
 __all__ = [
@@ -618,9 +650,9 @@ __all__ = [
     "RttSummary", "EndToEndRecord", "ValidationResult", "TraceDecodeError",
     "validate_record", "validate_cells", "validate_e2e", "validate_position",
     "encode_record", "decode_record", "encode_e2e", "decode_e2e", "plain_values",
-    "iter_trace", "read_trace", "read_e2e_trace", "quantize_db", "get_field", "scalar_fields",
-    "position_from_doc",
-    "DB_FIELD_RANGES", "METRIC_FIELDS", "SERVING_FIELDS", "NEIGHBOR_FIELDS",
-    "SOURCES",
+    "iter_rows", "iter_trace", "read_trace", "read_e2e_trace", "quantize_db", "get_field",
+    "scalar_fields", "position_from_doc",
+    "DB_FIELD_RANGES", "METRIC_FIELDS", "SERVING_FIELDS", "NEIGHBOR_FIELDS", "POSITION_FIELDS",
+    "ROW_FIELDS", "SOURCES",
     "MAX_NEIGHBORS", "PCI_MAX", "CELL_ID_MAX", "TAC_MAX", "AGL_CEILING_M", "LAT_MAX_DEG", "LON_MAX_DEG",
 ]

@@ -14,9 +14,11 @@ from importlib import resources
 
 import pytest
 
+from skylog import analysis
 from skylog.cli import main
 from skylog.geo import tangent_inverse
-from skylog.records import GeoPosition, encode_record, read_e2e_trace, read_trace
+from skylog.records import (GeoPosition, decode_record, encode_record, iter_rows, read_e2e_trace,
+                            read_trace)
 from skylog.simenv import ConfigError, load_environment
 
 from conftest import make_neighbor, make_record, make_serving
@@ -333,6 +335,34 @@ def test_refused_export_leaves_the_target_as_it_was(capsys, tmp_path, whole_flig
     assert rc == 2
     assert "line 1000" in err
     assert list(out_dir.iterdir()) == [target]  # no temporary file or new directory left
+
+
+def test_analyze_report_does_not_depend_on_the_ingest_path(capsys, tmp_path, monkeypatch,
+                                                           whole_flight):
+    """A line with a leading space skips the one-pass check and takes
+    decode_record and validate_record; the report and tables must not tell."""
+    spaced = tmp_path / "spaced.trace"
+    spaced.write_text("".join(" " + line for line in whole_flight.read_text().splitlines(True)))
+    decoded = []
+    monkeypatch.setattr("skylog.records.decode_record",
+                        lambda *a: decoded.append(1) or decode_record(*a))
+    for name, trace in (("fast", whole_flight), ("reference", spaced)):
+        decoded.clear()
+        rc, _, _ = run_cli(capsys, "analyze", "--by-voxel", "--ran", str(trace),
+                           "--report", str(tmp_path / name / "report.json"))
+        assert rc == 0
+        assert len(decoded) == (0 if name == "fast" else 2060)
+    outputs = sorted(p.name for p in (tmp_path / "fast").iterdir())
+    assert outputs == ["report-alt-rsrp.csv", "report-alt-sinr.csv", "report-ecdf-rsrq.csv",
+                       "report.json"]
+    fast, reference = tmp_path / "fast", tmp_path / "reference"
+    for name in outputs:
+        assert (fast / name).read_bytes() == (reference / name).read_bytes(), name
+    # The record-signature entry point agrees with Survey over the file's rows.
+    recs = read_trace(whole_flight)
+    for grid in (None, analysis.DEFAULT_GRID_M):
+        survey = analysis.Survey(iter_rows(whole_flight), grid=grid)
+        assert survey.report([]) == analysis.coverage_report(recs, [], by_voxel=grid is not None)
 
 
 def write_orbit_trace(path, n: int) -> None:

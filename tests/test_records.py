@@ -19,6 +19,8 @@ from skylog.records import (
     MAX_NEIGHBORS,
     NEIGHBOR_FIELDS,
     PCI_MAX,
+    POSITION_FIELDS,
+    ROW_FIELDS,
     SERVING_FIELDS,
     TAC_MAX,
     GeoPosition,
@@ -31,12 +33,14 @@ from skylog.records import (
     decode_record,
     encode_e2e,
     encode_record,
+    iter_rows,
     iter_trace,
     read_e2e_trace,
     read_trace,
     validate_e2e,
     validate_record,
 )
+from skylog.records import _record_of, _row_of
 
 from conftest import make_e2e, make_neighbor, make_record, make_serving
 from record_strategies import any_records
@@ -323,6 +327,23 @@ def test_property_round_trip(rec):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.one_of(measurement_records(), any_records()))
+def test_row_round_trip(rec):
+    """_row_of lays a record out as ROW_FIELDS names it, and _record_of
+    inverts it, keeping every value object (and so its type) as it was."""
+    row = _row_of(rec)
+    fields_of = {"ts_unix_ms": rec.ts_unix_ms, "source": rec.source,
+                 "neighbors": tuple(tuple(getattr(n, f) for f in NEIGHBOR_FIELDS)
+                                    for n in rec.neighbors),
+                 **{f: getattr(rec.pos, f) for f in POSITION_FIELDS},
+                 **{f: getattr(rec.serving, f) for f in SERVING_FIELDS}}
+    assert row == tuple(fields_of[name] for name in ROW_FIELDS)
+    again = _record_of(row)
+    assert again == rec
+    assert _field_types([again]) == _field_types([rec])
+
+
+@settings(max_examples=200, deadline=None)
 @given(measurement_records())
 def test_property_encoded_db_fields_have_one_decimal(rec):
     doc = json.loads(encode_record(rec))
@@ -527,6 +548,12 @@ def _outcome(read, *args):
         return "error", (str(exc), exc.line, exc.column)
 
 
+def _leaf_types(value) -> list:
+    """type() of every value in rows, neighbor tuples included."""
+    return ([t for item in value for t in _leaf_types(item)] if type(value) in (list, tuple)
+            else [type(value)])
+
+
 def _field_types(recs) -> list:
     """type() of every field, nested records included, so an int read where
     the reference gives a float shows even though the two compare equal."""
@@ -538,13 +565,20 @@ def _field_types(recs) -> list:
 
 
 @pytest.fixture(scope="module")
-def simulated_line(tmp_path_factory) -> str:
+def seed7_flight(tmp_path_factory) -> tuple[list, list]:
+    """The RAN and e2e trace lines of a 3 s seed-7 flight."""
     out = tmp_path_factory.mktemp("sim")
     env = resources.files("skylog").joinpath("data/threecell.env")
     plan = resources.files("skylog").joinpath("data/climb.plan")
     assert cli_main(["--seed", "7", "simulate", "--env", str(env), "--plan", str(plan),
-                     "--duration", "2", "--out", str(out)]) == 0
-    line = next(out.glob("*.trace")).read_text().splitlines()[0]
+                     "--duration", "3", "--out", str(out)]) == 0
+    return (next(out.glob("*.trace")).read_text().splitlines(),
+            next(out.glob("*.e2e")).read_text().splitlines())
+
+
+@pytest.fixture(scope="module")
+def simulated_line(seed7_flight) -> str:
+    line = seed7_flight[0][0]
     assert len(json.loads(line)["neighbors"]) == 2
     return line
 
@@ -653,11 +687,51 @@ def test_read_trace_agrees_with_reference_path(tmp_path, simulated_line):
     for text in texts:
         path.write_text("\n\n" + text + "\n")  # the line under test is line 3
         got, want = _outcome(read_trace, path), _outcome(_reference_read, text, 3)
-        if got != want or (got[0] == "ok" and _field_types(got[1]) != _field_types(want[1])):
-            mismatches.append((text, got, want))
+        # iter_rows gives _row_of of the reference record, or read_trace's error.
+        rows = _outcome(lambda p: list(iter_rows(p)), path)
+        want_rows = ("ok", [_row_of(r) for r in want[1]]) if want[0] == "ok" else got
+        if (got != want or rows != want_rows
+                or (got[0] == "ok" and (_field_types(got[1]) != _field_types(want[1])
+                                        or _leaf_types(rows[1]) != _leaf_types(want_rows[1])))):
+            mismatches.append((text, got, want, rows))
         accepted += got[0] == "ok"
     assert not mismatches[:5]
     assert 0 < accepted < len(texts)
+
+
+@pytest.mark.parametrize("kind", ["ran", "e2e"])
+def test_a_lone_cr_is_whitespace_and_crlf_reads_as_lf(tmp_path, seed7_flight, kind):
+    """A trace line ends at LF alone.  A raw CR between two keys is JSON
+    whitespace inside the line; read with universal newlines it split line 2
+    (refused at column 44) and shifted every later line number by one."""
+    ran_lines, e2e_lines = seed7_flight
+    if kind == "ran":
+        lines, read, decode = ran_lines[:3], read_trace, decode_record
+    else:  # three lines a minute apart, made from the flight's one e2e line
+        doc = json.loads(e2e_lines[0])
+        lines = [json.dumps({**doc, "ts_unix_ms": doc["ts_unix_ms"] + 60_000 * i},
+                            separators=(",", ":")) for i in range(3)]
+        read, decode = read_e2e_trace, decode_e2e
+    want = [decode(line) for line in lines]
+    cut = lines[1].index(',"lon_deg"') + 1
+    with_cr = [lines[0], lines[1][:cut] + "\r" + lines[1][cut:], lines[2]]
+    bad = json.dumps({**json.loads(lines[2]), "ts_unix_ms": want[2].ts_unix_ms + 1,
+                      "lat_deg": 95.0})
+    path = tmp_path / "t.trace"
+
+    path.write_bytes(("\n".join(with_cr) + "\n").encode())
+    assert read(path) == want
+    path.write_bytes(("\n".join([*with_cr, bad]) + "\n").encode())
+    with pytest.raises(TraceDecodeError, match="lat_deg out of") as exc_info:
+        read(path)
+    assert exc_info.value.line == 4
+    # A CRLF copy, blank CRLF lines included, reads as the LF file.
+    path.write_bytes(("\r\n".join(["", lines[0], "", *lines[1:]]) + "\r\n\r\n").encode())
+    assert read(path) == want
+    path.write_bytes(("\r\n".join([*lines, "", bad]) + "\r\n").encode())
+    with pytest.raises(TraceDecodeError, match="lat_deg out of") as exc_info:
+        read(path)
+    assert exc_info.value.line == 5
 
 
 # --- exact messages of the per-field checks, pinned ---
