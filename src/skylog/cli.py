@@ -38,7 +38,6 @@ from .records import (
     GeoPosition,
     encode_e2e,
     iter_rows,
-    iter_trace,
     read_e2e_trace,
     validate_position,
 )
@@ -346,8 +345,8 @@ def cmd_analyze(args) -> int:
 def cmd_export(args) -> int:
     if args.format == "csv" and args.metric:
         raise UsageError("--metric applies to geojson export only")
-    source = (analysis.Survey(iter_rows(args.ran), grid=args.grid).voxel_grid()
-              if args.grid is not None else iter_trace(args.ran))
+    rows = iter_rows(args.ran)
+    source = analysis.Survey(rows, grid=args.grid).voxel_grid() if args.grid is not None else rows
     if args.format == "geojson":
         count, what = export_geojson(source, args.out, metric=args.metric), "features"
     else:

@@ -1,25 +1,30 @@
 """GeoJSON and CSV views of traces and voxel aggregates, streamed to a file.
 
+Records come in as records.ROW_FIELDS rows, the flat tuples iter_rows yields
+from its checked ingest; a caller holding MeasurementRecords passes
+map(records._row_of, records).  No record object is built on the way out.
+
 GeoJSON coordinates follow the standard's (lon, lat, alt) order with
 altitude above mean sea level; altitude is duplicated into the properties
 table for consumers that drop the third coordinate.  Features are rendered
 and written one at a time, byte-identical to ``json.dumps(doc, indent=2)``
 of the whole document plus a newline.  A record feature has a fast path:
 export_geojson builds one %-template per property layout, once per call,
-and a record for which records.plain_values holds (ts_unix_ms, cell_id and
+and a row for which records.plain_values holds (ts_unix_ms, cell_id and
 pci exact ints, the source one of SOURCES, coordinates, altitudes and
 metrics exact floats with a finite sum) is rendered straight into it.  Any
-other record, a null alt_m_agl included, goes through the reference path,
+other row, a null alt_m_agl included, goes through the reference path,
 _record_feature and _feature_text, which write each value as json.dumps does.
 
 Every CSV skylog writes, the analyze tables included, goes through
 write_csv: float cells use repr-style formatting, so re-parsing them
 reproduces the stored values bit-for-bit, and None becomes an empty cell.
-An empty source or unknown metric is refused before the output path is
-touched.  Records are rendered as they are read, into a temporary sibling
-that replaces the path only once complete, so a failed export (a bad trace
-line, a full disk) leaves the path as it was; _create does the same for a
-set of files, none replaced unless all are written.
+A record's CSV columns are its row's, neighbors flattened and padded to
+MAX_NEIGHBORS.  An empty source or unknown metric is refused before the
+output path is touched.  Rows are rendered as they are read, into a
+temporary sibling that replaces the path only once complete, so a failed
+export (a bad trace line, a full disk) leaves the path as it was; _create
+does the same for a set of files, none replaced unless all are written.
 """
 
 from __future__ import annotations
@@ -31,23 +36,23 @@ import math
 import os
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .analysis import EmptyInput, UnknownMetric, VoxelGrid
-from .records import MAX_NEIGHBORS, METRIC_FIELDS, NEIGHBOR_FIELDS, SERVING_FIELDS
-from .records import MeasurementRecord, plain_values
+from .records import MAX_NEIGHBORS, METRIC_FIELDS, NEIGHBOR_FIELDS, ROW_FIELDS, plain_values
 
-Source = Union[Iterable[MeasurementRecord], VoxelGrid]
+Source = Union[Iterable[tuple], VoxelGrid]  # records.ROW_FIELDS rows, or a grid
 
-_NO_NEIGHBOR = [None] * len(NEIGHBOR_FIELDS)
+_NO_NEIGHBOR = (None,) * len(NEIGHBOR_FIELDS)
+_NEIGHBORS = ROW_FIELDS.index("neighbors")
 
+# A row's columns in ROW_FIELDS order, its neighbors spread into MAX_NEIGHBORS slots.
 RECORD_CSV_HEADER = (
-    ["ts_unix_ms", "lat_deg", "lon_deg", "alt_m_amsl", "alt_m_agl"]
-    + list(SERVING_FIELDS)
+    list(ROW_FIELDS[:_NEIGHBORS])
     + [f"nbr{i}_{f}" for i in range(1, MAX_NEIGHBORS + 1) for f in NEIGHBOR_FIELDS]
-    + ["source"]
+    + list(ROW_FIELDS[_NEIGHBORS + 1:])
 )
 
 # How json.dumps writes each exact type.  Non-finite floats and every other
@@ -74,7 +79,7 @@ def _metric_names(metric: Optional[str]) -> list[str]:
 
 
 def _nonempty(source: Source) -> Source:
-    """source, with records read one ahead to show there is at least one."""
+    """source, with rows read one ahead to show there is at least one."""
     if isinstance(source, VoxelGrid):
         if not source.cells:
             raise EmptyInput("voxel grid is empty")
@@ -109,6 +114,10 @@ def _json_value(value) -> str:
     return _JSON_VALUE.get(type(value), json.dumps)(value)
 
 
+def _row_getter(*names: str) -> itemgetter:
+    return itemgetter(*map(ROW_FIELDS.index, names))
+
+
 def _feature_text(lon, lat, alt, props: dict) -> str:
     """One Point feature, props not empty, as json.dumps(..., indent=2) lays
     it out inside the top-level "features" list, without separators."""
@@ -118,7 +127,7 @@ def _feature_text(lon, lat, alt, props: dict) -> str:
 
 
 def export_geojson(source: Source, path, metric: Optional[str] = None) -> int:
-    """Write records (one point each) or a voxel grid (one point per voxel
+    """Write ROW_FIELDS rows (one point each) or a voxel grid (one point per voxel
     centroid) to path as a GeoJSON FeatureCollection; returns the count."""
     names = _metric_names(metric)
     source = _nonempty(source)
@@ -138,35 +147,35 @@ def export_geojson(source: Source, path, metric: Optional[str] = None) -> int:
     return count
 
 
-def _record_features(records: Iterable[MeasurementRecord], keys: list[str]) -> Iterator[str]:
-    """Each record's feature text.  A plain record (records.plain_values: the
-    three ints, the source, and every coordinate, altitude and metric an
+def _record_features(rows: Iterable[tuple], keys: list[str]) -> Iterator[str]:
+    """Each ROW_FIELDS row's feature text.  A plain row (records.plain_values:
+    the three ints, the source, and every coordinate, altitude and metric an
     exact finite float) fills one template made for this property layout;
     any other, a null alt_m_agl included, goes through _record_feature."""
     props = ['"ts_unix_ms": %d', '"source": "%s"', '"cell_id": %d', '"pci": %d',
              '"alt_m_amsl": %r', '"alt_m_agl": %r', *(f'"{key}": %r' for key in keys)]
     template = _FEATURE % ("%r", "%r", "%r", ",\n        ".join(props))
-    cell = attrgetter("cell_id", "pci", *keys)
-    for r in records:
-        pos = r.pos
-        lon, lat, amsl, agl = pos.lon_deg, pos.lat_deg, pos.alt_m_amsl, pos.alt_m_agl
-        cell_id, pci, *values = cell(r.serving)
-        if plain_values(r.source, (r.ts_unix_ms, cell_id, pci), (lon, lat, amsl, agl, *values)):
-            yield template % (lon, lat, amsl, r.ts_unix_ms, r.source, cell_id, pci, amsl, agl, *values)
+    source, ints = _row_getter("source"), _row_getter("ts_unix_ms", "cell_id", "pci")
+    floats = _row_getter("lon_deg", "lat_deg", "alt_m_amsl", "alt_m_agl", *keys)
+    # The template's values in its order: the coordinates, then the properties.
+    fill = _row_getter("lon_deg", "lat_deg", "alt_m_amsl", "ts_unix_ms", "source", "cell_id", "pci",
+                       "alt_m_amsl", "alt_m_agl", *keys)
+    for row in rows:
+        if plain_values(source(row), ints(row), floats(row)):
+            yield template % fill(row)
         else:
-            yield _record_feature(r, keys)
+            yield _record_feature(row, keys)
 
 
-def _record_feature(r: MeasurementRecord, keys: list[str]) -> str:
-    """One record's feature text, for any record: the reference path."""
-    props: dict = {"ts_unix_ms": r.ts_unix_ms, "source": r.source,
-                   "cell_id": r.serving.cell_id, "pci": r.serving.pci,
-                   "alt_m_amsl": r.pos.alt_m_amsl}
-    if r.pos.alt_m_agl is not None:
-        props["alt_m_agl"] = r.pos.alt_m_agl
+def _record_feature(row: tuple, keys: list[str]) -> str:
+    """One row's feature text, for any row: the reference path."""
+    r = dict(zip(ROW_FIELDS, row))
+    props = {name: r[name] for name in ("ts_unix_ms", "source", "cell_id", "pci", "alt_m_amsl")}
+    if r["alt_m_agl"] is not None:
+        props["alt_m_agl"] = r["alt_m_agl"]
     for key in keys:
-        props[key] = getattr(r.serving, key)
-    return _feature_text(r.pos.lon_deg, r.pos.lat_deg, r.pos.alt_m_amsl, props)
+        props[key] = r[key]
+    return _feature_text(r["lon_deg"], r["lat_deg"], r["alt_m_amsl"], props)
 
 
 def _voxel_feature(row: dict) -> str:
@@ -209,7 +218,7 @@ def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> i
 
 
 def export_csv(source: Source, path) -> int:
-    """Flat CSV rendering, one row per record or per voxel, written to path;
+    """Flat CSV rendering, one line per ROW_FIELDS row or per voxel, written to path;
     returns the row count."""
     source = _nonempty(source)
     if isinstance(source, VoxelGrid):
@@ -221,13 +230,8 @@ def export_csv(source: Source, path) -> int:
         return write_csv(out, header, rows)
 
 
-def _record_row(r: MeasurementRecord) -> list:
-    row = [r.ts_unix_ms, r.pos.lat_deg, r.pos.lon_deg, r.pos.alt_m_amsl, r.pos.alt_m_agl]
-    row += [getattr(r.serving, f) for f in SERVING_FIELDS]
-    for i in range(MAX_NEIGHBORS):
-        if i < len(r.neighbors):
-            row += [getattr(r.neighbors[i], f) for f in NEIGHBOR_FIELDS]
-        else:
-            row += _NO_NEIGHBOR
-    row.append(r.source)
-    return row
+def _record_row(row: tuple) -> list:
+    """A ROW_FIELDS row in RECORD_CSV_HEADER's columns."""
+    nbrs = row[_NEIGHBORS][:MAX_NEIGHBORS]
+    return [*row[:_NEIGHBORS], *chain.from_iterable(nbrs),
+            *_NO_NEIGHBOR * (MAX_NEIGHBORS - len(nbrs)), *row[_NEIGHBORS + 1:]]

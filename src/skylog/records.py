@@ -21,7 +21,9 @@ reference path for everything else:
   Any other line (a BOM, surrounding whitespace, trailing data, a refused
   field) goes through decode_record and validate_record, whose errors name
   the line, column and field, and then _row_of.  analysis.Survey reduces
-  iter_rows's rows; iter_trace maps _record_of over them.
+  iter_rows's rows and geoexport renders them, so analyze and export build
+  no record object.  _record_of turns a row back into a MeasurementRecord
+  only for iter_trace and read_trace, which replay reads.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ import pytest
 from skylog import analysis
 from skylog.cli import main
 from skylog.geo import tangent_inverse
-from skylog.records import (GeoPosition, decode_record, encode_record, iter_rows, read_e2e_trace,
-                            read_trace)
+from skylog.records import (GeoPosition, _record_of, decode_record, encode_record, iter_rows,
+                            read_e2e_trace, read_trace)
 from skylog.simenv import ConfigError, load_environment
 
 from conftest import make_neighbor, make_record, make_serving
@@ -363,6 +363,34 @@ def test_analyze_report_does_not_depend_on_the_ingest_path(capsys, tmp_path, mon
     for grid in (None, analysis.DEFAULT_GRID_M):
         survey = analysis.Survey(iter_rows(whole_flight), grid=grid)
         assert survey.report([]) == analysis.coverage_report(recs, [], by_voxel=grid is not None)
+
+
+def test_export_does_not_depend_on_the_ingest_path(capsys, tmp_path, monkeypatch, whole_flight):
+    """Export renders the checked rows without building a record; a line with
+    a leading space takes decode_record and validate_record, and the outputs
+    must not tell."""
+    spaced = tmp_path / "spaced.trace"
+    spaced.write_text("".join(" " + line for line in whole_flight.read_text().splitlines(True)))
+    decoded, built = [], []
+    monkeypatch.setattr("skylog.records.decode_record",
+                        lambda *a: decoded.append(1) or decode_record(*a))
+    monkeypatch.setattr("skylog.records._record_of", lambda row: built.append(1) or _record_of(row))
+    exports = {"all.geojson": ["--format", "geojson"],
+               "sinr.geojson": ["--format", "geojson", "--metric", "sinr"],
+               "points.csv": ["--format", "csv"]}
+    for name, trace in (("fast", whole_flight), ("reference", spaced)):
+        for out, argv in exports.items():
+            decoded.clear()
+            built.clear()
+            rc, _, _ = run_cli(capsys, "export", "--ran", str(trace), *argv,
+                               "--out", str(tmp_path / name / out))
+            assert rc == 0
+            assert len(decoded) == (0 if name == "fast" else 2060)
+            if name == "fast":
+                assert not built, out
+    fast, reference = tmp_path / "fast", tmp_path / "reference"
+    for out in exports:
+        assert (fast / out).read_bytes() == (reference / out).read_bytes(), out
 
 
 def write_orbit_trace(path, n: int) -> None:

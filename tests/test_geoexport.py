@@ -7,7 +7,7 @@ import tracemalloc
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skylog.analysis import EmptyInput, UnknownMetric, VoxelGrid, grid_aggregate
@@ -16,10 +16,21 @@ from skylog.geoexport import (
     RECORD_CSV_HEADER,
     _feature_text,
     _record_features,
+    _record_row,
     export_csv,
     export_geojson,
+    write_csv,
 )
-from skylog.records import METRIC_FIELDS, GeoPosition, MeasurementRecord, NeighborCellSample
+from skylog.records import (
+    MAX_NEIGHBORS,
+    METRIC_FIELDS,
+    NEIGHBOR_FIELDS,
+    SERVING_FIELDS,
+    GeoPosition,
+    MeasurementRecord,
+    NeighborCellSample,
+    _row_of,
+)
 
 from conftest import make_neighbor, make_record, make_serving
 from record_strategies import any_records
@@ -90,7 +101,7 @@ def csv_file_text(tmp_path, source):
 # --- GeoJSON: records ---
 
 def test_single_record_feature(tmp_path):
-    doc = geojson_doc(tmp_path, [make_record()])
+    doc = geojson_doc(tmp_path, map(_row_of, [make_record()]))
     assert doc["type"] == "FeatureCollection"
     (feat,) = doc["features"]
     assert feat["geometry"]["coordinates"] == [-100.0, 40.0, 650.0]  # lon first
@@ -100,12 +111,12 @@ def test_single_record_feature(tmp_path):
 
 def test_record_features_count_preserved(tmp_path):
     recs = spread_records(37)
-    doc = geojson_doc(tmp_path, recs)
+    doc = geojson_doc(tmp_path, map(_row_of, recs))
     assert len(doc["features"]) == 37
 
 
 def test_metric_selection_limits_properties(tmp_path):
-    doc = geojson_doc(tmp_path, [make_record()], metric="sinr")
+    doc = geojson_doc(tmp_path, map(_row_of, [make_record()]), metric="sinr")
     props = doc["features"][0]["properties"]
     assert props["sinr_db"] == 12.5
     assert "rsrp_dbm" not in props and "rsrq_db" not in props
@@ -115,11 +126,11 @@ def test_geojson_input_checks(tmp_path):
     with pytest.raises(EmptyInput):
         export_geojson([], tmp_path / "o.geojson")
     with pytest.raises(UnknownMetric):
-        export_geojson([make_record()], tmp_path / "o.geojson", metric="cqi")
+        export_geojson(map(_row_of, [make_record()]), tmp_path / "o.geojson", metric="cqi")
 
 
 def test_record_geojson_passes_schema(tmp_path):
-    doc = geojson_doc(tmp_path, spread_records(25))
+    doc = geojson_doc(tmp_path, map(_row_of, spread_records(25)))
     jsonschema.validate(json.loads(json.dumps(doc)), FEATURE_COLLECTION_SCHEMA)
 
 
@@ -166,7 +177,7 @@ def test_grid_geojson_all_metrics_by_default(tmp_path):
 # --- CSV ---
 
 def test_csv_header_schema_order(tmp_path):
-    text = csv_file_text(tmp_path, [make_record()])
+    text = csv_file_text(tmp_path, map(_row_of, [make_record()]))
     header = text.splitlines()[0].split(",")
     assert header == RECORD_CSV_HEADER
     assert header[:5] == ["ts_unix_ms", "lat_deg", "lon_deg",
@@ -178,7 +189,7 @@ def test_csv_header_schema_order(tmp_path):
 
 
 def test_csv_row_count(tmp_path):
-    text = csv_file_text(tmp_path, spread_records(12))
+    text = csv_file_text(tmp_path, map(_row_of, spread_records(12)))
     assert len(text.splitlines()) == 13
 
 
@@ -189,7 +200,7 @@ def test_csv_round_trip_reproduces_records(tmp_path):
                        pos=GeoPosition(40.000123, -99.999877, 651.3, None))
     one = make_record(ts_unix_ms=1_700_000_002_000)
     originals = [full, bare, one]
-    rows = list(csv.DictReader(io.StringIO(csv_file_text(tmp_path, originals))))
+    rows = list(csv.DictReader(io.StringIO(csv_file_text(tmp_path, map(_row_of, originals)))))
     assert len(rows) == 3
     rebuilt = []
     for row in rows:
@@ -281,7 +292,33 @@ def test_record_feature_fast_path_is_feature_text(rec, metric):
         props["alt_m_agl"] = rec.pos.alt_m_agl
     props.update((key, getattr(rec.serving, key)) for key in keys)
     want = _feature_text(rec.pos.lon_deg, rec.pos.lat_deg, rec.pos.alt_m_amsl, props)
-    assert list(_record_features([rec], keys)) == [want]
+    assert list(_record_features([_row_of(rec)], keys)) == [want]
+
+
+def csv_text(rows) -> str:
+    out = io.StringIO()
+    write_csv(out, RECORD_CSV_HEADER, rows)
+    return out.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(rec=any_records())
+@example(rec=make_record(neighbors=tuple(make_neighbor(pci=300 + i) for i in range(9))))
+def test_record_row_is_the_record_columns(rec):
+    """A row's CSV line is the one the record's columns make: position,
+    serving cell, each neighbor's fields padded with empty cells up to
+    MAX_NEIGHBORS, then the source."""
+    want = [rec.ts_unix_ms, rec.pos.lat_deg, rec.pos.lon_deg, rec.pos.alt_m_amsl,
+            rec.pos.alt_m_agl, *(getattr(rec.serving, f) for f in SERVING_FIELDS)]
+    for i in range(MAX_NEIGHBORS):
+        if i < len(rec.neighbors):
+            want += [getattr(rec.neighbors[i], f) for f in NEIGHBOR_FIELDS]
+        else:
+            want += [None] * len(NEIGHBOR_FIELDS)
+    want.append(rec.source)
+    got = _record_row(_row_of(rec))
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert csv_text([got]) == csv_text([want])
 
 
 def test_refused_export_touches_nothing(tmp_path):
@@ -289,7 +326,7 @@ def test_refused_export_touches_nothing(tmp_path):
     with pytest.raises(EmptyInput):
         export_geojson([], out)
     with pytest.raises(UnknownMetric):
-        export_geojson([make_record()], out, metric="cqi")
+        export_geojson(map(_row_of, [make_record()]), out, metric="cqi")
     with pytest.raises(EmptyInput):
         export_csv(VoxelGrid(10.0, 10.0, 40.0, -100.0, {}), out)
     assert not (tmp_path / "new").exists()
@@ -302,7 +339,7 @@ def test_export_memory_does_not_grow_with_records(tmp_path, export):
     records = [make_record(ts_unix_ms=1_700_000_000_000 + i * 1000) for i in range(20_000)]
     tracemalloc.start()
     try:
-        assert export(records, tmp_path / "o") == 20_000
+        assert export(map(_row_of, records), tmp_path / "o") == 20_000
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
