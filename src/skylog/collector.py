@@ -6,6 +6,14 @@ rotating trace files.  End-to-end tests fire on their own cadence and run
 on a worker thread so a seconds-long throughput test never punches holes
 in the 1 Hz RAN series.
 
+A tick handles one flat row (records.ROW_FIELDS), never a record object:
+the backend's cells (its poll_cells, or its poll's ModemReport taken apart
+field by field), the position's fields, the tick time and the backend's
+descriptor.  The row guard ingest uses, records.valid_row, checks it; a row
+it refuses goes to validate_record, which drops or keeps it exactly as it
+would the record.  The writer thread's queue carries the rows (and the e2e
+records), and it renders each row with records.encode_row.
+
 Ticks are scheduled on absolute deadlines (t0 + n*interval) so cadence
 cannot drift over an hour-long flight.  Records are stamped with the
 scheduled tick time from the injected clock, and the position is read at
@@ -29,8 +37,12 @@ from .records import (
     GeoPosition,
     MeasurementRecord,
     RttSummary,
+    _cells_of,
+    _position_row,
+    _record_of,
     encode_e2e,
-    encode_record,
+    encode_row,
+    valid_row,
     validate_e2e,
     validate_record,
 )
@@ -122,7 +134,9 @@ class RunSummary:
 
 def assemble_record(report: ModemReport, pos: GeoPosition, ts_unix_ms: int,
                     source: str = "sim") -> MeasurementRecord:
-    """Build and validate a record; raises ValueError naming the violation."""
+    """Build and validate a record; raises ValueError naming the violation.
+    The tick builds a row instead (see run_collection); this is the same
+    check on a record."""
     rec = MeasurementRecord(ts_unix_ms=ts_unix_ms, pos=pos,
                             serving=report.serving, neighbors=report.neighbors,
                             source=source)
@@ -133,7 +147,8 @@ def assemble_record(report: ModemReport, pos: GeoPosition, ts_unix_ms: int,
 
 
 class _TraceWriter(threading.Thread):
-    """The only component that touches output files; consumes an ordered queue."""
+    """The only component that touches output files; consumes an ordered
+    queue of RAN rows (records.ROW_FIELDS tuples) and e2e records."""
 
     _STOP = object()
 
@@ -161,10 +176,10 @@ class _TraceWriter(threading.Thread):
         self._ran_in_file = 0
         self.files.append(str(path))
 
-    def _write_ran(self, rec: MeasurementRecord):
+    def _write_ran(self, row: tuple):
         if self._ran_fh is None or self._ran_in_file >= self.max_file_records:
             self._rotate_ran()
-        self._ran_fh.write(encode_record(rec) + "\n")
+        self._ran_fh.write(encode_row(row) + "\n")
         self._ran_in_file += 1
         self.ran_written += 1
 
@@ -180,13 +195,12 @@ class _TraceWriter(threading.Thread):
         try:
             while True:
                 item = self.queue.get()
-                if item is self._STOP:
+                if type(item) is tuple:
+                    self._write_ran(item)
+                elif item is self._STOP:
                     break
-                kind, rec = item
-                if kind == "ran":
-                    self._write_ran(rec)
                 else:
-                    self._write_e2e(rec)
+                    self._write_e2e(item)
         except BaseException as exc:  # noqa: BLE001 - surfaced to the main loop as fatal
             self.error = exc
         finally:
@@ -195,8 +209,9 @@ class _TraceWriter(threading.Thread):
             if self._e2e_fh is not None:
                 self._e2e_fh.close()
 
-    def submit(self, kind: str, rec) -> None:
-        self.queue.put((kind, rec))
+    def submit(self, item) -> None:
+        """Queue a RAN row or an EndToEndRecord for writing, in order."""
+        self.queue.put(item)
 
     def close(self) -> None:
         self.queue.put(self._STOP)
@@ -232,7 +247,7 @@ class _E2eWorker(threading.Thread):
                 if not result:
                     log.warning("dropping invalid e2e record: %s", result.message)
                     continue
-                self.writer.submit("e2e", rec)
+                self.writer.submit(rec)
                 self.completed += 1
             except Exception:
                 log.exception("end-to-end test failed")
@@ -240,6 +255,21 @@ class _E2eWorker(threading.Thread):
     def close(self) -> None:
         self.queue.put(self._STOP)
         self.join()
+
+
+def _cells_at(modem: ModemBackend) -> Callable[[GeoPosition], tuple]:
+    """The backend's poll as a function from position to a row's cell part
+    (records._cells_of): its own poll_cells when it has one, as the simulated
+    backend does, else its ModemReport taken apart field by field."""
+    poll_cells = getattr(modem, "poll_cells", None)
+    if poll_cells is not None:
+        return poll_cells
+    poll = modem.poll
+
+    def cells(pos: GeoPosition) -> tuple:
+        report = poll(pos)
+        return _cells_of(report.serving, report.neighbors)
+    return cells
 
 
 def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
@@ -251,11 +281,18 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
 
     Only this loop knows the flight time: each wake calls position_at once
     with the scheduled offset in seconds from the run start, and hands that
-    position to modem.poll on a RAN tick and to the e2e worker on an e2e
-    tick.  ReplayExhausted from either call ends the run cleanly.  A poll
+    position to the backend's poll on a RAN tick and to the e2e worker on an
+    e2e tick.  ReplayExhausted from either call ends the run cleanly.  A poll
     error other than the counted modem, range and syntax errors ends the
     run: the threads are stopped after flushing every accepted record, and
-    the exception propagates unchanged."""
+    the exception propagates unchanged.
+
+    A RAN tick builds one records.ROW_FIELDS row (the tick time, the
+    position's fields, the polled cells and the backend's descriptor),
+    checks it with records.valid_row, the guard ingest uses, and queues it.
+    A row the guard refuses goes to validate_record: a record that check
+    refuses is dropped and counted in polls_failed, any other is written,
+    so a record is accepted exactly when validate_record accepts it."""
     out_dir = Path(cfg.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -274,6 +311,7 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
     writer.start()
     worker = None
     source = getattr(modem, "descriptor", "hw")
+    cells_at = _cells_at(modem)
     interval = cfg.sample_interval_ms
     n_ran = 0
     n_e2e = 0
@@ -307,20 +345,20 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
 
             if wake == next_ran:
                 try:
-                    report = modem.poll(pos)
+                    cells = cells_at(pos)
                 except ReplayExhausted:
                     break
                 except (ModemError, RangeError, ReportSyntaxError) as exc:
                     polls_failed += 1
                     log.warning("poll %d failed: %s", n_ran, exc)
                 else:
-                    try:
-                        rec = assemble_record(report, pos, next_ran, source=source)
-                    except ValueError as exc:
-                        polls_failed += 1
-                        log.warning("poll %d dropped: %s", n_ran, exc)
+                    row = (next_ran, *_position_row(pos), *cells, source)
+                    result = valid_row(row) or validate_record(_record_of(row))
+                    if result:
+                        writer.submit(row)
                     else:
-                        writer.submit("ran", rec)
+                        polls_failed += 1
+                        log.warning("poll %d dropped: invalid record: %s", n_ran, result.message)
                 n_ran += 1
 
             if worker is not None and wake == next_e2e:

@@ -20,8 +20,12 @@ Every CSV skylog writes, the analyze tables included, goes through
 write_csv: float cells use repr-style formatting, so re-parsing them
 reproduces the stored values bit-for-bit, and None becomes an empty cell.
 A record's CSV columns are its row's, neighbors flattened and padded to
-MAX_NEIGHBORS.  An empty source or unknown metric is refused before the
-output path is touched.  Rows are rendered as they are read, into a
+MAX_NEIGHBORS.  A record row has a fast path too: when records.plain_row
+holds for it and the neighbors it renders, it fills the %-template for its
+neighbor count and reaches write_csv as that finished line; any other row
+goes cell by cell through csv.writer, the reference path, as every voxel
+and analyze table row does.  An empty source or unknown metric is refused
+before the output path is touched.  Rows are rendered as they are read, into a
 temporary sibling that replaces the path only once complete, so a failed
 export (a bad trace line, a full disk) leaves the path as it was; _create
 does the same for a set of files, none replaced unless all are written.
@@ -41,7 +45,16 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .analysis import EmptyInput, UnknownMetric, VoxelGrid
-from .records import MAX_NEIGHBORS, METRIC_FIELDS, NEIGHBOR_FIELDS, ROW_FIELDS, plain_values
+from .records import (
+    DB_FIELD_RANGES,
+    MAX_NEIGHBORS,
+    METRIC_FIELDS,
+    NEIGHBOR_FIELDS,
+    POSITION_FIELDS,
+    ROW_FIELDS,
+    plain_row,
+    plain_values,
+)
 
 Source = Union[Iterable[tuple], VoxelGrid]  # records.ROW_FIELDS rows, or a grid
 
@@ -206,14 +219,18 @@ def _cell(value) -> str:
     return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
-def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> int:
+def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Union[str, Sequence]]) -> int:
     """The one CSV writer, to an open file: LF line ends, repr floats, empty
-    cells for None; returns the row count."""
+    cells for None; returns the row count.  A row given as a str is a line
+    already rendered so, written as it is."""
     count = 0
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for count, row in enumerate(rows, start=1):
-        writer.writerow([_cell(v) for v in row])
+        if type(row) is str:
+            out.write(row)
+        else:
+            writer.writerow([_cell(v) for v in row])
     return count
 
 
@@ -225,7 +242,7 @@ def export_csv(source: Source, path) -> int:
         names = _metric_names(None)
         header, rows = _voxel_header(names), _voxel_rows(source, names)
     else:
-        header, rows = RECORD_CSV_HEADER, map(_record_row, source)
+        header, rows = RECORD_CSV_HEADER, map(_record_line, source)
     with _create(path) as [out]:
         return write_csv(out, header, rows)
 
@@ -235,3 +252,25 @@ def _record_row(row: tuple) -> list:
     nbrs = row[_NEIGHBORS][:MAX_NEIGHBORS]
     return [*row[:_NEIGHBORS], *chain.from_iterable(nbrs),
             *_NO_NEIGHBOR * (MAX_NEIGHBORS - len(nbrs)), *row[_NEIGHBORS + 1:]]
+
+
+def _csv_template(n: int) -> str:
+    """write_csv's line for a plain record row with n neighbors: %d for an int
+    cell, %r for a float one, empty cells for the absent neighbors, then the
+    bare source."""
+    cells = ["%r" if name in POSITION_FIELDS or name in DB_FIELD_RANGES else "%d"
+             for name in (*ROW_FIELDS[:_NEIGHBORS], *NEIGHBOR_FIELDS * n)]
+    cells += [""] * (len(NEIGHBOR_FIELDS) * (MAX_NEIGHBORS - n))
+    return ",".join([*cells, "%s"]) + "\n"
+
+
+_CSV_LINES = tuple(map(_csv_template, range(MAX_NEIGHBORS + 1)))
+
+
+def _record_line(row: tuple) -> Union[str, list]:
+    """A ROW_FIELDS row for write_csv: its finished line when it is plain,
+    else its cells (_record_row) for the reference path."""
+    nbrs = row[_NEIGHBORS][:MAX_NEIGHBORS]
+    if plain_row(row, nbrs):
+        return _CSV_LINES[len(nbrs)] % (*row[:_NEIGHBORS], *chain.from_iterable(nbrs), row[-1])
+    return _record_row(row)

@@ -74,7 +74,11 @@ class ModemReport:
 
 @runtime_checkable
 class ModemBackend(Protocol):
-    """Polled by exactly one collector task at a time; poll order is the report order."""
+    """Polled by exactly one collector task at a time; poll order is the report order.
+
+    A backend may also offer poll_cells(pos), the same report as the cell
+    part of a trace row (records._cells_of's layout); the collector's tick
+    then calls it instead of poll."""
 
     descriptor: str
 

@@ -9,21 +9,29 @@ modem reporting granularity.
 Each per-line boundary has one exact fast path for the plain record and a
 reference path for everything else:
 
-- encode_record fills one %-template (_RECORD_LINE, _NEIGHBOR_LINE) when
-  plain_values holds: the source is one of SOURCES as an exact str, every
-  int field an exact int, and every float field an exact float with a
-  finite sum.  Any other record goes through _encode_record_reference,
-  json.dumps of the trace object.  Both give the same bytes.
+- encode_row fills one %-template (_RECORD_LINE, _NEIGHBOR_LINE) when
+  plain_row holds: the source is one of SOURCES as an exact str, every int
+  field an exact int, and every float field, alt_m_agl included, an exact
+  float with a finite sum.  Any other row goes through
+  _encode_record_reference, json.dumps of the trace object.  Both give the
+  same bytes.  encode_record is encode_row of the record's row.
 - _ingest_row scans a line with json's object scanner and, when the scan
-  covers the whole line, builds its row (ROW_FIELDS) with _clean_row, whose
-  guard requires every field to be present, exactly typed, finite and within
-  the bounds, neighbor count and cross-field rules of validate_record.
+  covers the whole line, builds its row (ROW_FIELDS) with _clean_row, which
+  pulls the fields out and hands the row to valid_row.  That one row guard
+  requires every field to be exactly typed, finite and within the bounds,
+  neighbor count and cross-field rules of validate_record.
   Any other line (a BOM, surrounding whitespace, trailing data, a refused
   field) goes through decode_record and validate_record, whose errors name
   the line, column and field, and then _row_of.  analysis.Survey reduces
   iter_rows's rows and geoexport renders them, so analyze and export build
   no record object.  _record_of turns a row back into a MeasurementRecord
-  only for iter_trace and read_trace, which replay reads.
+  only for iter_trace and read_trace, which replay reads, and for the
+  reference paths.
+
+The collector's tick lives on the same rows: it builds one from the polled
+cells (_cells_of's layout), checks it with valid_row, sends a row the guard
+refuses to validate_record, and its writer thread renders it with
+encode_row.
 """
 
 from __future__ import annotations
@@ -122,7 +130,7 @@ class MeasurementRecord:
 
 POSITION_FIELDS = tuple(f.name for f in fields(GeoPosition))
 # The one row layout of a RAN record: MeasurementRecord's fields, pos and serving
-# spread in place, neighbors a tuple of NEIGHBOR_FIELDS tuples; _clean_row spells it out.
+# spread in place, neighbors a tuple of NEIGHBOR_FIELDS tuples; valid_row spells it out.
 ROW_FIELDS = ("ts_unix_ms", *POSITION_FIELDS, *SERVING_FIELDS, "neighbors", "source")
 _POSITION_ROW = slice(1, 1 + len(POSITION_FIELDS))
 _SERVING_ROW = slice(_POSITION_ROW.stop, _POSITION_ROW.stop + len(SERVING_FIELDS))
@@ -130,10 +138,16 @@ _position_row, _serving_row, _neighbor_row = (
     attrgetter(*layout) for layout in (POSITION_FIELDS, SERVING_FIELDS, NEIGHBOR_FIELDS))
 
 
+def _cells_of(serving: ServingCellSample, neighbors) -> tuple:
+    """A serving cell and its neighbors as the cell part of a ROW_FIELDS row:
+    the serving fields, then the neighbor tuples."""
+    return (*_serving_row(serving), tuple(map(_neighbor_row, neighbors)))
+
+
 def _row_of(rec: MeasurementRecord) -> tuple:
     """rec as a ROW_FIELDS row."""
-    return (rec.ts_unix_ms, *_position_row(rec.pos), *_serving_row(rec.serving),
-            tuple(map(_neighbor_row, rec.neighbors)), rec.source)
+    return (rec.ts_unix_ms, *_position_row(rec.pos), *_cells_of(rec.serving, rec.neighbors),
+            rec.source)
 
 
 def _record_of(row: tuple) -> MeasurementRecord:
@@ -341,6 +355,22 @@ def plain_values(source, ints, floats) -> bool:
             and math.isfinite(sum(floats)))
 
 
+_ROW_INTS = itemgetter(*(i for i, name in enumerate(ROW_FIELDS)
+                         if name in ("ts_unix_ms", *SERVING_FIELDS) and name not in DB_FIELD_RANGES))
+_ROW_FLOATS = itemgetter(*(i for i, name in enumerate(ROW_FIELDS)
+                           if name in POSITION_FIELDS or name in DB_FIELD_RANGES))
+
+
+def plain_row(row: tuple, neighbors) -> bool:
+    """plain_values over a ROW_FIELDS row, with neighbors (the row's neighbor
+    tuples, or the part of them a writer renders) in place of its own."""
+    ints, floats = [*_ROW_INTS(row)], [*_ROW_FLOATS(row)]
+    for earfcn, pci, *dbs in neighbors:
+        ints += (earfcn, pci)
+        floats += dbs
+    return plain_values(row[-1], ints, floats)
+
+
 def _line_template(layout) -> str:
     """A cell's compact trace object: %d for an int field, %r for a dB field."""
     return "{" + ",".join(f'"{name}":%r' if name in DB_FIELD_RANGES else f'"{name}":%d'
@@ -352,33 +382,30 @@ _RECORD_LINE = ('{"ts_unix_ms":%d,"lat_deg":%r,"lon_deg":%r,"alt_m_amsl":%r,"alt
                 '"serving":' + _line_template(SERVING_FIELDS) + ',"neighbors":[%s],"source":"%s"}')
 
 
-def encode_record(rec: MeasurementRecord) -> str:
-    """Encode one record as a single trace line (no trailing newline): the
-    json.dumps bytes of its trace object, dB fields quantized.  A plain
-    record fills _RECORD_LINE; any other goes through the reference path.
-    The field reads stay literal, as in _clean_row, for speed."""
-    pos, s, nbrs = rec.pos, rec.serving, rec.neighbors
-    ints = [rec.ts_unix_ms, s.earfcn, s.pci, s.cell_id, s.tac]
-    floats = [pos.lat_deg, pos.lon_deg, pos.alt_m_amsl, pos.alt_m_agl,
-              s.rsrp_dbm, s.rsrq_db, s.rssi_dbm, s.sinr_db]
-    for n in nbrs:
-        ints += (n.earfcn, n.pci)
-        floats += (n.rsrp_dbm, n.rsrq_db, n.rssi_dbm)
-    if not plain_values(rec.source, ints, floats):
-        return _encode_record_reference(rec)
+def encode_row(row: tuple) -> str:
+    """Encode one ROW_FIELDS row as a single trace line (no trailing newline):
+    the json.dumps bytes of its trace object, dB fields quantized.  A plain
+    row (plain_row) fills _RECORD_LINE; any other goes through the reference
+    path, _encode_record_reference of the row's record."""
+    ts, lat, lon, amsl, agl, earfcn, pci, cell_id, tac, rsrp, rsrq, rssi, sinr, nbrs, source = row
+    if not plain_row(row, nbrs):
+        return _encode_record_reference(_record_of(row))
     # round(x, 1) is quantize_db, inlined.
     return _RECORD_LINE % (
-        rec.ts_unix_ms, pos.lat_deg, pos.lon_deg, pos.alt_m_amsl, pos.alt_m_agl,
-        s.earfcn, s.pci, s.cell_id, s.tac,
-        round(s.rsrp_dbm, 1), round(s.rsrq_db, 1), round(s.rssi_dbm, 1), round(s.sinr_db, 1),
-        ",".join([_NEIGHBOR_LINE % (n.earfcn, n.pci,
-                                    round(n.rsrp_dbm, 1), round(n.rsrq_db, 1), round(n.rssi_dbm, 1))
-                  for n in nbrs]),
-        rec.source)
+        ts, lat, lon, amsl, agl, earfcn, pci, cell_id, tac,
+        round(rsrp, 1), round(rsrq, 1), round(rssi, 1), round(sinr, 1),
+        ",".join([_NEIGHBOR_LINE % (n_earfcn, n_pci, round(n_rsrp, 1), round(n_rsrq, 1), round(n_rssi, 1))
+                  for n_earfcn, n_pci, n_rsrp, n_rsrq, n_rssi in nbrs]),
+        source)
+
+
+def encode_record(rec: MeasurementRecord) -> str:
+    """encode_row of the record's row."""
+    return encode_row(_row_of(rec))
 
 
 def _encode_record_reference(rec: MeasurementRecord) -> str:
-    """encode_record for any record: the trace object through json.dumps."""
+    """encode_row for any record: the trace object through json.dumps."""
     doc = {
         "ts_unix_ms": rec.ts_unix_ms,
         "lat_deg": rec.pos.lat_deg,
@@ -532,56 +559,65 @@ _RSSI_LO, _RSSI_HI = DB_FIELD_RANGES["rssi_dbm"]
 _SINR_LO, _SINR_HI = DB_FIELD_RANGES["sinr_db"]
 
 
-def _clean_row(doc) -> Optional[tuple]:
-    """The row (ROW_FIELDS) a parsed trace line stands for, built in one pass,
-    when every field is present, exactly typed (a float field holds a float,
-    not an int), finite and within the bounds validate_record enforces.
+def valid_row(row: tuple) -> bool:
+    """True when every field of a ROW_FIELDS row is exactly typed (a float
+    field holds a float, not an int), finite and within the bounds,
+    neighbor count and cross-field rules of validate_record.
 
-    It never accepts a line the reference path (decode_record, then
-    validate_record) refuses, so a None only sends the line there.  Unknown
-    keys are ignored, as decode_record ignores them.
+    The one row guard, for a trace line at ingest and a tick's row in the
+    collector.  It never accepts a row whose record validate_record refuses,
+    so a False only sends the row to that reference check.
     """
+    ts, lat, lon, amsl, agl, earfcn, pci, cell_id, tac, rsrp, rsrq, rssi, sinr, nbrs, source = row
+    # Chained comparisons are False for NaN, so each bounded check also
+    # rejects non-finite values.
+    if not (type(ts) is int and source in SOURCES
+            and type(lat) is float and -LAT_MAX_DEG <= lat <= LAT_MAX_DEG
+            and type(lon) is float and -LON_MAX_DEG <= lon <= LON_MAX_DEG
+            and type(amsl) is float and -math.inf < amsl < math.inf
+            and (agl is None or type(agl) is float and 0.0 <= agl <= AGL_CEILING_M)
+            and type(earfcn) is int and earfcn >= 0
+            and type(pci) is int and 0 <= pci <= PCI_MAX
+            and type(cell_id) is int and 0 <= cell_id <= CELL_ID_MAX
+            and type(tac) is int and 0 <= tac <= TAC_MAX
+            and type(rsrp) is float and _RSRP_LO <= rsrp <= _RSRP_HI
+            and type(rsrq) is float and _RSRQ_LO <= rsrq <= _RSRQ_HI
+            and type(rssi) is float and _RSSI_LO <= rssi <= _RSSI_HI
+            and type(sinr) is float and _SINR_LO <= sinr <= _SINR_HI
+            and rssi >= rsrp
+            and len(nbrs) <= MAX_NEIGHBORS):
+        return False
+    for n_earfcn, n_pci, n_rsrp, n_rsrq, n_rssi in nbrs:
+        if not (type(n_earfcn) is int and n_earfcn >= 0
+                and type(n_pci) is int and 0 <= n_pci <= PCI_MAX
+                and type(n_rsrp) is float and _RSRP_LO <= n_rsrp <= _RSRP_HI
+                and type(n_rsrq) is float and _RSRQ_LO <= n_rsrq <= _RSRQ_HI
+                and type(n_rssi) is float and _RSSI_LO <= n_rssi <= _RSSI_HI
+                and (n_earfcn != earfcn or n_pci != pci)):
+            return False
+    return True
+
+
+_neighbor_items = itemgetter(*NEIGHBOR_FIELDS)
+
+
+def _clean_row(doc) -> Optional[tuple]:
+    """The row (ROW_FIELDS) a parsed trace line stands for, when every field
+    is present and valid_row accepts it; a None only sends the line to the
+    reference path (decode_record, then validate_record).  Unknown keys are
+    ignored, as decode_record ignores them."""
     try:
-        s = doc["serving"]
-        earfcn, pci, cell_id, tac = s["earfcn"], s["pci"], s["cell_id"], s["tac"]
-        rsrp, rsrq, rssi, sinr = s["rsrp_dbm"], s["rsrq_db"], s["rssi_dbm"], s["sinr_db"]
-        lat, lon, amsl = doc["lat_deg"], doc["lon_deg"], doc["alt_m_amsl"]
-        agl = doc.get("alt_m_agl")
-        ts, source, nbrs = doc["ts_unix_ms"], doc["source"], doc["neighbors"]
-        # Chained comparisons are False for NaN, so each bounded check also
-        # rejects non-finite values.
-        if not (type(ts) is int and source in SOURCES
-                and type(lat) is float and -LAT_MAX_DEG <= lat <= LAT_MAX_DEG
-                and type(lon) is float and -LON_MAX_DEG <= lon <= LON_MAX_DEG
-                and type(amsl) is float and -math.inf < amsl < math.inf
-                and (agl is None or type(agl) is float and 0.0 <= agl <= AGL_CEILING_M)
-                and type(earfcn) is int and earfcn >= 0
-                and type(pci) is int and 0 <= pci <= PCI_MAX
-                and type(cell_id) is int and 0 <= cell_id <= CELL_ID_MAX
-                and type(tac) is int and 0 <= tac <= TAC_MAX
-                and type(rsrp) is float and _RSRP_LO <= rsrp <= _RSRP_HI
-                and type(rsrq) is float and _RSRQ_LO <= rsrq <= _RSRQ_HI
-                and type(rssi) is float and _RSSI_LO <= rssi <= _RSSI_HI
-                and type(sinr) is float and _SINR_LO <= sinr <= _SINR_HI
-                and rssi >= rsrp
-                and type(nbrs) is list and len(nbrs) <= MAX_NEIGHBORS):
+        s, nbrs = doc["serving"], doc["neighbors"]
+        if type(nbrs) is not list:
             return None
-        neighbors = []
-        for n in nbrs:
-            n_earfcn, n_pci = n["earfcn"], n["pci"]
-            n_rsrp, n_rsrq, n_rssi = n["rsrp_dbm"], n["rsrq_db"], n["rssi_dbm"]
-            if not (type(n_earfcn) is int and n_earfcn >= 0
-                    and type(n_pci) is int and 0 <= n_pci <= PCI_MAX
-                    and type(n_rsrp) is float and _RSRP_LO <= n_rsrp <= _RSRP_HI
-                    and type(n_rsrq) is float and _RSRQ_LO <= n_rsrq <= _RSRQ_HI
-                    and type(n_rssi) is float and _RSSI_LO <= n_rssi <= _RSSI_HI
-                    and (n_earfcn != earfcn or n_pci != pci)):
-                return None
-            neighbors.append((n_earfcn, n_pci, n_rsrp, n_rsrq, n_rssi))
+        row = (doc["ts_unix_ms"], doc["lat_deg"], doc["lon_deg"], doc["alt_m_amsl"], doc.get("alt_m_agl"),
+               s["earfcn"], s["pci"], s["cell_id"], s["tac"],
+               s["rsrp_dbm"], s["rsrq_db"], s["rssi_dbm"], s["sinr_db"],
+               tuple(map(_neighbor_items, nbrs)),
+               doc["source"])
     except (KeyError, TypeError):  # a missing key, or a scalar or list where an object belongs
         return None
-    return (ts, lat, lon, amsl, agl, earfcn, pci, cell_id, tac, rsrp, rsrq, rssi, sinr,
-            tuple(neighbors), source)
+    return row if valid_row(row) else None
 
 
 _scan_once = json.JSONDecoder().scan_once  # json.loads's object scanner, without its checks
@@ -651,7 +687,8 @@ __all__ = [
     "GeoPosition", "ServingCellSample", "NeighborCellSample", "MeasurementRecord",
     "RttSummary", "EndToEndRecord", "ValidationResult", "TraceDecodeError",
     "validate_record", "validate_cells", "validate_e2e", "validate_position",
-    "encode_record", "decode_record", "encode_e2e", "decode_e2e", "plain_values",
+    "encode_record", "encode_row", "decode_record", "encode_e2e", "decode_e2e", "plain_values",
+    "plain_row", "valid_row",
     "iter_rows", "iter_trace", "read_trace", "read_e2e_trace", "quantize_db", "get_field",
     "scalar_fields", "position_from_doc",
     "DB_FIELD_RANGES", "METRIC_FIELDS", "SERVING_FIELDS", "NEIGHBOR_FIELDS", "POSITION_FIELDS",

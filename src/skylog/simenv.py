@@ -12,6 +12,16 @@ fresh blake2b digest would give, so the cache changes no output bit.  The
 aircraft stays in one 10 m voxel for several ticks, and an end-to-end test
 re-samples the tick's position, so most samples hit.  Each plan likewise
 keeps its leg flight times, computed once with the same float operations.
+
+One radio core, _Radio, samples every station at a position.  Built once
+per environment (by SimModemBackend and SimE2eEngine), it keeps what does
+not depend on the position: each station's projection scale, site, EIRP
+and identity, the 1 m loss, the noise in mW and the PRB gain; station 0's
+projection is also the voxel's.  Its cells method gives the collector's
+tick the cell part of a trace row, clamped, with no report object.
+radio_sample_raw (unclamped) and radio_sample (a ModemReport) are built on
+the same core, so every output keeps the per-call formulas' floats bit for
+bit.
 """
 
 from __future__ import annotations
@@ -19,16 +29,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from typing import Optional
 
-from .geo import tangent_forward
+from .geo import EARTH_RADIUS_M, tangent_forward
 from .modem import ModemReport
 from .records import (
     DB_FIELD_RANGES,
     MAX_NEIGHBORS,
+    SERVING_FIELDS,
     GeoPosition,
     NeighborCellSample,
     RttSummary,
@@ -204,11 +216,15 @@ def _voxel_draws(seed: int, cell_id: int, vx: int, vy: int, vz: int) -> tuple[fl
             _std_normal(b"skylog.shadow", seed, cell_id, vx, vy, vz))
 
 
+def _voxel_at(x: float, y: float, agl: float) -> tuple[int, int, int]:
+    """The voxel of a point x m east and y m north of station 0, agl m up."""
+    return (math.floor(x / VOXEL_M), math.floor(y / VOXEL_M), math.floor(agl / VOXEL_M))
+
+
 def _voxel(env: RadioEnvironment, pos: GeoPosition) -> tuple[int, int, int]:
     anchor = env.stations[0].site_pos
     x, y = tangent_forward(anchor.lat_deg, anchor.lon_deg, pos.lat_deg, pos.lon_deg)
-    agl = pos.alt_m_agl if pos.alt_m_agl is not None else 0.0
-    return (math.floor(x / VOXEL_M), math.floor(y / VOXEL_M), math.floor(agl / VOXEL_M))
+    return _voxel_at(x, y, pos.alt_m_agl if pos.alt_m_agl is not None else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,36 +251,26 @@ def _los_probability(pos: GeoPosition) -> float:
     return min(max(LOS_P_FLOOR + (1.0 - LOS_P_FLOOR) * agl / LOS_P_FULL_AT_M, LOS_P_FLOOR), 1.0)
 
 
-def _link(env: RadioEnvironment, station: BaseStation, voxel: tuple[int, int, int],
+def _link(env: RadioEnvironment, cell_id: int, voxel: tuple[int, int, int],
           los_p: float) -> tuple[bool, float]:
-    """(line of sight, shadowing dB) of one station seen from one voxel."""
-    u, z = _voxel_draws(env.seed, station.cell_id, *voxel)
+    """(line of sight, shadowing dB) of one cell seen from one voxel."""
+    u, z = _voxel_draws(env.seed, cell_id, *voxel)
     return u < los_p, env.shadow_sigma_db * z
-
-
-def _path_loss_db(env: RadioEnvironment, station: BaseStation, pos: GeoPosition,
-                  voxel: tuple[int, int, int], los_p: float, fspl_db: float) -> float:
-    d = station_distance_m(station, pos)
-    if d < 1.0:
-        raise DistanceTooSmall(f"distance {d:.3f} m below 1 m reference")
-    los, shadow = _link(env, station, voxel, los_p)
-    n = env.n_los if los else env.n_nlos
-    return fspl_db + 10.0 * n * math.log10(d) + shadow
 
 
 def los_state(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) -> bool:
     """True for line-of-sight.  Deterministic per (seed, station, voxel)."""
-    return _link(env, station, _voxel(env, pos), _los_probability(pos))[0]
+    return _link(env, station.cell_id, _voxel(env, pos), _los_probability(pos))[0]
 
 
 def shadow_db(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) -> float:
     """Lognormal shadowing term, frozen per (seed, station, voxel)."""
-    return _link(env, station, _voxel(env, pos), _los_probability(pos))[1]
+    return _link(env, station.cell_id, _voxel(env, pos), _los_probability(pos))[1]
 
 
 def path_loss_db(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) -> float:
-    return _path_loss_db(env, station, pos, _voxel(env, pos), _los_probability(pos),
-                         fspl_1m_db(env.freq_hz))
+    return _Radio(env).loss_db(station.cell_id, station_distance_m(station, pos),
+                               _voxel(env, pos), _los_probability(pos))
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +279,6 @@ def path_loss_db(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) 
 
 def _linear_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
-
-
-def _dbm(linear_mw: float) -> float:
-    return 10.0 * math.log10(linear_mw)
 
 
 @dataclass(frozen=True)
@@ -292,67 +294,113 @@ class RawRadioSample:
     neighbor_powers: tuple[tuple[BaseStation, float, float], ...] = ()
 
 
+_RSRP_LO, _RSRP_HI = DB_FIELD_RANGES["rsrp_dbm"]
+_RSRQ_LO, _RSRQ_HI = DB_FIELD_RANGES["rsrq_db"]
+_RSSI_LO, _RSSI_HI = DB_FIELD_RANGES["rssi_dbm"]
+_SINR_LO, _SINR_HI = DB_FIELD_RANGES["sinr_db"]
+_SINR = SERVING_FIELDS.index("sinr_db")
+
+
+class _Radio:
+    """The radio model of one environment, with everything that does not
+    depend on the position computed once: each station's projection scale,
+    site, EIRP and identity, the 1 m loss, the noise in mW and the PRB gain.
+    Every float comes from the same operations, in the same order, as the
+    per-call formulas (geo.tangent_forward, station_distance_m), so a sample
+    is bit-identical to one computed from scratch."""
+
+    def __init__(self, env: RadioEnvironment):
+        self.env = env
+        # (cos of the site latitude, site lat, site lon, antenna height, EIRP, cell_id)
+        self._links = tuple(
+            (math.cos(math.radians(st.site_pos.lat_deg)), st.site_pos.lat_deg, st.site_pos.lon_deg,
+             st.site_pos.alt_m_agl or 0.0, st.eirp_dbm, st.cell_id)
+            for st in env.stations)
+        self._ids = tuple((st.earfcn, st.pci, st.cell_id, st.tac) for st in env.stations)
+        self._pcis = tuple(st.pci for st in env.stations)
+        self._fspl_db = fspl_1m_db(env.freq_hz)
+        self._ten_n = (10.0 * env.n_nlos, 10.0 * env.n_los)  # indexed by line of sight
+        self._noise_mw = _linear_mw(env.noise_dbm)
+        self._prb_gain = 10.0 * math.log10(env.n_prb)
+
+    def loss_db(self, cell_id: int, d: float, voxel: tuple[int, int, int], los_p: float) -> float:
+        """Path loss of one cell d m away, seen from voxel: log-distance with
+        the LoS or NLoS exponent, plus the voxel's shadowing."""
+        if d < 1.0:
+            raise DistanceTooSmall(f"distance {d:.3f} m below 1 m reference")
+        los, shadow = _link(self.env, cell_id, voxel, los_p)
+        return self._fspl_db + self._ten_n[los] * math.log10(d) + shadow
+
+    def sample(self, pos: GeoPosition) -> tuple[list, float, float]:
+        """(ranked, rssi, sinr) at pos, unclamped.  ranked holds one
+        (station index, received power dBm, rsrq dB) per station, strongest
+        first, ties to the lowest pci: its head is the serving cell and its
+        tail the neighbors."""
+        lat, lon = pos.lat_deg, pos.lon_deg
+        agl = pos.alt_m_agl if pos.alt_m_agl is not None else 0.0
+        los_p = _los_probability(pos)
+        voxel = None
+        powers = []
+        for scale, site_lat, site_lon, site_agl, eirp, cell_id in self._links:
+            # geo.tangent_forward from this site; station 0's is also the voxel's.
+            dx = math.radians(lon - site_lon) * EARTH_RADIUS_M * scale
+            dy = math.radians(lat - site_lat) * EARTH_RADIUS_M
+            if voxel is None:
+                voxel = _voxel_at(dx, dy, agl)
+            dz = agl - site_agl
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            powers.append(eirp - self.loss_db(cell_id, d, voxel, los_p))
+        # Left to right in station order on purpose: sum() of floats compensates
+        # from Python 3.12 on, which moves the last bit and so the trace bytes
+        # between versions.
+        total_mw = 0.0
+        for p in powers:
+            total_mw += 10.0 ** (p / 10.0)
+        noise_mw = self._noise_mw
+        total_mw += noise_mw
+        rssi = 10.0 * math.log10(total_mw)
+        # (-power, pci, station index): the index keeps equal keys in station
+        # order, as a stable sort on (-power, pci) would.
+        order = sorted(zip(map(operator.neg, powers), self._pcis, range(len(powers))))
+        p_serv = powers[order[0][2]]
+        interference_mw = total_mw - noise_mw - 10.0 ** (p_serv / 10.0)
+        sinr = p_serv - 10.0 * math.log10(interference_mw + noise_mw)
+        prb_gain = self._prb_gain
+        return [(k, powers[k], prb_gain + powers[k] - rssi) for _, _, k in order], rssi, sinr
+
+    def cells(self, pos: GeoPosition) -> tuple:
+        """The cell part of the ROW_FIELDS row sampled at pos (records._cells_of's
+        layout): the serving fields, then the strongest MAX_NEIGHBORS others as
+        neighbor tuples, each metric clamped into its reportable range."""
+        ranked, rssi, sinr = self.sample(pos)
+        k, p, q = ranked[0]
+        rssi = min(max(rssi, _RSSI_LO), _RSSI_HI)
+        ids = self._ids
+        return (*ids[k], min(max(p, _RSRP_LO), _RSRP_HI), min(max(q, _RSRQ_LO), _RSRQ_HI),
+                rssi, min(max(sinr, _SINR_LO), _SINR_HI),
+                tuple([(*ids[n][:2], min(max(p_n, _RSRP_LO), _RSRP_HI),
+                        min(max(q_n, _RSRQ_LO), _RSRQ_HI), rssi)
+                       for n, p_n, q_n in ranked[1:MAX_NEIGHBORS + 1]]))
+
+
 def radio_sample_raw(env: RadioEnvironment, pos: GeoPosition) -> RawRadioSample:
-    # The voxel, the LoS probability and the 1 m loss are the same for every
-    # station, so they are computed once per sample.
-    voxel = _voxel(env, pos)
-    los_p = _los_probability(pos)
-    fspl_db = fspl_1m_db(env.freq_hz)
-    powers = [(st, st.eirp_dbm - _path_loss_db(env, st, pos, voxel, los_p, fspl_db))
-              for st in env.stations]
-    # Strongest received power first, ties to the lowest pci.  The sort is
-    # stable, so its head is the serving cell and its tail the neighbors.
-    (serving, p_serv), *rest = sorted(powers, key=lambda sp: (-sp[1], sp[0].pci))
-    noise_mw = _linear_mw(env.noise_dbm)
-    # Left to right in station order on purpose: sum() of floats compensates
-    # from Python 3.12 on, which moves the last bit and so the trace bytes
-    # between versions.
-    total_mw = 0.0
-    for _, p in powers:
-        total_mw += _linear_mw(p)
-    total_mw += noise_mw
-    rssi = _dbm(total_mw)
-    prb_gain = 10.0 * math.log10(env.n_prb)
-    rsrq = prb_gain + p_serv - rssi
-    interference_mw = total_mw - noise_mw - _linear_mw(p_serv)
-    sinr = p_serv - _dbm(interference_mw + noise_mw)
-    neighbor_powers = tuple((st, p, prb_gain + p - rssi) for st, p in rest)
-    return RawRadioSample(serving=serving, rsrp_dbm=p_serv, rsrq_db=rsrq,
-                          rssi_dbm=rssi, sinr_db=sinr, neighbor_powers=neighbor_powers)
+    """The environment at a position, before the clamps: the core the tick's
+    _Radio.cells clamps."""
+    ranked, rssi, sinr = _Radio(env).sample(pos)
+    (k, p, q), *rest = ranked
+    stations = env.stations
+    return RawRadioSample(serving=stations[k], rsrp_dbm=p, rsrq_db=q, rssi_dbm=rssi, sinr_db=sinr,
+                          neighbor_powers=tuple((stations[k], p, q) for k, p, q in rest))
 
 
-# Reportable ranges, looked up once instead of on every clamp.
-_RSRP_RANGE = DB_FIELD_RANGES["rsrp_dbm"]
-_RSRQ_RANGE = DB_FIELD_RANGES["rsrq_db"]
-_RSSI_RANGE = DB_FIELD_RANGES["rssi_dbm"]
-_SINR_RANGE = DB_FIELD_RANGES["sinr_db"]
-
-
-def _clamp(value: float, bounds: tuple[float, float]) -> float:
-    lo, hi = bounds
-    return min(max(value, lo), hi)
+def _report_of(cells: tuple) -> ModemReport:
+    *serving, neighbors = cells
+    return ModemReport(ServingCellSample(*serving), tuple(NeighborCellSample(*n) for n in neighbors))
 
 
 def radio_sample(env: RadioEnvironment, pos: GeoPosition) -> ModemReport:
     """Sample the environment at a position, clamped into reportable ranges."""
-    raw = radio_sample_raw(env, pos)
-    st = raw.serving
-    serving = ServingCellSample(
-        earfcn=st.earfcn, pci=st.pci, cell_id=st.cell_id, tac=st.tac,
-        rsrp_dbm=_clamp(raw.rsrp_dbm, _RSRP_RANGE),
-        rsrq_db=_clamp(raw.rsrq_db, _RSRQ_RANGE),
-        rssi_dbm=_clamp(raw.rssi_dbm, _RSSI_RANGE),
-        sinr_db=_clamp(raw.sinr_db, _SINR_RANGE),
-    )
-    neighbors = tuple(
-        NeighborCellSample(
-            earfcn=nst.earfcn, pci=nst.pci,
-            rsrp_dbm=_clamp(p, _RSRP_RANGE),
-            rsrq_db=_clamp(q, _RSRQ_RANGE),
-            rssi_dbm=serving.rssi_dbm,
-        )
-        for nst, p, q in raw.neighbor_powers[:MAX_NEIGHBORS])
-    return ModemReport(serving=serving, neighbors=neighbors)
+    return _report_of(_Radio(env).cells(pos))
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +546,21 @@ def load_flight_plan(path) -> FlightPlan:
 
 class SimModemBackend:
     """Modem backend that samples the simulated environment at the position
-    it is polled with."""
+    it is polled with.  The collector's tick calls poll_cells, which gives the
+    row's cell part without building a report."""
 
     descriptor = "sim"
 
     def __init__(self, env: RadioEnvironment):
         _check_environment(env)
         self.env = env
+        self._radio = _Radio(env)
+
+    def poll_cells(self, pos: GeoPosition) -> tuple:
+        return self._radio.cells(pos)
 
     def poll(self, pos: GeoPosition) -> ModemReport:
-        return radio_sample(self.env, pos)
+        return _report_of(self.poll_cells(pos))
 
 
 class SimE2eEngine:
@@ -517,10 +570,11 @@ class SimE2eEngine:
     def __init__(self, env: RadioEnvironment):
         _check_environment(env)
         self.env = env
+        self._radio = _Radio(env)
 
     def measure(self, pos: GeoPosition, salt: int):
-        report = radio_sample(self.env, pos)
-        dl, ul, rtt_ms = synth_e2e(self.env, report.serving.sinr_db, salt=salt)
+        sinr_db = self._radio.cells(pos)[_SINR]
+        dl, ul, rtt_ms = synth_e2e(self.env, sinr_db, salt=salt)
         rtt = RttSummary(sent=E2E_RTT_COUNT, received=E2E_RTT_COUNT,
                          min_ms=rtt_ms, mean_ms=rtt_ms, p50_ms=rtt_ms, max_ms=rtt_ms,
                          loss_fraction=0.0)

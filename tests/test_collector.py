@@ -1,14 +1,16 @@
 """Sampling cadence, loss accounting, rotation, durability, replay equality."""
 
 import dataclasses
+import json
 import math
 import threading
 import time
+from collections import Counter
 from functools import partial
 
 import pytest
 
-from skylog import collector
+from skylog import collector, records
 from skylog.collector import (
     CollectorConfig,
     SIM_EPOCH_MS,
@@ -17,7 +19,14 @@ from skylog.collector import (
     run_collection,
 )
 from skylog.modem import ModemError, ModemReport, ReplayBackend
-from skylog.records import GeoPosition, read_e2e_trace, read_trace
+from skylog.records import (
+    GeoPosition,
+    MeasurementRecord,
+    NeighborCellSample,
+    ServingCellSample,
+    read_e2e_trace,
+    read_trace,
+)
 from skylog.simenv import (
     DistanceTooSmall,
     FlightPlan,
@@ -222,15 +231,16 @@ def test_position_read_once_per_wake_and_polled_with(tmp_path, monkeypatch):
     polled, tagged = [], []
 
     class RecordingBackend(SimModemBackend):
-        def poll(self, pos):
+        def poll_cells(self, pos):
             polled.append(pos)
-            return super().poll(pos)
+            return super().poll_cells(pos)
 
-    def tag(report, pos, *args, **kwargs):
+    def tag(pos):  # the tick spreads the polled position into its row
         tagged.append(pos)
-        return assemble_record(report, pos, *args, **kwargs)
+        return position_row(pos)
 
-    monkeypatch.setattr(collector, "assemble_record", tag)
+    position_row = collector._position_row
+    monkeypatch.setattr(collector, "_position_row", tag)
     cfg = CollectorConfig(output_dir=str(tmp_path), duration_s=30.0, e2e_interval_s=1.5)
     summary = run_collection(cfg, SimClock(), RecordingBackend(canonical_env()), position_at,
                              SimE2eEngine(canonical_env()))
@@ -403,19 +413,98 @@ def test_a_failed_e2e_test_is_dropped_and_the_run_continues(tmp_path, caplog, ra
 
 
 def test_trace_writer_failure_keeps_written_lines_and_stops_threads(tmp_path, monkeypatch):
-    encode = collector.encode_record
+    encode = collector.encode_row
     calls = 0
 
-    def failing_encode(rec):
+    def failing_encode(row):
         nonlocal calls
         calls += 1
         if calls == 50:
             raise OSError(28, "No space left on device")
-        return encode(rec)
+        return encode(row)
 
-    monkeypatch.setattr(collector, "encode_record", failing_encode)
+    monkeypatch.setattr(collector, "encode_row", failing_encode)
     cfg, clock, modem, source, engine = sim_setup(tmp_path, duration=600.0)
     with pytest.raises(RuntimeError, match="trace writer failed"):
         run_collection(cfg, clock, modem, source, engine)
     assert len(read_trace(next(tmp_path.glob("*.trace")))) == 49
     assert not [t.name for t in threading.enumerate() if t.name.startswith("skylog-")]
+
+
+# --- the row tick: one path for every backend, records accepted as validate_record accepts them ---
+
+class PollOnlyBackend:
+    """The simulated backend seen through poll alone, as a hardware or
+    replay backend is."""
+
+    descriptor = "sim"
+
+    def __init__(self, env):
+        self._sim = SimModemBackend(env)
+
+    def poll(self, pos) -> ModemReport:
+        return self._sim.poll(pos)
+
+
+def test_poll_only_backend_writes_the_sim_backends_bytes(tmp_path):
+    blobs = []
+    for sub, backend in (("sim", SimModemBackend(canonical_env())),
+                         ("poll", PollOnlyBackend(canonical_env()))):
+        cfg, clock, _, source, engine = sim_setup(tmp_path / sub, duration=300.0, run_id="same")
+        summary = run_collection(cfg, clock, backend, source, engine)
+        assert (summary.records_written, summary.polls_failed) == (300, 0)
+        blobs.append([(tmp_path / sub / name).read_bytes() for name in ("same-0001.trace", "same.e2e")])
+    assert blobs[0] == blobs[1]
+
+
+class OddReportBackend(FlakyBackend):
+    """Poll 1 reports dB values as ints, which validate_record accepts and
+    the row guard leaves to it; poll 2 repeats the serving cell as a
+    neighbor, which both refuse."""
+
+    def poll(self, pos) -> ModemReport:
+        i = self.calls
+        report = super().poll(pos)
+        if i == 1:
+            return ModemReport(serving=make_serving(rsrp_dbm=-95, sinr_db=12),
+                               neighbors=(make_neighbor(rssi_dbm=-70),))
+        if i == 2:
+            return ModemReport(serving=make_serving(), neighbors=(make_neighbor(pci=101),))
+        return report
+
+
+def test_a_row_the_guard_leaves_to_validate_record_is_written_as_before(tmp_path, caplog):
+    cfg = CollectorConfig(output_dir=str(tmp_path), duration_s=4.0, e2e_interval_s=0)
+    pos = GeoPosition(lat_deg=40.0, lon_deg=-100.0, alt_m_amsl=302.0, alt_m_agl=2.0)
+    summary = run_collection(cfg, SimClock(), OddReportBackend(set()), lambda _t: pos)
+    assert (summary.records_written, summary.polls_failed) == (3, 1)
+    assert "poll 2 dropped: invalid record: neighbor duplicates serving cell" in caplog.text
+    lines = next(tmp_path.glob("*.trace")).read_text(encoding="utf-8").splitlines()
+    assert lines[1] == (
+        '{"ts_unix_ms":1700000001000,"lat_deg":40.0,"lon_deg":-100.0,"alt_m_amsl":302.0,'
+        '"alt_m_agl":2.0,"serving":{"earfcn":1300,"pci":101,"cell_id":1715004,"tac":4321,'
+        '"rsrp_dbm":-95,"rsrq_db":-11.5,"rssi_dbm":-70.0,"sinr_db":12},"neighbors":'
+        '[{"earfcn":1300,"pci":202,"rsrp_dbm":-101.5,"rsrq_db":-14.0,"rssi_dbm":-70}],'
+        '"source":"sim"}')
+    assert [json.loads(line)["ts_unix_ms"] - SIM_EPOCH_MS for line in lines] == [0, 1000, 3000]
+
+
+def test_a_clean_sim_flight_builds_no_record_objects(tmp_path, monkeypatch):
+    """The tick builds rows: over a simulated flight with e2e tests on, no
+    report or record object is made and validate_record never runs."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in (MeasurementRecord, ModemReport, ServingCellSample, NeighborCellSample):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    for module in (collector, records):
+        monkeypatch.setattr(module, "validate_record", counted("validate_record", module.validate_record))
+    cfg, clock, modem, source, engine = sim_setup(tmp_path, duration=300.0)
+    summary = run_collection(cfg, clock, modem, source, engine)
+    assert (summary.records_written, summary.polls_failed, summary.e2e_tests_run) == (300, 0, 5)
+    assert counts == Counter()

@@ -16,6 +16,7 @@ from skylog.geoexport import (
     RECORD_CSV_HEADER,
     _feature_text,
     _record_features,
+    _record_line,
     _record_row,
     export_csv,
     export_geojson,
@@ -319,6 +320,8 @@ def test_record_row_is_the_record_columns(rec):
     got = _record_row(_row_of(rec))
     assert [type(v) for v in got] == [type(v) for v in want]
     assert csv_text([got]) == csv_text([want])
+    # A plain row's fixed-layout line is the line csv.writer makes of its cells.
+    assert csv_text([_record_line(_row_of(rec))]) == csv_text([want])
 
 
 def test_refused_export_touches_nothing(tmp_path):

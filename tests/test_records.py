@@ -33,6 +33,7 @@ from skylog.records import (
     decode_record,
     encode_e2e,
     encode_record,
+    encode_row,
     iter_rows,
     iter_trace,
     read_e2e_trace,
@@ -40,10 +41,10 @@ from skylog.records import (
     validate_e2e,
     validate_record,
 )
-from skylog.records import _record_of, _row_of
+from skylog.records import _encode_record_reference, _record_of, _row_of, valid_row
 
 from conftest import make_e2e, make_neighbor, make_record, make_serving
-from record_strategies import any_records
+from record_strategies import StrSource, any_records
 
 
 def test_valid_record_passes(record):
@@ -374,6 +375,15 @@ def _reference_line(rec) -> str:
 @given(any_records())
 def test_encode_record_is_json_dumps_of_the_trace_object(rec):
     assert encode_record(rec) == _reference_line(rec)
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_records())
+def test_encode_row_is_the_reference_encoder(rec):
+    """The writer's row encoder against json.dumps of the record: NaN and
+    +-inf, bools, float subclasses, a null alt_m_agl and odd sources take
+    the reference path, every other row the template."""
+    assert encode_row(_row_of(rec)) == _encode_record_reference(rec)
 
 
 # --- schema walker strictness: one test per kind of bad field ---
@@ -887,3 +897,49 @@ def test_field_check_messages_are_pinned(tmp_path):
     for key, (field, message) in _NAN_EARFCN_REFUSED.items():
         want[key] = (field, message, want[key][2])
     assert _field_check_outcomes(tmp_path) == want
+
+
+def test_row_guard_never_accepts_what_validate_record_refuses(simulated_line):
+    """The collector's tick checks its row with the guard ingest uses and
+    writes it without calling validate_record.  Every single edit of a
+    simulated row, and every pair of edits both accepted alone or both to
+    fields a cross-field rule reads, is accepted by the guard only when
+    validate_record accepts its record."""
+    base = _row_of(decode_record(simulated_line))
+    nbrs = ROW_FIELDS.index("neighbors")
+    edits = []  # (field key, where in the row, new value)
+    for i, name in enumerate(ROW_FIELDS[:nbrs]):
+        edits += [((name,), i, v) for v in _leaf_values(name, base[i])]
+    for j, nbr in enumerate(base[nbrs]):
+        for k, name in enumerate(NEIGHBOR_FIELDS):
+            edits += [(("neighbors", j, name), (nbrs, j, k), v) for v in _leaf_values(name, nbr[k])]
+    earfcn, pci = base[ROW_FIELDS.index("earfcn")], base[ROW_FIELDS.index("pci")]
+    many = [(earfcn, (pci + 1 + i) % (PCI_MAX + 1), *base[nbrs][0][2:]) for i in range(MAX_NEIGHBORS + 1)]
+    edits += [(("neighbors",), nbrs, v) for v in ((), tuple(many[:MAX_NEIGHBORS]), tuple(many))]
+    edits += [(("source",), nbrs + 1, v) for v in ("hw", "x", None, 7, StrSource("sim"))]
+
+    def apply(row, where, value):
+        row = list(row)
+        if type(where) is int:
+            row[where] = value
+        else:
+            i, j, k = where
+            cells = [list(n) for n in row[i]]
+            cells[j][k] = value
+            row[i] = tuple(map(tuple, cells))
+        return tuple(row)
+
+    cross = {("rsrp_dbm",), ("rssi_dbm",), ("earfcn",), ("pci",),
+             *(("neighbors", j, name) for j in range(MAX_NEIGHBORS) for name in ("earfcn", "pci"))}
+    rows = [apply(base, where, v) for _, where, v in edits]
+    ok = list(map(valid_row, rows))
+    for a, (key_a, where_a, v_a) in enumerate(edits):
+        for b in range(a + 1, len(edits)):
+            key_b, where_b, v_b = edits[b]
+            if key_a[:len(key_b)] == key_b or key_b[:len(key_a)] == key_a:
+                continue
+            if (ok[a] and ok[b]) or (key_a in cross and key_b in cross):
+                rows.append(apply(apply(base, where_a, v_a), where_b, v_b))
+    accepted = [row for row in rows if valid_row(row)]
+    assert valid_row(base) and 0 < len(accepted) < len(rows)
+    assert [row for row in accepted if not validate_record(_record_of(row))] == []

@@ -17,7 +17,7 @@ from hypothesis import strategies as hst
 from skylog import simenv
 from skylog.collector import CollectorConfig, SimClock, run_collection
 from skylog.geo import tangent_forward, tangent_inverse
-from skylog.records import GeoPosition, validate_cells
+from skylog.records import DB_FIELD_RANGES, MAX_NEIGHBORS, GeoPosition, validate_cells
 from skylog.simenv import (
     BaseStation,
     ConfigError,
@@ -645,6 +645,57 @@ def test_radio_sample_raw_exact_over_seed7_flight():
             assert radio_sample_raw(env, pos) == reference_raw(env, pos)
 
 
+def _reference_cells(env, pos):
+    """A row's cell part as the per-call formulas give it: reference_raw with
+    every metric clamped into its reportable range, the strongest
+    MAX_NEIGHBORS others as neighbors; DistanceTooSmall, naming the first
+    station in order within 1 m, when there is one."""
+    near = [d for d in (station_distance_m(st, pos) for st in env.stations) if d < 1.0]
+    if near:
+        raise DistanceTooSmall(f"distance {near[0]:.3f} m below 1 m reference")
+    raw = reference_raw(env, pos)
+
+    def clamp(value, name):
+        lo, hi = DB_FIELD_RANGES[name]
+        return min(max(value, lo), hi)
+
+    st, rssi = raw.serving, clamp(raw.rssi_dbm, "rssi_dbm")
+    return (st.earfcn, st.pci, st.cell_id, st.tac, clamp(raw.rsrp_dbm, "rsrp_dbm"),
+            clamp(raw.rsrq_db, "rsrq_db"), rssi, clamp(raw.sinr_db, "sinr_db"),
+            tuple((n.earfcn, n.pci, clamp(p, "rsrp_dbm"), clamp(q, "rsrq_db"), rssi)
+                  for n, p, q in raw.neighbor_powers[:MAX_NEIGHBORS]))
+
+
+def _outcome(fn, pos):
+    try:
+        return repr(fn(pos))  # repr tells every float bit apart, -0.0 included
+    except DistanceTooSmall as exc:
+        return f"DistanceTooSmall: {exc}"
+
+
+def test_tick_cells_are_the_clamped_reference_over_20_seeds():
+    """The tick's one radio function, with its per-environment constants,
+    gives the per-call formulas' values bit for bit at every second of the
+    shipped plan for seeds 1-20, and refuses the same positions: on, within
+    and just beyond 1 m of each mast."""
+    base, plan = shipped_env(), shipped_plan()
+    positions = [flight_position(plan, t) for t in range(2060)]
+    for st in base.stations:
+        site = st.site_pos
+        positions += [dataclasses.replace(site, alt_m_amsl=site.alt_m_amsl + dz,
+                                          alt_m_agl=site.alt_m_agl + dz)
+                      for dz in (0.0, 0.5, 0.999, 1.0, 1.001, 2.0)]
+    refused = 0
+    for seed in range(1, 21):
+        env = dataclasses.replace(base, seed=seed)
+        cells = SimModemBackend(env).poll_cells
+        for pos in positions:
+            want = _outcome(partial(_reference_cells, env), pos)
+            assert _outcome(cells, pos) == want
+            refused += want.startswith("DistanceTooSmall")
+    assert refused == 20 * 3 * 3
+
+
 def test_draw_cache_shared_by_threads_stays_exact():
     """The e2e worker samples on its own thread through the same draw cache.
     Threads racing on the same keys, switching as often as the interpreter
@@ -702,8 +753,10 @@ def test_tick_work_is_bounded(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("tangent_forward", "_digest", "_leg_length_m", "radio_sample"):
+    for name in ("tangent_forward", "_digest", "_leg_length_m"):
         monkeypatch.setattr(simenv, name, counted(name, getattr(simenv, name)))
+    # The tick and the e2e engine sample through _Radio.cells.
+    monkeypatch.setattr(simenv._Radio, "cells", counted("radio_sample", simenv._Radio.cells))
     cfg = CollectorConfig(output_dir=str(tmp_path), duration_s=duration, e2e_interval_s=60)
     summary = run_collection(cfg, SimClock(), SimModemBackend(env),
                              partial(flight_position, plan), e2e_engine=SimE2eEngine(env))
