@@ -182,12 +182,6 @@ def cell_dominance(records: Iterable[MeasurementRecord]) -> dict[int, float]:
     return _nonempty(Survey(map(_row_of, records))).dominance()
 
 
-def per_cell_stats(
-        records: Iterable[MeasurementRecord]) -> dict[int, dict[str, BinStats]]:
-    """Stats of every serving metric per serving cell_id."""
-    return _table(_nonempty(Survey(map(_row_of, records))).cells, _SERVING)
-
-
 def neighbor_stats(
         records: Iterable[MeasurementRecord]) -> dict[int, dict[str, BinStats]]:
     """Stats per neighbor pci, pooled over every neighbor entry in the trace."""

@@ -234,7 +234,8 @@ def cmd_collect(args) -> int:
     else:
         if not args.replay:
             raise UsageError("--replay TRACE is required with the replay backend")
-        # One pass over the trace serves both the reports and their positions.
+        # A bad line is refused here, before the run starts; the rows are then
+        # streamed, each line giving both a report and its position.
         modem = ReplayBackend(args.replay)
         position_at = modem.position
         engine = None

@@ -7,12 +7,12 @@ on a worker thread so a seconds-long throughput test never punches holes
 in the 1 Hz RAN series.
 
 A tick handles one flat row (records.ROW_FIELDS), never a record object:
-the backend's cells (its poll_cells, or its poll's ModemReport taken apart
-field by field), the position's fields, the tick time and the backend's
-descriptor.  The row guard ingest uses, records.valid_row, checks it; a row
-it refuses goes to validate_record, which drops or keeps it exactly as it
-would the record.  The writer thread's queue carries the rows (and the e2e
-records), and it renders each row with records.encode_row.
+the tick time, the position's fields, the cells returned by poll_cells
+(modem.ModemBackend's one method) and the backend's descriptor.  The row
+guard ingest uses, records.valid_row, checks it; a row it refuses goes to
+validate_record, which drops or keeps it exactly as it would the record.
+The writer thread's queue carries the rows (and the e2e records), and it
+renders each row with records.encode_row.
 
 Ticks are scheduled on absolute deadlines (t0 + n*interval) so cadence
 cannot drift over an hour-long flight.  Records are stamped with the
@@ -37,7 +37,6 @@ from .records import (
     GeoPosition,
     MeasurementRecord,
     RttSummary,
-    _cells_of,
     _position_row,
     _record_of,
     encode_e2e,
@@ -257,21 +256,6 @@ class _E2eWorker(threading.Thread):
         self.join()
 
 
-def _cells_at(modem: ModemBackend) -> Callable[[GeoPosition], tuple]:
-    """The backend's poll as a function from position to a row's cell part
-    (records._cells_of): its own poll_cells when it has one, as the simulated
-    backend does, else its ModemReport taken apart field by field."""
-    poll_cells = getattr(modem, "poll_cells", None)
-    if poll_cells is not None:
-        return poll_cells
-    poll = modem.poll
-
-    def cells(pos: GeoPosition) -> tuple:
-        report = poll(pos)
-        return _cells_of(report.serving, report.neighbors)
-    return cells
-
-
 def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
                    position_at: Callable[[float], GeoPosition],
                    e2e_engine: Optional[E2eEngine] = None,
@@ -281,10 +265,10 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
 
     Only this loop knows the flight time: each wake calls position_at once
     with the scheduled offset in seconds from the run start, and hands that
-    position to the backend's poll on a RAN tick and to the e2e worker on an
-    e2e tick.  ReplayExhausted from either call ends the run cleanly.  A poll
-    error other than the counted modem, range and syntax errors ends the
-    run: the threads are stopped after flushing every accepted record, and
+    position to the backend's poll_cells on a RAN tick and to the e2e worker
+    on an e2e tick.  ReplayExhausted from either call ends the run cleanly.
+    A poll error other than the counted modem, range and syntax errors ends
+    the run: the threads are stopped after flushing every accepted record, and
     the exception propagates unchanged.
 
     A RAN tick builds one records.ROW_FIELDS row (the tick time, the
@@ -292,7 +276,13 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
     checks it with records.valid_row, the guard ingest uses, and queues it.
     A row the guard refuses goes to validate_record: a record that check
     refuses is dropped and counted in polls_failed, any other is written,
-    so a record is accepted exactly when validate_record accepts it."""
+    so a record is accepted exactly when validate_record accepts it.
+
+    The backend is read before anything is created or started: one without
+    poll_cells raises AttributeError with no directory made and no thread
+    left running."""
+    poll_cells = modem.poll_cells
+    source = getattr(modem, "descriptor", "hw")
     out_dir = Path(cfg.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -310,8 +300,6 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
     writer = _TraceWriter(out_dir, run_id, cfg.max_file_records)
     writer.start()
     worker = None
-    source = getattr(modem, "descriptor", "hw")
-    cells_at = _cells_at(modem)
     interval = cfg.sample_interval_ms
     n_ran = 0
     n_e2e = 0
@@ -345,7 +333,7 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
 
             if wake == next_ran:
                 try:
-                    cells = cells_at(pos)
+                    cells = poll_cells(pos)
                 except ReplayExhausted:
                     break
                 except (ModemError, RangeError, ReportSyntaxError) as exc:

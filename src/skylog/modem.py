@@ -12,23 +12,32 @@ a hardware backend can be a thin translation layer:
     db1        = ["-"] 1*3DIGIT "." DIGIT
 
 ASCII only, CRLF line endings, byte-exact.
+
+A backend has one method, poll_cells: the next report as the cell part of
+a trace row, which the collector's tick spreads into its row as it is.  A
+hardware backend would return records._cells_of of parse_report's
+ModemReport; the simulator's radio core builds the cells directly, and
+ReplayBackend slices them from the rows records.iter_rows streams, so
+neither builds a report or record object.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Protocol, Union, runtime_checkable
 
 from .records import (
+    _POSITION_ROW,
+    _SERVING_ROW,
     DB_FIELD_RANGES,
     MAX_NEIGHBORS,
     NEIGHBOR_FIELDS,
     SERVING_FIELDS,
     GeoPosition,
-    MeasurementRecord,
     NeighborCellSample,
     ServingCellSample,
-    read_trace,
+    iter_rows,
     validate_cells,
 )
 
@@ -74,16 +83,14 @@ class ModemReport:
 
 @runtime_checkable
 class ModemBackend(Protocol):
-    """Polled by exactly one collector task at a time; poll order is the report order.
-
-    A backend may also offer poll_cells(pos), the same report as the cell
-    part of a trace row (records._cells_of's layout); the collector's tick
-    then calls it instead of poll."""
+    """Polled by exactly one collector task at a time; poll order is the report order."""
 
     descriptor: str
 
-    def poll(self, pos: GeoPosition) -> ModemReport:
-        """Next report, tagged with pos: a simulator samples there, a hardware driver ignores it."""
+    def poll_cells(self, pos: GeoPosition) -> tuple:
+        """Next report as the cell part of a trace row (records._cells_of's
+        layout: the serving fields, then a tuple of neighbor tuples), tagged
+        with pos: a simulator samples there, a hardware driver ignores it."""
 
 
 def _validate_report(report: ModemReport) -> None:
@@ -238,29 +245,37 @@ class ReplayBackend:
 
     Also the position source of a replay run: position(t_s) is the position
     stored on the line the next poll returns, so each record keeps the
-    position it was recorded with; poll ignores the position it is given.
-    Both raise ReplayExhausted once every line has been polled.
+    position it was recorded with; poll_cells ignores the position it is
+    given.  Both raise ReplayExhausted once every line has been polled.
+
+    The trace is read twice and held by neither pass: the first checks every
+    line, the second streams the rows, one line ahead of the collector.
     """
 
     descriptor = "replay"
 
     def __init__(self, trace_path):
         # Ingest errors (bad grammar, out-of-range fields) surface here, not on poll.
-        self._records = read_trace(trace_path)
-        self._cursor = 0
+        deque(iter_rows(trace_path), maxlen=0)
+        self._rows = iter_rows(trace_path)
+        self._row = None
+        self._polled = 0
 
-    def _next(self) -> MeasurementRecord:
-        if self._cursor >= len(self._records):
-            raise ReplayExhausted(f"trace exhausted after {len(self._records)} reports")
-        return self._records[self._cursor]
+    def _next(self) -> tuple:
+        if self._row is None:
+            self._row = next(self._rows, None)
+            if self._row is None:
+                raise ReplayExhausted(f"trace exhausted after {self._polled} reports")
+        return self._row
 
-    def poll(self, pos: GeoPosition) -> ModemReport:
-        rec = self._next()
-        self._cursor += 1
-        return ModemReport(rec.serving, rec.neighbors)
+    def poll_cells(self, pos: GeoPosition) -> tuple:
+        cells = self._next()[_SERVING_ROW.start:-1]
+        self._row = None
+        self._polled += 1
+        return cells
 
     def position(self, t_s: float) -> GeoPosition:
-        return self._next().pos
+        return GeoPosition(*self._next()[_POSITION_ROW])
 
 
 __all__ = [

@@ -23,9 +23,9 @@ reference path for everything else:
   Any other line (a BOM, surrounding whitespace, trailing data, a refused
   field) goes through decode_record and validate_record, whose errors name
   the line, column and field, and then _row_of.  analysis.Survey reduces
-  iter_rows's rows and geoexport renders them, so analyze and export build
-  no record object.  _record_of turns a row back into a MeasurementRecord
-  only for iter_trace and read_trace, which replay reads, and for the
+  iter_rows's rows, geoexport renders them and modem.ReplayBackend replays
+  them, so analyze, export and replay build no record object.  _record_of
+  turns a row back into a MeasurementRecord only for read_trace and the
   reference paths.
 
 The collector's tick lives on the same rows: it builds one from the polled
@@ -669,14 +669,9 @@ def iter_rows(path) -> Iterator[tuple]:
     return _read_lines(path, _ingest_row, itemgetter(0))
 
 
-def iter_trace(path) -> Iterator[MeasurementRecord]:
-    """iter_rows, as records."""
-    return map(_record_of, iter_rows(path))
-
-
 def read_trace(path) -> list[MeasurementRecord]:
-    """Ingest a whole RAN trace file; see iter_trace."""
-    return list(iter_trace(path))
+    """Ingest a whole RAN trace file as records; see iter_rows."""
+    return list(map(_record_of, iter_rows(path)))
 
 
 def read_e2e_trace(path) -> list[EndToEndRecord]:
@@ -689,7 +684,7 @@ __all__ = [
     "validate_record", "validate_cells", "validate_e2e", "validate_position",
     "encode_record", "encode_row", "decode_record", "encode_e2e", "decode_e2e", "plain_values",
     "plain_row", "valid_row",
-    "iter_rows", "iter_trace", "read_trace", "read_e2e_trace", "quantize_db", "get_field",
+    "iter_rows", "read_trace", "read_e2e_trace", "quantize_db", "get_field",
     "scalar_fields", "position_from_doc",
     "DB_FIELD_RANGES", "METRIC_FIELDS", "SERVING_FIELDS", "NEIGHBOR_FIELDS", "POSITION_FIELDS",
     "ROW_FIELDS", "SOURCES",

@@ -18,8 +18,9 @@ per environment (by SimModemBackend and SimE2eEngine), it keeps what does
 not depend on the position: each station's projection scale, site, EIRP
 and identity, the 1 m loss, the noise in mW and the PRB gain; station 0's
 projection is also the voxel's.  Its cells method gives the collector's
-tick the cell part of a trace row, clamped, with no report object.
-radio_sample_raw (unclamped) and radio_sample (a ModemReport) are built on
+tick the cell part of a trace row, clamped, with no report object:
+SimModemBackend.poll_cells returns it as it is.  radio_sample_raw
+(unclamped) and radio_sample (the same cells as a ModemReport) are built on
 the same core, so every output keeps the per-call formulas' floats bit for
 bit.
 """
@@ -393,14 +394,10 @@ def radio_sample_raw(env: RadioEnvironment, pos: GeoPosition) -> RawRadioSample:
                           neighbor_powers=tuple((stations[k], p, q) for k, p, q in rest))
 
 
-def _report_of(cells: tuple) -> ModemReport:
-    *serving, neighbors = cells
-    return ModemReport(ServingCellSample(*serving), tuple(NeighborCellSample(*n) for n in neighbors))
-
-
 def radio_sample(env: RadioEnvironment, pos: GeoPosition) -> ModemReport:
     """Sample the environment at a position, clamped into reportable ranges."""
-    return _report_of(_Radio(env).cells(pos))
+    *serving, neighbors = _Radio(env).cells(pos)
+    return ModemReport(ServingCellSample(*serving), tuple(NeighborCellSample(*n) for n in neighbors))
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +543,8 @@ def load_flight_plan(path) -> FlightPlan:
 
 class SimModemBackend:
     """Modem backend that samples the simulated environment at the position
-    it is polled with.  The collector's tick calls poll_cells, which gives the
-    row's cell part without building a report."""
+    it is polled with; poll_cells gives the row's cell part without building
+    a report."""
 
     descriptor = "sim"
 
@@ -558,9 +555,6 @@ class SimModemBackend:
 
     def poll_cells(self, pos: GeoPosition) -> tuple:
         return self._radio.cells(pos)
-
-    def poll(self, pos: GeoPosition) -> ModemReport:
-        return _report_of(self.poll_cells(pos))
 
 
 class SimE2eEngine:

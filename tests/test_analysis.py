@@ -20,7 +20,6 @@ from skylog.analysis import (
     grid_aggregate,
     histogram_pdf,
     neighbor_stats,
-    per_cell_stats,
     spearman_rho,
 )
 from skylog.geo import tangent_inverse
@@ -235,7 +234,7 @@ def test_cell_dominance_split():
 def test_per_cell_stats_single_record_collapses():
     recs = [make_record(serving=make_serving(cell_id=1, rsrp_dbm=-88.0)),
             make_record(serving=make_serving(cell_id=2, rsrp_dbm=-102.0))]
-    stats = per_cell_stats(recs)
+    stats = coverage_report(recs, []).per_cell
     assert stats[1]["rsrp"].min == stats[1]["rsrp"].mean == stats[1]["rsrp"].max == -88.0
     assert stats[2]["rsrp"].count == 1 and stats[2]["rsrp"].std is None
 
@@ -248,7 +247,7 @@ def test_per_cell_stats_match_regroup_oracle():
                                              rssi_dbm=rng.uniform(-110, -50),
                                              sinr_db=rng.uniform(-5, 30)))
             for _ in range(400)]
-    stats = per_cell_stats(recs)
+    stats = coverage_report(recs, []).per_cell
     assert list(stats) == [1, 2, 7]
     for cid in (1, 2, 7):
         for metric, field in METRIC_FIELDS.items():

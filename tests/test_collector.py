@@ -106,12 +106,12 @@ class FlakyBackend:
         self.fail_at = set(fail_at)
         self.calls = 0
 
-    def poll(self, pos) -> ModemReport:
+    def poll_cells(self, pos) -> tuple:
         i = self.calls
         self.calls += 1
         if i in self.fail_at:
             raise ModemError(7)
-        return ModemReport(serving=make_serving(), neighbors=(make_neighbor(),))
+        return records._cells_of(make_serving(), (make_neighbor(),))
 
 
 def test_failed_polls_are_counted_and_skipped(tmp_path):
@@ -338,10 +338,10 @@ class CrashingBackend(FlakyBackend):
         super().__init__(set())
         self.crash_at = crash_at
 
-    def poll(self, pos) -> ModemReport:
+    def poll_cells(self, pos) -> tuple:
         if self.calls == self.crash_at:
             raise DistanceTooSmall("distance 0.400 m below 1 m reference")
-        return super().poll(pos)
+        return super().poll_cells(pos)
 
 
 def test_unexpected_poll_error_flushes_and_stops_threads(tmp_path):
@@ -433,28 +433,20 @@ def test_trace_writer_failure_keeps_written_lines_and_stops_threads(tmp_path, mo
 
 # --- the row tick: one path for every backend, records accepted as validate_record accepts them ---
 
-class PollOnlyBackend:
-    """The simulated backend seen through poll alone, as a hardware or
-    replay backend is."""
+class NoPollBackend:
+    """A backend with a descriptor and no poll method."""
 
-    descriptor = "sim"
-
-    def __init__(self, env):
-        self._sim = SimModemBackend(env)
-
-    def poll(self, pos) -> ModemReport:
-        return self._sim.poll(pos)
+    descriptor = "hw"
 
 
-def test_poll_only_backend_writes_the_sim_backends_bytes(tmp_path):
-    blobs = []
-    for sub, backend in (("sim", SimModemBackend(canonical_env())),
-                         ("poll", PollOnlyBackend(canonical_env()))):
-        cfg, clock, _, source, engine = sim_setup(tmp_path / sub, duration=300.0, run_id="same")
-        summary = run_collection(cfg, clock, backend, source, engine)
-        assert (summary.records_written, summary.polls_failed) == (300, 0)
-        blobs.append([(tmp_path / sub / name).read_bytes() for name in ("same-0001.trace", "same.e2e")])
-    assert blobs[0] == blobs[1]
+def test_a_backend_without_poll_cells_is_refused_before_any_thread_starts(tmp_path):
+    cfg = CollectorConfig(output_dir=str(tmp_path / "out"), duration_s=5.0, e2e_interval_s=1.0)
+    pos = GeoPosition(lat_deg=40.0, lon_deg=-100.0, alt_m_amsl=302.0, alt_m_agl=2.0)
+    with pytest.raises(AttributeError, match="poll"):
+        run_collection(cfg, SimClock(), NoPollBackend(), lambda _t: pos,
+                       e2e_engine=SimE2eEngine(canonical_env()))
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("skylog-")]
+    assert not (tmp_path / "out").exists()
 
 
 class OddReportBackend(FlakyBackend):
@@ -462,15 +454,15 @@ class OddReportBackend(FlakyBackend):
     the row guard leaves to it; poll 2 repeats the serving cell as a
     neighbor, which both refuse."""
 
-    def poll(self, pos) -> ModemReport:
+    def poll_cells(self, pos) -> tuple:
         i = self.calls
-        report = super().poll(pos)
+        cells = super().poll_cells(pos)
         if i == 1:
-            return ModemReport(serving=make_serving(rsrp_dbm=-95, sinr_db=12),
-                               neighbors=(make_neighbor(rssi_dbm=-70),))
+            return records._cells_of(make_serving(rsrp_dbm=-95, sinr_db=12),
+                                     (make_neighbor(rssi_dbm=-70),))
         if i == 2:
-            return ModemReport(serving=make_serving(), neighbors=(make_neighbor(pci=101),))
-        return report
+            return records._cells_of(make_serving(), (make_neighbor(pci=101),))
+        return cells
 
 
 def test_a_row_the_guard_leaves_to_validate_record_is_written_as_before(tmp_path, caplog):
@@ -489,9 +481,9 @@ def test_a_row_the_guard_leaves_to_validate_record_is_written_as_before(tmp_path
     assert [json.loads(line)["ts_unix_ms"] - SIM_EPOCH_MS for line in lines] == [0, 1000, 3000]
 
 
-def test_a_clean_sim_flight_builds_no_record_objects(tmp_path, monkeypatch):
-    """The tick builds rows: over a simulated flight with e2e tests on, no
-    report or record object is made and validate_record never runs."""
+def count_record_objects(monkeypatch) -> Counter:
+    """Count, from here on, every report and record object built and every
+    validate_record call."""
     counts = Counter()
 
     def counted(name, fn):
@@ -504,7 +496,31 @@ def test_a_clean_sim_flight_builds_no_record_objects(tmp_path, monkeypatch):
         monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
     for module in (collector, records):
         monkeypatch.setattr(module, "validate_record", counted("validate_record", module.validate_record))
+    return counts
+
+
+def test_a_clean_sim_flight_builds_no_record_objects(tmp_path, monkeypatch):
+    """The tick builds rows: over a simulated flight with e2e tests on, no
+    report or record object is made and validate_record never runs."""
+    counts = count_record_objects(monkeypatch)
     cfg, clock, modem, source, engine = sim_setup(tmp_path, duration=300.0)
     summary = run_collection(cfg, clock, modem, source, engine)
     assert (summary.records_written, summary.polls_failed, summary.e2e_tests_run) == (300, 0, 5)
     assert counts == Counter()
+
+
+def test_a_clean_replay_run_builds_no_record_objects(tmp_path, monkeypatch):
+    """Replay streams checked rows: neither constructing the backend nor
+    the run makes a report or record object or calls validate_record, and
+    each line comes back with only its source changed."""
+    cfg, clock, modem, source, engine = sim_setup(tmp_path / "a", duration=300.0, run_id="a")
+    run_collection(cfg, clock, modem, source, engine)
+    original = tmp_path / "a" / "a-0001.trace"
+    counts = count_record_objects(monkeypatch)
+    replay = ReplayBackend(original)
+    cfg = CollectorConfig(output_dir=str(tmp_path / "b"), e2e_interval_s=0, run_id="b")
+    summary = run_collection(cfg, SimClock(), replay, replay.position)
+    assert (summary.records_written, summary.polls_failed) == (300, 0)
+    assert counts == Counter()
+    want = original.read_text(encoding="utf-8").replace('"source":"sim"', '"source":"replay"')
+    assert (tmp_path / "b" / "b-0001.trace").read_text(encoding="utf-8") == want

@@ -1,5 +1,8 @@
 """Modem report grammar: parse/render round-trip, positioned errors, replay."""
 
+import dataclasses
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,7 @@ from skylog.modem import (
     parse_report,
     render_report,
 )
-from skylog.records import NeighborCellSample, encode_record
+from skylog.records import NeighborCellSample, TraceDecodeError, _cells_of, encode_record
 
 from conftest import make_neighbor, make_record, make_serving
 from modem_cases import RANGE_CASES, SYNTAX_CASES, VALID_NO_NEIGHBORS, VALID_ONE_NEIGHBOR
@@ -120,6 +123,13 @@ def test_property_grammar_round_trip(report):
     assert parse_report(wire) == report
 
 
+def write_trace(path, n):
+    """n valid records, a second apart, one per line."""
+    path.write_text("".join(encode_record(make_record(ts_unix_ms=1_700_000_000_000 + i * 1000)) + "\n"
+                            for i in range(n)))
+    return path
+
+
 def test_replay_backend_in_order(tmp_path):
     recs = [make_record(ts_unix_ms=1_700_000_000_000 + i * 1000,
                         serving=make_serving(pci=100 + i)) for i in range(3)]
@@ -127,11 +137,11 @@ def test_replay_backend_in_order(tmp_path):
     path.write_text("".join(encode_record(r) + "\n" for r in recs))
     backend = ReplayBackend(path)
     assert backend.descriptor == "replay"
-    got = [backend.poll(None) for _ in range(3)]
-    assert [g.serving.pci for g in got] == [100, 101, 102]
-    assert got[0].neighbors == recs[0].neighbors
+    got = [backend.poll_cells(None) for _ in range(3)]
+    assert [g[1] for g in got] == [100, 101, 102]
+    assert got == [_cells_of(r.serving, r.neighbors) for r in recs]
     with pytest.raises(ReplayExhausted):
-        backend.poll(None)
+        backend.poll_cells(None)
 
 
 def test_replay_backend_rejects_bad_file_on_construction(tmp_path):
@@ -141,3 +151,26 @@ def test_replay_backend_rejects_bad_file_on_construction(tmp_path):
     with pytest.raises(Exception) as exc_info:
         ReplayBackend(path)
     assert "rsrp_dbm" in str(exc_info.value)
+    # A bad last line is refused too: construction checks the whole trace.
+    late = write_trace(tmp_path / "late.trace", 3)
+    with late.open("a") as fh:
+        fh.write(encode_record(dataclasses.replace(bad, ts_unix_ms=1_700_000_003_000)) + "\n")
+    with pytest.raises(TraceDecodeError, match="rsrp_dbm") as exc_info:
+        ReplayBackend(late)
+    assert exc_info.value.line == 4
+
+
+def test_replay_backend_holds_no_trace(tmp_path):
+    """Construction checks every line and keeps none, so neither what a
+    backend holds nor the check pass's peak grows with the trace."""
+    path = write_trace(tmp_path / "long.trace", 3600)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        backend = ReplayBackend(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - before < 2**20
+    assert peak - before < 2**20
+    assert backend.position(0.0).alt_m_agl == 50.0

@@ -35,7 +35,6 @@ from skylog.records import (
     encode_record,
     encode_row,
     iter_rows,
-    iter_trace,
     read_e2e_trace,
     read_trace,
     validate_e2e,
@@ -186,13 +185,13 @@ def test_read_trace_rejects_nonmonotonic_ts(tmp_path, record):
     assert exc_info.value.line == 2
 
 
-def test_iter_trace_yields_records_before_a_bad_line(tmp_path):
+def test_iter_rows_yields_rows_before_a_bad_line(tmp_path):
     good = [make_record(ts_unix_ms=1_700_000_000_000 + i * 1000) for i in range(2)]
     bad = make_record(ts_unix_ms=1_700_000_002_000, serving=make_serving(rsrp_dbm=-30.0))
     path = tmp_path / "t.trace"
     path.write_text("".join(encode_record(r) + "\n" for r in [*good, bad, *good]))
-    stream = iter_trace(path)
-    assert [next(stream), next(stream)] == good
+    stream = iter_rows(path)
+    assert [next(stream), next(stream)] == [_row_of(r) for r in good]
     with pytest.raises(TraceDecodeError, match="rsrp_dbm") as exc_info:
         next(stream)
     assert exc_info.value.line == 3

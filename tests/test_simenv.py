@@ -17,7 +17,7 @@ from hypothesis import strategies as hst
 from skylog import simenv
 from skylog.collector import CollectorConfig, SimClock, run_collection
 from skylog.geo import tangent_forward, tangent_inverse
-from skylog.records import DB_FIELD_RANGES, MAX_NEIGHBORS, GeoPosition, validate_cells
+from skylog.records import DB_FIELD_RANGES, MAX_NEIGHBORS, GeoPosition, _cells_of, validate_cells
 from skylog.simenv import (
     BaseStation,
     ConfigError,
@@ -523,10 +523,10 @@ def test_sim_backend_polls_position_at_poll_time():
     env = env_with(stations, seed=9)
     backend = SimModemBackend(env)
     assert backend.descriptor == "sim"
-    first = backend.poll(uav_at(0, 0, 2.0))
-    second = backend.poll(uav_at(1200, 0, 102.0))
+    first = backend.poll_cells(uav_at(0, 0, 2.0))
+    second = backend.poll_cells(uav_at(1200, 0, 102.0))
     direct_second = radio_sample(env, uav_at(1200, 0, 102.0))
-    assert second == direct_second
+    assert second == _cells_of(direct_second.serving, direct_second.neighbors)
     assert first != second
 
 
