@@ -97,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("collect", help="run the sampling daemon",
                        description="Poll a modem backend on a fixed cadence and "
                                    "write trace files until stopped.")
-    p.add_argument("--config", required=True,
-                   help="environment file (stations, propagation, seed)")
+    p.add_argument("--config",
+                   help="environment file: stations, propagation, seed (required for the sim backend)")
     p.add_argument("--duration", type=float, default=None,
                    help="stop after this many seconds (default: run until SIGINT)")
     p.add_argument("--backend", choices=["sim", "replay", "hw"], default="sim",
@@ -224,6 +224,8 @@ def cmd_collect(args) -> int:
     if args.backend == "hw":
         raise UsageError("no hardware modem driver is built in; use sim or replay")
     if args.backend == "sim":
+        if not args.config:
+            raise UsageError("--config is required with the sim backend")
         if not args.plan:
             raise UsageError("--plan is required with the sim backend")
         env = _load_env(args.config, args.seed)

@@ -12,7 +12,10 @@ the tick time, the position's fields, the cells returned by poll_cells
 guard ingest uses, records.valid_row, checks it; a row it refuses goes to
 validate_record, which drops or keeps it exactly as it would the record.
 The writer thread's queue carries the rows (and the e2e records), and it
-renders each row with records.encode_row.
+renders each row with records.encode_row.  Both worker queues are
+queue.SimpleQueue: a put or get is one C call with no condition variable,
+and a get returns at once while anything is queued, so each wake of the
+writer takes everything queued, writing each line as it is rendered.
 
 Ticks are scheduled on absolute deadlines (t0 + n*interval) so cadence
 cannot drift over an hour-long flight.  Records are stamped with the
@@ -147,7 +150,9 @@ def assemble_record(report: ModemReport, pos: GeoPosition, ts_unix_ms: int,
 
 class _TraceWriter(threading.Thread):
     """The only component that touches output files; consumes an ordered
-    queue of RAN rows (records.ROW_FIELDS tuples) and e2e records."""
+    queue of RAN rows (records.ROW_FIELDS tuples) and e2e records.  Every
+    item queued before _STOP is written; a failure stops the thread with the
+    lines before it written, and run_collection raises it."""
 
     _STOP = object()
 
@@ -156,7 +161,7 @@ class _TraceWriter(threading.Thread):
         self.out_dir = out_dir
         self.run_id = run_id
         self.max_file_records = max_file_records
-        self.queue: queue.Queue = queue.Queue()
+        self.queue: queue.SimpleQueue = queue.SimpleQueue()
         self.files: list[str] = []
         self.ran_written = 0
         self.e2e_written = 0
@@ -192,12 +197,11 @@ class _TraceWriter(threading.Thread):
 
     def run(self):
         try:
-            while True:
-                item = self.queue.get()
+            # SimpleQueue.get blocks, releasing the interpreter lock, only on an
+            # empty queue, so one wake takes everything queued.
+            for item in iter(self.queue.get, self._STOP):
                 if type(item) is tuple:
                     self._write_ran(item)
-                elif item is self._STOP:
-                    break
                 else:
                     self._write_e2e(item)
         except BaseException as exc:  # noqa: BLE001 - surfaced to the main loop as fatal
@@ -226,18 +230,14 @@ class _E2eWorker(threading.Thread):
         super().__init__(name="skylog-e2e", daemon=True)
         self.engine = engine
         self.writer = writer
-        self.queue: queue.Queue = queue.Queue()
+        self.queue: queue.SimpleQueue = queue.SimpleQueue()
         self.completed = 0
 
     def submit(self, pos: GeoPosition, ts_unix_ms: int, salt: int) -> None:
         self.queue.put((pos, ts_unix_ms, salt))
 
     def run(self):
-        while True:
-            item = self.queue.get()
-            if item is self._STOP:
-                return
-            pos, ts, salt = item
+        for pos, ts, salt in iter(self.queue.get, self._STOP):
             try:
                 rtt, dl, ul, duration = self.engine.measure(pos, salt)
                 rec = EndToEndRecord(ts_unix_ms=ts, pos=pos, rtt=rtt,

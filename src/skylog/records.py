@@ -9,12 +9,14 @@ modem reporting granularity.
 Each per-line boundary has one exact fast path for the plain record and a
 reference path for everything else:
 
-- encode_row fills one %-template (_RECORD_LINE, _NEIGHBOR_LINE) when
-  plain_row holds: the source is one of SOURCES as an exact str, every int
-  field an exact int, and every float field, alt_m_agl included, an exact
-  float with a finite sum.  Any other row goes through
-  _encode_record_reference, json.dumps of the trace object.  Both give the
-  same bytes.  encode_record is encode_row of the record's row.
+- encode_row fills one %-template (_RECORD_LINE, _NEIGHBOR_LINE) when the
+  row guard below, valid_row, accepts the row, its alt_m_agl is a float and
+  its source an exact str.  A dB field is written with %.1f, which gives
+  round(x, 1)'s repr for any value in the reportable ranges.  Any other row
+  goes through _encode_record_reference, json.dumps of the trace object.
+  Both give the same bytes.  encode_record is encode_row of the record's
+  row.  plain_row, the looser guard of the fixed-layout export writers,
+  takes any exact, finite row.
 - _ingest_row scans a line with json's object scanner and, when the scan
   covers the whole line, builds its row (ROW_FIELDS) with _clean_row, which
   pulls the fields out and hands the row to valid_row.  That one row guard
@@ -372,31 +374,29 @@ def plain_row(row: tuple, neighbors) -> bool:
 
 
 def _line_template(layout) -> str:
-    """A cell's compact trace object: %d for an int field, %r for a dB field."""
-    return "{" + ",".join(f'"{name}":%r' if name in DB_FIELD_RANGES else f'"{name}":%d'
+    """A cell's compact trace object: %d for an int field, %.1f for a dB field."""
+    return "{" + ",".join(f'"{name}":%.1f' if name in DB_FIELD_RANGES else f'"{name}":%d'
                           for name in layout) + "}"
 
 
 _NEIGHBOR_LINE = _line_template(NEIGHBOR_FIELDS)
 _RECORD_LINE = ('{"ts_unix_ms":%d,"lat_deg":%r,"lon_deg":%r,"alt_m_amsl":%r,"alt_m_agl":%r,'
                 '"serving":' + _line_template(SERVING_FIELDS) + ',"neighbors":[%s],"source":"%s"}')
+_AGL = ROW_FIELDS.index("alt_m_agl")
 
 
 def encode_row(row: tuple) -> str:
     """Encode one ROW_FIELDS row as a single trace line (no trailing newline):
-    the json.dumps bytes of its trace object, dB fields quantized.  A plain
-    row (plain_row) fills _RECORD_LINE; any other goes through the reference
-    path, _encode_record_reference of the row's record."""
-    ts, lat, lon, amsl, agl, earfcn, pci, cell_id, tac, rsrp, rsrq, rssi, sinr, nbrs, source = row
-    if not plain_row(row, nbrs):
-        return _encode_record_reference(_record_of(row))
-    # round(x, 1) is quantize_db, inlined.
-    return _RECORD_LINE % (
-        ts, lat, lon, amsl, agl, earfcn, pci, cell_id, tac,
-        round(rsrp, 1), round(rsrq, 1), round(rssi, 1), round(sinr, 1),
-        ",".join([_NEIGHBOR_LINE % (n_earfcn, n_pci, round(n_rsrp, 1), round(n_rsrq, 1), round(n_rssi, 1))
-                  for n_earfcn, n_pci, n_rsrp, n_rsrq, n_rssi in nbrs]),
-        source)
+    the json.dumps bytes of its trace object, dB fields quantized.  A row
+    valid_row accepts, with a float alt_m_agl and an exact str source, fills
+    _RECORD_LINE.  Its dB fields then lie in their reportable ranges, where
+    '%.1f' % x is repr(round(x, 1)), quantize_db's bytes: both are dtoa with
+    one digit after the point, and they part only from 1e16 on, where repr
+    turns to exponent form.  Any other row goes through the reference path,
+    _encode_record_reference of the row's record."""
+    if valid_row(row) and type(row[_AGL]) is float and type(row[-1]) is str:
+        return _RECORD_LINE % (*row[:-2], ",".join(map(_NEIGHBOR_LINE.__mod__, row[-2])), row[-1])
+    return _encode_record_reference(_record_of(row))
 
 
 def encode_record(rec: MeasurementRecord) -> str:

@@ -17,12 +17,15 @@ One radio core, _Radio, samples every station at a position.  Built once
 per environment (by SimModemBackend and SimE2eEngine), it keeps what does
 not depend on the position: each station's projection scale, site, EIRP
 and identity, the 1 m loss, the noise in mW and the PRB gain; station 0's
-projection is also the voxel's.  Its cells method gives the collector's
-tick the cell part of a trace row, clamped, with no report object:
-SimModemBackend.poll_cells returns it as it is.  radio_sample_raw
-(unclamped) and radio_sample (the same cells as a ModemReport) are built on
-the same core, so every output keeps the per-call formulas' floats bit for
-bit.
+projection is also the voxel's.  Its paths method is the one copy of the
+propagation formula: one flat loop over the stations, with no call per
+station but the cached draw, which los_state, shadow_db and path_loss_db
+read too.  Its cells method gives the collector's tick the cell part of a
+trace row, clamped, with no report object: SimModemBackend.poll_cells
+returns it as it is.  radio_sample_raw (unclamped) and radio_sample (the
+same cells as a ModemReport) are built on the same core, so every output
+keeps the per-call formulas' floats bit for bit.  A draw that misses the
+cache is one blake2b call over the packed seed and voxel.
 """
 
 from __future__ import annotations
@@ -190,11 +193,10 @@ def _check_waypoints(waypoints: tuple[Waypoint, ...]) -> None:
 # ---------------------------------------------------------------------------
 
 def _digest(domain: bytes, seed: int, *ints: int) -> bytes:
-    h = hashlib.blake2b(digest_size=16, person=domain)
-    h.update(struct.pack(">Q", seed & 0xFFFFFFFFFFFFFFFF))
-    for v in ints:
-        h.update(struct.pack(">q", v))
-    return h.digest()
+    """blake2b-128 of the seed (mod 2**64, unsigned) and the ints (signed), each
+    8 bytes big-endian, personalized with domain."""
+    return hashlib.blake2b(struct.pack(">Q" + "q" * len(ints), seed & 0xFFFFFFFFFFFFFFFF, *ints),
+                           digest_size=16, person=domain).digest()
 
 
 def _uniform(domain: bytes, seed: int, *ints: int) -> float:
@@ -252,26 +254,25 @@ def _los_probability(pos: GeoPosition) -> float:
     return min(max(LOS_P_FLOOR + (1.0 - LOS_P_FLOOR) * agl / LOS_P_FULL_AT_M, LOS_P_FLOOR), 1.0)
 
 
-def _link(env: RadioEnvironment, cell_id: int, voxel: tuple[int, int, int],
-          los_p: float) -> tuple[bool, float]:
-    """(line of sight, shadowing dB) of one cell seen from one voxel."""
-    u, z = _voxel_draws(env.seed, cell_id, *voxel)
-    return u < los_p, env.shadow_sigma_db * z
+def _path(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) -> tuple[bool, float, float]:
+    """(line of sight, shadowing dB, path loss dB) of one station seen from
+    pos, through the tick's loop (_Radio.paths), which refuses a position
+    within 1 m of the station with DistanceTooSmall."""
+    return _Radio(env).paths(pos, (_station_link(station),), _voxel(env, pos))[0]
 
 
 def los_state(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) -> bool:
     """True for line-of-sight.  Deterministic per (seed, station, voxel)."""
-    return _link(env, station.cell_id, _voxel(env, pos), _los_probability(pos))[0]
+    return _path(env, station, pos)[0]
 
 
 def shadow_db(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) -> float:
     """Lognormal shadowing term, frozen per (seed, station, voxel)."""
-    return _link(env, station.cell_id, _voxel(env, pos), _los_probability(pos))[1]
+    return _path(env, station, pos)[1]
 
 
 def path_loss_db(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) -> float:
-    return _Radio(env).loss_db(station.cell_id, station_distance_m(station, pos),
-                               _voxel(env, pos), _los_probability(pos))
+    return _path(env, station, pos)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +303,14 @@ _SINR_LO, _SINR_HI = DB_FIELD_RANGES["sinr_db"]
 _SINR = SERVING_FIELDS.index("sinr_db")
 
 
+def _station_link(st: BaseStation) -> tuple:
+    """(cos of the site latitude, site lat, site lon, antenna height, cell_id):
+    what _Radio.paths reads of a station."""
+    site = st.site_pos
+    return (math.cos(math.radians(site.lat_deg)), site.lat_deg, site.lon_deg,
+            site.alt_m_agl or 0.0, st.cell_id)
+
+
 class _Radio:
     """The radio model of one environment, with everything that does not
     depend on the position computed once: each station's projection scale,
@@ -312,11 +321,8 @@ class _Radio:
 
     def __init__(self, env: RadioEnvironment):
         self.env = env
-        # (cos of the site latitude, site lat, site lon, antenna height, EIRP, cell_id)
-        self._links = tuple(
-            (math.cos(math.radians(st.site_pos.lat_deg)), st.site_pos.lat_deg, st.site_pos.lon_deg,
-             st.site_pos.alt_m_agl or 0.0, st.eirp_dbm, st.cell_id)
-            for st in env.stations)
+        self._links = tuple(map(_station_link, env.stations))
+        self._eirps = tuple(st.eirp_dbm for st in env.stations)
         self._ids = tuple((st.earfcn, st.pci, st.cell_id, st.tac) for st in env.stations)
         self._pcis = tuple(st.pci for st in env.stations)
         self._fspl_db = fspl_1m_db(env.freq_hz)
@@ -324,47 +330,55 @@ class _Radio:
         self._noise_mw = _linear_mw(env.noise_dbm)
         self._prb_gain = 10.0 * math.log10(env.n_prb)
 
-    def loss_db(self, cell_id: int, d: float, voxel: tuple[int, int, int], los_p: float) -> float:
-        """Path loss of one cell d m away, seen from voxel: log-distance with
-        the LoS or NLoS exponent, plus the voxel's shadowing."""
-        if d < 1.0:
-            raise DistanceTooSmall(f"distance {d:.3f} m below 1 m reference")
-        los, shadow = _link(self.env, cell_id, voxel, los_p)
-        return self._fspl_db + self._ten_n[los] * math.log10(d) + shadow
-
-    def sample(self, pos: GeoPosition) -> tuple[list, float, float]:
-        """(ranked, rssi, sinr) at pos, unclamped.  ranked holds one
-        (station index, received power dBm, rsrq dB) per station, strongest
-        first, ties to the lowest pci: its head is the serving cell and its
-        tail the neighbors."""
+    def paths(self, pos: GeoPosition, links=None, voxel=None) -> list:
+        """(line of sight, shadowing dB, path loss dB) of each of links (by
+        default every station's, in station order) seen from pos: log-distance
+        with the LoS or NLoS exponent, plus the voxel's shadowing.  The voxel is
+        station 0's projection: by default the first link's.  DistanceTooSmall
+        names the first link within 1 m."""
         lat, lon = pos.lat_deg, pos.lon_deg
         agl = pos.alt_m_agl if pos.alt_m_agl is not None else 0.0
         los_p = _los_probability(pos)
-        voxel = None
-        powers = []
-        for scale, site_lat, site_lon, site_agl, eirp, cell_id in self._links:
-            # geo.tangent_forward from this site; station 0's is also the voxel's.
+        seed, sigma = self.env.seed, self.env.shadow_sigma_db
+        fspl, ten_n = self._fspl_db, self._ten_n
+        out = []
+        for scale, site_lat, site_lon, site_agl, cell_id in links or self._links:
+            # geo.tangent_forward from this site.
             dx = math.radians(lon - site_lon) * EARTH_RADIUS_M * scale
             dy = math.radians(lat - site_lat) * EARTH_RADIUS_M
             if voxel is None:
                 voxel = _voxel_at(dx, dy, agl)
             dz = agl - site_agl
             d = math.sqrt(dx * dx + dy * dy + dz * dz)
-            powers.append(eirp - self.loss_db(cell_id, d, voxel, los_p))
+            if d < 1.0:
+                raise DistanceTooSmall(f"distance {d:.3f} m below 1 m reference")
+            u, z = _voxel_draws(seed, cell_id, *voxel)
+            los, shadow = u < los_p, sigma * z
+            out.append((los, shadow, fspl + ten_n[los] * math.log10(d) + shadow))
+        return out
+
+    def sample(self, pos: GeoPosition) -> tuple[list, float, float]:
+        """(ranked, rssi, sinr) at pos, unclamped.  ranked holds one
+        (station index, received power dBm, rsrq dB) per station, strongest
+        first, ties to the lowest pci: its head is the serving cell and its
+        tail the neighbors."""
+        powers = [eirp - loss for eirp, (_, _, loss) in zip(self._eirps, self.paths(pos))]
+        linear = [10.0 ** (p / 10.0) for p in powers]
         # Left to right in station order on purpose: sum() of floats compensates
         # from Python 3.12 on, which moves the last bit and so the trace bytes
         # between versions.
         total_mw = 0.0
-        for p in powers:
-            total_mw += 10.0 ** (p / 10.0)
+        for mw in linear:
+            total_mw += mw
         noise_mw = self._noise_mw
         total_mw += noise_mw
         rssi = 10.0 * math.log10(total_mw)
         # (-power, pci, station index): the index keeps equal keys in station
         # order, as a stable sort on (-power, pci) would.
         order = sorted(zip(map(operator.neg, powers), self._pcis, range(len(powers))))
-        p_serv = powers[order[0][2]]
-        interference_mw = total_mw - noise_mw - 10.0 ** (p_serv / 10.0)
+        serving = order[0][2]
+        p_serv = powers[serving]
+        interference_mw = total_mw - noise_mw - linear[serving]
         sinr = p_serv - 10.0 * math.log10(interference_mw + noise_mw)
         prb_gain = self._prb_gain
         return [(k, powers[k], prb_gain + powers[k] - rssi) for _, _, k in order], rssi, sinr
@@ -372,15 +386,21 @@ class _Radio:
     def cells(self, pos: GeoPosition) -> tuple:
         """The cell part of the ROW_FIELDS row sampled at pos (records._cells_of's
         layout): the serving fields, then the strongest MAX_NEIGHBORS others as
-        neighbor tuples, each metric clamped into its reportable range."""
+        neighbor tuples, each metric clamped into its reportable range (a
+        conditional expression gives min(max(x, lo), hi)'s float, NaN included)."""
         ranked, rssi, sinr = self.sample(pos)
         k, p, q = ranked[0]
-        rssi = min(max(rssi, _RSSI_LO), _RSSI_HI)
+        rssi = _RSSI_LO if rssi < _RSSI_LO else _RSSI_HI if rssi > _RSSI_HI else rssi
         ids = self._ids
-        return (*ids[k], min(max(p, _RSRP_LO), _RSRP_HI), min(max(q, _RSRQ_LO), _RSRQ_HI),
-                rssi, min(max(sinr, _SINR_LO), _SINR_HI),
-                tuple([(*ids[n][:2], min(max(p_n, _RSRP_LO), _RSRP_HI),
-                        min(max(q_n, _RSRQ_LO), _RSRQ_HI), rssi)
+        return (*ids[k],
+                _RSRP_LO if p < _RSRP_LO else _RSRP_HI if p > _RSRP_HI else p,
+                _RSRQ_LO if q < _RSRQ_LO else _RSRQ_HI if q > _RSRQ_HI else q,
+                rssi,
+                _SINR_LO if sinr < _SINR_LO else _SINR_HI if sinr > _SINR_HI else sinr,
+                tuple([(*ids[n][:2],
+                        _RSRP_LO if p_n < _RSRP_LO else _RSRP_HI if p_n > _RSRP_HI else p_n,
+                        _RSRQ_LO if q_n < _RSRQ_LO else _RSRQ_HI if q_n > _RSRQ_HI else q_n,
+                        rssi)
                        for n, p_n, q_n in ranked[1:MAX_NEIGHBORS + 1]]))
 
 

@@ -110,6 +110,30 @@ def test_collect_replay_without_trace_rejected(capsys):
     assert "--replay" in err
 
 
+def test_collect_sim_without_config_rejected(capsys, tmp_path):
+    out = tmp_path / "x"
+    rc, _, err = run_cli(capsys, "collect", "--plan", PLAN, "--duration", "1", "--out", str(out))
+    assert rc == 1
+    assert "--config" in err
+    assert not out.exists()
+
+
+def test_collect_replay_needs_no_config(capsys, tmp_path):
+    """Replay never reads an environment file, so it does not ask for one."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--env", ENV, "--plan", PLAN, "--duration", "30",
+                 "--out", str(sim), "--run-id", "flight"]) == 0
+    capsys.readouterr()
+    trace = sim / "flight-0001.trace"
+    rc, stdout, err = run_cli(capsys, "collect", "--backend", "replay", "--replay", str(trace),
+                              "--e2e-interval", "0", "--out", str(tmp_path / "rp"),
+                              "--run-id", "rp")
+    assert (rc, err) == (0, "")
+    assert last_json_line(stdout)["records_written"] == 30
+    want = trace.read_text(encoding="utf-8").replace('"source":"sim"', '"source":"replay"')
+    assert (tmp_path / "rp" / "rp-0001.trace").read_text(encoding="utf-8") == want
+
+
 def test_probe_inconsistent_timing_rejected(capsys):
     # reply timeout shorter than the probe interval can never be satisfied
     rc, _, err = run_cli(capsys, "probe", "--server", "127.0.0.1",

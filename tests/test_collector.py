@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 import threading
 import time
 from collections import Counter
@@ -37,7 +38,7 @@ from skylog.simenv import (
     flight_position,
 )
 
-from conftest import make_neighbor, make_serving
+from conftest import make_e2e, make_neighbor, make_record, make_serving
 from test_simenv import env_with, station_at, uav_at, wp
 
 
@@ -524,3 +525,58 @@ def test_a_clean_replay_run_builds_no_record_objects(tmp_path, monkeypatch):
     assert counts == Counter()
     want = original.read_text(encoding="utf-8").replace('"source":"sim"', '"source":"replay"')
     assert (tmp_path / "b" / "b-0001.trace").read_text(encoding="utf-8") == want
+
+
+# --- the writer's queue: one wake takes everything queued ---
+
+def _rows(n, start_ms=SIM_EPOCH_MS):
+    return [records._row_of(dataclasses.replace(make_record(), ts_unix_ms=start_ms + 1000 * k))
+            for k in range(n)]
+
+
+def test_writer_writes_items_from_two_threads_in_submit_order(tmp_path):
+    """RAN rows from the tick's thread and e2e records from a second thread,
+    submitted while the writer drains: every item lands, each file in the
+    order its items were submitted."""
+    rows = _rows(3000)
+    e2e = [make_e2e(ts_unix_ms=SIM_EPOCH_MS + 60_000 * k) for k in range(300)]
+    writer = collector._TraceWriter(tmp_path, "w", max_file_records=1000)
+    second = threading.Thread(target=lambda: [writer.submit(rec) for rec in e2e])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writer.start()
+        second.start()
+        for row in rows:
+            writer.submit(row)
+        second.join(timeout=60)
+        writer.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not second.is_alive() and not writer.is_alive()
+    assert writer.error is None
+    assert (writer.ran_written, writer.e2e_written) == (3000, 300)
+    traces = sorted(tmp_path.glob("w-*.trace"))
+    assert len(traces) == 3
+    assert [records._row_of(r) for path in traces for r in read_trace(path)] == rows
+    assert read_e2e_trace(tmp_path / "w.e2e") == e2e
+
+
+def test_a_stop_inside_a_drained_batch_writes_everything_before_it(tmp_path):
+    """Items queued before the writer first wakes are one batch; the stop
+    marker in it ends the run after the items ahead of it, and nothing
+    behind it is written."""
+    rows = _rows(105)
+    writer = collector._TraceWriter(tmp_path, "w", max_file_records=1000)
+    for row in rows[:100]:
+        writer.submit(row)
+    writer.submit(make_e2e())
+    writer.queue.put(writer._STOP)
+    for row in rows[100:]:
+        writer.submit(row)
+    writer.start()
+    writer.join(timeout=30)
+    assert not writer.is_alive() and writer.error is None
+    assert (writer.ran_written, writer.e2e_written) == (100, 1)
+    assert [records._row_of(r) for r in read_trace(tmp_path / "w-0001.trace")] == rows[:100]
+    assert read_e2e_trace(tmp_path / "w.e2e") == [make_e2e()]

@@ -4,11 +4,13 @@ import dataclasses
 import json
 import math
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skylog import records
 from skylog.cli import main as cli_main
 from skylog.records import (
     AGL_CEILING_M,
@@ -380,9 +382,89 @@ def test_encode_record_is_json_dumps_of_the_trace_object(rec):
 @given(any_records())
 def test_encode_row_is_the_reference_encoder(rec):
     """The writer's row encoder against json.dumps of the record: NaN and
-    +-inf, bools, float subclasses, a null alt_m_agl and odd sources take
-    the reference path, every other row the template."""
+    +-inf, bools, float subclasses, out-of-range values, a null alt_m_agl
+    and odd sources take the reference path, every other row the template."""
     assert encode_row(_row_of(rec)) == _encode_record_reference(rec)
+
+
+# --- encode_row's %.1f dB rendering ---
+
+# Below this magnitude '%.1f' % x is repr(round(x, 1)); from it on, repr
+# writes an exponent.
+FIXED_DB_LIMIT = 1e16
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(
+    st.floats(-FIXED_DB_LIMIT, FIXED_DB_LIMIT, exclude_min=True, exclude_max=True),
+    st.floats(-300.0, 300.0),
+    st.integers(-3000, 3000).map(lambda k: k / 10 + 0.05)))
+def test_fixed_one_decimal_is_the_repr_of_round(x):
+    assert "%.1f" % x == repr(round(x, 1))
+
+
+def test_fixed_one_decimal_on_ties_and_signed_zeros():
+    """Every k/10 + 0.05 in [-200, 60], one ulp either side of it, and the
+    signed zeros, including values that round to -0.0."""
+    values = [0.0, -0.0, -0.04, -0.05, 0.05, 5e-324, -5e-324]
+    for k in range(-2000, 600):
+        x = k / 10 + 0.05
+        values += [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+    assert [v for v in values if "%.1f" % v != repr(round(v, 1))] == []
+    assert ("%.1f" % FIXED_DB_LIMIT, repr(round(FIXED_DB_LIMIT, 1))) == ("10000000000000000.0", "1e+16")
+
+
+@pytest.mark.parametrize("value", [FIXED_DB_LIMIT, -FIXED_DB_LIMIT, 1.5e16, 1e300])
+@pytest.mark.parametrize("field", ["rsrp_dbm", "sinr_db", "neighbors.rssi_dbm"])
+def test_a_db_value_at_or_above_the_limit_takes_the_reference_path(monkeypatch, field, value):
+    calls = []
+
+    def reference(rec):
+        calls.append(rec)
+        return _encode_record_reference(rec)
+
+    monkeypatch.setattr(records, "_encode_record_reference", reference)
+    if field.startswith("neighbors."):
+        rec = make_record(neighbors=(make_neighbor(**{field.split(".")[1]: value}),))
+    else:
+        rec = make_record(serving=make_serving(**{field: value}))
+    line = encode_row(_row_of(rec))
+    assert line == _reference_line(rec)
+    assert "e+" in line
+    assert calls == [rec]
+
+
+@st.composite
+def valid_rows(draw):
+    """Rows valid_row accepts with a float alt_m_agl and an exact str source,
+    their dB values at full float precision anywhere in range."""
+    def db(name, lo=None):
+        low, high = DB_FIELD_RANGES[name]
+        return draw(st.floats(low if lo is None else lo, high))
+
+    rsrp = db("rsrp_dbm")
+    rssi = db("rssi_dbm", lo=max(rsrp, DB_FIELD_RANGES["rssi_dbm"][0]))
+    serving = (draw(st.integers(0, 2**40)), draw(st.integers(0, PCI_MAX)),
+               draw(st.integers(0, CELL_ID_MAX)), draw(st.integers(0, TAC_MAX)),
+               rsrp, db("rsrq_db"), rssi, db("sinr_db"))
+    keys = draw(st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, PCI_MAX)).filter(
+        lambda k: k != serving[:2]), max_size=MAX_NEIGHBORS, unique=True))
+    neighbors = tuple((*k, db("rsrp_dbm"), db("rsrq_db"), db("rssi_dbm")) for k in keys)
+    position = (draw(st.floats(-LAT_MAX_DEG, LAT_MAX_DEG)), draw(st.floats(-LON_MAX_DEG, LON_MAX_DEG)),
+                draw(st.floats(allow_nan=False, allow_infinity=False)),
+                draw(st.floats(0.0, AGL_CEILING_M)))
+    return (draw(st.integers(0, 2**63)), *position, *serving, neighbors,
+            draw(st.sampled_from(["sim", "replay", "hw"])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(valid_rows())
+def test_a_valid_row_fills_the_template_with_the_json_dumps_bytes(row):
+    assert valid_row(row)
+    with mock.patch.object(records, "_encode_record_reference",
+                           side_effect=AssertionError("reference path taken")):
+        line = encode_row(row)
+    assert line == _reference_line(_record_of(row))
 
 
 # --- schema walker strictness: one test per kind of bad field ---

@@ -1,9 +1,11 @@
 """Propagation, LoS model, radio sampling, flight paths, config loading."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
+import struct
 import sys
 import threading
 from collections import Counter
@@ -39,6 +41,7 @@ from skylog.simenv import (
     plan_from_doc,
     radio_sample,
     radio_sample_raw,
+    shadow_db,
     station_distance_m,
     synth_e2e,
 )
@@ -771,3 +774,39 @@ def test_tick_work_is_bounded(tmp_path, monkeypatch):
     # Two digests per (station, voxel) and one RTT jitter draw per e2e test;
     # without the cache this is six per sample.
     assert counts["_digest"] <= 2 * stations * len(voxels) + e2e_tests
+
+
+def _incremental_digest(domain, seed, *ints):
+    """The seeded draw's hash fed one field at a time."""
+    h = hashlib.blake2b(digest_size=16, person=domain)
+    h.update(struct.pack(">Q", seed & 0xFFFFFFFFFFFFFFFF))
+    for v in ints:
+        h.update(struct.pack(">q", v))
+    return h.digest()
+
+
+def test_one_shot_digest_hashes_the_incremental_bytes():
+    """For seeds the 64-bit mask folds (negative, 2**64 and above) and
+    negative ints too."""
+    seeds = [0, 7, -1, -(2**63), 2**63, 2**64 - 1, 2**64, 2**64 + 7, 3 * 2**70 - 5]
+    int_lists = [(), (0,), (12,), (-3, 41, -7, 0, 2**63 - 1), (-(2**63), 1, -1)]
+    for domain in (b"skylog.los", b"skylog.shadow", b"skylog.e2ejit", b""):
+        for seed in seeds:
+            for ints in int_lists:
+                assert simenv._digest(domain, seed, *ints) == _incremental_digest(domain, seed, *ints), \
+                    (domain, seed, ints)
+
+
+def test_link_helpers_read_the_ticks_loop():
+    """los_state, shadow_db and path_loss_db give each station's entry of the
+    tick's _Radio.paths, and like it refuse a position within 1 m."""
+    env, plan = shipped_env(), shipped_plan()
+    radio = simenv._Radio(env)
+    for t in range(0, 2060, 7):
+        pos = flight_position(plan, t)
+        assert radio.paths(pos) == [(los_state(env, st, pos), shadow_db(env, st, pos),
+                                     path_loss_db(env, st, pos)) for st in env.stations]
+    st = station_at(0, 0, antenna_m=30.0)
+    for helper in (los_state, shadow_db, path_loss_db):
+        with pytest.raises(DistanceTooSmall):
+            helper(env_with([st]), st, uav_at(0, 0.5, 30.0))
