@@ -3,6 +3,9 @@
 One subcommand per workflow stage: collect (daemon), serve/probe (active
 measurement endpoints), simulate (collector against the simulated backend),
 analyze, export.  Exit codes: 0 success, 1 usage error, 2 runtime failure.
+
+The simulator (simenv) and the socket code (netprobe) are imported by the
+commands that run them, so analyze and export load neither.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .collector import (
 )
 from .geoexport import _create, export_csv, export_geojson, write_csv
 from .modem import ReplayBackend
-from .netprobe import MeasurementServer, ProbeConfig, ProbeE2eEngine
 from .records import (
     METRIC_FIELDS,
     EndToEndRecord,
@@ -41,7 +43,6 @@ from .records import (
     read_e2e_trace,
     validate_position,
 )
-from .simenv import SimE2eEngine, SimModemBackend, flight_position, load_environment, load_flight_plan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -199,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_env(path: str, seed_override: Optional[int]):
+    from .simenv import load_environment
     env = load_environment(path)
     if seed_override is not None:
         env = dataclasses.replace(env, seed=seed_override)
@@ -228,6 +230,7 @@ def cmd_collect(args) -> int:
             raise UsageError("--config is required with the sim backend")
         if not args.plan:
             raise UsageError("--plan is required with the sim backend")
+        from .simenv import SimE2eEngine, SimModemBackend, flight_position, load_flight_plan
         env = _load_env(args.config, args.seed)
         position_at = partial(flight_position, load_flight_plan(args.plan))
         modem = SimModemBackend(env)
@@ -254,6 +257,7 @@ def cmd_collect(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from .netprobe import MeasurementServer
     server = MeasurementServer(args.bind, args.rtt_port, args.tp_port,
                                dl_throttle_mbps=args.dl_throttle_mbps)
     server.start()
@@ -268,6 +272,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from .netprobe import ProbeConfig, ProbeE2eEngine
     try:
         cfg = ProbeConfig(server_host=args.server, rtt_port=args.rtt_port,
                           tp_port=args.tp_port, rtt_count=args.count,
@@ -290,6 +295,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simenv import SimE2eEngine, SimModemBackend, flight_position, load_flight_plan
     env = _load_env(args.env, args.seed)
     plan = load_flight_plan(args.plan)
     cfg = CollectorConfig(output_dir=args.out,

@@ -2,20 +2,27 @@
 
 Reads the position once per tick, polls a modem backend with it, and
 appends the report, tagged with that position, as a validated record to
-rotating trace files.  End-to-end tests fire on their own cadence and run
-on a worker thread so a seconds-long throughput test never punches holes
-in the 1 Hz RAN series.
+rotating trace files.  End-to-end tests fire on their own cadence.
+
+Threads run only for a clock that waits (SystemClock, or any clock but
+SimClock): a worker thread runs the end-to-end tests, so a seconds-long
+throughput test never punches holes in the 1 Hz RAN series, and a writer
+thread keeps storage stalls off the tick.  The virtual SimClock never
+waits, so a thread would have nothing to overlap: the tick runs each test
+and writes each line itself, through the same per-item code, and no thread
+starts.
 
 A tick handles one flat row (records.ROW_FIELDS), never a record object:
 the tick time, the position's fields, the cells returned by poll_cells
 (modem.ModemBackend's one method) and the backend's descriptor.  The row
 guard ingest uses, records.valid_row, checks it; a row it refuses goes to
 validate_record, which drops or keeps it exactly as it would the record.
-The writer thread's queue carries the rows (and the e2e records), and it
-renders each row with records.encode_row.  Both worker queues are
-queue.SimpleQueue: a put or get is one C call with no condition variable,
-and a get returns at once while anything is queued, so each wake of the
-writer takes everything queued, writing each line as it is rendered.
+The writer renders each row with records.encode_row.  On the threaded
+path its queue carries the rows (and the e2e records); both worker queues
+are queue.SimpleQueue: a put or get is one C call with no condition
+variable, and a get returns at once while anything is queued, so each wake
+of the writer takes everything queued, writing each line as it is
+rendered.
 
 Ticks are scheduled on absolute deadlines (t0 + n*interval) so cadence
 cannot drift over an hour-long flight.  Records are stamped with the
@@ -149,10 +156,11 @@ def assemble_record(report: ModemReport, pos: GeoPosition, ts_unix_ms: int,
 
 
 class _TraceWriter(threading.Thread):
-    """The only component that touches output files; consumes an ordered
-    queue of RAN rows (records.ROW_FIELDS tuples) and e2e records.  Every
-    item queued before _STOP is written; a failure stops the thread with the
-    lines before it written, and run_collection raises it."""
+    """The only component that touches output files.  write(item) writes a
+    RAN row (records.ROW_FIELDS tuple) or an e2e record; after a failure,
+    kept in error for run_collection to raise, it drops every item, so the
+    lines before it stay written.  The thread, started only for a clock that
+    waits, runs write on each queued item; otherwise the tick calls it."""
 
     _STOP = object()
 
@@ -165,7 +173,7 @@ class _TraceWriter(threading.Thread):
         self.files: list[str] = []
         self.ran_written = 0
         self.e2e_written = 0
-        self.error: Optional[BaseException] = None
+        self.error: Optional[Exception] = None
         self._ran_fh = None
         self._ran_seq = 0
         self._ran_in_file = 0
@@ -195,65 +203,85 @@ class _TraceWriter(threading.Thread):
         self._e2e_fh.write(encode_e2e(rec) + "\n")
         self.e2e_written += 1
 
+    def write(self, item) -> None:
+        """Write a RAN row or an EndToEndRecord unless an earlier write failed."""
+        if self.error is not None:
+            return
+        try:
+            if type(item) is tuple:
+                self._write_ran(item)
+            else:
+                self._write_e2e(item)
+        except Exception as exc:  # noqa: BLE001 - surfaced to the main loop as fatal
+            self.error = exc
+
     def run(self):
         try:
             # SimpleQueue.get blocks, releasing the interpreter lock, only on an
             # empty queue, so one wake takes everything queued.
             for item in iter(self.queue.get, self._STOP):
-                if type(item) is tuple:
-                    self._write_ran(item)
-                else:
-                    self._write_e2e(item)
-        except BaseException as exc:  # noqa: BLE001 - surfaced to the main loop as fatal
-            self.error = exc
+                self.write(item)
         finally:
-            if self._ran_fh is not None:
-                self._ran_fh.close()
-            if self._e2e_fh is not None:
-                self._e2e_fh.close()
+            self._close_files()
+
+    def _close_files(self):
+        if self._ran_fh is not None:
+            self._ran_fh.close()
+        if self._e2e_fh is not None:
+            self._e2e_fh.close()
 
     def submit(self, item) -> None:
         """Queue a RAN row or an EndToEndRecord for writing, in order."""
         self.queue.put(item)
 
     def close(self) -> None:
-        self.queue.put(self._STOP)
-        self.join()
+        """Write everything submitted, then close the files."""
+        if self.ident is None:  # never started: write() did the writing
+            self._close_files()
+        else:
+            self.queue.put(self._STOP)
+            self.join()
 
 
 class _E2eWorker(threading.Thread):
-    """Runs end-to-end tests off the sampling loop; results go to the writer."""
+    """Runs end-to-end tests, off the sampling loop once started; each
+    run_test hands its record to put (the writer's submit or write)."""
 
     _STOP = object()
 
-    def __init__(self, engine: E2eEngine, writer: _TraceWriter):
+    def __init__(self, engine: E2eEngine, put: Callable[[EndToEndRecord], None]):
         super().__init__(name="skylog-e2e", daemon=True)
         self.engine = engine
-        self.writer = writer
+        self.put = put
         self.queue: queue.SimpleQueue = queue.SimpleQueue()
         self.completed = 0
 
     def submit(self, pos: GeoPosition, ts_unix_ms: int, salt: int) -> None:
         self.queue.put((pos, ts_unix_ms, salt))
 
+    def run_test(self, pos: GeoPosition, ts: int, salt: int) -> None:
+        """One test; a failed test or an invalid record is logged and dropped."""
+        try:
+            rtt, dl, ul, duration = self.engine.measure(pos, salt)
+            rec = EndToEndRecord(ts_unix_ms=ts, pos=pos, rtt=rtt,
+                                 dl_mbps=dl, ul_mbps=ul, duration_s=duration)
+            result = validate_e2e(rec)
+            if not result:
+                log.warning("dropping invalid e2e record: %s", result.message)
+                return
+            self.put(rec)
+            self.completed += 1
+        except Exception:
+            log.exception("end-to-end test failed")
+
     def run(self):
         for pos, ts, salt in iter(self.queue.get, self._STOP):
-            try:
-                rtt, dl, ul, duration = self.engine.measure(pos, salt)
-                rec = EndToEndRecord(ts_unix_ms=ts, pos=pos, rtt=rtt,
-                                     dl_mbps=dl, ul_mbps=ul, duration_s=duration)
-                result = validate_e2e(rec)
-                if not result:
-                    log.warning("dropping invalid e2e record: %s", result.message)
-                    continue
-                self.writer.submit(rec)
-                self.completed += 1
-            except Exception:
-                log.exception("end-to-end test failed")
+            self.run_test(pos, ts, salt)
 
     def close(self) -> None:
-        self.queue.put(self._STOP)
-        self.join()
+        if self.ident is not None:
+            self.queue.put(self._STOP)
+            self.join()
 
 
 def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
@@ -273,10 +301,15 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
 
     A RAN tick builds one records.ROW_FIELDS row (the tick time, the
     position's fields, the polled cells and the backend's descriptor),
-    checks it with records.valid_row, the guard ingest uses, and queues it.
+    checks it with records.valid_row, the guard ingest uses, and hands it
+    to the writer.
     A row the guard refuses goes to validate_record: a record that check
     refuses is dropped and counted in polls_failed, any other is written,
     so a record is accepted exactly when validate_record accepts it.
+
+    Threads run only for a clock that waits: under SimClock the tick calls
+    the writer's and the e2e worker's per-item code itself, so nothing
+    queues and memory does not grow with the flight.
 
     The backend is read before anything is created or started: one without
     poll_cells raises AttributeError with no directory made and no thread
@@ -297,17 +330,23 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
 
     e2e_ms = int(cfg.e2e_interval_s * 1000)
     end_ms = None if cfg.duration_s is None else t0 + int(cfg.duration_s * 1000)
+    # A virtual clock never waits, so a thread would have nothing to overlap.
+    threaded = not isinstance(clock, SimClock)
     writer = _TraceWriter(out_dir, run_id, cfg.max_file_records)
-    writer.start()
+    write = writer.submit if threaded else writer.write
     worker = None
+    if e2e_engine is not None and e2e_ms > 0:
+        worker = _E2eWorker(e2e_engine, write)
+        run_test = worker.submit if threaded else worker.run_test
     interval = cfg.sample_interval_ms
     n_ran = 0
     n_e2e = 0
     polls_failed = 0
 
+    if threaded:
+        writer.start()
     try:
-        if e2e_engine is not None and e2e_ms > 0:
-            worker = _E2eWorker(e2e_engine, writer)
+        if threaded and worker is not None:
             worker.start()
         while True:
             if writer.error is not None:
@@ -343,14 +382,14 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
                     row = (next_ran, *_position_row(pos), *cells, source)
                     result = valid_row(row) or validate_record(_record_of(row))
                     if result:
-                        writer.submit(row)
+                        write(row)
                     else:
                         polls_failed += 1
                         log.warning("poll %d dropped: invalid record: %s", n_ran, result.message)
                 n_ran += 1
 
             if worker is not None and wake == next_e2e:
-                worker.submit(pos, next_e2e, n_e2e)
+                run_test(pos, next_e2e, n_e2e)
                 n_e2e += 1
     finally:
         if worker is not None:

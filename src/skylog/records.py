@@ -32,8 +32,7 @@ reference path for everything else:
 
 The collector's tick lives on the same rows: it builds one from the polled
 cells (_cells_of's layout), checks it with valid_row, sends a row the guard
-refuses to validate_record, and its writer thread renders it with
-encode_row.
+refuses to validate_record, and its writer renders it with encode_row.
 """
 
 from __future__ import annotations

@@ -317,6 +317,49 @@ def test_failed_analyze_leaves_the_previous_report(tmp_path, short_flight):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in [report, *tables])
 
 
+# --- each command loads only what it runs ---
+
+# Run in a fresh interpreter: prints the modules main(argv) loaded, beyond a
+# bare interpreter's, after its exit code.
+_LOADED_BY_MAIN = """\
+import sys
+bare = set(sys.modules)
+import skylog.cli
+rc = skylog.cli.main(sys.argv[1:])
+print(rc, *sorted(set(sys.modules) - bare))
+"""
+
+SIMULATOR_AND_SOCKETS = {"skylog.simenv", "skylog.netprobe", "_hashlib", "socket", "statistics"}
+
+
+def loaded_by_main(*argv) -> set:
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_MAIN, *argv],
+                          capture_output=True, text=True, timeout=60)
+    rc, *loaded = proc.stdout.splitlines()[-1].split()
+    assert rc == "0", proc.stderr
+    return set(loaded)
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--by-voxel", "--ran", "{trace}", "--e2e", "{e2e}", "--report", "{out}/r.json"],
+    ["export", "--format", "geojson", "--ran", "{trace}", "--out", "{out}/p.geojson"],
+    ["export", "--format", "csv", "--grid", "25,10", "--ran", "{trace}", "--out", "{out}/v.csv"],
+], ids=["analyze", "export-geojson", "export-grid-csv"])
+def test_analyze_and_export_load_no_simulator_or_sockets(tmp_path, short_flight, command):
+    trace, e2e = short_flight
+    argv = [a.format(trace=trace, e2e=e2e, out=tmp_path) for a in command]
+    loaded = loaded_by_main(*argv)
+    assert "skylog.analysis" in loaded
+    assert loaded & SIMULATOR_AND_SOCKETS == set()
+
+
+def test_simulate_loads_no_sockets(tmp_path):
+    loaded = loaded_by_main("simulate", "--env", ENV, "--plan", PLAN, "--duration", "60",
+                            "--out", str(tmp_path))
+    assert "skylog.simenv" in loaded
+    assert loaded & {"skylog.netprobe", "socket"} == set()
+
+
 def test_export_empty_trace_writes_nothing(capsys, tmp_path):
     empty = tmp_path / "empty.trace"
     empty.write_text("")
