@@ -199,12 +199,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_env(path: str, seed_override: Optional[int]):
-    from .simenv import load_environment
-    env = load_environment(path)
-    if seed_override is not None:
-        env = dataclasses.replace(env, seed=seed_override)
-    return env
+def _collector_config(args) -> CollectorConfig:
+    return CollectorConfig(output_dir=args.out, sample_interval_ms=args.interval_ms,
+                           e2e_interval_s=args.e2e_interval, duration_s=args.duration,
+                           run_id=args.run_id)
+
+
+def _simulated_run(args, env_path: str) -> tuple:
+    """(config, modem, position_at, e2e engine) of a run on the simulated
+    backend, for run_collection; the one place cli imports simenv.  Each
+    input is checked as it is loaded, so the first bad one is the one
+    reported: the environment (with --seed applied), the flight plan, then
+    the collector options."""
+    from .simenv import (SimE2eEngine, SimModemBackend, flight_position, load_environment,
+                         load_flight_plan)
+    env = load_environment(env_path)
+    if args.seed is not None:
+        env = dataclasses.replace(env, seed=args.seed)
+    position_at = partial(flight_position, load_flight_plan(args.plan))
+    cfg = _collector_config(args)
+    return (cfg, SimModemBackend(env), position_at,
+            SimE2eEngine(env) if args.e2e_interval > 0 else None)
 
 
 @contextlib.contextmanager
@@ -230,11 +245,7 @@ def cmd_collect(args) -> int:
             raise UsageError("--config is required with the sim backend")
         if not args.plan:
             raise UsageError("--plan is required with the sim backend")
-        from .simenv import SimE2eEngine, SimModemBackend, flight_position, load_flight_plan
-        env = _load_env(args.config, args.seed)
-        position_at = partial(flight_position, load_flight_plan(args.plan))
-        modem = SimModemBackend(env)
-        engine = SimE2eEngine(env) if args.e2e_interval > 0 else None
+        cfg, modem, position_at, engine = _simulated_run(args, args.config)
         clock = SystemClock()
     else:
         if not args.replay:
@@ -243,12 +254,8 @@ def cmd_collect(args) -> int:
         # streamed, each line giving both a report and its position.
         modem = ReplayBackend(args.replay)
         position_at = modem.position
-        engine = None
+        cfg, engine = _collector_config(args), None
         clock = SimClock()  # re-ingesting a trace should not wait out wall time
-    cfg = CollectorConfig(output_dir=args.out,
-                          sample_interval_ms=args.interval_ms,
-                          e2e_interval_s=args.e2e_interval,
-                          duration_s=args.duration, run_id=args.run_id)
     with _stop_on_signals() as stop:
         summary = run_collection(cfg, clock, modem, position_at,
                                  e2e_engine=engine, stop_event=stop)
@@ -295,16 +302,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simenv import SimE2eEngine, SimModemBackend, flight_position, load_flight_plan
-    env = _load_env(args.env, args.seed)
-    plan = load_flight_plan(args.plan)
-    cfg = CollectorConfig(output_dir=args.out,
-                          sample_interval_ms=args.interval_ms,
-                          e2e_interval_s=args.e2e_interval,
-                          duration_s=args.duration, run_id=args.run_id)
-    engine = SimE2eEngine(env) if args.e2e_interval > 0 else None
-    summary = run_collection(cfg, SimClock(), SimModemBackend(env),
-                             partial(flight_position, plan), e2e_engine=engine)
+    cfg, modem, position_at, engine = _simulated_run(args, args.env)
+    summary = run_collection(cfg, SimClock(), modem, position_at, e2e_engine=engine)
     print(json.dumps(summary.to_doc()))
     return EXIT_OK
 

@@ -471,7 +471,12 @@ def get_field(doc: dict, key: str, kind: type, fail, where: str = "", default=_R
         return None
     if isinstance(value, bool) or not isinstance(value, _NUMBER if kind is float else kind):
         raise fail(where + key, False)
-    return kind(value) if kind is float or kind is int else value
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond any float
+            raise fail(where + key, False) from None
+    return int(value) if kind is int else value
 
 
 _SCALAR_KINDS = {"float": float, "int": int}  # annotations are strings here

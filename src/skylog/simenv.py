@@ -13,19 +13,17 @@ aircraft stays in one 10 m voxel for several ticks, and an end-to-end test
 re-samples the tick's position, so most samples hit.  Each plan likewise
 keeps its leg flight times, computed once with the same float operations.
 
-One radio core, _Radio, samples every station at a position.  Built once
-per environment (by SimModemBackend and SimE2eEngine), it keeps what does
-not depend on the position: each station's projection scale, site, EIRP
-and identity, the 1 m loss, the noise in mW and the PRB gain; station 0's
-projection is also the voxel's.  Its paths method is the one copy of the
-propagation formula: one flat loop over the stations, with no call per
-station but the cached draw, which los_state, shadow_db and path_loss_db
-read too.  Its cells method gives the collector's tick the cell part of a
-trace row, clamped, with no report object: SimModemBackend.poll_cells
-returns it as it is.  radio_sample_raw (unclamped) and radio_sample (the
-same cells as a ModemReport) are built on the same core, so every output
-keeps the per-call formulas' floats bit for bit.  A draw that misses the
-cache is one blake2b call over the packed seed and voxel.
+_Radio is the radio model's one API.  Built once per environment (by
+SimModemBackend and SimE2eEngine), it keeps what does not depend on the
+position: each station's projection scale, site, EIRP and identity, the 1 m
+loss, the noise in mW and the PRB gain; station 0's projection is also the
+voxel's.  Its paths method is the one copy of the propagation formula: one
+flat loop over the stations, with no call per station but the cached draw.
+Its sample method ranks the stations and gives RSSI and SINR, unclamped, and
+its cells method gives the collector's tick the cell part of a trace row,
+clamped, with no report object: SimModemBackend.poll_cells returns it as it
+is.  radio_sample wraps the same cells in a ModemReport.  A draw that misses
+the cache is one blake2b call over the packed seed and voxel.
 """
 
 from __future__ import annotations
@@ -219,17 +217,6 @@ def _voxel_draws(seed: int, cell_id: int, vx: int, vy: int, vz: int) -> tuple[fl
             _std_normal(b"skylog.shadow", seed, cell_id, vx, vy, vz))
 
 
-def _voxel_at(x: float, y: float, agl: float) -> tuple[int, int, int]:
-    """The voxel of a point x m east and y m north of station 0, agl m up."""
-    return (math.floor(x / VOXEL_M), math.floor(y / VOXEL_M), math.floor(agl / VOXEL_M))
-
-
-def _voxel(env: RadioEnvironment, pos: GeoPosition) -> tuple[int, int, int]:
-    anchor = env.stations[0].site_pos
-    x, y = tangent_forward(anchor.lat_deg, anchor.lon_deg, pos.lat_deg, pos.lon_deg)
-    return _voxel_at(x, y, pos.alt_m_agl if pos.alt_m_agl is not None else 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Propagation
 # ---------------------------------------------------------------------------
@@ -254,27 +241,6 @@ def _los_probability(pos: GeoPosition) -> float:
     return min(max(LOS_P_FLOOR + (1.0 - LOS_P_FLOOR) * agl / LOS_P_FULL_AT_M, LOS_P_FLOOR), 1.0)
 
 
-def _path(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) -> tuple[bool, float, float]:
-    """(line of sight, shadowing dB, path loss dB) of one station seen from
-    pos, through the tick's loop (_Radio.paths), which refuses a position
-    within 1 m of the station with DistanceTooSmall."""
-    return _Radio(env).paths(pos, (_station_link(station),), _voxel(env, pos))[0]
-
-
-def los_state(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) -> bool:
-    """True for line-of-sight.  Deterministic per (seed, station, voxel)."""
-    return _path(env, station, pos)[0]
-
-
-def shadow_db(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) -> float:
-    """Lognormal shadowing term, frozen per (seed, station, voxel)."""
-    return _path(env, station, pos)[1]
-
-
-def path_loss_db(env: RadioEnvironment, station: BaseStation, pos: GeoPosition) -> float:
-    return _path(env, station, pos)[2]
-
-
 # ---------------------------------------------------------------------------
 # Radio sampling
 # ---------------------------------------------------------------------------
@@ -283,32 +249,11 @@ def _linear_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-@dataclass(frozen=True)
-class RawRadioSample:
-    """Pre-clamp sample: full-precision metrics plus per-station powers."""
-
-    serving: BaseStation
-    rsrp_dbm: float
-    rsrq_db: float
-    rssi_dbm: float
-    sinr_db: float
-    # strongest-first, serving excluded: (station, received power dBm, rsrq dB)
-    neighbor_powers: tuple[tuple[BaseStation, float, float], ...] = ()
-
-
 _RSRP_LO, _RSRP_HI = DB_FIELD_RANGES["rsrp_dbm"]
 _RSRQ_LO, _RSRQ_HI = DB_FIELD_RANGES["rsrq_db"]
 _RSSI_LO, _RSSI_HI = DB_FIELD_RANGES["rssi_dbm"]
 _SINR_LO, _SINR_HI = DB_FIELD_RANGES["sinr_db"]
 _SINR = SERVING_FIELDS.index("sinr_db")
-
-
-def _station_link(st: BaseStation) -> tuple:
-    """(cos of the site latitude, site lat, site lon, antenna height, cell_id):
-    what _Radio.paths reads of a station."""
-    site = st.site_pos
-    return (math.cos(math.radians(site.lat_deg)), site.lat_deg, site.lon_deg,
-            site.alt_m_agl or 0.0, st.cell_id)
 
 
 class _Radio:
@@ -321,7 +266,11 @@ class _Radio:
 
     def __init__(self, env: RadioEnvironment):
         self.env = env
-        self._links = tuple(map(_station_link, env.stations))
+        # What paths reads of a station: the cos of its site latitude (the
+        # projection scale), its site, antenna height and cell_id.
+        self._links = tuple((math.cos(math.radians(st.site_pos.lat_deg)), st.site_pos.lat_deg,
+                             st.site_pos.lon_deg, st.site_pos.alt_m_agl or 0.0, st.cell_id)
+                            for st in env.stations)
         self._eirps = tuple(st.eirp_dbm for st in env.stations)
         self._ids = tuple((st.earfcn, st.pci, st.cell_id, st.tac) for st in env.stations)
         self._pcis = tuple(st.pci for st in env.stations)
@@ -330,24 +279,25 @@ class _Radio:
         self._noise_mw = _linear_mw(env.noise_dbm)
         self._prb_gain = 10.0 * math.log10(env.n_prb)
 
-    def paths(self, pos: GeoPosition, links=None, voxel=None) -> list:
-        """(line of sight, shadowing dB, path loss dB) of each of links (by
-        default every station's, in station order) seen from pos: log-distance
-        with the LoS or NLoS exponent, plus the voxel's shadowing.  The voxel is
-        station 0's projection: by default the first link's.  DistanceTooSmall
-        names the first link within 1 m."""
+    def paths(self, pos: GeoPosition) -> list:
+        """(line of sight, shadowing dB, path loss dB) of each station, in
+        station order, seen from pos: log-distance with the LoS or NLoS
+        exponent, plus the voxel's shadowing.  The voxel is the 10 m cell of
+        pos in station 0's projection.  DistanceTooSmall names the first
+        station within 1 m."""
         lat, lon = pos.lat_deg, pos.lon_deg
         agl = pos.alt_m_agl if pos.alt_m_agl is not None else 0.0
         los_p = _los_probability(pos)
         seed, sigma = self.env.seed, self.env.shadow_sigma_db
         fspl, ten_n = self._fspl_db, self._ten_n
         out = []
-        for scale, site_lat, site_lon, site_agl, cell_id in links or self._links:
+        voxel = None
+        for scale, site_lat, site_lon, site_agl, cell_id in self._links:
             # geo.tangent_forward from this site.
             dx = math.radians(lon - site_lon) * EARTH_RADIUS_M * scale
             dy = math.radians(lat - site_lat) * EARTH_RADIUS_M
             if voxel is None:
-                voxel = _voxel_at(dx, dy, agl)
+                voxel = (math.floor(dx / VOXEL_M), math.floor(dy / VOXEL_M), math.floor(agl / VOXEL_M))
             dz = agl - site_agl
             d = math.sqrt(dx * dx + dy * dy + dz * dz)
             if d < 1.0:
@@ -402,16 +352,6 @@ class _Radio:
                         _RSRQ_LO if q_n < _RSRQ_LO else _RSRQ_HI if q_n > _RSRQ_HI else q_n,
                         rssi)
                        for n, p_n, q_n in ranked[1:MAX_NEIGHBORS + 1]]))
-
-
-def radio_sample_raw(env: RadioEnvironment, pos: GeoPosition) -> RawRadioSample:
-    """The environment at a position, before the clamps: the core the tick's
-    _Radio.cells clamps."""
-    ranked, rssi, sinr = _Radio(env).sample(pos)
-    (k, p, q), *rest = ranked
-    stations = env.stations
-    return RawRadioSample(serving=stations[k], rsrp_dbm=p, rsrq_db=q, rssi_dbm=rssi, sinr_db=sinr,
-                          neighbor_powers=tuple((stations[k], p, q) for k, p, q in rest))
 
 
 def radio_sample(env: RadioEnvironment, pos: GeoPosition) -> ModemReport:
@@ -597,9 +537,8 @@ class SimE2eEngine:
 
 __all__ = [
     "BaseStation", "RadioEnvironment", "Waypoint", "FlightPlan",
-    "ConfigError", "DistanceTooSmall", "RawRadioSample",
-    "fspl_1m_db", "station_distance_m", "los_state", "shadow_db", "path_loss_db",
-    "radio_sample_raw", "radio_sample", "flight_position", "plan_duration_s",
+    "ConfigError", "DistanceTooSmall", "fspl_1m_db", "station_distance_m",
+    "radio_sample", "flight_position", "plan_duration_s",
     "synth_e2e", "load_environment", "load_flight_plan",
     "environment_from_doc", "plan_from_doc", "SimModemBackend", "SimE2eEngine",
     "PLAN_AGL_CEILING_M", "VOXEL_M",

@@ -54,8 +54,8 @@ from skylog.simenv import (
     load_environment,
     load_flight_plan,
     plan_duration_s,
+    _Radio,
     radio_sample,
-    radio_sample_raw,
 )
 
 
@@ -132,13 +132,14 @@ def test_criterion_3_rsrq_identity(tmp_path):
 
     prb_gain = 10.0 * math.log10(env.n_prb)
     lo, hi = DB_FIELD_RANGES["rsrp_dbm"]
+    sample = _Radio(env).sample
     for second, rec in enumerate(records):
-        raw = radio_sample_raw(env, flight_position(plan, float(second)))
-        assert abs(raw.rsrq_db - (prb_gain + raw.rsrp_dbm - raw.rssi_dbm)) <= 0.05
-        for _station, power_dbm, rsrq_db in raw.neighbor_powers:
-            assert abs(rsrq_db - (prb_gain + power_dbm - raw.rssi_dbm)) <= 0.05
+        # The serving cell first, then every neighbor, before the clamps.
+        ranked, rssi, _ = sample(flight_position(plan, float(second)))
+        for _station, power_dbm, rsrq_db in ranked:
+            assert abs(rsrq_db - (prb_gain + power_dbm - rssi)) <= 0.05
         # pins the recomputed sample to the record the trace actually stored
-        assert rec.serving.rsrp_dbm == round(min(max(raw.rsrp_dbm, lo), hi), 1)
+        assert rec.serving.rsrp_dbm == round(min(max(ranked[0][1], lo), hi), 1)
 
 
 def test_criterion_4_coverage_fractions():

@@ -11,6 +11,7 @@ import threading
 import time
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +133,21 @@ def test_collect_replay_needs_no_config(capsys, tmp_path):
     assert last_json_line(stdout)["records_written"] == 30
     want = trace.read_text(encoding="utf-8").replace('"source":"sim"', '"source":"replay"')
     assert (tmp_path / "rp" / "rp-0001.trace").read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("command, env_flag", [("simulate", "--env"), ("collect", "--config")])
+def test_a_simulated_run_checks_env_then_plan_then_options(capsys, tmp_path, command, env_flag):
+    """simulate and collect's sim backend build their run one way: each
+    reports the first bad input of the environment, the flight plan and the
+    collector options, in that order, before writing anything."""
+    no_env, no_plan, out = str(tmp_path / "no.env"), str(tmp_path / "no.plan"), tmp_path / "out"
+    for env, plan, message in ((no_env, no_plan, "no.env"), (ENV, no_plan, "no.plan"),
+                               (ENV, PLAN, "must be finite")):
+        rc, stdout, err = run_cli(capsys, command, env_flag, env, "--plan", plan,
+                                  "--duration", "nan", "--out", str(out))
+        assert (rc, stdout) == (2, "")
+        assert [m for m in ("no.env", "no.plan", "must be finite") if m in err] == [message]
+        assert not out.exists()
 
 
 def test_probe_inconsistent_timing_rejected(capsys):
@@ -269,6 +285,44 @@ def test_analyze_refuses_bad_value_before_writing(capsys, tmp_path, short_flight
     assert rc == 2
     assert message in err
     assert not (tmp_path / "new").exists()
+
+
+def _with_huge_int(path, key: str, dest) -> str:
+    """A copy of a trace (its first line) or environment file at dest, with
+    key set to a 400-digit integer: valid JSON, but beyond any float."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".env":
+        text = json.dumps({**json.loads(text), key: 10 ** 399})
+    else:
+        first, rest = text.split("\n", 1)
+        text = json.dumps({**json.loads(first), key: 10 ** 399}) + "\n" + rest
+    dest.write_text(text, encoding="utf-8")
+    return str(dest)
+
+
+@pytest.mark.parametrize("source, key, argv", [
+    ("trace", "lat_deg", ["analyze", "--ran", "{bad}", "--report", "{out}/r.json"]),
+    ("trace", "lat_deg", ["export", "--format", "geojson", "--ran", "{bad}", "--out", "{out}/p.geojson"]),
+    ("trace", "lat_deg", ["collect", "--backend", "replay", "--replay", "{bad}",
+                          "--e2e-interval", "0", "--out", "{out}"]),
+    ("e2e", "dl_mbps", ["analyze", "--ran", "{trace}", "--e2e", "{bad}", "--report", "{out}/r.json"]),
+    ("env", "noise_dbm", ["simulate", "--env", "{bad}", "--plan", PLAN, "--duration", "5",
+                          "--out", "{out}"]),
+], ids=["analyze", "export", "replay", "e2e", "env"])
+def test_an_integer_beyond_any_float_is_a_named_field_error(capsys, tmp_path, short_flight,
+                                                            source, key, argv):
+    """float() of such an integer raises OverflowError, not ValueError: each
+    reader refuses it as a wrong-typed field, naming the line and field, and
+    exits 2 with nothing written."""
+    trace, e2e = short_flight
+    path = {"trace": trace, "e2e": e2e, "env": Path(ENV)}[source]
+    bad = _with_huge_int(path, key, tmp_path / f"bad{path.suffix}")
+    out = tmp_path / "out"
+    rc, stdout, err = run_cli(capsys, *(a.format(bad=bad, trace=trace, out=out) for a in argv))
+    where = f"{bad}: key" if source == "env" else "line 1: field"
+    assert (rc, stdout) == (2, "")
+    assert f"{where} '{key}' has wrong type" in err
+    assert not out.exists()
 
 
 def test_analyze_grid_without_by_voxel_rejected(capsys, tmp_path, short_flight):

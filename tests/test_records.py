@@ -1024,3 +1024,46 @@ def test_row_guard_never_accepts_what_validate_record_refuses(simulated_line):
     accepted = [row for row in rows if valid_row(row)]
     assert valid_row(base) and 0 < len(accepted) < len(rows)
     assert [row for row in accepted if not validate_record(_record_of(row))] == []
+
+
+def _valid_spellings(doc: dict) -> list:
+    """Valid variants of a simulated trace line's object: integer-valued dB
+    and position fields, alt_m_agl missing or null, keys in reverse order,
+    and unknown keys."""
+    def whole(d) -> dict:
+        return {k: int(round(v)) if type(v) is float else v for k, v in d.items()}
+
+    return [{**whole(doc), "serving": whole(doc["serving"]),
+             "neighbors": [whole(n) for n in doc["neighbors"]]},
+            {k: v for k, v in doc.items() if k != "alt_m_agl"},
+            {**doc, "alt_m_agl": None},
+            {k: dict(reversed(v.items())) if k == "serving" else v for k, v in reversed(doc.items())},
+            {**doc, "vendor_extra": {"x": [1]}, "serving": {**doc["serving"], "band": 3},
+             "neighbors": [{**n, "note": None} for n in doc["neighbors"]]}]
+
+
+def test_every_row_iter_rows_yields_passes_the_row_guard(tmp_path, monkeypatch, simulated_line):
+    """Replay writes the rows iter_rows yields through the collector's tick,
+    which checks each with valid_row.  A row built on the reference path
+    (decode_record, then _row_of) must pass that guard as a row read on the
+    fast path does.  Surrounding whitespace sends a line to the reference
+    path, as an integer in a float field does; each spelling is read both
+    ways."""
+    doc = json.loads(simulated_line)
+    spellings, ts = [doc, *_valid_spellings(doc)], doc["ts_unix_ms"]
+    # One timestamp per line, increasing; a replaced key keeps its place.
+    lines = [json.dumps({**d, "ts_unix_ms": ts + n}, separators=(",", ":"))
+             for n, d in enumerate(spellings)]
+    lines += [" " + json.dumps({**d, "ts_unix_ms": ts + len(spellings) + n}) + "\t "
+              for n, d in enumerate(spellings)]
+    assert lines[0] == simulated_line
+    path = tmp_path / "t.trace"
+    path.write_text("\n".join(lines) + "\n")
+    decoded = []
+    monkeypatch.setattr(records, "decode_record",
+                        lambda text, line_no: decoded.append(line_no) or decode_record(text, line_no))
+    rows = list(iter_rows(path))
+    # The integer-valued line, then every padded line.
+    assert decoded == [2, *range(len(spellings) + 1, len(lines) + 1)]
+    assert [row[0] for row in rows] == [ts + n for n in range(len(lines))]
+    assert [n for n, row in enumerate(rows, start=1) if not valid_row(row)] == []

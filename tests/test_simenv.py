@@ -26,7 +26,6 @@ from skylog.simenv import (
     DistanceTooSmall,
     FlightPlan,
     RadioEnvironment,
-    RawRadioSample,
     SimE2eEngine,
     SimModemBackend,
     Waypoint,
@@ -35,13 +34,9 @@ from skylog.simenv import (
     fspl_1m_db,
     load_environment,
     load_flight_plan,
-    los_state,
-    path_loss_db,
     plan_duration_s,
     plan_from_doc,
     radio_sample,
-    radio_sample_raw,
-    shadow_db,
     station_distance_m,
     synth_e2e,
 )
@@ -76,18 +71,20 @@ def test_path_loss_1m_los_no_shadow():
     st = station_at(0, 0, antenna_m=120.0)
     env = env_with([st], shadow_sigma_db=0.0)
     pos = uav_at(0, 1.001, 120.0)
-    assert los_state(env, st, pos)
-    assert path_loss_db(env, st, pos) == pytest.approx(38.9, abs=0.05)
+    [(los, _, loss)] = simenv._Radio(env).paths(pos)
+    assert los
+    assert loss == pytest.approx(38.9, abs=0.05)
 
 
 def test_path_loss_1km_exponent_2_2():
     st = station_at(0, 0, antenna_m=30.0)
     env = env_with([st], shadow_sigma_db=0.0)
     pos = uav_at(0, 1000.0, 120.0)  # agl >= 100 -> always LoS
-    assert los_state(env, st, pos)
+    [(los, _, loss)] = simenv._Radio(env).paths(pos)
+    assert los
     d = station_distance_m(st, pos)
     expected = fspl_1m_db(2.1e9) + 22.0 * math.log10(d)
-    assert path_loss_db(env, st, pos) == pytest.approx(expected, abs=1e-9)
+    assert loss == pytest.approx(expected, abs=1e-9)
     # and the canonical spot check: exactly 1 km -> 104.9 dB
     assert fspl_1m_db(2.1e9) + 22.0 * math.log10(1000.0) == pytest.approx(104.9, abs=0.05)
 
@@ -96,44 +93,43 @@ def test_path_loss_below_1m_raises():
     st = station_at(0, 0, antenna_m=30.0)
     env = env_with([st])
     with pytest.raises(DistanceTooSmall):
-        path_loss_db(env, st, uav_at(0, 0.5, 30.0))
+        simenv._Radio(env).paths(uav_at(0, 0.5, 30.0))
 
 
 def test_path_loss_deterministic():
     st = station_at(0, 0)
     env = env_with([st], seed=99)
     pos = uav_at(250, 130, 40.0)
-    assert path_loss_db(env, st, pos) == path_loss_db(env, st, pos)
+    assert simenv._Radio(env).paths(pos) == simenv._Radio(env).paths(pos)
 
 
 def test_los_always_above_100m():
     st = station_at(0, 0)
-    env = env_with([st], seed=3)
+    radio = simenv._Radio(env_with([st], seed=3))
     for i in range(200):
-        assert los_state(env, st, uav_at(17 * i, 13 * i, 100.0 + (i % 23)))
+        [(los, _, _)] = radio.paths(uav_at(17 * i, 13 * i, 100.0 + (i % 23)))
+        assert los
 
 
 def test_los_ground_rate_near_0_15():
     st = station_at(0, 0)
-    env = env_with([st], seed=5)
-    hits = sum(los_state(env, st, uav_at(10.0 * i, 10.0 * j, 0.0))
+    radio = simenv._Radio(env_with([st], seed=5))
+    hits = sum(radio.paths(uav_at(10.0 * i, 10.0 * j, 0.0))[0][0]
                for i in range(100) for j in range(100))
     assert hits / 10000 == pytest.approx(0.15, abs=0.03)
 
 
 def test_los_deterministic_within_voxel():
     st = station_at(0, 0)
-    env = env_with([st], seed=12)
-    a = los_state(env, st, uav_at(101.0, 52.0, 44.0))
-    b = los_state(env, st, uav_at(108.9, 57.5, 41.1))  # same 10 m voxel, same band
+    radio = simenv._Radio(env_with([st], seed=12))
+    [(a, _, _)] = radio.paths(uav_at(101.0, 52.0, 44.0))
+    [(b, _, _)] = radio.paths(uav_at(108.9, 57.5, 41.1))  # same 10 m voxel, same band
     assert a == b
 
 
 def test_shadowing_distribution_moments():
-    from skylog.simenv import shadow_db
-    st = station_at(0, 0)
-    env = env_with([st], seed=8, shadow_sigma_db=6.0)
-    draws = [shadow_db(env, st, uav_at(10.0 * i, 10.0 * j, 50.0))
+    radio = simenv._Radio(env_with([station_at(0, 0)], seed=8, shadow_sigma_db=6.0))
+    draws = [radio.paths(uav_at(10.0 * i, 10.0 * j, 50.0))[0][1]
              for i in range(100) for j in range(100)]
     n = len(draws)
     mean = sum(draws) / n
@@ -149,15 +145,15 @@ def test_single_station_sinr_and_rssi():
     env = env_with([st], shadow_sigma_db=0.0)
     pos = uav_at(0, 1000.0, 120.0)  # LoS guaranteed
     # tune eirp so received power is exactly -90
-    pl = path_loss_db(env, st, pos)
+    [(_, _, pl)] = simenv._Radio(env).paths(pos)
     st2 = station_at(0, 0, antenna_m=30.0, eirp=pl - 90.0)
     env2 = env_with([st2], shadow_sigma_db=0.0)
-    raw = radio_sample_raw(env2, pos)
-    assert raw.rsrp_dbm == pytest.approx(-90.0, abs=1e-9)
-    assert raw.sinr_db == pytest.approx(14.5, abs=1e-9)
+    [(_, rsrp, _)], rssi, sinr = simenv._Radio(env2).sample(pos)
+    assert rsrp == pytest.approx(-90.0, abs=1e-9)
+    assert sinr == pytest.approx(14.5, abs=1e-9)
     expected_rssi = 10.0 * math.log10(10 ** (-90 / 10) + 10 ** (-104.5 / 10))
-    assert raw.rssi_dbm == pytest.approx(expected_rssi, abs=1e-9)
-    assert raw.rssi_dbm == pytest.approx(-89.85, abs=0.01)
+    assert rssi == pytest.approx(expected_rssi, abs=1e-9)
+    assert rssi == pytest.approx(-89.85, abs=0.01)
 
 
 def test_rsrq_identity_value():
@@ -165,9 +161,8 @@ def test_rsrq_identity_value():
     assert 10 * math.log10(50) + (-90.0) - (-60.0) == pytest.approx(-13.0, abs=0.02)
     st = station_at(0, 0)
     env = env_with([st], seed=2)
-    raw = radio_sample_raw(env, uav_at(400, 300, 60.0))
-    assert raw.rsrq_db == pytest.approx(
-        10 * math.log10(env.n_prb) + raw.rsrp_dbm - raw.rssi_dbm, abs=1e-9)
+    [(_, rsrp, rsrq)], rssi, _ = simenv._Radio(env).sample(uav_at(400, 300, 60.0))
+    assert rsrq == pytest.approx(10 * math.log10(env.n_prb) + rsrp - rssi, abs=1e-9)
 
 
 def test_equal_power_tie_serves_lower_pci():
@@ -572,8 +567,9 @@ def reference_position(plan, t_s):
 
 
 def reference_raw(env, pos):
-    """radio_sample_raw before the draw cache: per station, its own voxel,
-    LoS probability, 1 m loss and two fresh digests."""
+    """_Radio.sample before the draw cache: per station, its own voxel,
+    LoS probability, 1 m loss and two fresh digests.  The same (ranked, rssi,
+    sinr): ranked holds (station index, power dBm, rsrq dB), serving first."""
     powers = []
     for st in env.stations:
         anchor = env.stations[0].site_pos
@@ -588,22 +584,24 @@ def reference_raw(env, pos):
         n = env.n_los if u < p_los else env.n_nlos
         d = station_distance_m(st, pos)
         loss = fspl_1m_db(env.freq_hz) + 10.0 * n * math.log10(d) + env.shadow_sigma_db * z
-        powers.append((st, st.eirp_dbm - loss))
-    serving, p_serv = min(powers, key=lambda sp: (-sp[1], sp[0].pci))
+        powers.append(st.eirp_dbm - loss)
+
+    def strongest(k):
+        return -powers[k], env.stations[k].pci
+
+    serving = min(range(len(powers)), key=strongest)
+    p_serv = powers[serving]
     noise_mw = 10.0 ** (env.noise_dbm / 10.0)
     total_mw = 0.0
-    for _, p in powers:
+    for p in powers:
         total_mw += 10.0 ** (p / 10.0)
     total_mw += noise_mw
     rssi = 10.0 * math.log10(total_mw)
     prb_gain = 10.0 * math.log10(env.n_prb)
     interference_mw = total_mw - noise_mw - 10.0 ** (p_serv / 10.0)
     sinr = p_serv - 10.0 * math.log10(interference_mw + noise_mw)
-    rest = sorted(((st, p) for st, p in powers if st is not serving),
-                  key=lambda sp: (-sp[1], sp[0].pci))
-    return RawRadioSample(serving=serving, rsrp_dbm=p_serv, rsrq_db=prb_gain + p_serv - rssi,
-                          rssi_dbm=rssi, sinr_db=sinr,
-                          neighbor_powers=tuple((st, p, prb_gain + p - rssi) for st, p in rest))
+    rest = sorted((k for k in range(len(powers)) if k != serving), key=strongest)
+    return [(k, powers[k], prb_gain + powers[k] - rssi) for k in (serving, *rest)], rssi, sinr
 
 
 def test_flight_position_exact_on_shipped_plan():
@@ -639,13 +637,14 @@ def test_flight_position_exact_on_generated_plans(args, fractions):
         assert flight_position(plan, t) == reference_position(plan, t)
 
 
-def test_radio_sample_raw_exact_over_seed7_flight():
+def test_radio_core_exact_over_seed7_flight():
     env, plan = shipped_env(), shipped_plan()
     positions = [flight_position(plan, t) for t in range(2060)]
+    sample = simenv._Radio(env).sample
     simenv._voxel_draws.cache_clear()
     for _pass in ("cold cache", "warm cache"):
         for pos in positions:
-            assert radio_sample_raw(env, pos) == reference_raw(env, pos)
+            assert sample(pos) == reference_raw(env, pos)
 
 
 def _reference_cells(env, pos):
@@ -656,17 +655,18 @@ def _reference_cells(env, pos):
     near = [d for d in (station_distance_m(st, pos) for st in env.stations) if d < 1.0]
     if near:
         raise DistanceTooSmall(f"distance {near[0]:.3f} m below 1 m reference")
-    raw = reference_raw(env, pos)
+    ((k, p, q), *rest), rssi, sinr = reference_raw(env, pos)
 
     def clamp(value, name):
         lo, hi = DB_FIELD_RANGES[name]
         return min(max(value, lo), hi)
 
-    st, rssi = raw.serving, clamp(raw.rssi_dbm, "rssi_dbm")
-    return (st.earfcn, st.pci, st.cell_id, st.tac, clamp(raw.rsrp_dbm, "rsrp_dbm"),
-            clamp(raw.rsrq_db, "rsrq_db"), rssi, clamp(raw.sinr_db, "sinr_db"),
-            tuple((n.earfcn, n.pci, clamp(p, "rsrp_dbm"), clamp(q, "rsrq_db"), rssi)
-                  for n, p, q in raw.neighbor_powers[:MAX_NEIGHBORS]))
+    st, rssi = env.stations[k], clamp(rssi, "rssi_dbm")
+    return (st.earfcn, st.pci, st.cell_id, st.tac, clamp(p, "rsrp_dbm"),
+            clamp(q, "rsrq_db"), rssi, clamp(sinr, "sinr_db"),
+            tuple((env.stations[n].earfcn, env.stations[n].pci, clamp(p_n, "rsrp_dbm"),
+                   clamp(q_n, "rsrq_db"), rssi)
+                  for n, p_n, q_n in rest[:MAX_NEIGHBORS]))
 
 
 def _outcome(fn, pos):
@@ -707,11 +707,12 @@ def test_draw_cache_shared_by_threads_stays_exact():
     positions = [flight_position(plan, t) for t in (0, 700, 1400)]
     expected = [reference_raw(env, pos) for pos in positions]
     mismatches = []
+    radio = simenv._Radio(env)
 
     def sample(offset):
         for k in range(1500):
             i = (k + offset) % len(positions)
-            if radio_sample_raw(env, positions[i]) != expected[i]:
+            if radio.sample(positions[i]) != expected[i]:
                 mismatches.append(i)
 
     simenv._voxel_draws.cache_clear()
@@ -744,10 +745,16 @@ def test_tick_work_is_bounded(tmp_path, monkeypatch):
     Only deterministic counts are checked, no timing."""
     env, plan = shipped_env(), shipped_plan()
     duration = math.ceil(plan_duration_s(plan))
-    voxels = {simenv._voxel(env, flight_position(plan, t)) for t in range(duration)}
     simenv._voxel_draws.cache_clear()
     counts = Counter()
     lock = threading.Lock()
+    keys = set()  # (cell_id, voxel) of every draw asked for
+    draws = simenv._voxel_draws
+
+    def drawn(seed, cell_id, *voxel):
+        with lock:
+            keys.add((cell_id, voxel))
+        return draws(seed, cell_id, *voxel)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -760,6 +767,7 @@ def test_tick_work_is_bounded(tmp_path, monkeypatch):
         monkeypatch.setattr(simenv, name, counted(name, getattr(simenv, name)))
     # The tick and the e2e engine sample through _Radio.cells.
     monkeypatch.setattr(simenv._Radio, "cells", counted("radio_sample", simenv._Radio.cells))
+    monkeypatch.setattr(simenv, "_voxel_draws", drawn)
     cfg = CollectorConfig(output_dir=str(tmp_path), duration_s=duration, e2e_interval_s=60)
     summary = run_collection(cfg, SimClock(), SimModemBackend(env),
                              partial(flight_position, plan), e2e_engine=SimE2eEngine(env))
@@ -771,6 +779,11 @@ def test_tick_work_is_bounded(tmp_path, monkeypatch):
     # once and each station's distance once.
     assert counts["radio_sample"] == duration + e2e_tests
     assert counts["tangent_forward"] <= (stations + 1) * counts["radio_sample"]
+    # The flight's distinct 10 m voxels in station 0's projection, each drawn
+    # for every station.
+    voxels = {voxel for _, voxel in keys}
+    assert len(voxels) == 369
+    assert len(keys) == stations * len(voxels)
     # Two digests per (station, voxel) and one RTT jitter draw per e2e test;
     # without the cache this is six per sample.
     assert counts["_digest"] <= 2 * stations * len(voxels) + e2e_tests
@@ -795,18 +808,3 @@ def test_one_shot_digest_hashes_the_incremental_bytes():
             for ints in int_lists:
                 assert simenv._digest(domain, seed, *ints) == _incremental_digest(domain, seed, *ints), \
                     (domain, seed, ints)
-
-
-def test_link_helpers_read_the_ticks_loop():
-    """los_state, shadow_db and path_loss_db give each station's entry of the
-    tick's _Radio.paths, and like it refuse a position within 1 m."""
-    env, plan = shipped_env(), shipped_plan()
-    radio = simenv._Radio(env)
-    for t in range(0, 2060, 7):
-        pos = flight_position(plan, t)
-        assert radio.paths(pos) == [(los_state(env, st, pos), shadow_db(env, st, pos),
-                                     path_loss_db(env, st, pos)) for st in env.stations]
-    st = station_at(0, 0, antenna_m=30.0)
-    for helper in (los_state, shadow_db, path_loss_db):
-        with pytest.raises(DistanceTooSmall):
-            helper(env_with([st]), st, uav_at(0, 0.5, 30.0))
