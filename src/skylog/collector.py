@@ -14,15 +14,15 @@ starts.
 
 A tick handles one flat row (records.ROW_FIELDS), never a record object:
 the tick time, the position's fields, the cells returned by poll_cells
-(modem.ModemBackend's one method) and the backend's descriptor.  The row
-guard ingest uses, records.valid_row, checks it; a row it refuses goes to
-validate_record, which drops or keeps it exactly as it would the record.
-The writer renders each row with records.encode_row.  On the threaded
-path its queue carries the rows (and the e2e records); both worker queues
-are queue.SimpleQueue: a put or get is one C call with no condition
-variable, and a get returns at once while anything is queued, so each wake
-of the writer takes everything queued, writing each line as it is
-rendered.
+(modem.ModemBackend's one method) and the backend's descriptor.
+records.accepted_line checks it once and renders its trace line: a plain
+row (records.plain_row, the guard of every fixed-layout writer) fills the
+template, any other is dropped or kept exactly as validate_record would
+the record.  On the threaded path the writer's queue carries the finished
+lines (and the e2e records); both worker queues are queue.SimpleQueue: a
+put or get is one C call with no condition variable, and a get returns at
+once while anything is queued, so each wake of the writer takes
+everything queued.
 
 Ticks are scheduled on absolute deadlines (t0 + n*interval) so cadence
 cannot drift over an hour-long flight.  Records are stamped with the
@@ -48,10 +48,8 @@ from .records import (
     MeasurementRecord,
     RttSummary,
     _position_row,
-    _record_of,
+    accepted_line,
     encode_e2e,
-    encode_row,
-    valid_row,
     validate_e2e,
     validate_record,
 )
@@ -157,9 +155,9 @@ def assemble_record(report: ModemReport, pos: GeoPosition, ts_unix_ms: int,
 
 class _TraceWriter(threading.Thread):
     """The only component that touches output files.  write(item) writes a
-    RAN row (records.ROW_FIELDS tuple) or an e2e record; after a failure,
-    kept in error for run_collection to raise, it drops every item, so the
-    lines before it stay written.  The thread, started only for a clock that
+    RAN trace line (a str from records.accepted_line) or an e2e record;
+    after a failure, kept in error for run_collection to raise, it drops
+    every item, so the lines before it stay written.  The thread, started only for a clock that
     waits, runs write on each queued item; otherwise the tick calls it."""
 
     _STOP = object()
@@ -188,10 +186,10 @@ class _TraceWriter(threading.Thread):
         self._ran_in_file = 0
         self.files.append(str(path))
 
-    def _write_ran(self, row: tuple):
+    def _write_ran(self, line: str):
         if self._ran_fh is None or self._ran_in_file >= self.max_file_records:
             self._rotate_ran()
-        self._ran_fh.write(encode_row(row) + "\n")
+        self._ran_fh.write(line + "\n")
         self._ran_in_file += 1
         self.ran_written += 1
 
@@ -204,11 +202,11 @@ class _TraceWriter(threading.Thread):
         self.e2e_written += 1
 
     def write(self, item) -> None:
-        """Write a RAN row or an EndToEndRecord unless an earlier write failed."""
+        """Write a RAN line or an EndToEndRecord unless an earlier write failed."""
         if self.error is not None:
             return
         try:
-            if type(item) is tuple:
+            if type(item) is str:
                 self._write_ran(item)
             else:
                 self._write_e2e(item)
@@ -231,7 +229,7 @@ class _TraceWriter(threading.Thread):
             self._e2e_fh.close()
 
     def submit(self, item) -> None:
-        """Queue a RAN row or an EndToEndRecord for writing, in order."""
+        """Queue a RAN line or an EndToEndRecord for writing, in order."""
         self.queue.put(item)
 
     def close(self) -> None:
@@ -300,12 +298,11 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
     the exception propagates unchanged.
 
     A RAN tick builds one records.ROW_FIELDS row (the tick time, the
-    position's fields, the polled cells and the backend's descriptor),
-    checks it with records.valid_row, the guard ingest uses, and hands it
-    to the writer.
-    A row the guard refuses goes to validate_record: a record that check
-    refuses is dropped and counted in polls_failed, any other is written,
-    so a record is accepted exactly when validate_record accepts it.
+    position's fields, the polled cells and the backend's descriptor) and
+    hands the writer its records.accepted_line.  That checks the row once:
+    a record validate_record refuses is dropped and counted in
+    polls_failed, any other is written, so a record is accepted exactly
+    when validate_record accepts it.
 
     Threads run only for a clock that waits: under SimClock the tick calls
     the writer's and the e2e worker's per-item code itself, so nothing
@@ -379,13 +376,13 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
                     polls_failed += 1
                     log.warning("poll %d failed: %s", n_ran, exc)
                 else:
-                    row = (next_ran, *_position_row(pos), *cells, source)
-                    result = valid_row(row) or validate_record(_record_of(row))
-                    if result:
-                        write(row)
-                    else:
+                    try:
+                        line = accepted_line((next_ran, *_position_row(pos), *cells, source))
+                    except ValueError as exc:
                         polls_failed += 1
-                        log.warning("poll %d dropped: invalid record: %s", n_ran, result.message)
+                        log.warning("poll %d dropped: invalid record: %s", n_ran, exc)
+                    else:
+                        write(line)
                 n_ran += 1
 
             if worker is not None and wake == next_e2e:

@@ -8,11 +8,10 @@ GeoJSON coordinates follow the standard's (lon, lat, alt) order with
 altitude above mean sea level; altitude is duplicated into the properties
 table for consumers that drop the third coordinate.  Features are rendered
 and written one at a time, byte-identical to ``json.dumps(doc, indent=2)``
-of the whole document plus a newline.  A record feature has a fast path:
-export_geojson builds one %-template per property layout, once per call,
-and a row for which records.plain_values holds (ts_unix_ms, cell_id and
-pci exact ints, the source one of SOURCES, coordinates, altitudes and
-metrics exact floats with a finite sum) is rendered straight into it.  Any
+of the whole document plus a newline.  Both record writers take their fast
+path on records.plain_row, the one guard of every fixed-layout writer (the
+trace line's too): export_geojson builds one %-template per property
+layout, once per call, and renders a plain row straight into it.  Any
 other row, a null alt_m_agl included, goes through the reference path,
 _record_feature and _feature_text, which write each value as json.dumps does.
 
@@ -20,11 +19,10 @@ Every CSV skylog writes, the analyze tables included, goes through
 write_csv: float cells use repr-style formatting, so re-parsing them
 reproduces the stored values bit-for-bit, and None becomes an empty cell.
 A record's CSV columns are its row's, neighbors flattened and padded to
-MAX_NEIGHBORS.  A record row has a fast path too: when records.plain_row
-holds for it and the neighbors it renders, it fills the %-template for its
-neighbor count and reaches write_csv as that finished line; any other row
-goes cell by cell through csv.writer, the reference path, as every voxel
-and analyze table row does.  An empty source or unknown metric is refused
+MAX_NEIGHBORS.  A plain record row fills the %-template for its neighbor
+count and reaches write_csv as that finished line; any other row goes cell
+by cell through csv.writer, the reference path, as every voxel and analyze
+table row does.  An empty source or unknown metric is refused
 before the output path is touched.  Rows are rendered as they are read, into a
 temporary sibling that replaces the path only once complete, so a failed
 export (a bad trace line, a full disk) leaves the path as it was; _create
@@ -53,7 +51,6 @@ from .records import (
     POSITION_FIELDS,
     ROW_FIELDS,
     plain_row,
-    plain_values,
 )
 
 Source = Union[Iterable[tuple], VoxelGrid]  # records.ROW_FIELDS rows, or a grid
@@ -161,23 +158,17 @@ def export_geojson(source: Source, path, metric: Optional[str] = None) -> int:
 
 
 def _record_features(rows: Iterable[tuple], keys: list[str]) -> Iterator[str]:
-    """Each ROW_FIELDS row's feature text.  A plain row (records.plain_values:
-    the three ints, the source, and every coordinate, altitude and metric an
-    exact finite float) fills one template made for this property layout;
-    any other, a null alt_m_agl included, goes through _record_feature."""
+    """Each ROW_FIELDS row's feature text.  A plain row (records.plain_row)
+    fills one template made for this property layout; any other, a null
+    alt_m_agl included, goes through _record_feature."""
     props = ['"ts_unix_ms": %d', '"source": "%s"', '"cell_id": %d', '"pci": %d',
              '"alt_m_amsl": %r', '"alt_m_agl": %r', *(f'"{key}": %r' for key in keys)]
     template = _FEATURE % ("%r", "%r", "%r", ",\n        ".join(props))
-    source, ints = _row_getter("source"), _row_getter("ts_unix_ms", "cell_id", "pci")
-    floats = _row_getter("lon_deg", "lat_deg", "alt_m_amsl", "alt_m_agl", *keys)
     # The template's values in its order: the coordinates, then the properties.
     fill = _row_getter("lon_deg", "lat_deg", "alt_m_amsl", "ts_unix_ms", "source", "cell_id", "pci",
                        "alt_m_amsl", "alt_m_agl", *keys)
     for row in rows:
-        if plain_values(source(row), ints(row), floats(row)):
-            yield template % fill(row)
-        else:
-            yield _record_feature(row, keys)
+        yield template % fill(row) if plain_row(row) else _record_feature(row, keys)
 
 
 def _record_feature(row: tuple, keys: list[str]) -> str:
@@ -268,9 +259,10 @@ _CSV_LINES = tuple(map(_csv_template, range(MAX_NEIGHBORS + 1)))
 
 
 def _record_line(row: tuple) -> Union[str, list]:
-    """A ROW_FIELDS row for write_csv: its finished line when it is plain,
-    else its cells (_record_row) for the reference path."""
-    nbrs = row[_NEIGHBORS][:MAX_NEIGHBORS]
-    if plain_row(row, nbrs):
+    """A ROW_FIELDS row for write_csv: its finished line when it is plain
+    (records.plain_row, which allows at most MAX_NEIGHBORS neighbors), else
+    its cells (_record_row) for the reference path."""
+    if plain_row(row):
+        nbrs = row[_NEIGHBORS]
         return _CSV_LINES[len(nbrs)] % (*row[:_NEIGHBORS], *chain.from_iterable(nbrs), row[-1])
     return _record_row(row)

@@ -6,33 +6,32 @@ line break, and a CR before the LF is dropped, so CRLF reads as LF.  dB/dBm
 fields are stored with one decimal digit of precision, matching commodity
 modem reporting granularity.
 
-Each per-line boundary has one exact fast path for the plain record and a
-reference path for everything else:
+Each per-line boundary has one exact fast path for the plain row and a
+reference path for everything else.  One guard, plain_row, decides for
+every fixed-layout writer (this trace line, geoexport's GeoJSON feature
+and CSV line).
 
-- encode_row fills one %-template (_RECORD_LINE, _NEIGHBOR_LINE) when the
-  row guard below, valid_row, accepts the row, its alt_m_agl is a float and
-  its source an exact str.  A dB field is written with %.1f, which gives
-  round(x, 1)'s repr for any value in the reportable ranges.  Any other row
-  goes through _encode_record_reference, json.dumps of the trace object.
-  Both give the same bytes.  encode_record is encode_row of the record's
-  row.  plain_row, the looser guard of the fixed-layout export writers,
-  takes any exact, finite row.
+- encode_row fills one %-template (_RECORD_LINE, _NEIGHBOR_LINE) for a
+  plain row.  A dB field is written with %.1f, which gives round(x, 1)'s
+  repr for any value in the reportable ranges.  Any other row goes through
+  _encode_record_reference, json.dumps of the trace object.  Both give the
+  same bytes.  encode_record is encode_row of the record's row.
 - _ingest_row scans a line with json's object scanner and, when the scan
   covers the whole line, builds its row (ROW_FIELDS) with _clean_row, which
-  pulls the fields out and hands the row to valid_row.  That one row guard
+  pulls the fields out and hands the row to valid_row.  That row check
   requires every field to be exactly typed, finite and within the bounds,
   neighbor count and cross-field rules of validate_record.
   Any other line (a BOM, surrounding whitespace, trailing data, a refused
-  field) goes through decode_record and validate_record, whose errors name
-  the line, column and field, and then _row_of.  analysis.Survey reduces
-  iter_rows's rows, geoexport renders them and modem.ReplayBackend replays
-  them, so analyze, export and replay build no record object.  _record_of
-  turns a row back into a MeasurementRecord only for read_trace and the
-  reference paths.
+  field, an integer literal too long to convert) goes through decode_record
+  and validate_record, whose errors name the line, column and field, and
+  then _row_of.  analysis.Survey reduces iter_rows's rows, geoexport renders
+  them and modem.ReplayBackend replays them, so analyze, export and replay
+  build no record object.  _record_of turns a row back into a
+  MeasurementRecord only for read_trace and the reference paths.
 
 The collector's tick lives on the same rows: it builds one from the polled
-cells (_cells_of's layout), checks it with valid_row, sends a row the guard
-refuses to validate_record, and its writer renders it with encode_row.
+cells (_cells_of's layout), and accepted_line checks it once and gives the
+writer its finished line.
 """
 
 from __future__ import annotations
@@ -212,6 +211,7 @@ _FINITE = (-sys.float_info.max, sys.float_info.max)
 # identity or channel number; a float bound is finite, so the one chained
 # lo <= v <= hi also refuses NaN and +-inf, and _FINITE refuses only those.
 _BOUNDS = {
+    "ts_unix_ms": (0, 2**63 - 1),  # int64 milliseconds
     "lat_deg": (-LAT_MAX_DEG, LAT_MAX_DEG),
     "lon_deg": (-LON_MAX_DEG, LON_MAX_DEG),
     "alt_m_amsl": _FINITE,
@@ -230,6 +230,7 @@ def _checks(layout) -> tuple:
     return tuple((name, *_BOUNDS[name]) for name in layout)
 
 
+_TS_CHECKS = _checks(("ts_unix_ms",))
 _POSITION_CHECKS = _checks(POSITION_FIELDS)
 _SERVING_CHECKS = _checks(SERVING_FIELDS)
 _NEIGHBOR_CHECKS = _checks(NEIGHBOR_FIELDS)
@@ -262,7 +263,7 @@ def validate_record(rec: MeasurementRecord) -> ValidationResult:
     """Return OK or the first violated invariant with field name and value."""
     if rec.source not in SOURCES:
         return _violation("source", rec.source, f"source not one of {SOURCES}")
-    result = validate_position(rec.pos)
+    result = _check_fields(rec, _TS_CHECKS) and validate_position(rec.pos)
     if not result:
         return result
     return validate_cells(rec.serving, rec.neighbors)
@@ -288,7 +289,7 @@ def validate_cells(serving: ServingCellSample, neighbors) -> ValidationResult:
 
 
 def validate_e2e(rec: EndToEndRecord) -> ValidationResult:
-    result = validate_position(rec.pos)
+    result = _check_fields(rec, _TS_CHECKS) and validate_position(rec.pos)
     if not result:
         return result
     rtt = rec.rtt
@@ -342,36 +343,6 @@ def _cell_to_dict(cell, layout) -> dict:
             for name in layout}
 
 
-_FLOAT_ONLY, _INT_ONLY = {float}, {int}
-
-
-def plain_values(source, ints, floats) -> bool:
-    """True when source is one of SOURCES as an exact str, every value of ints
-    an exact int and every value of floats an exact, finite float: a record
-    the fixed-layout writers may render with %d, %r and a bare source.  Any
-    NaN or infinity makes the sum non-finite; a sum of finite values that
-    overflows only sends the record to the reference path."""
-    return (type(source) is str and source in SOURCES
-            and {*map(type, ints)} == _INT_ONLY and {*map(type, floats)} == _FLOAT_ONLY
-            and math.isfinite(sum(floats)))
-
-
-_ROW_INTS = itemgetter(*(i for i, name in enumerate(ROW_FIELDS)
-                         if name in ("ts_unix_ms", *SERVING_FIELDS) and name not in DB_FIELD_RANGES))
-_ROW_FLOATS = itemgetter(*(i for i, name in enumerate(ROW_FIELDS)
-                           if name in POSITION_FIELDS or name in DB_FIELD_RANGES))
-
-
-def plain_row(row: tuple, neighbors) -> bool:
-    """plain_values over a ROW_FIELDS row, with neighbors (the row's neighbor
-    tuples, or the part of them a writer renders) in place of its own."""
-    ints, floats = [*_ROW_INTS(row)], [*_ROW_FLOATS(row)]
-    for earfcn, pci, *dbs in neighbors:
-        ints += (earfcn, pci)
-        floats += dbs
-    return plain_values(row[-1], ints, floats)
-
-
 def _line_template(layout) -> str:
     """A cell's compact trace object: %d for an int field, %.1f for a dB field."""
     return "{" + ",".join(f'"{name}":%.1f' if name in DB_FIELD_RANGES else f'"{name}":%d'
@@ -384,18 +355,39 @@ _RECORD_LINE = ('{"ts_unix_ms":%d,"lat_deg":%r,"lon_deg":%r,"alt_m_amsl":%r,"alt
 _AGL = ROW_FIELDS.index("alt_m_agl")
 
 
+def plain_row(row: tuple) -> bool:
+    """The one guard of the fixed-layout writers: valid_row accepts the row,
+    its alt_m_agl is a float and its source an exact str, so every value
+    may go into a %-template as %d, %r or %.1f, and the source bare."""
+    return valid_row(row) and type(row[_AGL]) is float and type(row[-1]) is str
+
+
+def _template_line(row: tuple) -> str:
+    return _RECORD_LINE % (*row[:-2], ",".join(map(_NEIGHBOR_LINE.__mod__, row[-2])), row[-1])
+
+
 def encode_row(row: tuple) -> str:
     """Encode one ROW_FIELDS row as a single trace line (no trailing newline):
-    the json.dumps bytes of its trace object, dB fields quantized.  A row
-    valid_row accepts, with a float alt_m_agl and an exact str source, fills
-    _RECORD_LINE.  Its dB fields then lie in their reportable ranges, where
-    '%.1f' % x is repr(round(x, 1)), quantize_db's bytes: both are dtoa with
-    one digit after the point, and they part only from 1e16 on, where repr
-    turns to exponent form.  Any other row goes through the reference path,
-    _encode_record_reference of the row's record."""
-    if valid_row(row) and type(row[_AGL]) is float and type(row[-1]) is str:
-        return _RECORD_LINE % (*row[:-2], ",".join(map(_NEIGHBOR_LINE.__mod__, row[-2])), row[-1])
-    return _encode_record_reference(_record_of(row))
+    the json.dumps bytes of its trace object, dB fields quantized.  A plain
+    row fills _RECORD_LINE.  Its dB fields then lie in their reportable
+    ranges, where '%.1f' % x is repr(round(x, 1)), quantize_db's bytes: both
+    are dtoa with one digit after the point, and they part only from 1e16
+    on, where repr turns to exponent form.  Any other row goes through the
+    reference path, _encode_record_reference of the row's record."""
+    return _template_line(row) if plain_row(row) else _encode_record_reference(_record_of(row))
+
+
+def accepted_line(row: tuple) -> str:
+    """encode_row of a row the collector accepts, with the row checked once:
+    a plain row fills the template, any other must pass validate_record,
+    or ValueError carries that check's message."""
+    if plain_row(row):
+        return _template_line(row)
+    rec = _record_of(row)
+    result = validate_record(rec)
+    if not result:
+        raise ValueError(result.message)
+    return _encode_record_reference(rec)
 
 
 def encode_record(rec: MeasurementRecord) -> str:
@@ -440,6 +432,8 @@ def _parse_json_line(text: str, line_no: Optional[int]) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TraceDecodeError(exc.msg, line=line_no, column=exc.colno) from exc
+    except ValueError as exc:  # an integer literal beyond sys.get_int_max_str_digits()
+        raise TraceDecodeError(str(exc), line=line_no) from exc
     if not isinstance(doc, dict):
         raise TraceDecodeError("trace line is not an object", line=line_no, column=1)
     return doc
@@ -557,6 +551,7 @@ def _checked(rec, validate, line_no: int):
     return rec
 
 
+_TS_MAX = _BOUNDS["ts_unix_ms"][1]
 _RSRP_LO, _RSRP_HI = DB_FIELD_RANGES["rsrp_dbm"]
 _RSRQ_LO, _RSRQ_HI = DB_FIELD_RANGES["rsrq_db"]
 _RSSI_LO, _RSSI_HI = DB_FIELD_RANGES["rssi_dbm"]
@@ -568,14 +563,15 @@ def valid_row(row: tuple) -> bool:
     field holds a float, not an int), finite and within the bounds,
     neighbor count and cross-field rules of validate_record.
 
-    The one row guard, for a trace line at ingest and a tick's row in the
-    collector.  It never accepts a row whose record validate_record refuses,
-    so a False only sends the row to that reference check.
+    The row check of a trace line at ingest, and the first half of
+    plain_row, the writers' and the tick's guard.  It never accepts a row
+    whose record validate_record refuses, so a False only sends the row to
+    that reference check.
     """
     ts, lat, lon, amsl, agl, earfcn, pci, cell_id, tac, rsrp, rsrq, rssi, sinr, nbrs, source = row
     # Chained comparisons are False for NaN, so each bounded check also
     # rejects non-finite values.
-    if not (type(ts) is int and source in SOURCES
+    if not (type(ts) is int and 0 <= ts <= _TS_MAX and source in SOURCES
             and type(lat) is float and -LAT_MAX_DEG <= lat <= LAT_MAX_DEG
             and type(lon) is float and -LON_MAX_DEG <= lon <= LON_MAX_DEG
             and type(amsl) is float and -math.inf < amsl < math.inf
@@ -636,7 +632,7 @@ def _ingest_row(text: str, line_no: int) -> tuple:
     try:
         doc, end = _scan_once(text, 0)
         row = _clean_row(doc) if end == len(text) else None
-    except (StopIteration, json.JSONDecodeError):
+    except (StopIteration, ValueError):  # json.JSONDecodeError, or a too-long integer literal
         row = None
     if row is None:
         row = _row_of(_checked(decode_record(text, line_no), validate_record, line_no))
@@ -686,7 +682,7 @@ __all__ = [
     "GeoPosition", "ServingCellSample", "NeighborCellSample", "MeasurementRecord",
     "RttSummary", "EndToEndRecord", "ValidationResult", "TraceDecodeError",
     "validate_record", "validate_cells", "validate_e2e", "validate_position",
-    "encode_record", "encode_row", "decode_record", "encode_e2e", "decode_e2e", "plain_values",
+    "encode_record", "encode_row", "accepted_line", "decode_record", "encode_e2e", "decode_e2e",
     "plain_row", "valid_row",
     "iter_rows", "read_trace", "read_e2e_trace", "quantize_db", "get_field",
     "scalar_fields", "position_from_doc",

@@ -439,6 +439,8 @@ def _load_doc(path) -> dict:
         raise ConfigError(str(exc), path=path) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(exc.msg, path=path, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an integer literal beyond sys.get_int_max_str_digits()
+        raise ConfigError(str(exc), path=path) from exc
     if not isinstance(doc, dict):
         raise ConfigError("top level must be an object", path=path, line=1)
     return doc

@@ -287,17 +287,19 @@ def test_analyze_refuses_bad_value_before_writing(capsys, tmp_path, short_flight
     assert not (tmp_path / "new").exists()
 
 
-def _with_huge_int(path, key: str, dest) -> str:
+def _with_literal(path, key: str, dest, literal: str) -> str:
     """A copy of a trace (its first line) or environment file at dest, with
-    key set to a 400-digit integer: valid JSON, but beyond any float."""
+    key's value written as the JSON literal given."""
     text = path.read_text(encoding="utf-8")
-    if path.suffix == ".env":
-        text = json.dumps({**json.loads(text), key: 10 ** 399})
-    else:
-        first, rest = text.split("\n", 1)
-        text = json.dumps({**json.loads(first), key: 10 ** 399}) + "\n" + rest
-    dest.write_text(text, encoding="utf-8")
+    first, tail = (text, "") if path.suffix == ".env" else text.split("\n", 1)
+    first = json.dumps({**json.loads(first), key: "LITERAL"}).replace('"LITERAL"', literal)
+    dest.write_text(first if path.suffix == ".env" else first + "\n" + tail, encoding="utf-8")
     return str(dest)
+
+
+def _with_huge_int(path, key: str, dest) -> str:
+    """_with_literal with a 400-digit integer: valid JSON, but beyond any float."""
+    return _with_literal(path, key, dest, str(10 ** 399))
 
 
 @pytest.mark.parametrize("source, key, argv", [
@@ -323,6 +325,57 @@ def test_an_integer_beyond_any_float_is_a_named_field_error(capsys, tmp_path, sh
     assert (rc, stdout) == (2, "")
     assert f"{where} '{key}' has wrong type" in err
     assert not out.exists()
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's default limit on the digits of an int literal, set
+    for the test and restored after it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("source, key, argv", [
+    ("trace", "lat_deg", ["analyze", "--ran", "{bad}", "--report", "{out}/r.json"]),
+    ("trace", "lat_deg", ["export", "--format", "geojson", "--ran", "{bad}", "--out", "{out}/p.geojson"]),
+    ("trace", "lat_deg", ["export", "--format", "csv", "--ran", "{bad}", "--out", "{out}/p.csv"]),
+    ("trace", "lat_deg", ["collect", "--backend", "replay", "--replay", "{bad}",
+                          "--e2e-interval", "0", "--out", "{out}"]),
+    ("e2e", "dl_mbps", ["analyze", "--ran", "{trace}", "--e2e", "{bad}", "--report", "{out}/r.json"]),
+    ("env", "seed", ["simulate", "--env", "{bad}", "--plan", PLAN, "--duration", "5",
+                     "--out", "{out}"]),
+], ids=["analyze", "export", "export-csv", "replay", "e2e", "env"])
+def test_an_integer_literal_past_the_digit_limit_names_its_line_or_file(
+        capsys, tmp_path, short_flight, int_digit_limit, source, key, argv):
+    """json refuses such a literal with a plain ValueError, which the fast
+    scan and the reference parse both let through; each reader now names
+    the line (or the environment file) and exits 2 with nothing written."""
+    trace, e2e = short_flight
+    path = {"trace": trace, "e2e": e2e, "env": Path(ENV)}[source]
+    bad = _with_literal(path, key, tmp_path / f"bad{path.suffix}", "9" * (int_digit_limit + 700))
+    out = tmp_path / "out"
+    rc, stdout, err = run_cli(capsys, *(a.format(bad=bad, trace=trace, out=out) for a in argv))
+    where = f"{bad}: " if source == "env" else "line 1: "
+    assert (rc, stdout) == (2, "")
+    assert f"{where}Exceeds the limit" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ts", [-5, 2 ** 63, 10 ** 400], ids=["negative", "past-int64", "401-digits"])
+@pytest.mark.parametrize("fmt", ["geojson", "csv"])
+def test_export_refuses_a_ts_unix_ms_outside_int64(capsys, tmp_path, short_flight, fmt, ts):
+    trace, _ = short_flight
+    first, second, rest = trace.read_text(encoding="utf-8").split("\n", 2)
+    second = json.dumps({**json.loads(second), "ts_unix_ms": ts}, separators=(",", ":"))
+    bad = tmp_path / "bad.trace"
+    bad.write_text("\n".join([first, second, rest]), encoding="utf-8")
+    out = tmp_path / "out" / f"p.{fmt}"
+    rc, stdout, err = run_cli(capsys, "export", "--format", fmt, "--ran", str(bad), "--out", str(out))
+    assert (rc, stdout) == (2, "")
+    assert "line 2: ts_unix_ms out of [0,9223372036854775807]" in err
+    assert not out.parent.exists()
 
 
 def test_analyze_grid_without_by_voxel_rejected(capsys, tmp_path, short_flight):

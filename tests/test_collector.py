@@ -26,6 +26,7 @@ from skylog.records import (
     MeasurementRecord,
     NeighborCellSample,
     ServingCellSample,
+    encode_row,
     read_e2e_trace,
     read_trace,
 )
@@ -422,18 +423,43 @@ def test_trace_writer_failure_keeps_written_lines_and_stops_threads(tmp_path, mo
     writer_failure_run(tmp_path, monkeypatch, SimClock())
 
 
+class FullDisk:
+    """A trace file whose write of a line for which fails(line) holds raises
+    the full-disk OSError."""
+
+    def __init__(self, fh, fails):
+        self._fh, self._fails = fh, fails
+
+    def write(self, text):
+        if self._fails(text):
+            raise OSError(28, "No space left on device")
+        return self._fh.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def fill_disk(monkeypatch, fails, opened=None):
+    """Patch the collector's open: every file it opens is noted in opened,
+    and each trace file fails as a FullDisk."""
+    def failing_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        if opened is not None:
+            opened.append(fh)
+        return FullDisk(fh, fails) if fh.name.endswith(".trace") else fh
+
+    monkeypatch.setattr(collector, "open", failing_open, raising=False)
+
+
 def writer_failure_run(tmp_path, monkeypatch, clock):
-    encode = collector.encode_row
     calls = 0
 
-    def failing_encode(row):
+    def fails(line):
         nonlocal calls
         calls += 1
-        if calls == 50:
-            raise OSError(28, "No space left on device")
-        return encode(row)
+        return calls == 50
 
-    monkeypatch.setattr(collector, "encode_row", failing_encode)
+    fill_disk(monkeypatch, fails)
     cfg, _, modem, source, engine = sim_setup(tmp_path, duration=600.0)
     with pytest.raises(RuntimeError, match="trace writer failed"):
         run_collection(cfg, clock, modem, source, engine)
@@ -519,6 +545,25 @@ def test_a_clean_sim_flight_builds_no_record_objects(tmp_path, monkeypatch):
     assert counts == Counter()
 
 
+def test_the_tick_checks_each_row_once(tmp_path, monkeypatch):
+    """Over a clean simulated flight the row guard runs once per written
+    row: the tick's one check renders the line the writer writes."""
+    calls = 0
+    valid_row = records.valid_row
+
+    def counted(row):
+        nonlocal calls
+        calls += 1
+        return valid_row(row)
+
+    for module in (collector, records):  # wherever the guard is bound
+        if hasattr(module, "valid_row"):
+            monkeypatch.setattr(module, "valid_row", counted)
+    cfg, clock, modem, source, engine = sim_setup(tmp_path, duration=60.0)
+    summary = run_collection(cfg, clock, modem, source, engine)
+    assert (summary.records_written, calls) == (60, 60)
+
+
 def test_a_clean_replay_run_builds_no_record_objects(tmp_path, monkeypatch):
     """Replay streams checked rows: neither constructing the backend nor
     the run makes a report or record object or calls validate_record, and
@@ -544,7 +589,7 @@ def _rows(n, start_ms=SIM_EPOCH_MS):
 
 
 def test_writer_writes_items_from_two_threads_in_submit_order(tmp_path):
-    """RAN rows from the tick's thread and e2e records from a second thread,
+    """RAN lines from the tick's thread and e2e records from a second thread,
     submitted while the writer drains: every item lands, each file in the
     order its items were submitted."""
     rows = _rows(3000)
@@ -557,7 +602,7 @@ def test_writer_writes_items_from_two_threads_in_submit_order(tmp_path):
         writer.start()
         second.start()
         for row in rows:
-            writer.submit(row)
+            writer.submit(encode_row(row))
         second.join(timeout=60)
         writer.close()
     finally:
@@ -578,11 +623,11 @@ def test_a_stop_inside_a_drained_batch_writes_everything_before_it(tmp_path):
     rows = _rows(105)
     writer = collector._TraceWriter(tmp_path, "w", max_file_records=1000)
     for row in rows[:100]:
-        writer.submit(row)
+        writer.submit(encode_row(row))
     writer.submit(make_e2e())
     writer.queue.put(writer._STOP)
     for row in rows[100:]:
-        writer.submit(row)
+        writer.submit(encode_row(row))
     writer.start()
     writer.join(timeout=30)
     assert not writer.is_alive() and writer.error is None
@@ -659,20 +704,9 @@ def test_a_writer_failure_closes_every_file(tmp_path, monkeypatch, make_clock):
     file) are opened during the run; after the write that fails, each one
     is closed."""
     opened = []
-
-    def recording_open(*args, **kwargs):
-        opened.append(open(*args, **kwargs))
-        return opened[-1]
-
-    encode = collector.encode_row
-
-    def failing_encode(row):  # the disk fills at 250 s
-        if row[0] >= SIM_EPOCH_MS + 250_000:
-            raise OSError(28, "No space left on device")
-        return encode(row)
-
-    monkeypatch.setattr(collector, "open", recording_open, raising=False)
-    monkeypatch.setattr(collector, "encode_row", failing_encode)
+    # The disk fills at 250 s.
+    fill_disk(monkeypatch, lambda line: json.loads(line)["ts_unix_ms"] >= SIM_EPOCH_MS + 250_000,
+              opened)
     cfg, _, modem, source, engine = sim_setup(tmp_path, duration=600.0, max_file_records=97)
     with pytest.raises(RuntimeError, match="trace writer failed: .* No space left"):
         run_collection(cfg, make_clock(), modem, source, engine)

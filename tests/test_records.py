@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skylog import records
+from skylog import geoexport, records
 from skylog.cli import main as cli_main
 from skylog.records import (
     AGL_CEILING_M,
@@ -42,7 +42,7 @@ from skylog.records import (
     validate_e2e,
     validate_record,
 )
-from skylog.records import _encode_record_reference, _record_of, _row_of, valid_row
+from skylog.records import _encode_record_reference, _record_of, _row_of, plain_row, valid_row
 
 from conftest import make_e2e, make_neighbor, make_record, make_serving
 from record_strategies import StrSource, any_records
@@ -453,7 +453,7 @@ def valid_rows(draw):
     position = (draw(st.floats(-LAT_MAX_DEG, LAT_MAX_DEG)), draw(st.floats(-LON_MAX_DEG, LON_MAX_DEG)),
                 draw(st.floats(allow_nan=False, allow_infinity=False)),
                 draw(st.floats(0.0, AGL_CEILING_M)))
-    return (draw(st.integers(0, 2**63)), *position, *serving, neighbors,
+    return (draw(st.integers(0, 2**63 - 1)), *position, *serving, neighbors,
             draw(st.sampled_from(["sim", "replay", "hw"])))
 
 
@@ -465,6 +465,37 @@ def test_a_valid_row_fills_the_template_with_the_json_dumps_bytes(row):
                            side_effect=AssertionError("reference path taken")):
         line = encode_row(row)
     assert line == _reference_line(_record_of(row))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(any_records().map(_row_of), valid_rows()))
+def test_every_fixed_layout_writer_takes_its_template_exactly_on_plain_row(row):
+    """One guard: the trace line, the GeoJSON feature and the CSV line each
+    go to their reference path exactly when plain_row refuses the row."""
+    taken = []
+
+    def reference(name):
+        return lambda *args: taken.append(name) or ""
+
+    with mock.patch.object(records, "_encode_record_reference", reference("trace")), \
+            mock.patch.object(geoexport, "_record_feature", reference("geojson")), \
+            mock.patch.object(geoexport, "_record_row", reference("csv")):
+        encode_row(row)
+        list(geoexport._record_features([row], list(records.METRIC_FIELDS.values())))
+        geoexport._record_line(row)
+    assert taken == ([] if plain_row(row) else ["trace", "geojson", "csv"])
+
+
+@pytest.mark.parametrize("ts, ok", [(0, True), (2**63 - 1, True), (-1, False), (2**63, False),
+                                    (10**400, False)],
+                         ids=["zero", "int64-max", "negative", "past-int64", "401-digits"])
+def test_ts_unix_ms_is_int64_milliseconds(ts, ok):
+    rec = make_record(ts_unix_ms=ts)
+    assert valid_row(_row_of(rec)) is ok
+    for result in (validate_record(rec), validate_e2e(make_e2e(ts_unix_ms=ts))):
+        assert (result.ok, result.field) == (ok, None if ok else "ts_unix_ms")
+    if not ok:
+        assert validate_record(rec).message == "ts_unix_ms out of [0,9223372036854775807]"
 
 
 # --- schema walker strictness: one test per kind of bad field ---
@@ -675,6 +706,7 @@ def simulated_line(seed7_flight) -> str:
 
 
 _BOUNDS = {  # field -> (low, high, one step); None for an open side
+    "ts_unix_ms": (0, 2**63 - 1, 1),
     **{name: (lo, hi, 0.1) for name, (lo, hi) in DB_FIELD_RANGES.items()},
     "lat_deg": (-LAT_MAX_DEG, LAT_MAX_DEG, 0.1),
     "lon_deg": (-LON_MAX_DEG, LON_MAX_DEG, 0.1),
