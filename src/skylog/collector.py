@@ -5,12 +5,13 @@ appends the report, tagged with that position, as a validated record to
 rotating trace files.  End-to-end tests fire on their own cadence.
 
 Threads run only for a clock that waits (SystemClock, or any clock but
-SimClock): a worker thread runs the end-to-end tests, so a seconds-long
-throughput test never punches holes in the 1 Hz RAN series, and a writer
-thread keeps storage stalls off the tick.  The virtual SimClock never
-waits, so a thread would have nothing to overlap: the tick runs each test
-and writes each line itself, through the same per-item code, and no thread
-starts.
+SimClock): the end-to-end tests run on one thread, so a seconds-long
+throughput test never punches holes in the 1 Hz RAN series, and the
+writes on another, so storage stalls stay off the tick.  Each is a
+one-worker concurrent.futures.ThreadPoolExecutor, which runs what it is
+handed in order.  The virtual SimClock never waits, so a thread would have
+nothing to overlap: the tick runs each test and writes each line itself,
+through the same per-item code, and no thread starts.
 
 A tick handles one flat row (records.ROW_FIELDS), never a record object:
 the tick time, the position's fields, the cells returned by poll_cells
@@ -18,11 +19,8 @@ the tick time, the position's fields, the cells returned by poll_cells
 records.accepted_line checks it once and renders its trace line: a plain
 row (records.plain_row, the guard of every fixed-layout writer) fills the
 template, any other is dropped or kept exactly as validate_record would
-the record.  On the threaded path the writer's queue carries the finished
-lines (and the e2e records); both worker queues are queue.SimpleQueue: a
-put or get is one C call with no condition variable, and a get returns at
-once while anything is queued, so each wake of the writer takes
-everything queued.
+the record.  On the threaded path the writer thread is handed the
+finished lines (and the e2e records).
 
 Ticks are scheduled on absolute deadlines (t0 + n*interval) so cadence
 cannot drift over an hour-long flight.  Records are stamped with the
@@ -32,12 +30,13 @@ that time too, which makes simulated runs bit-reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
-import queue
 import threading
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Protocol
 
@@ -46,6 +45,7 @@ from .records import (
     EndToEndRecord,
     GeoPosition,
     MeasurementRecord,
+    RecordRefused,
     RttSummary,
     _position_row,
     accepted_line,
@@ -153,21 +153,17 @@ def assemble_record(report: ModemReport, pos: GeoPosition, ts_unix_ms: int,
     return rec
 
 
-class _TraceWriter(threading.Thread):
+class _TraceWriter:
     """The only component that touches output files.  write(item) writes a
     RAN trace line (a str from records.accepted_line) or an e2e record;
     after a failure, kept in error for run_collection to raise, it drops
-    every item, so the lines before it stay written.  The thread, started only for a clock that
-    waits, runs write on each queued item; otherwise the tick calls it."""
-
-    _STOP = object()
+    every item, so the lines before it stay written.  The tick calls write,
+    or under a clock that waits, the writer thread does."""
 
     def __init__(self, out_dir: Path, run_id: str, max_file_records: int):
-        super().__init__(name="skylog-writer", daemon=True)
         self.out_dir = out_dir
         self.run_id = run_id
         self.max_file_records = max_file_records
-        self.queue: queue.SimpleQueue = queue.SimpleQueue()
         self.files: list[str] = []
         self.ran_written = 0
         self.e2e_written = 0
@@ -213,49 +209,22 @@ class _TraceWriter(threading.Thread):
         except Exception as exc:  # noqa: BLE001 - surfaced to the main loop as fatal
             self.error = exc
 
-    def run(self):
-        try:
-            # SimpleQueue.get blocks, releasing the interpreter lock, only on an
-            # empty queue, so one wake takes everything queued.
-            for item in iter(self.queue.get, self._STOP):
-                self.write(item)
-        finally:
-            self._close_files()
-
-    def _close_files(self):
+    def close(self) -> None:
+        """Close the files; called after the last write."""
         if self._ran_fh is not None:
             self._ran_fh.close()
         if self._e2e_fh is not None:
             self._e2e_fh.close()
 
-    def submit(self, item) -> None:
-        """Queue a RAN line or an EndToEndRecord for writing, in order."""
-        self.queue.put(item)
 
-    def close(self) -> None:
-        """Write everything submitted, then close the files."""
-        if self.ident is None:  # never started: write() did the writing
-            self._close_files()
-        else:
-            self.queue.put(self._STOP)
-            self.join()
-
-
-class _E2eWorker(threading.Thread):
-    """Runs end-to-end tests, off the sampling loop once started; each
-    run_test hands its record to put (the writer's submit or write)."""
-
-    _STOP = object()
+class _E2eWorker:
+    """Runs end-to-end tests; each run_test hands its record to put (the
+    writer's write, or the call that hands it to the writer thread)."""
 
     def __init__(self, engine: E2eEngine, put: Callable[[EndToEndRecord], None]):
-        super().__init__(name="skylog-e2e", daemon=True)
         self.engine = engine
         self.put = put
-        self.queue: queue.SimpleQueue = queue.SimpleQueue()
         self.completed = 0
-
-    def submit(self, pos: GeoPosition, ts_unix_ms: int, salt: int) -> None:
-        self.queue.put((pos, ts_unix_ms, salt))
 
     def run_test(self, pos: GeoPosition, ts: int, salt: int) -> None:
         """One test; a failed test or an invalid record is logged and dropped."""
@@ -272,14 +241,15 @@ class _E2eWorker(threading.Thread):
         except Exception:
             log.exception("end-to-end test failed")
 
-    def run(self):
-        for pos, ts, salt in iter(self.queue.get, self._STOP):
-            self.run_test(pos, ts, salt)
 
-    def close(self) -> None:
-        if self.ident is not None:
-            self.queue.put(self._STOP)
-            self.join()
+def _on_thread(stack: contextlib.ExitStack, name: str, fn: Callable) -> Callable:
+    """A call that hands fn's arguments to a thread named name, which runs
+    them in order; stack's exit waits for everything handed to it.  No
+    future is read, so fn handles its own errors, as write and run_test do."""
+    # Imported here: cli loads this module for analyze and export too.
+    from concurrent.futures import ThreadPoolExecutor
+    pool = stack.enter_context(ThreadPoolExecutor(max_workers=1, thread_name_prefix=name))
+    return partial(pool.submit, fn)
 
 
 def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
@@ -302,11 +272,15 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
     hands the writer its records.accepted_line.  That checks the row once:
     a record validate_record refuses is dropped and counted in
     polls_failed, any other is written, so a record is accepted exactly
-    when validate_record accepts it.
+    when validate_record accepts it.  Cells that break poll_cells's
+    contract (a tuple of the wrong length) end the run like any other
+    poll error.
 
     Threads run only for a clock that waits: under SimClock the tick calls
     the writer's and the e2e worker's per-item code itself, so nothing
-    queues and memory does not grow with the flight.
+    queues and memory does not grow with the flight.  On every exit path,
+    an exception's too, the e2e thread finishes the tests it was handed,
+    then the writer thread the writes, then the files close.
 
     The backend is read before anything is created or started: one without
     poll_cells raises AttributeError with no directory made and no thread
@@ -330,21 +304,19 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
     # A virtual clock never waits, so a thread would have nothing to overlap.
     threaded = not isinstance(clock, SimClock)
     writer = _TraceWriter(out_dir, run_id, cfg.max_file_records)
-    write = writer.submit if threaded else writer.write
-    worker = None
-    if e2e_engine is not None and e2e_ms > 0:
-        worker = _E2eWorker(e2e_engine, write)
-        run_test = worker.submit if threaded else worker.run_test
     interval = cfg.sample_interval_ms
     n_ran = 0
     n_e2e = 0
     polls_failed = 0
 
-    if threaded:
-        writer.start()
-    try:
-        if threaded and worker is not None:
-            worker.start()
+    # Unwound last in, first out: the e2e thread, the writer thread, the files.
+    with contextlib.ExitStack() as stack:
+        stack.callback(writer.close)
+        write = _on_thread(stack, "skylog-writer", writer.write) if threaded else writer.write
+        worker = None
+        if e2e_engine is not None and e2e_ms > 0:
+            worker = _E2eWorker(e2e_engine, write)
+            run_test = _on_thread(stack, "skylog-e2e", worker.run_test) if threaded else worker.run_test
         while True:
             if writer.error is not None:
                 break
@@ -378,7 +350,7 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
                 else:
                     try:
                         line = accepted_line((next_ran, *_position_row(pos), *cells, source))
-                    except ValueError as exc:
+                    except RecordRefused as exc:
                         polls_failed += 1
                         log.warning("poll %d dropped: invalid record: %s", n_ran, exc)
                     else:
@@ -388,10 +360,6 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
             if worker is not None and wake == next_e2e:
                 run_test(pos, next_e2e, n_e2e)
                 n_e2e += 1
-    finally:
-        if worker is not None:
-            worker.close()
-        writer.close()
     if writer.error is not None:
         raise RuntimeError(f"trace writer failed: {writer.error}")
 

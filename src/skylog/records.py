@@ -377,16 +377,21 @@ def encode_row(row: tuple) -> str:
     return _template_line(row) if plain_row(row) else _encode_record_reference(_record_of(row))
 
 
+class RecordRefused(ValueError):
+    """accepted_line's refusal: the message of validate_record's violation."""
+
+
 def accepted_line(row: tuple) -> str:
     """encode_row of a row the collector accepts, with the row checked once:
     a plain row fills the template, any other must pass validate_record,
-    or ValueError carries that check's message."""
+    or RecordRefused carries that check's message.  A row that is not
+    ROW_FIELDS-shaped raises what unpacking it raises."""
     if plain_row(row):
         return _template_line(row)
     rec = _record_of(row)
     result = validate_record(rec)
     if not result:
-        raise ValueError(result.message)
+        raise RecordRefused(result.message)
     return _encode_record_reference(rec)
 
 
@@ -680,7 +685,7 @@ def read_e2e_trace(path) -> list[EndToEndRecord]:
 
 __all__ = [
     "GeoPosition", "ServingCellSample", "NeighborCellSample", "MeasurementRecord",
-    "RttSummary", "EndToEndRecord", "ValidationResult", "TraceDecodeError",
+    "RttSummary", "EndToEndRecord", "ValidationResult", "TraceDecodeError", "RecordRefused",
     "validate_record", "validate_cells", "validate_e2e", "validate_position",
     "encode_record", "encode_row", "accepted_line", "decode_record", "encode_e2e", "decode_e2e",
     "plain_row", "valid_row",

@@ -90,7 +90,7 @@ def test_simulate_nonfinite_time_is_runtime_error(capsys, tmp_path, flag, value)
                          *(arg for pair in times.items() for arg in pair))
     assert rc == 2
     assert "must be finite" in err
-    assert not any(t.name == "skylog-writer" for t in threading.enumerate())
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("skylog-")]
 
 
 def test_collect_hw_backend_rejected(capsys):
@@ -437,6 +437,8 @@ print(rc, *sorted(set(sys.modules) - bare))
 """
 
 SIMULATOR_AND_SOCKETS = {"skylog.simenv", "skylog.netprobe", "_hashlib", "socket", "statistics"}
+# Only a run on a clock that waits starts the collector's threads.
+THREAD_POOLS = {"queue", "concurrent.futures"}
 
 
 def loaded_by_main(*argv) -> set:
@@ -458,6 +460,7 @@ def test_analyze_and_export_load_no_simulator_or_sockets(tmp_path, short_flight,
     loaded = loaded_by_main(*argv)
     assert "skylog.analysis" in loaded
     assert loaded & SIMULATOR_AND_SOCKETS == set()
+    assert loaded & THREAD_POOLS == set()
 
 
 def test_simulate_loads_no_sockets(tmp_path):
@@ -465,6 +468,7 @@ def test_simulate_loads_no_sockets(tmp_path):
                             "--out", str(tmp_path))
     assert "skylog.simenv" in loaded
     assert loaded & {"skylog.netprobe", "socket"} == set()
+    assert loaded & THREAD_POOLS == set()
 
 
 def test_export_empty_trace_writes_nothing(capsys, tmp_path):
@@ -791,3 +795,33 @@ def test_serve_stops_on_signal_with_sigint_ignored(sig):
             proc.wait(timeout=10)
         proc.stdout.close()
         proc.stderr.close()
+
+
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)
+def test_a_stop_signal_loses_no_line_on_the_real_clock(tmp_path, sig):
+    """collect on the real clock, started as a background job with SIGINT
+    ignored and no --duration: a stop signal mid-run waits for the writer
+    and e2e threads, so the summary counts exactly the lines on disk."""
+    out = tmp_path / "live"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skylog.cli", "collect", "--backend", "sim", "--config", ENV,
+         "--plan", PLAN, "--interval-ms", "100", "--e2e-interval", "1", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+    try:
+        deadline = time.monotonic() + 30
+        while not list(out.glob("*.e2e")) and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(1.0)  # mid-run: about ten ticks and one more e2e test on
+        proc.send_signal(sig)
+        stdout, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate(timeout=10)
+    assert proc.returncode == 0, stderr
+    summary = json.loads(stdout.splitlines()[-1])
+    ran = [line for path in sorted(out.glob("*.trace")) for line in path.read_text().splitlines()]
+    [e2e] = out.glob("*.e2e")
+    assert summary["records_written"] == len(ran) >= 10
+    assert summary["e2e_tests_run"] == len(e2e.read_text().splitlines()) >= 2

@@ -1,5 +1,6 @@
 """Sampling cadence, loss accounting, rotation, durability, replay equality."""
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -581,7 +582,7 @@ def test_a_clean_replay_run_builds_no_record_objects(tmp_path, monkeypatch):
     assert (tmp_path / "b" / "b-0001.trace").read_text(encoding="utf-8") == want
 
 
-# --- the writer's queue: one wake takes everything queued ---
+# --- the writer thread: every item handed to it is written, in order ---
 
 def _rows(n, start_ms=SIM_EPOCH_MS):
     return [records._row_of(dataclasses.replace(make_record(), ts_unix_ms=start_ms + 1000 * k))
@@ -590,50 +591,32 @@ def _rows(n, start_ms=SIM_EPOCH_MS):
 
 def test_writer_writes_items_from_two_threads_in_submit_order(tmp_path):
     """RAN lines from the tick's thread and e2e records from a second thread,
-    submitted while the writer drains: every item lands, each file in the
-    order its items were submitted."""
+    handed to the writer thread while it writes: every item lands, each file
+    in the order its items were handed over."""
     rows = _rows(3000)
     e2e = [make_e2e(ts_unix_ms=SIM_EPOCH_MS + 60_000 * k) for k in range(300)]
     writer = collector._TraceWriter(tmp_path, "w", max_file_records=1000)
-    second = threading.Thread(target=lambda: [writer.submit(rec) for rec in e2e])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        writer.start()
-        second.start()
-        for row in rows:
-            writer.submit(encode_row(row))
-        second.join(timeout=60)
-        writer.close()
+        with contextlib.ExitStack() as stack:
+            stack.callback(writer.close)
+            write = collector._on_thread(stack, "skylog-writer", writer.write)
+            second = threading.Thread(target=lambda: [write(rec) for rec in e2e])
+            second.start()
+            for row in rows:
+                write(encode_row(row))
+            second.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert not second.is_alive() and not writer.is_alive()
+    assert not second.is_alive()
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("skylog-")]
     assert writer.error is None
     assert (writer.ran_written, writer.e2e_written) == (3000, 300)
     traces = sorted(tmp_path.glob("w-*.trace"))
     assert len(traces) == 3
     assert [records._row_of(r) for path in traces for r in read_trace(path)] == rows
     assert read_e2e_trace(tmp_path / "w.e2e") == e2e
-
-
-def test_a_stop_inside_a_drained_batch_writes_everything_before_it(tmp_path):
-    """Items queued before the writer first wakes are one batch; the stop
-    marker in it ends the run after the items ahead of it, and nothing
-    behind it is written."""
-    rows = _rows(105)
-    writer = collector._TraceWriter(tmp_path, "w", max_file_records=1000)
-    for row in rows[:100]:
-        writer.submit(encode_row(row))
-    writer.submit(make_e2e())
-    writer.queue.put(writer._STOP)
-    for row in rows[100:]:
-        writer.submit(encode_row(row))
-    writer.start()
-    writer.join(timeout=30)
-    assert not writer.is_alive() and writer.error is None
-    assert (writer.ran_written, writer.e2e_written) == (100, 1)
-    assert [records._row_of(r) for r in read_trace(tmp_path / "w-0001.trace")] == rows[:100]
-    assert read_e2e_trace(tmp_path / "w.e2e") == [make_e2e()]
 
 
 # --- threads run only for a clock that waits ---
@@ -678,7 +661,7 @@ def test_the_threaded_and_inline_paths_write_the_same_bytes(tmp_path):
         runs[name] = summary, skylog_threads(modem.threads)
     (inline, inline_threads), (threaded, threaded_threads) = runs["inline"], runs["threaded"]
     assert inline_threads == set()
-    assert threaded_threads == {"skylog-writer", "skylog-e2e"}
+    assert threaded_threads == {"skylog-writer_0", "skylog-e2e_0"}
     assert (inline.records_written, inline.e2e_tests_run) == (600, 10)
     names = {p.rsplit("/", 1)[1] for p in inline.files}
     assert len(names) == 8  # seven trace files of at most 97 lines, and the .e2e
@@ -715,6 +698,44 @@ def test_a_writer_failure_closes_every_file(tmp_path, monkeypatch, make_clock):
         "run1700000000000-0003.trace"]
     assert all(fh.closed for fh in opened)
     assert sum(len(read_trace(fh.name)) for fh in opened if fh.name.endswith(".trace")) == 250
+
+
+class ContractBreakingBackend(FlakyBackend):
+    """Poll break_at returns broken(cells) instead of its well-formed cells."""
+
+    def __init__(self, break_at, broken):
+        super().__init__(set())
+        self.break_at, self.broken = break_at, broken
+
+    def poll_cells(self, pos) -> tuple:
+        i = self.calls
+        cells = super().poll_cells(pos)
+        return self.broken(cells) if i == self.break_at else cells
+
+
+BROKEN_CELLS = {
+    "ten-cell-items": lambda cells: (*cells, "extra"),
+    "four-item-neighbor": lambda cells: (*cells[:-1], tuple(n[:4] for n in cells[-1])),
+}
+
+
+@pytest.mark.parametrize("make_clock", [SimClock, VirtualClock])
+@pytest.mark.parametrize("shape", BROKEN_CELLS)
+def test_cells_that_break_the_contract_end_the_run(tmp_path, caplog, make_clock, shape):
+    """A backend that breaks poll_cells's contract is not a refused record:
+    the unpacking error ends the run, every line accepted before it stays
+    written, and no thread is left running."""
+    cfg = CollectorConfig(output_dir=str(tmp_path), duration_s=60.0, e2e_interval_s=10.0)
+    pos = GeoPosition(lat_deg=40.0, lon_deg=-100.0, alt_m_amsl=302.0, alt_m_agl=2.0)
+    backend = ContractBreakingBackend(50, BROKEN_CELLS[shape])
+    with pytest.raises(ValueError, match="values to unpack"):
+        run_collection(cfg, make_clock(), backend, lambda _t: pos,
+                       e2e_engine=SimE2eEngine(canonical_env()))
+    assert backend.calls == 51
+    assert len(read_trace(next(tmp_path.glob("*.trace")))) == 50
+    assert len(read_e2e_trace(next(tmp_path.glob("*.e2e")))) == 5
+    assert "dropped" not in caplog.text
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("skylog-")]
 
 
 def test_a_virtual_clock_run_starts_no_thread_and_holds_no_backlog(tmp_path):
