@@ -3,7 +3,9 @@
 Everything in this module is a deterministic pure function of its inputs:
 no clocks, no RNG, no I/O.  One pass (Survey) reduces rows (records.iter_rows
 yields them; no record object is built) into a {value: count} tally per
-group and metric; values are stored to 0.1 dB, so a tally is bounded by
+metric for each group of rows that share a serving cell, altitude band and
+voxel; the per-cell, per-band and per-voxel tables merge those groups when
+they are read.  Values are stored to 0.1 dB, so the tallies are bounded by
 the surveyed area, not by flight time.  Means and variances are accumulated
 with math.fsum, which is exactly rounded and therefore independent of input
 order: a tally expanded value by value gives the floats of the sample list,
@@ -20,7 +22,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .geo import tangent_forward, tangent_inverse
+from .geo import EARTH_RADIUS_M, tangent_inverse
 from .records import (METRIC_FIELDS, NEIGHBOR_FIELDS, ROW_FIELDS, EndToEndRecord, MeasurementRecord,
                       _row_of)
 
@@ -81,6 +83,8 @@ _place = itemgetter(*map(ROW_FIELDS.index, ("cell_id", "lat_deg", "lon_deg", "al
 _neighbor_values = itemgetter(*(NEIGHBOR_FIELDS.index(METRIC_FIELDS[m]) for m in _NEIGHBOR))
 _PCI = NEIGHBOR_FIELDS.index("pci")
 _RSRQ = _SERVING.index("rsrq")
+# The parts of a Survey group key, in order.
+_CELL, _AGL, _AMSL, _VOXEL = range(4)
 
 
 @dataclass(frozen=True)
@@ -119,10 +123,30 @@ def _count(groups: dict, key, values: Sequence) -> None:
             tally[v] = tally.get(v, 0) + 1
 
 
+def _merge(groups: dict, part: int, metrics: Sequence[int]) -> dict:
+    """{key[part]: [tally of each metric]}: the groups' tallies of the metrics
+    at these indexes, summed over every other part of the key."""
+    merged: dict = {}
+    for key, tallies in groups.items():
+        into = merged.get(key[part])
+        if into is None:
+            merged[key[part]] = [dict(tallies[m]) for m in metrics]
+        else:
+            for tally, m in zip(into, metrics):
+                for v, c in tallies[m].items():
+                    tally[v] = tally.get(v, 0) + c
+    return merged
+
+
 def _table(groups: dict, names: tuple) -> dict:
     """{key: {metric: BinStats}} of each group's tallies, in key order."""
     return {k: dict(zip(names, map(_bin_stats, tallies)))
             for k, tallies in sorted(groups.items())}
+
+
+def _shares(cells: dict, n: int) -> dict[int, float]:
+    """Each cell's share of n samples, from {cell_id: tallies} of any metrics."""
+    return {cid: sum(tallies[0].values()) / n for cid, tallies in sorted(cells.items())}
 
 
 def _ecdf(tally: dict[float, int]) -> list[tuple[float, float]]:
@@ -304,64 +328,70 @@ class CoverageReport:
 
 
 class Survey:
-    """One pass over RAN records as records.ROW_FIELDS rows, keeping one tally
-    per metric for each serving cell_id, altitude band (above ground, None
-    from the first record without that height; and above sea level), neighbor
-    pci and, given grid=(ground_m, alt_m), voxel, indexed as in VoxelGrid
-    from anchor, the first record's (lat, lon)."""
+    """One pass over RAN records as records.ROW_FIELDS rows.  Each row's
+    serving metrics are counted into one group, keyed (cell_id, altitude band
+    above ground or None where the row lacks that height, band above sea
+    level, voxel or None), and each neighbor's into one group per pci.  Voxels
+    are indexed as in VoxelGrid, given grid=(ground_m, alt_m), from anchor,
+    the first record's (lat, lon).  The per-cell, per-band and per-voxel
+    tables merge the groups on one key part when they are read, for only the
+    metrics they return.  There are at most cells x bands x voxels groups, so
+    memory follows the surveyed area, not the length of the trace."""
 
     def __init__(self, rows: Iterable[tuple], alt_bin_m: float = 10.0,
                  grid: Optional[tuple[float, float]] = None) -> None:
         _check_bin_sizes("bin width", alt_bin_m)
         if grid is not None:
             _check_bin_sizes("voxel sizes", *grid)
+            ground_m, slab_m = grid
         self.grid = grid
-        cells, agl, amsl, pcis, voxels = groupings = ({}, {}, {}, {}, {})
-        self.cells, self.agl, self.amsl, self.pcis, self.voxels = groupings
-        floor, n = math.floor, 0
+        groups, pcis = self.groups, self.pcis = {}, {}
+        floor, radians, n, voxel = math.floor, math.radians, 0, None
         for n, row in enumerate(rows, start=1):
             cell_id, lat, lon, amsl_m, agl_m, nbrs, *values = _place(row)
-            _count(cells, cell_id, values)
-            if agl is not None and agl_m is None:
-                agl = self.agl = None
-            if agl is not None:
-                _count(agl, floor(agl_m / alt_bin_m) * alt_bin_m, values)
-            _count(amsl, floor(amsl_m / alt_bin_m) * alt_bin_m, values)
-            for nb in nbrs:
-                _count(pcis, nb[_PCI], _neighbor_values(nb))
             if grid is not None:
                 if n == 1:
                     self.anchor = anchor_lat, anchor_lon = lat, lon
-                x, y = tangent_forward(anchor_lat, anchor_lon, lat, lon)
-                _count(voxels, (floor(x / grid[0]), floor(y / grid[0]),
-                                floor(amsl_m / grid[1])), values)
+                    scale = math.cos(radians(anchor_lat))
+                # geo.tangent_forward from the anchor.
+                x = radians(lon - anchor_lon) * EARTH_RADIUS_M * scale
+                y = radians(lat - anchor_lat) * EARTH_RADIUS_M
+                voxel = (floor(x / ground_m), floor(y / ground_m), floor(amsl_m / slab_m))
+            agl_band = None if agl_m is None else floor(agl_m / alt_bin_m) * alt_bin_m
+            _count(groups, (cell_id, agl_band, floor(amsl_m / alt_bin_m) * alt_bin_m, voxel),
+                   values)
+            for nb in nbrs:
+                _count(pcis, nb[_PCI], _neighbor_values(nb))
         self.n = n
+
+    def _stats(self, part: int, names: tuple) -> dict:
+        """_table of the groups merged on one key part, for the named metrics."""
+        return _table(_merge(self.groups, part, [_SERVING.index(m) for m in names]), names)
 
     def voxel_grid(self) -> VoxelGrid:
         """grid_aggregate of a survey made with a grid."""
         _nonempty(self)
-        return VoxelGrid(*self.grid, *self.anchor, _table(self.voxels, _SERVING))
+        return VoxelGrid(*self.grid, *self.anchor, self._stats(_VOXEL, _SERVING))
 
-    def altitude_bins(self) -> dict[float, dict[str, BinStats]]:
-        """Per-altitude-band stats of every serving metric, keyed by the band's
-        lower bound.  Heights are above ground; when any record lacks that
-        field the whole trace falls back to sea-level altitude (with a
+    def altitude_bins(self, metrics: tuple = _SERVING) -> dict[float, dict[str, BinStats]]:
+        """Per-altitude-band stats of the named serving metrics, keyed by the
+        band's lower bound.  Heights are above ground; when any record lacks
+        that field the whole trace falls back to sea-level altitude (with a
         warning) rather than mixing the two frames."""
-        if self.agl is not None:
-            return _table(self.agl, _SERVING)
+        if all(key[_AGL] is not None for key in self.groups):
+            return self._stats(_AGL, metrics)
         warnings.warn("alt_m_agl missing on some records; binning by alt_m_amsl", stacklevel=2)
-        return _table(self.amsl, _SERVING)
+        return self._stats(_AMSL, metrics)
 
     def dominance(self) -> dict[int, float]:
-        return {cid: sum(tallies[_RSRQ].values()) / self.n
-                for cid, tallies in sorted(self.cells.items())}
-
-    def rsrq(self) -> Counter:
-        """The serving RSRQ tally of the whole survey."""
-        return sum((Counter(tallies[_RSRQ]) for tallies in self.cells.values()), Counter())
+        return _shares(_merge(self.groups, _CELL, [_RSRQ]), self.n)
 
     def ecdf_rsrq(self) -> list[tuple[float, float]]:
-        return _ecdf(self.rsrq())
+        """The ECDF of the whole survey's serving RSRQ."""
+        rsrq: Counter = Counter()
+        for tallies in self.groups.values():
+            rsrq.update(tallies[_RSRQ])
+        return _ecdf(rsrq)
 
     def report(self, e2e_records: Iterable[EndToEndRecord], *,
                rsrq_poor_db: float = DEFAULT_RSRQ_POOR_DB,
@@ -379,14 +409,17 @@ class Survey:
         frac_rsrq_poor = None
         dominance: dict[int, float] = {}
         low: tuple[int, ...] = ()
+        cells = _merge(self.groups, _CELL, range(len(_SERVING)))
         if self.n:
             if self.grid is not None:
-                means = [_bin_stats(tallies[_RSRQ]).mean for tallies in self.voxels.values()]
+                means = [_bin_stats(rsrq).mean
+                         for rsrq, in _merge(self.groups, _VOXEL, [_RSRQ]).values()]
                 frac_rsrq_poor = sum(1 for m in means if m < rsrq_poor_db) / len(means)
             else:
-                frac_rsrq_poor = (sum(c for v, c in self.rsrq().items() if v < rsrq_poor_db)
-                                  / self.n)
-            dominance = self.dominance()
+                poor = (c for tallies in cells.values()
+                        for v, c in tallies[_RSRQ].items() if v < rsrq_poor_db)
+                frac_rsrq_poor = sum(poor) / self.n
+            dominance = _shares(cells, self.n)
             low = tuple(cid for cid, share in dominance.items()
                         if share < LOW_CONTRIBUTION_SHARE)
 
@@ -404,7 +437,7 @@ class Survey:
             rtt_max_ms=rtt_max_ms, by_voxel=self.grid is not None,
             frac_rsrq_poor=frac_rsrq_poor, frac_dl_ge=frac_dl, frac_ul_ge=frac_ul,
             frac_rtt_le=frac_rtt, dominance=dominance, low_contribution_cells=low,
-            per_cell=_table(self.cells, _SERVING), neighbors=_table(self.pcis, _NEIGHBOR))
+            per_cell=_table(cells, _SERVING), neighbors=_table(self.pcis, _NEIGHBOR))
 
 
 def coverage_report(ran_records: Iterable[MeasurementRecord],

@@ -322,8 +322,9 @@ def cmd_analyze(args) -> int:
     if survey.n:
         doc["ecdf_rsrq_db"] = survey.ecdf_rsrq()
         tables.append(("ecdf-rsrq", ["rsrq_db", "cum_frac"], doc["ecdf_rsrq_db"]))
-        bins = survey.altitude_bins()
-        for metric in ("rsrp", "sinr"):
+        rendered = ("rsrp", "sinr")
+        bins = survey.altitude_bins(rendered)
+        for metric in rendered:
             doc[f"alt_bins_{metric}"] = [{**s[metric].to_doc(), "lower": lower}
                                          for lower, s in bins.items()]
             tables.append((f"alt-{metric}",

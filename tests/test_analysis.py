@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 
 from skylog import analysis
 from skylog.analysis import (
+    BinStats,
     EmptyInput,
     LengthMismatch,
     NonfiniteThreshold,
     NonpositiveBinWidth,
     TooFewSamples,
     TooManyBins,
+    Survey,
     altitude_bins,
     cell_dominance,
     coverage_report,
@@ -22,8 +25,8 @@ from skylog.analysis import (
     neighbor_stats,
     spearman_rho,
 )
-from skylog.geo import tangent_inverse
-from skylog.records import METRIC_FIELDS, GeoPosition, RttSummary
+from skylog.geo import tangent_forward, tangent_inverse
+from skylog.records import METRIC_FIELDS, GeoPosition, NeighborCellSample, RttSummary, _row_of
 
 from conftest import make_e2e, make_neighbor, make_record, make_serving
 from coverage_fixtures import (
@@ -412,6 +415,108 @@ def test_grid_rejects_bad_sizes():
             grid_aggregate([make_record()], alt_m=bad)
     with pytest.raises(EmptyInput):
         grid_aggregate([])
+
+
+# --- one survey against a regroup from scratch ---
+
+CELL_PCIS = {11: 101, 22: 102, 33: 103}
+NEIGHBOR_METRICS = {m: f for m, f in METRIC_FIELDS.items()
+                    if f in NeighborCellSample.__dataclass_fields__}
+
+
+def survey_records(agl_missing_from: int, n: int = 600) -> list:
+    """n records under three cells, each heard with the other two as
+    neighbors, over a spread of places and heights; alt_m_agl is None from
+    record agl_missing_from on.  Values are quantized to 0.1 dB, so tallies
+    repeat, and no SINR is zero, whose sign a tally keeps from one sample."""
+    rng = random.Random(41)
+
+    def db(lo, hi):
+        return round(rng.uniform(lo, hi), 1)
+
+    recs = []
+    for i in range(n):
+        cell = rng.choice(list(CELL_PCIS))
+        pos = pos_at(rng.uniform(-80, 80), rng.uniform(-80, 80), alt_amsl=db(600, 700),
+                     agl=None if i >= agl_missing_from else db(0, 120))
+        neighbors = tuple(make_neighbor(pci=pci, rsrp_dbm=db(-125, -80), rsrq_db=db(-20, -8),
+                                        rssi_dbm=db(-90, -60))
+                          for cid, pci in CELL_PCIS.items() if cid != cell)
+        recs.append(make_record(pos=pos, neighbors=neighbors,
+                                serving=make_serving(cell_id=cell, pci=CELL_PCIS[cell],
+                                                     rsrp_dbm=db(-120, -60), rsrq_db=db(-20, -3),
+                                                     rssi_dbm=db(-110, -50), sinr_db=db(1, 30))))
+    return recs
+
+
+def oracle_stats(vals: list) -> BinStats:
+    n = len(vals)
+    mean = math.fsum(vals) / n
+    std = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (n - 1)) if n > 1 else None
+    return BinStats(n, mean, std, min(vals), max(vals))
+
+
+def regroup(samples, metrics: dict) -> dict:
+    """{key: {metric: BinStats}} of (key, sample) pairs, in key order."""
+    groups: dict = {}
+    for key, sample in samples:
+        groups.setdefault(key, []).append(sample)
+    return {key: {m: oracle_stats([getattr(s, f) for s in groups[key]]) for m, f in metrics.items()}
+            for key in sorted(groups)}
+
+
+def voxel_of(anchor: GeoPosition, pos: GeoPosition) -> tuple[int, int, int]:
+    x, y = tangent_forward(anchor.lat_deg, anchor.lon_deg, pos.lat_deg, pos.lon_deg)
+    return math.floor(x / 25.0), math.floor(y / 25.0), math.floor(pos.alt_m_amsl / 10.0)
+
+
+@pytest.mark.parametrize("agl_missing_from", [600, 250, 0])
+def test_survey_tables_match_a_regroup_from_scratch(agl_missing_from):
+    recs = survey_records(agl_missing_from)
+    fallback = agl_missing_from < len(recs)
+
+    def tables(recs):
+        survey = Survey(map(_row_of, recs), 10.0, (25.0, 10.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bins, bins_2 = survey.altitude_bins(), survey.altitude_bins(("rsrp", "sinr"))
+        assert [str(w.message) for w in caught] == (
+            ["alt_m_agl missing on some records; binning by alt_m_amsl"] * 2 if fallback else [])
+        return survey, survey.report([], rsrq_poor_db=-11.5), bins, bins_2
+
+    survey, report, bins, bins_2 = tables(recs)
+    assert report.per_cell == regroup(((r.serving.cell_id, r.serving) for r in recs),
+                                      METRIC_FIELDS)
+    assert report.dominance == {cid: sum(r.serving.cell_id == cid for r in recs) / len(recs)
+                                for cid in sorted(CELL_PCIS)}
+    assert report.neighbors == regroup(((nb.pci, nb) for r in recs for nb in r.neighbors),
+                                       NEIGHBOR_METRICS)
+    assert list(report.neighbors) == [101, 102, 103]
+
+    height = "alt_m_amsl" if fallback else "alt_m_agl"
+    expected_bins = regroup(((math.floor(getattr(r.pos, height) / 10.0) * 10.0, r.serving)
+                             for r in recs), METRIC_FIELDS)
+    assert bins == expected_bins
+    assert bins_2 == {lower: {m: s[m] for m in ("rsrp", "sinr")}
+                      for lower, s in expected_bins.items()}
+
+    def expected_voxels(recs):
+        return regroup(((voxel_of(recs[0].pos, r.pos), r.serving) for r in recs), METRIC_FIELDS)
+
+    voxels = expected_voxels(recs)
+    assert survey.voxel_grid().cells == voxels
+    means = [s["rsrq"].mean for s in voxels.values()]
+    assert report.frac_rsrq_poor == sum(m < -11.5 for m in means) / len(means)
+    assert 0 < report.frac_rsrq_poor < 1
+
+    # Backwards, only the voxel anchor (the first record's place) moves.
+    back, back_report, back_bins, back_bins_2 = tables(recs[::-1])
+    assert (back_bins, back_bins_2) == (bins, bins_2)
+    for field in ("per_cell", "dominance", "neighbors"):
+        assert getattr(back_report, field) == getattr(report, field)
+    assert back.ecdf_rsrq() == survey.ecdf_rsrq()
+    assert back.anchor == (recs[-1].pos.lat_deg, recs[-1].pos.lon_deg)
+    assert back.voxel_grid().cells == expected_voxels(recs[::-1])
 
 
 # --- coverage report ---

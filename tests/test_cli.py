@@ -600,6 +600,18 @@ def orbit_trace(tmp_path_factory):
     return path
 
 
+def test_survey_groups_do_not_grow_with_records(tmp_path):
+    # Two laps over the orbit's rows survey the same cells, bands and voxels as one.
+    path = tmp_path / "orbit.trace"
+    write_orbit_trace(path, 480)
+    rows = list(iter_rows(path))
+    for grid in (None, analysis.DEFAULT_GRID_M):
+        once, twice = analysis.Survey(rows, grid=grid), analysis.Survey(rows + rows, grid=grid)
+        assert twice.n == 2 * once.n
+        assert len(twice.groups) == len(once.groups) > 3
+        assert len(twice.pcis) == len(once.pcis) == 4
+
+
 def traced_peak(argv) -> tuple[int, int]:
     """main(argv)'s exit code and its tracemalloc peak in bytes."""
     tracemalloc.start()
@@ -773,7 +785,11 @@ def test_probe_against_served_endpoints(capsys, tmp_path):
             assert proc.wait(timeout=10) == 0
         except subprocess.TimeoutExpired:
             proc.kill()
+            proc.wait(timeout=10)
             raise
+        finally:
+            proc.stdout.close()
+            proc.stderr.close()
 
 
 @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)
