@@ -48,8 +48,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
-log = logging.getLogger(__name__)
-
 
 class UsageError(Exception):
     """Bad flag combination detected after parsing."""
@@ -111,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval-ms", type=int, default=1000,
                    help="RAN sampling interval (default: 1000)")
     p.add_argument("--e2e-interval", type=float, default=60.0,
-                   help="seconds between end-to-end tests, 0 disables (default: 60)")
+                   help="seconds between end-to-end tests, 0 disables, else >= 0.001 (default: 60)")
     p.add_argument("--run-id", default=None, help="output file name stem")
     p.set_defaults(func=cmd_collect)
 
@@ -155,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval-ms", type=int, default=1000,
                    help="RAN sampling interval (default: 1000)")
     p.add_argument("--e2e-interval", type=float, default=60.0,
-                   help="seconds between end-to-end tests, 0 disables (default: 60)")
+                   help="seconds between end-to-end tests, 0 disables, else >= 0.001 (default: 60)")
     p.add_argument("--run-id", default=None, help="output file name stem")
     p.set_defaults(func=cmd_simulate)
 

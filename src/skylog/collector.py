@@ -115,9 +115,10 @@ class CollectorConfig:
             raise ValueError("sample_interval_ms must be >= 100")
         if self.max_file_records < 1:
             raise ValueError("max_file_records must be >= 1")
-        # The deadlines are integer milliseconds, so inf and NaN are refused here.
-        if not (0 <= self.e2e_interval_s < math.inf):
-            raise ValueError("e2e_interval_s must be finite and >= 0")
+        # The deadlines are integer milliseconds, so inf and NaN are refused here,
+        # and so is a positive interval under 1 ms: it would truncate to 0 (off).
+        if not (self.e2e_interval_s == 0 or 0.001 <= self.e2e_interval_s < math.inf):
+            raise ValueError("e2e_interval_s must be finite and 0 (off) or >= 0.001")
         if self.duration_s is not None and not (0 <= self.duration_s < math.inf):
             raise ValueError("duration_s must be finite and >= 0")
 

@@ -23,16 +23,18 @@ Its sample method ranks the stations and gives RSSI and SINR, unclamped, and
 its cells method gives the collector's tick the cell part of a trace row,
 clamped, with no report object: SimModemBackend.poll_cells returns it as it
 is.  radio_sample wraps the same cells in a ModemReport.  A draw that misses
-the cache is one blake2b call over the packed seed and voxel.
+the cache is one blake2b call over the packed seed and voxel.  blake2b comes
+from _blake2, the builtin module hashlib.blake2b is itself taken from, so the
+simulator never loads hashlib's OpenSSL backend.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
 import struct
+from _blake2 import blake2b
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from typing import Optional
@@ -193,8 +195,8 @@ def _check_waypoints(waypoints: tuple[Waypoint, ...]) -> None:
 def _digest(domain: bytes, seed: int, *ints: int) -> bytes:
     """blake2b-128 of the seed (mod 2**64, unsigned) and the ints (signed), each
     8 bytes big-endian, personalized with domain."""
-    return hashlib.blake2b(struct.pack(">Q" + "q" * len(ints), seed & 0xFFFFFFFFFFFFFFFF, *ints),
-                           digest_size=16, person=domain).digest()
+    return blake2b(struct.pack(">Q" + "q" * len(ints), seed & 0xFFFFFFFFFFFFFFFF, *ints),
+                   digest_size=16, person=domain).digest()
 
 
 def _uniform(domain: bytes, seed: int, *ints: int) -> float:

@@ -93,6 +93,17 @@ def test_simulate_nonfinite_time_is_runtime_error(capsys, tmp_path, flag, value)
     assert not [t.name for t in threading.enumerate() if t.name.startswith("skylog-")]
 
 
+def test_simulate_sub_millisecond_e2e_interval_is_runtime_error(capsys, tmp_path):
+    # It would truncate to a 0 ms deadline and silently run no end-to-end test.
+    out = tmp_path / "out"
+    rc, stdout, err = run_cli(capsys, "simulate", "--env", ENV, "--plan", PLAN,
+                              "--duration", "30", "--e2e-interval", "0.0004", "--out", str(out))
+    assert rc == 2
+    assert "e2e_interval_s" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_collect_hw_backend_rejected(capsys):
     rc, _, err = run_cli(capsys, "collect", "--config", ENV, "--backend", "hw")
     assert rc == 1
@@ -467,7 +478,8 @@ def test_simulate_loads_no_sockets(tmp_path):
     loaded = loaded_by_main("simulate", "--env", ENV, "--plan", PLAN, "--duration", "60",
                             "--out", str(tmp_path))
     assert "skylog.simenv" in loaded
-    assert loaded & {"skylog.netprobe", "socket"} == set()
+    # The seeded draws hash with _blake2, so OpenSSL's hashlib backend stays out.
+    assert loaded & {"skylog.netprobe", "socket", "hashlib", "_hashlib"} == set()
     assert loaded & THREAD_POOLS == set()
 
 

@@ -324,6 +324,13 @@ def test_config_bounds():
             CollectorConfig(output_dir="x", e2e_interval_s=bad)
         with pytest.raises(ValueError, match="duration_s"):
             CollectorConfig(output_dir="x", duration_s=bad)
+    # A positive interval under 1 ms would truncate to 0 ms, which turns
+    # end-to-end testing off; 0 itself and 1 ms are accepted.
+    for bad in (1e-300, 0.0004, 0.000999):
+        with pytest.raises(ValueError, match="e2e_interval_s"):
+            CollectorConfig(output_dir="x", e2e_interval_s=bad)
+    for good in (0.0, 0.001):
+        assert CollectorConfig(output_dir="x", e2e_interval_s=good).e2e_interval_s == good
 
 
 def test_unwritable_output_is_fatal(tmp_path):
