@@ -4,8 +4,10 @@ One subcommand per workflow stage: collect (daemon), serve/probe (active
 measurement endpoints), simulate (collector against the simulated backend),
 analyze, export.  Exit codes: 0 success, 1 usage error, 2 runtime failure.
 
-The simulator (simenv) and the socket code (netprobe) are imported by the
-commands that run them, so analyze and export load neither.
+The simulator (simenv), the socket code (netprobe), the collection stage
+(collector, modem, signal) and logging are imported by the commands that
+run them, so analyze and export load none of them.  Only the commands that
+log (collect, serve, probe, simulate) configure logging.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import logging
 import math
-import signal
 import sys
 import threading
 import time
@@ -26,14 +26,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import analysis
-from .collector import (
-    CollectorConfig,
-    SimClock,
-    SystemClock,
-    run_collection,
-)
 from .geoexport import _create, export_csv, export_geojson, write_csv
-from .modem import ReplayBackend
 from .records import (
     METRIC_FIELDS,
     EndToEndRecord,
@@ -47,6 +40,8 @@ from .records import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
+
+LOGGING_COMMANDS = ("collect", "serve", "probe", "simulate")
 
 
 class UsageError(Exception):
@@ -87,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
                      description="UAV cellular-coverage survey toolkit")
     parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"],
-                        help="logging verbosity (default: warning)")
+                        help="logging verbosity of collect, serve, probe and simulate "
+                             "(default: warning)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the environment file's RNG seed "
                              "(sim paths only)")
@@ -197,7 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collector_config(args) -> CollectorConfig:
+def run_collection(*args, **kwargs):
+    """collector.run_collection, looked up on each call, so a wrapper put on
+    the collector's own name (bench/probe.py's traced run) is the one run."""
+    from .collector import run_collection
+    return run_collection(*args, **kwargs)
+
+
+def _collector_config(args):
+    from .collector import CollectorConfig
     return CollectorConfig(output_dir=args.out, sample_interval_ms=args.interval_ms,
                            e2e_interval_s=args.e2e_interval, duration_s=args.duration,
                            run_id=args.run_id)
@@ -225,6 +229,7 @@ def _stop_on_signals():
     """An Event that SIGINT and SIGTERM set, with the previous handlers put back
     on exit.  Installed explicitly because a process started with SIGINT
     ignored (a background job) never gets a KeyboardInterrupt."""
+    import signal
     stop = threading.Event()
     previous = {s: signal.signal(s, lambda *_: stop.set())
                 for s in (signal.SIGINT, signal.SIGTERM)}
@@ -236,6 +241,7 @@ def _stop_on_signals():
 
 
 def cmd_collect(args) -> int:
+    from .collector import SimClock, SystemClock
     if args.backend == "hw":
         raise UsageError("no hardware modem driver is built in; use sim or replay")
     if args.backend == "sim":
@@ -250,6 +256,7 @@ def cmd_collect(args) -> int:
             raise UsageError("--replay TRACE is required with the replay backend")
         # A bad line is refused here, before the run starts; the rows are then
         # streamed, each line giving both a report and its position.
+        from .modem import ReplayBackend
         modem = ReplayBackend(args.replay)
         position_at = modem.position
         cfg, engine = _collector_config(args), None
@@ -300,6 +307,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .collector import SimClock
     cfg, modem, position_at, engine = _simulated_run(args, args.env)
     summary = run_collection(cfg, SimClock(), modem, position_at, e2e_engine=engine)
     print(json.dumps(summary.to_doc()))
@@ -365,8 +373,10 @@ def cmd_export(args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper()),
-                        format="%(asctime)s %(levelname)s %(name)s: %(message)s")
+    if args.command in LOGGING_COMMANDS:
+        import logging
+        logging.basicConfig(level=getattr(logging, args.log_level.upper()),
+                            format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except UsageError as exc:

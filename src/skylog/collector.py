@@ -121,6 +121,9 @@ class CollectorConfig:
             raise ValueError("e2e_interval_s must be finite and 0 (off) or >= 0.001")
         if self.duration_s is not None and not (0 <= self.duration_s < math.inf):
             raise ValueError("duration_s must be finite and >= 0")
+        # The run id is a file name stem inside output_dir, never a path.
+        if self.run_id is not None and any(c in self.run_id for c in ("/", "\\", "\0")):
+            raise ValueError("run_id must not hold a path separator or NUL")
 
 
 @dataclass

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import json
 import math
 import os
@@ -104,10 +105,14 @@ def _nonempty(source: Source) -> Source:
 def _create(*paths) -> Iterator[list[TextIO]]:
     """Open one temporary file per path; once every one is written and
     closed, make each path's directory and move its file over it.  On any
-    error every temporary file is removed and no path changes.  A file sits
-    beside its path, or in the nearest existing ancestor, so a failed write
-    makes no directory."""
+    error every temporary file is removed and no path changes; a path that
+    is a directory, which no file can replace, is refused before any file
+    is opened.  A file sits beside its path, or in the nearest existing
+    ancestor, so a failed write makes no directory."""
     paths = [Path(p) for p in paths]
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmps = [next(d for d in p.parents if d.is_dir()) / f".{p.name}.tmp" for p in paths]
     try:
         with contextlib.ExitStack() as stack:

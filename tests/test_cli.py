@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from skylog import analysis
+from skylog import analysis, collector
 from skylog.cli import main
 from skylog.geo import tangent_inverse
 from skylog.records import (GeoPosition, _record_of, decode_record, encode_record, iter_rows,
@@ -102,6 +102,32 @@ def test_simulate_sub_millisecond_e2e_interval_is_runtime_error(capsys, tmp_path
     assert "e2e_interval_s" in err
     assert stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("run_id", ["../evil", "a/b"])
+def test_simulate_run_id_with_a_separator_is_runtime_error(capsys, tmp_path, run_id):
+    out = tmp_path / "out"
+    rc, stdout, err = run_cli(capsys, "simulate", "--env", ENV, "--plan", PLAN,
+                              "--duration", "30", "--run-id", run_id, "--out", str(out))
+    assert rc == 2
+    assert "run_id" in err
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_calls_the_collectors_run_collection_at_call_time(capsys, tmp_path,
+                                                                    monkeypatch):
+    # A wrapper put on skylog.collector.run_collection after cli is imported
+    # (a traced benchmark run) must still be the one simulate runs.
+    calls = []
+    real = collector.run_collection
+    monkeypatch.setattr("skylog.collector.run_collection",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    rc, stdout, _ = run_cli(capsys, "simulate", "--env", ENV, "--plan", PLAN,
+                            "--duration", "30", "--out", str(tmp_path))
+    assert rc == 0
+    assert calls == [1]
+    assert last_json_line(stdout)["records_written"] == 30
 
 
 def test_collect_hw_backend_rejected(capsys):
@@ -435,6 +461,25 @@ def test_failed_analyze_leaves_the_previous_report(tmp_path, short_flight):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in [report, *tables])
 
 
+def test_analyze_onto_a_directory_leaves_the_previous_tables(capsys, tmp_path, short_flight):
+    trace, e2e = short_flight
+    report = tmp_path / "report.json"
+    report.mkdir()
+    tables = [tmp_path / f"report-{suffix}.csv"
+              for suffix in ("ecdf-rsrq", "alt-rsrp", "alt-sinr", "pdf-rtt")]
+    for table in tables:
+        table.write_bytes(f"previous {table.name}\n".encode())
+    rc, stdout, err = run_cli(capsys, "analyze", "--ran", str(trace), "--e2e", str(e2e),
+                              "--report", str(report))
+    assert rc == 2
+    assert "Is a directory" in err and str(report) in err
+    assert stdout == ""
+    for table in tables:
+        assert table.read_bytes() == f"previous {table.name}\n".encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in [report, *tables])
+    assert list(report.iterdir()) == []
+
+
 # --- each command loads only what it runs ---
 
 # Run in a fresh interpreter: prints the modules main(argv) loaded, beyond a
@@ -448,6 +493,8 @@ print(rc, *sorted(set(sys.modules) - bare))
 """
 
 SIMULATOR_AND_SOCKETS = {"skylog.simenv", "skylog.netprobe", "_hashlib", "socket", "statistics"}
+# The collection stage, and logging, which only collect, serve, probe and simulate configure.
+COLLECTION = {"skylog.collector", "skylog.modem", "logging", "signal"}
 # Only a run on a clock that waits starts the collector's threads.
 THREAD_POOLS = {"queue", "concurrent.futures"}
 
@@ -471,6 +518,7 @@ def test_analyze_and_export_load_no_simulator_or_sockets(tmp_path, short_flight,
     loaded = loaded_by_main(*argv)
     assert "skylog.analysis" in loaded
     assert loaded & SIMULATOR_AND_SOCKETS == set()
+    assert loaded & COLLECTION == set()
     assert loaded & THREAD_POOLS == set()
 
 
@@ -481,6 +529,31 @@ def test_simulate_loads_no_sockets(tmp_path):
     # The seeded draws hash with _blake2, so OpenSSL's hashlib backend stays out.
     assert loaded & {"skylog.netprobe", "socket", "hashlib", "_hashlib"} == set()
     assert loaded & THREAD_POOLS == set()
+
+
+# The root logger main(argv) leaves in a fresh interpreter: exit code, level, formats.
+_ROOT_LOGGER_AFTER_MAIN = """\
+import logging, sys
+import skylog.cli
+rc = skylog.cli.main(sys.argv[1:])
+root = logging.getLogger()
+print(rc, logging.getLevelName(root.level), *(h.formatter._fmt for h in root.handlers), sep="|")
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--env", ENV, "--plan", PLAN, "--duration", "30", "--out", "{out}/sim"],
+    ["collect", "--backend", "replay", "--replay", "{trace}", "--e2e-interval", "0",
+     "--out", "{out}/rp"],
+], ids=["simulate", "collect-replay"])
+def test_log_level_configures_the_root_logger_of_the_commands_that_log(tmp_path, short_flight,
+                                                                       command):
+    trace, _ = short_flight
+    argv = [a.format(trace=trace, out=tmp_path) for a in command]
+    proc = subprocess.run([sys.executable, "-c", _ROOT_LOGGER_AFTER_MAIN, "--log-level", "info",
+                           *argv], capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines()[-1].split("|") == [
+        "0", "INFO", "%(asctime)s %(levelname)s %(name)s: %(message)s"], proc.stderr
 
 
 def test_export_empty_trace_writes_nothing(capsys, tmp_path):
@@ -525,6 +598,26 @@ def test_refused_export_leaves_the_target_as_it_was(capsys, tmp_path, whole_flig
     assert rc == 2
     assert "line 1000" in err
     assert list(out_dir.iterdir()) == [target]  # no temporary file or new directory left
+
+
+@pytest.mark.parametrize("fmt", ["geojson", "csv"])
+def test_export_onto_a_directory_is_refused_before_rendering(capsys, tmp_path, whole_flight,
+                                                             fmt):
+    # Rendering would stop at line 1000; a refused target is named before that.
+    lines = whole_flight.read_text().splitlines(keepends=True)
+    lines[999] = lines[999][:40] + "\n"
+    bad = tmp_path / "bad.trace"
+    bad.write_text("".join(lines))
+    target = tmp_path / "out"
+    target.mkdir()
+    rc, stdout, err = run_cli(capsys, "export", "--ran", str(bad), "--format", fmt,
+                              "--out", str(target))
+    assert rc == 2
+    assert "Is a directory" in err and str(target) in err
+    assert "line 1000" not in err
+    assert stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.trace", "out"]
+    assert list(target.iterdir()) == []
 
 
 def test_analyze_report_does_not_depend_on_the_ingest_path(capsys, tmp_path, monkeypatch,

@@ -331,6 +331,12 @@ def test_config_bounds():
             CollectorConfig(output_dir="x", e2e_interval_s=bad)
     for good in (0.0, 0.001):
         assert CollectorConfig(output_dir="x", e2e_interval_s=good).e2e_interval_s == good
+    # The run id names files inside output_dir: no separator may lead out of it.
+    for bad in ("../evil", "a/b", "/abs", "a\\b", "a\0b"):
+        with pytest.raises(ValueError, match="run_id"):
+            CollectorConfig(output_dir="x", run_id=bad)
+    for good in ("flight-7", "..", ".hidden"):
+        assert CollectorConfig(output_dir="x", run_id=good).run_id == good
 
 
 def test_unwritable_output_is_fatal(tmp_path):
