@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import analysis
-from .geoexport import _create, export_csv, export_geojson, write_csv
+from .geoexport import _create, _file_targets, export_csv, export_geojson, write_csv
 from .records import (
     METRIC_FIELDS,
     EndToEndRecord,
@@ -317,6 +317,7 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     if args.grid is not None and not args.by_voxel:
         raise UsageError("--grid needs --by-voxel")
+    [report_path] = _file_targets(args.report)  # refused before any input is read
     survey = analysis.Survey(chain.from_iterable(map(iter_rows, args.ran)), args.alt_bin,
                              (args.grid or analysis.DEFAULT_GRID_M) if args.by_voxel else None)
     e2e = [rec for p in args.e2e for rec in read_e2e_trace(p)]
@@ -344,7 +345,6 @@ def cmd_analyze(args) -> int:
 
     # Every reduction has run, so a refused input leaves no directory behind;
     # no file replaces its path until all of them are written.
-    report_path = Path(args.report)
     table_paths = [report_path.with_name(f"{report_path.stem}-{suffix}.csv")
                    for suffix, _, _ in tables]
     with _create(*table_paths, report_path) as [*table_outs, out]:
@@ -360,6 +360,7 @@ def cmd_analyze(args) -> int:
 def cmd_export(args) -> int:
     if args.format == "csv" and args.metric:
         raise UsageError("--metric applies to geojson export only")
+    _file_targets(args.out)  # refused before any input is read
     rows = iter_rows(args.ran)
     source = analysis.Survey(rows, grid=args.grid).voxel_grid() if args.grid is not None else rows
     if args.format == "geojson":

@@ -101,18 +101,25 @@ def _nonempty(source: Source) -> Source:
     raise EmptyInput("no records to export")
 
 
-@contextlib.contextmanager
-def _create(*paths) -> Iterator[list[TextIO]]:
-    """Open one temporary file per path; once every one is written and
-    closed, make each path's directory and move its file over it.  On any
-    error every temporary file is removed and no path changes; a path that
-    is a directory, which no file can replace, is refused before any file
-    is opened.  A file sits beside its path, or in the nearest existing
-    ancestor, so a failed write makes no directory."""
+def _file_targets(*paths) -> list[Path]:
+    """paths as Paths, each one a file may be written to: a path that is a
+    directory, which no file can replace, raises IsADirectoryError."""
     paths = [Path(p) for p in paths]
     for path in paths:
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    return paths
+
+
+@contextlib.contextmanager
+def _create(*paths) -> Iterator[list[TextIO]]:
+    """Open one temporary file per path; once every one is written and
+    closed, make each path's directory and move its file over it.  On any
+    error every temporary file is removed and no path changes; the paths
+    pass _file_targets before any file is opened.  A file sits beside its
+    path, or in the nearest existing ancestor, so a failed write makes no
+    directory."""
+    paths = _file_targets(*paths)
     tmps = [next(d for d in p.parents if d.is_dir()) / f".{p.name}.tmp" for p in paths]
     try:
         with contextlib.ExitStack() as stack:

@@ -5,6 +5,9 @@ ICMP), throughput a one-test-per-connection byte stream with a line-oriented
 handshake.  The receiver's byte count is authoritative; the sender's active
 duration is the time base.  A token-bucket throttle exists on the send side
 purely to create testable ground truth.
+
+Client and server share one control-line reader, one test-size rule and one
+sender.  The server runs on stdlib socketserver, one thread per session.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import json
 import logging
 import math
 import os
-import select
 import socket
+import socketserver
 import struct
 import threading
 import time
@@ -64,13 +67,23 @@ class ProbeConfig:
             raise ValueError("rtt counts and intervals must be positive")
         if self.rtt_timeout_ms < self.rtt_interval_ms:
             raise ValueError("rtt_timeout_ms must be >= rtt_interval_ms")
-        if not 0 < self.tp_duration_s < math.inf:  # also refuses NaN
-            raise ValueError("throughput duration must be finite and positive")
-        if self.tp_block_bytes <= 0:
-            raise ValueError("throughput block size must be positive")
-        if self.tp_block_bytes > MAX_BLOCK_BYTES:
-            raise ValueError(f"tp_block_bytes above {MAX_BLOCK_BYTES}")
+        error = _test_error(self.tp_duration_s, self.tp_block_bytes)
+        if error is not None:
+            raise ValueError(error)
         _check_throttle("ul_throttle_mbps", self.ul_throttle_mbps)
+
+
+def _test_error(duration_s, block_bytes) -> Optional[str]:
+    """Why a throughput test's duration or block size is refused, or None.
+    The client checks its config and the server a test header by this rule."""
+    if (not isinstance(duration_s, (int, float)) or isinstance(duration_s, bool)
+            or not 0 < duration_s < math.inf):  # also refuses NaN
+        return "duration_s must be finite and positive"
+    if not isinstance(block_bytes, int) or isinstance(block_bytes, bool) or block_bytes <= 0:
+        return "block_bytes must be a positive integer"
+    if block_bytes > MAX_BLOCK_BYTES:
+        return f"block_bytes above {MAX_BLOCK_BYTES}"
+    return None
 
 
 def _check_throttle(name: str, rate_mbps: Optional[float]) -> None:
@@ -119,56 +132,47 @@ def rtt_probe(cfg: ProbeConfig) -> RttSummary:
     """
     session = int.from_bytes(os.urandom(4), "big")
     server = (cfg.server_host, cfg.rtt_port)
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.setblocking(False)
     interval_ns = cfg.rtt_interval_ms * 1_000_000
     timeout_ns = cfg.rtt_timeout_ms * 1_000_000
     send_ns: dict[int, int] = {}
     rtt_ms: dict[int, float] = {}
-    try:
-        t0 = time.perf_counter_ns()
-        next_seq = 0
-        while True:
-            now = time.perf_counter_ns()
-            while next_seq < cfg.rtt_count and now >= t0 + next_seq * interval_ns:
-                payload = pack_echo(session, next_seq, now // 1000)
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+
+        def read_replies(deadline_ns: int, until_answered: bool) -> None:
+            """Time the replies that arrive before deadline_ns; with
+            until_answered, return as soon as every probe sent has its reply."""
+            while not (until_answered and len(rtt_ms) == len(send_ns)):
+                left_ns = deadline_ns - time.perf_counter_ns()
+                if left_ns <= 0:
+                    return
+                sock.settimeout(left_ns / 1e9)
                 try:
-                    sock.sendto(payload, server)
-                    send_ns[next_seq] = time.perf_counter_ns()
+                    data = sock.recv(2048)
+                except TimeoutError:
+                    return
                 except OSError:
-                    pass  # unreachable network: the probe is simply lost
-                next_seq += 1
-                now = time.perf_counter_ns()
-            deadlines = []
-            if next_seq < cfg.rtt_count:
-                deadlines.append(t0 + next_seq * interval_ns)
-            elif send_ns:
-                last_deadline = max(send_ns.values()) + timeout_ns
-                if now >= last_deadline or len(rtt_ms) == len(send_ns):
-                    break
-                deadlines.append(last_deadline)
-            else:
-                break  # nothing ever sent
-            wait_s = max(0.0, (min(deadlines) - now) / 1e9)
-            readable, _, _ = select.select([sock], [], [], wait_s)
-            if not readable:
-                continue
+                    continue
+                recv_ns = time.perf_counter_ns()
+                parsed = unpack_echo(data)
+                if parsed is None:
+                    continue
+                got_session, seq, _send_us = parsed
+                if got_session != session or seq not in send_ns or seq in rtt_ms:
+                    continue  # foreign traffic or duplicate echo
+                elapsed_ms = (recv_ns - send_ns[seq]) / 1e6
+                if elapsed_ms <= cfg.rtt_timeout_ms:
+                    rtt_ms[seq] = elapsed_ms
+
+        t0 = time.perf_counter_ns()
+        for seq in range(cfg.rtt_count):
+            # The schedule runs from t0: a sender past it reads nothing and catches up.
+            read_replies(t0 + seq * interval_ns, until_answered=False)
             try:
-                data, _addr = sock.recvfrom(2048)
+                sock.sendto(pack_echo(session, seq, time.perf_counter_ns() // 1000), server)
+                send_ns[seq] = time.perf_counter_ns()
             except OSError:
-                continue
-            recv_ns = time.perf_counter_ns()
-            parsed = unpack_echo(data)
-            if parsed is None:
-                continue
-            got_session, seq, _send_us = parsed
-            if got_session != session or seq not in send_ns or seq in rtt_ms:
-                continue  # foreign traffic or duplicate echo
-            elapsed_ms = (recv_ns - send_ns[seq]) / 1e6
-            if elapsed_ms <= cfg.rtt_timeout_ms:
-                rtt_ms[seq] = elapsed_ms
-    finally:
-        sock.close()
+                pass  # unreachable network: the probe is simply lost
+        read_replies(max(send_ns.values(), default=0) + timeout_ns, until_answered=True)
 
     sent = cfg.rtt_count
     values = sorted(rtt_ms.values())
@@ -188,18 +192,25 @@ def rtt_probe(cfg: ProbeConfig) -> RttSummary:
 def _read_line(reader) -> bytes:
     line = reader.readline(MAX_CONTROL_LINE)
     if not line.endswith(b"\n"):
-        raise HandshakeError("connection closed before a complete control line")
+        raise HandshakeError("no complete control line: the stream ended or the line "
+                             f"passed {MAX_CONTROL_LINE} bytes")
     return line
+
+
+def _json_object(line: bytes) -> dict:
+    """The JSON object a control line holds, header or result."""
+    try:
+        doc = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits or levels
+        raise HandshakeError(f"malformed control line: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise HandshakeError("malformed control line: not an object")
+    return doc
 
 
 def _parse_result_line(line: bytes) -> tuple[int, float]:
     """The server's (bytes, duration_s) from its result line."""
-    try:
-        doc = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise HandshakeError(f"malformed control line: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise HandshakeError("malformed control line: not an object")
+    doc = _json_object(line)
     if "error" in doc:
         raise HandshakeError(f"server rejected test: {doc['error']}")
     nbytes, duration = doc.get("bytes"), doc.get("duration_s")
@@ -209,6 +220,27 @@ def _parse_result_line(line: bytes) -> tuple[int, float]:
             or not math.isfinite(duration)):
         raise HandshakeError(f"malformed result line: duration_s {duration!r}")
     return nbytes, duration
+
+
+def _send_for(sock: socket.socket, block_bytes: int, duration_s: float,
+              rate_mbps: Optional[float]) -> tuple[int, float]:
+    """Send zero blocks for duration_s, paced to rate_mbps when one is given:
+    an upload's client and a download's server.  Returns (bytes sent, active
+    seconds); a send that fails raises PartialTransferError with the bytes
+    sent before it."""
+    block = b"\x00" * block_bytes
+    bucket = TokenBucket(rate_mbps) if rate_mbps else None
+    sent = 0
+    start = time.perf_counter()
+    try:
+        while time.perf_counter() - start < duration_s:
+            if bucket is not None:
+                bucket.pace(block_bytes)
+            sock.sendall(block)
+            sent += block_bytes
+    except OSError as exc:
+        raise PartialTransferError(f"send broke: {exc}", bytes_so_far=sent) from exc
+    return sent, time.perf_counter() - start
 
 
 def throughput_test(cfg: ProbeConfig, direction: str) -> float:
@@ -224,34 +256,18 @@ def throughput_test(cfg: ProbeConfig, direction: str) -> float:
     try:
         sock.settimeout(max(30.0, cfg.tp_duration_s * 4))
         sock.sendall(header.encode("utf-8"))
-        if direction == "UL":
-            return _run_upload(cfg, sock)
-        return _run_download(cfg, sock)
+        if direction == "DL":
+            return _run_download(cfg, sock)
+        sent, active_s = _send_for(sock, cfg.tp_block_bytes, cfg.tp_duration_s,
+                                   cfg.ul_throttle_mbps)
+        sock.shutdown(socket.SHUT_WR)
+        server_bytes, _ = _parse_result_line(_read_line(sock.makefile("rb")))
+        if server_bytes != sent:
+            raise PartialTransferError(
+                f"server counted {server_bytes} of {sent} bytes", bytes_so_far=server_bytes)
+        return server_bytes * 8 / active_s / 1e6
     finally:
         sock.close()
-
-
-def _run_upload(cfg: ProbeConfig, sock: socket.socket) -> float:
-    block = b"\x00" * cfg.tp_block_bytes
-    bucket = TokenBucket(cfg.ul_throttle_mbps) if cfg.ul_throttle_mbps else None
-    sent = 0
-    start = time.perf_counter()
-    try:
-        while time.perf_counter() - start < cfg.tp_duration_s:
-            if bucket is not None:
-                bucket.pace(len(block))
-            sock.sendall(block)
-            sent += len(block)
-    except OSError as exc:
-        raise PartialTransferError(f"upload broke: {exc}", bytes_so_far=sent) from exc
-    active_s = time.perf_counter() - start
-    sock.shutdown(socket.SHUT_WR)
-    reader = sock.makefile("rb")
-    server_bytes, _ = _parse_result_line(_read_line(reader))
-    if server_bytes != sent:
-        raise PartialTransferError(
-            f"server counted {server_bytes} of {sent} bytes", bytes_so_far=server_bytes)
-    return server_bytes * 8 / active_s / 1e6
 
 
 def _run_download(cfg: ProbeConfig, sock: socket.socket) -> float:
@@ -285,6 +301,66 @@ def _run_download(cfg: ProbeConfig, sock: socket.socket) -> float:
     return payload_bytes * 8 / sender_duration / 1e6
 
 
+_POLL_S = 0.1  # how often a server looks for stop(), which waits this long for each
+
+
+class _EchoHandler(socketserver.BaseRequestHandler):
+    """Returns a well-formed echo datagram to its sender; drops any other."""
+
+    def handle(self) -> None:
+        data, sock = self.request
+        if unpack_echo(data) is not None:
+            try:
+                sock.sendto(data, self.client_address)
+            except OSError:
+                pass
+
+
+class _ThroughputServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
+    request_queue_size = 16
+
+
+class _ThroughputHandler(socketserver.StreamRequestHandler):
+    """One test per connection: the client's header line, then the payload
+    in the header's direction, then the receiver's result line.  A refused
+    header is answered with an error line instead."""
+
+    timeout = 60.0
+
+    def handle(self) -> None:
+        try:
+            try:
+                header = _json_object(_read_line(self.rfile))
+                error = ("dir must be UL or DL" if header.get("dir") not in ("UL", "DL")
+                         else _test_error(header.get("duration_s"), header.get("block_bytes")))
+            except HandshakeError as exc:
+                error = str(exc)
+            if error is not None:
+                result = {"error": error}
+            elif header["dir"] == "UL":
+                result = self._receive()
+            else:
+                sent, active_s = _send_for(self.connection, header["block_bytes"],
+                                           header["duration_s"], self.server.dl_throttle_mbps)
+                result = {"bytes": sent, "duration_s": active_s}
+            self.wfile.write((json.dumps(result) + "\n").encode("utf-8"))
+        except (PartialTransferError, OSError) as exc:
+            log.warning("throughput session aborted: %s", exc)
+
+    def _receive(self) -> dict:
+        """An upload's byte count, and the seconds from its first byte to
+        the client's end of the stream."""
+        total, started = 0, None
+        while chunk := self.rfile.read(65536):
+            if started is None:
+                started = time.perf_counter()
+            total += len(chunk)
+        return {"bytes": total,
+                "duration_s": 0.0 if started is None else time.perf_counter() - started}
+
+
 class MeasurementServer:
     """Datagram echo plus one-test-per-connection throughput responder.
 
@@ -298,36 +374,35 @@ class MeasurementServer:
         self.bind_addr = bind_addr
         self.dl_throttle_mbps = dl_throttle_mbps
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-        self._echo_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self._serving: list[tuple[socketserver.BaseServer, threading.Thread]] = []
+        # A server whose bind fails closes its own socket; the other is closed here.
+        self._echo = socketserver.UDPServer((bind_addr, rtt_port), _EchoHandler)
         try:
-            self._echo_sock.bind((bind_addr, rtt_port))
-            self._tp_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._tp_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._tp_sock.bind((bind_addr, tp_port))
-            self._tp_sock.listen(16)
-        except OSError:
-            self._echo_sock.close()
+            self._tp = _ThroughputServer((bind_addr, tp_port), _ThroughputHandler)
+        except BaseException:
+            self._echo.server_close()
             raise
-        # finite accept/recv timeouts so stop() can interrupt the loops
-        self._echo_sock.settimeout(0.2)
-        self._tp_sock.settimeout(0.2)
-        self.rtt_port = self._echo_sock.getsockname()[1]
-        self.tp_port = self._tp_sock.getsockname()[1]
+        self._tp.dl_throttle_mbps = dl_throttle_mbps
+        self.rtt_port = self._echo.server_address[1]
+        self.tp_port = self._tp.server_address[1]
 
     def start(self) -> None:
-        for target, name in ((self._echo_loop, "skylog-echo"),
-                             (self._accept_loop, "skylog-tp")):
-            t = threading.Thread(target=target, name=name, daemon=True)
-            t.start()
-            self._threads.append(t)
+        for server, name in ((self._echo, "skylog-echo"), (self._tp, "skylog-tp")):
+            thread = threading.Thread(target=server.serve_forever, args=(_POLL_S,),
+                                      name=name, daemon=True)
+            thread.start()
+            self._serving.append((server, thread))
 
     def stop(self) -> None:
         self._stop.set()
-        self._echo_sock.close()
-        self._tp_sock.close()
-        for t in self._threads:
-            t.join(timeout=2.0)
+        # shutdown() waits for serve_forever to return, forever on a server
+        # never started: shut each started one down once.
+        while self._serving:
+            server, thread = self._serving.pop()
+            server.shutdown()
+            thread.join()
+        self._echo.server_close()
+        self._tp.server_close()
 
     def wait(self, stop_event: Optional[threading.Event] = None) -> None:
         """Block until the given event (or KeyboardInterrupt) stops the server.
@@ -342,113 +417,6 @@ class MeasurementServer:
         except KeyboardInterrupt:
             pass
         self.stop()
-
-    # --- echo ---
-
-    def _echo_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                data, addr = self._echo_sock.recvfrom(2048)
-            except TimeoutError:
-                continue  # periodic stop check
-            except OSError:
-                return  # socket closed on stop
-            if unpack_echo(data) is None:
-                continue  # magic/shape check failed: drop silently
-            try:
-                self._echo_sock.sendto(data, addr)
-            except OSError:
-                continue
-
-    # --- throughput ---
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._tp_sock.accept()
-            except TimeoutError:
-                continue  # periodic stop check
-            except OSError:
-                return
-            conn.settimeout(None)  # sessions block; the listener timeout must not leak
-            t = threading.Thread(target=self._serve_one, args=(conn,),
-                                 name="skylog-tp-session", daemon=True)
-            t.start()
-
-    def _serve_one(self, conn: socket.socket) -> None:
-        try:
-            conn.settimeout(60.0)
-            reader = conn.makefile("rb")
-            line = reader.readline(MAX_CONTROL_LINE)
-            error = None
-            header = None
-            if not line.endswith(b"\n"):
-                error = "incomplete header"
-            else:
-                try:
-                    header = json.loads(line.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    error = "header is not valid JSON"
-            if error is None:
-                error = self._check_header(header)
-            if error is not None:
-                conn.sendall((json.dumps({"error": error}) + "\n").encode("utf-8"))
-                return
-            if header["dir"] == "UL":
-                self._serve_upload(conn, reader)
-            else:
-                self._serve_download(conn, header)
-        except OSError as exc:
-            log.warning("throughput session aborted: %s", exc)
-        finally:
-            conn.close()
-
-    @staticmethod
-    def _check_header(header) -> Optional[str]:
-        if not isinstance(header, dict):
-            return "header must be an object"
-        direction = header.get("dir")
-        if direction not in ("UL", "DL"):
-            return "dir must be UL or DL"
-        duration = header.get("duration_s")
-        if (not isinstance(duration, (int, float)) or isinstance(duration, bool)
-                or not 0 < duration < math.inf):
-            return "duration_s must be finite and positive"
-        block = header.get("block_bytes")
-        if not isinstance(block, int) or isinstance(block, bool) or block <= 0:
-            return "block_bytes must be a positive integer"
-        if block > MAX_BLOCK_BYTES:
-            return f"block_bytes above {MAX_BLOCK_BYTES}"
-        return None
-
-    def _serve_upload(self, conn: socket.socket, reader) -> None:
-        total = 0
-        started = None
-        while True:
-            chunk = reader.read(65536)
-            if not chunk:
-                break
-            if started is None:
-                started = time.perf_counter()
-            total += len(chunk)
-        elapsed = 0.0 if started is None else time.perf_counter() - started
-        result = json.dumps({"bytes": total, "duration_s": elapsed}) + "\n"
-        conn.sendall(result.encode("utf-8"))
-
-    def _serve_download(self, conn: socket.socket, header: dict) -> None:
-        block = b"\x00" * int(header["block_bytes"])
-        duration = float(header["duration_s"])
-        bucket = TokenBucket(self.dl_throttle_mbps) if self.dl_throttle_mbps else None
-        sent = 0
-        start = time.perf_counter()
-        while time.perf_counter() - start < duration:
-            if bucket is not None:
-                bucket.pace(len(block))
-            conn.sendall(block)
-            sent += len(block)
-        active_s = time.perf_counter() - start
-        result = json.dumps({"bytes": sent, "duration_s": active_s}) + "\n"
-        conn.sendall(result.encode("utf-8"))
 
 
 class ProbeE2eEngine:

@@ -42,9 +42,16 @@ from typing import Optional
 from .geo import EARTH_RADIUS_M, tangent_forward
 from .modem import ModemReport
 from .records import (
-    DB_FIELD_RANGES,
     MAX_NEIGHBORS,
     SERVING_FIELDS,
+    _RSRP_HI,
+    _RSRP_LO,
+    _RSRQ_HI,
+    _RSRQ_LO,
+    _RSSI_HI,
+    _RSSI_LO,
+    _SINR_HI,
+    _SINR_LO,
     GeoPosition,
     NeighborCellSample,
     RttSummary,
@@ -251,10 +258,6 @@ def _linear_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-_RSRP_LO, _RSRP_HI = DB_FIELD_RANGES["rsrp_dbm"]
-_RSRQ_LO, _RSRQ_HI = DB_FIELD_RANGES["rsrq_db"]
-_RSSI_LO, _RSSI_HI = DB_FIELD_RANGES["rssi_dbm"]
-_SINR_LO, _SINR_HI = DB_FIELD_RANGES["sinr_db"]
 _SINR = SERVING_FIELDS.index("sinr_db")
 
 

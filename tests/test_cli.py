@@ -620,6 +620,31 @@ def test_export_onto_a_directory_is_refused_before_rendering(capsys, tmp_path, w
     assert list(target.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ["export", "--format", "csv", "--grid", "25,10", "--out"],
+    ["export", "--format", "geojson", "--grid", "25,10", "--out"],
+    ["analyze", "--report"],
+    ["analyze", "--by-voxel", "--report"],
+], ids=["export-grid-csv", "export-grid-geojson", "analyze", "analyze-by-voxel"])
+def test_a_directory_target_is_refused_before_any_input_is_read(capsys, tmp_path, short_flight,
+                                                                command):
+    # Reading the input would stop at line 50; a refused target is named before that.
+    trace, _ = short_flight
+    lines = trace.read_text().splitlines(keepends=True)
+    lines[49] = lines[49][:28] + "\n"
+    bad = tmp_path / "bad.trace"
+    bad.write_text("".join(lines))
+    target = tmp_path / "d"
+    target.mkdir()
+    rc, stdout, err = run_cli(capsys, command[0], "--ran", str(bad), *command[1:], str(target))
+    assert rc == 2
+    assert "Is a directory" in err and str(target) in err
+    assert "line 50" not in err
+    assert stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.trace", "d"]
+    assert list(target.iterdir()) == []
+
+
 def test_analyze_report_does_not_depend_on_the_ingest_path(capsys, tmp_path, monkeypatch,
                                                            whole_flight):
     """A line with a leading space skips the one-pass check and takes

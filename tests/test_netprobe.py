@@ -1,11 +1,14 @@
 """Loopback echo/throughput behaviour, throttle oracle, failure modes."""
 
+import gc
 import json
+import logging
 import math
 import socket
 import threading
 import time
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -190,6 +193,99 @@ def test_bad_direction_rejected_at_handshake(server):
     doc = json.loads(sock.makefile("rb").readline())
     assert "error" in doc
     sock.close()
+
+
+@pytest.mark.parametrize("duration,block", [
+    (0, 1024), (-1.0, 1024), (math.nan, 1024), (math.inf, 1024), (True, 1024), ("1", 1024),
+    (1.0, 0), (1.0, -1), (1.0, 1.5), (1.0, False), (1.0, netprobe.MAX_BLOCK_BYTES + 1),
+], ids=["duration-zero", "duration-negative", "duration-nan", "duration-inf", "duration-bool",
+        "duration-str", "block-zero", "block-negative", "block-float", "block-bool",
+        "block-over-max"])
+def test_client_and_server_refuse_a_test_by_one_rule(server, duration, block):
+    with pytest.raises(ValueError) as refused:
+        ProbeConfig(tp_duration_s=duration, tp_block_bytes=block)
+    with socket.create_connection(("127.0.0.1", server.tp_port), timeout=5.0) as sock:
+        header = {"dir": "DL", "duration_s": duration, "block_bytes": block}
+        sock.sendall(json.dumps(header).encode() + b"\n")
+        reply = json.loads(sock.makefile("rb").readline(65536))
+    assert reply == {"error": str(refused.value)}
+
+
+@pytest.mark.parametrize("line,error", [
+    (b"[1]\n", "malformed control line: not an object"),
+    (b"{\"dir\"\n", "malformed control line: "),
+    (b"\xff\n", "malformed control line: "),
+    (b"[" * 60000 + b"\n", "malformed control line: "),
+    (b'{"dir":"DL","duration_s":' + b"1" * 5000 + b',"block_bytes":1024}\n',
+     "malformed control line: "),
+    (b'{"dir":"DL","duration_s":1', "no complete control line: "),
+    (b"{" + b" " * 70000, "no complete control line: "),
+], ids=["not-object", "bad-json", "bad-utf8", "deep-nesting", "too-many-digits", "cut",
+        "over-long"])
+def test_server_answers_a_bad_header_with_the_clients_error_text(server, line, error):
+    with socket.create_connection(("127.0.0.1", server.tp_port), timeout=5.0) as sock:
+        sock.sendall(line)
+        sock.shutdown(socket.SHUT_WR)
+        reply = json.loads(sock.makefile("rb").readline(65536))
+    assert reply["error"].startswith(error)
+
+
+def test_busy_port_is_refused_with_no_socket_left_open():
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen(1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(OSError):
+                MeasurementServer("127.0.0.1", 0, busy.getsockname()[1])
+            gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+def test_stop_returns_promptly_unstarted_and_twice():
+    for start in (False, True):
+        srv = MeasurementServer("127.0.0.1", 0, 0)
+        if start:
+            srv.start()
+        began = time.perf_counter()
+        srv.stop()
+        srv.stop()
+        assert time.perf_counter() - began < 1.0
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("skylog-")]
+
+
+def test_dropped_download_session_is_logged_and_the_next_test_runs(server, caplog):
+    caplog.set_level(logging.WARNING, logger="skylog.netprobe")
+    with socket.create_connection(("127.0.0.1", server.tp_port), timeout=5.0) as sock:
+        sock.sendall(b'{"dir":"DL","duration_s":5.0,"block_bytes":65536}\n')
+        assert sock.recv(65536)  # mid-stream; unread bytes make the close a reset
+    deadline = time.monotonic() + 5.0
+    while not caplog.records and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert [r.getMessage().startswith("throughput session aborted: ")
+            for r in caplog.records] == [True]
+    assert throughput_test(loopback_cfg(server, tp_duration_s=0.2), "DL") > 0
+
+
+def test_upload_to_a_peer_that_closes_is_partial_transfer():
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def read_header_and_close():
+            conn, _ = listener.accept()
+            with conn:
+                conn.makefile("rb").readline()
+
+        t = threading.Thread(target=read_header_and_close, daemon=True)
+        t.start()
+        cfg = ProbeConfig(server_host="127.0.0.1", rtt_port=1,
+                          tp_port=listener.getsockname()[1], tp_duration_s=5.0)
+        with pytest.raises(PartialTransferError) as exc_info:
+            throughput_test(cfg, "UL")
+        t.join(timeout=5.0)
+    assert not t.is_alive()
+    assert exc_info.value.bytes_so_far > 0
 
 
 def test_client_raises_handshake_error_on_rejection(server):
