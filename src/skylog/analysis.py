@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .geo import EARTH_RADIUS_M, tangent_inverse
 from .records import (METRIC_FIELDS, NEIGHBOR_FIELDS, ROW_FIELDS, EndToEndRecord, MeasurementRecord,
@@ -87,9 +86,9 @@ _RSRQ = _SERVING.index("rsrq")
 _CELL, _AGL, _AMSL, _VOXEL = range(4)
 
 
-@dataclass(frozen=True)
-class BinStats:
-    """Summary of one group of samples; std is absent below two samples."""
+class BinStats(NamedTuple):
+    """Summary of one group of samples; std is absent below two samples.
+    The count field hides tuple.count."""
 
     count: int
     mean: float
@@ -98,8 +97,7 @@ class BinStats:
     max: float
 
     def to_doc(self) -> dict:
-        return {"count": self.count, "mean": self.mean, "std": self.std,
-                "min": self.min, "max": self.max}
+        return self._asdict()
 
 
 def _bin_stats(tally: dict[float, int]) -> BinStats:
@@ -250,8 +248,7 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
     return cov / math.sqrt(vx * vy)
 
 
-@dataclass(frozen=True)
-class VoxelGrid:
+class VoxelGrid(NamedTuple):
     """Per-voxel serving-metric stats on a local east/north/up grid.
 
     Horizontal indices count ground_m squares east/north of the anchor (the
@@ -283,8 +280,7 @@ def grid_aggregate(records: Iterable[MeasurementRecord],
     return Survey(map(_row_of, records), grid=(ground_m, alt_m)).voxel_grid()
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """Threshold coverage fractions plus per-cell and neighbor breakdowns.
 
     Fields derived from an absent input side are None (RAN-side ones when no

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import sys
@@ -217,7 +216,7 @@ def _simulated_run(args, env_path: str) -> tuple:
                          load_flight_plan)
     env = load_environment(env_path)
     if args.seed is not None:
-        env = dataclasses.replace(env, seed=args.seed)
+        env = env._replace(seed=args.seed)
     position_at = partial(flight_position, load_flight_plan(args.plan))
     cfg = _collector_config(args)
     return (cfg, SimModemBackend(env), position_at,
@@ -336,7 +335,7 @@ def cmd_analyze(args) -> int:
                                          for lower, s in bins.items()]
             tables.append((f"alt-{metric}",
                            ["alt_lower_m", "count", "mean", "std", "min", "max"],
-                           [(lower, *dataclasses.astuple(s[metric]))
+                           [(lower, *s[metric])
                             for lower, s in bins.items()]))
     rtt_medians = [r.rtt.p50_ms for r in e2e if r.rtt.p50_ms is not None]
     if rtt_medians:

@@ -47,7 +47,6 @@ from .records import (
     MeasurementRecord,
     RecordRefused,
     RttSummary,
-    _position_row,
     accepted_line,
     encode_e2e,
     validate_e2e,
@@ -101,6 +100,9 @@ class E2eEngine(Protocol):
         ...
 
 
+# The config and summary stay dataclasses, which only the collecting commands
+# import: __post_init__ checks a config, and a summary is mutable and reported
+# through asdict.
 @dataclass
 class CollectorConfig:
     output_dir: str
@@ -353,7 +355,7 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
                     log.warning("poll %d failed: %s", n_ran, exc)
                 else:
                     try:
-                        line = accepted_line((next_ran, *_position_row(pos), *cells, source))
+                        line = accepted_line((next_ran, *pos, *cells, source))
                     except RecordRefused as exc:
                         polls_failed += 1
                         log.warning("poll %d dropped: invalid record: %s", n_ran, exc)

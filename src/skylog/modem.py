@@ -24,8 +24,7 @@ neither builds a report or record object.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional, Protocol, Union, runtime_checkable
+from typing import NamedTuple, Optional, Protocol, Union, runtime_checkable
 
 from .records import (
     _POSITION_ROW,
@@ -73,8 +72,7 @@ class ReplayExhausted(Exception):
     """Replay backend has yielded every record in its file."""
 
 
-@dataclass(frozen=True)
-class ModemReport:
+class ModemReport(NamedTuple):
     """One poll result: serving cell plus neighbor list, not yet geo-tagged."""
 
     serving: ServingCellSample

@@ -50,7 +50,7 @@ class PartialTransferError(RuntimeError):
         super().__init__(f"{message} (after {bytes_so_far} bytes)")
 
 
-@dataclass
+@dataclass  # __post_init__ checks it, as collector.CollectorConfig's does
 class ProbeConfig:
     server_host: str = "127.0.0.1"
     rtt_port: int = 7701

@@ -1,10 +1,15 @@
 """Canonical measurement record types and the line-oriented trace format.
 
-Every other module exchanges data through the types defined here.  Trace
-files are UTF-8, one JSON object per LF-terminated line; a lone CR is not a
-line break, and a CR before the LF is dropped, so CRLF reads as LF.  dB/dBm
-fields are stored with one decimal digit of precision, matching commodity
-modem reporting granularity.
+Every other module exchanges data through the types defined here.  They
+are typing.NamedTuples: immutable, indexable in field order, equal to a
+plain tuple of the same values, and copied with _replace; unlike
+dataclasses they need no import beyond typing, so analyze and export never
+load dataclasses and inspect.  Trace files are UTF-8, one JSON object per
+LF-terminated line; a lone CR is not a line break, and a CR before the LF
+is dropped, so CRLF reads as LF.  Each line is decoded on its own, so a
+byte that is not UTF-8 is refused with its line number.  dB/dBm fields are
+stored with one decimal digit of precision, matching commodity modem
+reporting granularity.
 
 Each per-line boundary has one exact fast path for the plain row and a
 reference path for everything else.  One guard, plain_row, decides for
@@ -39,10 +44,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
-from functools import partial
-from operator import attrgetter, itemgetter
-from typing import Iterator, Optional
+from functools import cache, partial
+from operator import itemgetter
+from typing import Iterator, NamedTuple, Optional
 
 SOURCES = ("sim", "replay", "hw")
 
@@ -79,8 +83,7 @@ class TraceDecodeError(ValueError):
         super().__init__(where + message)
 
 
-@dataclass(frozen=True, slots=True)
-class GeoPosition:
+class GeoPosition(NamedTuple):
     """WGS84 position; altitude above mean sea level, optionally above ground."""
 
     lat_deg: float
@@ -89,8 +92,7 @@ class GeoPosition:
     alt_m_agl: Optional[float] = None
 
 
-@dataclass(frozen=True, slots=True)
-class ServingCellSample:
+class ServingCellSample(NamedTuple):
     earfcn: int
     pci: int
     cell_id: int
@@ -101,8 +103,7 @@ class ServingCellSample:
     sinr_db: float
 
 
-@dataclass(frozen=True, slots=True)
-class NeighborCellSample:
+class NeighborCellSample(NamedTuple):
     earfcn: int
     pci: int
     rsrp_dbm: float
@@ -110,15 +111,14 @@ class NeighborCellSample:
     rssi_dbm: float
 
 
-# The one cell layout: field names in dataclass order, the order of the trace
+# The one cell layout: field names in tuple order, the order of the trace
 # objects, the modem report lines and the CSV columns.  A name in
 # DB_FIELD_RANGES is a one-decimal dB value; any other is an unsigned int.
-SERVING_FIELDS = tuple(f.name for f in fields(ServingCellSample))
-NEIGHBOR_FIELDS = tuple(f.name for f in fields(NeighborCellSample))
+SERVING_FIELDS = ServingCellSample._fields
+NEIGHBOR_FIELDS = NeighborCellSample._fields
 
 
-@dataclass(frozen=True, slots=True)
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
     """One geo-tagged RAN sample: serving cell plus neighbor list."""
 
     ts_unix_ms: int
@@ -128,26 +128,24 @@ class MeasurementRecord:
     source: str = "sim"
 
 
-POSITION_FIELDS = tuple(f.name for f in fields(GeoPosition))
+POSITION_FIELDS = GeoPosition._fields
 # The one row layout of a RAN record: MeasurementRecord's fields, pos and serving
 # spread in place, neighbors a tuple of NEIGHBOR_FIELDS tuples; valid_row spells it out.
 ROW_FIELDS = ("ts_unix_ms", *POSITION_FIELDS, *SERVING_FIELDS, "neighbors", "source")
 _POSITION_ROW = slice(1, 1 + len(POSITION_FIELDS))
 _SERVING_ROW = slice(_POSITION_ROW.stop, _POSITION_ROW.stop + len(SERVING_FIELDS))
-_position_row, _serving_row, _neighbor_row = (
-    attrgetter(*layout) for layout in (POSITION_FIELDS, SERVING_FIELDS, NEIGHBOR_FIELDS))
 
 
 def _cells_of(serving: ServingCellSample, neighbors) -> tuple:
     """A serving cell and its neighbors as the cell part of a ROW_FIELDS row:
-    the serving fields, then the neighbor tuples."""
-    return (*_serving_row(serving), tuple(map(_neighbor_row, neighbors)))
+    the serving fields, then the neighbors as plain tuples."""
+    return (*serving, tuple(map(tuple, neighbors)))
 
 
 def _row_of(rec: MeasurementRecord) -> tuple:
     """rec as a ROW_FIELDS row."""
-    return (rec.ts_unix_ms, *_position_row(rec.pos), *_cells_of(rec.serving, rec.neighbors),
-            rec.source)
+    ts, pos, serving, neighbors, source = rec
+    return (ts, *pos, *_cells_of(serving, neighbors), source)
 
 
 def _record_of(row: tuple) -> MeasurementRecord:
@@ -157,8 +155,7 @@ def _record_of(row: tuple) -> MeasurementRecord:
                              tuple([NeighborCellSample(*n) for n in row[-2]]), row[-1])
 
 
-@dataclass(frozen=True)
-class RttSummary:
+class RttSummary(NamedTuple):
     """Round-trip statistics over one probe burst; stats absent when nothing came back."""
 
     sent: int
@@ -170,8 +167,7 @@ class RttSummary:
     loss_fraction: float = 0.0
 
 
-@dataclass(frozen=True)
-class EndToEndRecord:
+class EndToEndRecord(NamedTuple):
     """One geo-tagged service sample: RTT summary plus bidirectional goodput."""
 
     ts_unix_ms: int
@@ -182,8 +178,7 @@ class EndToEndRecord:
     duration_s: float
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     """Outcome of validate_record: OK, or the first violated invariant."""
 
     field: Optional[str] = None
@@ -415,16 +410,13 @@ def _encode_record_reference(rec: MeasurementRecord) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-_RTT_FIELDS = tuple(f.name for f in fields(RttSummary))
-
-
 def encode_e2e(rec: EndToEndRecord) -> str:
     doc = {
         "ts_unix_ms": rec.ts_unix_ms,
         "lat_deg": rec.pos.lat_deg,
         "lon_deg": rec.pos.lon_deg,
         "alt_m_amsl": rec.pos.alt_m_amsl,
-        "rtt": {name: getattr(rec.rtt, name) for name in _RTT_FIELDS},
+        "rtt": rec.rtt._asdict(),
         "dl_mbps": rec.dl_mbps,
         "ul_mbps": rec.ul_mbps,
         "duration_s": rec.duration_s,
@@ -444,7 +436,7 @@ def _parse_json_line(text: str, line_no: Optional[int]) -> dict:
     return doc
 
 
-_REQUIRED = MISSING  # dataclasses' marker, so a field's default passes straight through
+_REQUIRED = object()  # get_field's marker of an absent key, and of a field without a default
 _NUMBER = (int, float)
 
 
@@ -478,18 +470,32 @@ def get_field(doc: dict, key: str, kind: type, fail, where: str = "", default=_R
     return int(value) if kind is int else value
 
 
-_SCALAR_KINDS = {"float": float, "int": int}  # annotations are strings here
+_SCALAR_KINDS = {"float": float, "int": int}
+
+
+@cache
+def _scalar_table(cls) -> tuple:
+    """(name, kind, default) of each float and int field of the NamedTuple
+    cls, in field order; _REQUIRED where the field has no default.  Under
+    `from __future__ import annotations` NamedTuple keeps each annotation as
+    a typing.ForwardRef of its source text, read here once per class."""
+    table = []
+    for name, annotation in cls.__annotations__.items():
+        kind = _SCALAR_KINDS.get(getattr(annotation, "__forward_arg__", annotation))
+        if kind is not None:
+            table.append((name, kind, cls._field_defaults.get(name, _REQUIRED)))
+    return tuple(table)
 
 
 def scalar_fields(cls, doc: dict, fail, where: str = "") -> dict:
-    """Every float and int field of the dataclass cls, read from doc by name,
-    with the field's own default (a field without one is required).  It reads
-    the trace cells, positions and e2e scalars, and the config files' scalars.
-    _clean_row stays literal: a table walk there cost a third more per
-    record.  RttSummary's decode stays explicit: loss_fraction's default
+    """Every float and int field of the NamedTuple cls, read from doc by
+    name, with the field's own default (a field without one is required).  It
+    reads the trace cells, positions and e2e scalars, and the config files'
+    scalars.  _clean_row stays literal: a table walk there cost a third more
+    per record.  RttSummary's decode stays explicit: loss_fraction's default
     would make a required trace field optional."""
-    return {f.name: get_field(doc, f.name, _SCALAR_KINDS[f.type], fail, where, f.default)
-            for f in fields(cls) if f.type in _SCALAR_KINDS}
+    return {name: get_field(doc, name, kind, fail, where, default)
+            for name, kind, default in _scalar_table(cls)}
 
 
 def position_from_doc(doc: dict, fail, where: str = "", with_agl: bool = True) -> GeoPosition:
@@ -650,13 +656,19 @@ def _ingest_e2e(text: str, line_no: int) -> EndToEndRecord:
 
 def _read_lines(path, ingest, ts_of) -> Iterator:
     """The one trace-reading loop: ingest(text, line_no) each non-empty line and
-    enforce strictly increasing timestamps, ts_of(result), naming the line on failure."""
+    enforce strictly increasing timestamps, ts_of(result), naming the line on failure.
+    Lines are split on LF as bytes and each is decoded as strict UTF-8 on its own,
+    so a bad byte is refused with its line number and its offset in that line."""
     last_ts: Optional[int] = None
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.removesuffix("\n").removesuffix("\r")
-            if not line:
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            raw = raw.removesuffix(b"\n").removesuffix(b"\r")
+            if not raw:
                 continue
+            try:
+                line = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise TraceDecodeError(f"not valid UTF-8: {exc}", line=line_no) from None
             item = ingest(line, line_no)
             ts = ts_of(item)
             if last_ts is not None and ts <= last_ts:
@@ -680,7 +692,7 @@ def read_trace(path) -> list[MeasurementRecord]:
 
 
 def read_e2e_trace(path) -> list[EndToEndRecord]:
-    return list(_read_lines(path, _ingest_e2e, attrgetter("ts_unix_ms")))
+    return list(_read_lines(path, _ingest_e2e, itemgetter(0)))
 
 
 __all__ = [

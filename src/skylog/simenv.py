@@ -35,9 +35,9 @@ import math
 import operator
 import struct
 from _blake2 import blake2b
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .geo import EARTH_RADIUS_M, tangent_forward
 from .modem import ModemReport
@@ -103,8 +103,7 @@ class DistanceTooSmall(ValueError):
     """UAV inside the 1 m near-field reference distance of a station."""
 
 
-@dataclass(frozen=True)
-class BaseStation:
+class BaseStation(NamedTuple):
     site_pos: GeoPosition  # antenna height above ground in alt_m_agl
     eirp_dbm: float
     earfcn: int
@@ -113,8 +112,7 @@ class BaseStation:
     tac: int
 
 
-@dataclass(frozen=True)
-class RadioEnvironment:
+class RadioEnvironment(NamedTuple):
     stations: tuple[BaseStation, ...]
     n_los: float = 2.2
     n_nlos: float = 3.5
@@ -125,13 +123,14 @@ class RadioEnvironment:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class Waypoint:
+class Waypoint(NamedTuple):
     pos: GeoPosition
     speed_mps: float  # speed on the leg leaving this waypoint
     hover_s: float = 0.0
 
 
+# A dataclass, unlike the NamedTuples above: __post_init__ derives leg_s, and
+# dataclasses.replace(plan, waypoints=...) derives it again for the new plan.
 @dataclass(frozen=True)
 class FlightPlan:
     waypoints: tuple[Waypoint, ...]
@@ -155,7 +154,7 @@ def _check_station(st: BaseStation) -> None:
     if agl is None or not (0 < agl < math.inf):
         raise ConfigError(f"station pci={st.pci}: antenna height must be > 0 m AGL")
     # A mast may stand taller than the UAV ceiling that bounds a record's AGL.
-    result = validate_position(replace(st.site_pos, alt_m_agl=None))
+    result = validate_position(st.site_pos._replace(alt_m_agl=None))
     if not result:
         raise ConfigError(f"station pci={st.pci}: site_pos.{result.message}")
 

@@ -7,7 +7,6 @@ path must either render exactly as json.dumps does or leave to its reference
 path.
 """
 
-import dataclasses
 import math
 
 from hypothesis import strategies as st
@@ -61,7 +60,7 @@ _VALUES = {
         st.text())),
 }
 
-_POSITION_FIELDS = tuple(f.name for f in dataclasses.fields(GeoPosition))
+_POSITION_FIELDS = GeoPosition._fields
 
 
 def _kind(name: str) -> str:

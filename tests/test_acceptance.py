@@ -107,7 +107,7 @@ def test_criterion_2_altitude_trend():
     rho_rsrp = []
     rho_sinr = []
     for seed in range(1, 21):
-        env = replace(base_env, seed=seed)
+        env = base_env._replace(seed=seed)
         records = []
         for t in range(horizon):
             pos = flight_position(plan, float(t))

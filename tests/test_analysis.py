@@ -68,6 +68,12 @@ def test_bin_stats_of_a_tally_equal_the_list_formula(samples, rng):
     assert repr(got) == repr(analysis.BinStats(n, mean, std, min(samples), max(samples)))
 
 
+def test_bin_stats_count_is_the_field_not_tuple_count():
+    stats = BinStats(2, 1.0, 0.5, 0.5, 1.5)
+    assert stats.count == 2 and stats == (2, 1.0, 0.5, 0.5, 1.5)
+    assert stats.to_doc() == {"count": 2, "mean": 1.0, "std": 0.5, "min": 0.5, "max": 1.5}
+
+
 # --- ecdf ---
 
 def test_ecdf_basic():
@@ -421,7 +427,7 @@ def test_grid_rejects_bad_sizes():
 
 CELL_PCIS = {11: 101, 22: 102, 33: 103}
 NEIGHBOR_METRICS = {m: f for m, f in METRIC_FIELDS.items()
-                    if f in NeighborCellSample.__dataclass_fields__}
+                    if f in NeighborCellSample._fields}
 
 
 def survey_records(agl_missing_from: int, n: int = 600) -> list:

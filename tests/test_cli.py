@@ -364,6 +364,29 @@ def test_an_integer_beyond_any_float_is_a_named_field_error(capsys, tmp_path, sh
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source, line_no, argv", [
+    ("trace", 50, ["analyze", "--ran", "{bad}", "--report", "{out}/r.json"]),
+    ("trace", 50, ["export", "--format", "geojson", "--ran", "{bad}", "--out", "{out}/p.geojson"]),
+    ("trace", 50, ["collect", "--backend", "replay", "--replay", "{bad}",
+                   "--e2e-interval", "0", "--out", "{out}"]),
+    ("e2e", 2, ["analyze", "--ran", "{trace}", "--e2e", "{bad}", "--report", "{out}/r.json"]),
+], ids=["analyze", "export", "replay", "e2e"])
+def test_a_line_that_is_not_utf8_is_named(capsys, tmp_path, short_flight, source, line_no, argv):
+    """Each line is decoded on its own, so the error names the line and the
+    byte's offset in it, not an offset into a read-ahead chunk."""
+    trace, e2e = short_flight
+    lines = (trace if source == "trace" else e2e).read_bytes().splitlines(keepends=True)[:60]
+    lines[line_no - 1] = lines[line_no - 1][:3] + b"\xff" + lines[line_no - 1][4:]
+    bad = tmp_path / f"bad.{source}"
+    bad.write_bytes(b"".join(lines))
+    out = tmp_path / "out"
+    rc, stdout, err = run_cli(capsys, *(a.format(bad=bad, trace=trace, out=out) for a in argv))
+    assert (rc, stdout) == (2, "")
+    assert f"line {line_no}: not valid UTF-8: " in err
+    assert "can't decode byte 0xff in position 3: " in err
+    assert not out.exists()
+
+
 @pytest.fixture
 def int_digit_limit():
     """The interpreter's default limit on the digits of an int literal, set
@@ -495,6 +518,8 @@ print(rc, *sorted(set(sys.modules) - bare))
 SIMULATOR_AND_SOCKETS = {"skylog.simenv", "skylog.netprobe", "_hashlib", "socket", "statistics"}
 # The collection stage, and logging, which only collect, serve, probe and simulate configure.
 COLLECTION = {"skylog.collector", "skylog.modem", "logging", "signal"}
+# dataclasses and what it imports: inspect, and through it ast, dis and tokenize.
+DATACLASSES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 # Only a run on a clock that waits starts the collector's threads.
 THREAD_POOLS = {"queue", "concurrent.futures"}
 
@@ -520,6 +545,7 @@ def test_analyze_and_export_load_no_simulator_or_sockets(tmp_path, short_flight,
     assert loaded & SIMULATOR_AND_SOCKETS == set()
     assert loaded & COLLECTION == set()
     assert loaded & THREAD_POOLS == set()
+    assert loaded & DATACLASSES == set()
 
 
 def test_simulate_loads_no_sockets(tmp_path):

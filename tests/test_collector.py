@@ -198,7 +198,7 @@ def test_sim_collect_replay_round_trip(tmp_path):
     assert len(replayed) == len(originals) == 90
     for orig, rep in zip(originals, replayed):
         assert rep.source == "replay"
-        assert dataclasses.replace(rep, source="sim") == orig
+        assert rep._replace(source="sim") == orig
 
 
 def test_replay_exhaustion_stops_cleanly(tmp_path):
@@ -232,19 +232,19 @@ def test_position_read_once_per_wake_and_polled_with(tmp_path, monkeypatch):
         reads.append((t_s, flight_position(plan, t_s)))
         return reads[-1][1]
 
-    polled, tagged = [], []
+    polled, rows = [], []
 
     class RecordingBackend(SimModemBackend):
         def poll_cells(self, pos):
             polled.append(pos)
             return super().poll_cells(pos)
 
-    def tag(pos):  # the tick spreads the polled position into its row
-        tagged.append(pos)
-        return position_row(pos)
+    def accept(row):  # the tick spreads the polled position into its row
+        rows.append(row)
+        return accepted_line(row)
 
-    position_row = collector._position_row
-    monkeypatch.setattr(collector, "_position_row", tag)
+    accepted_line = collector.accepted_line
+    monkeypatch.setattr(collector, "accepted_line", accept)
     cfg = CollectorConfig(output_dir=str(tmp_path), duration_s=30.0, e2e_interval_s=1.5)
     summary = run_collection(cfg, SimClock(), RecordingBackend(canonical_env()), position_at,
                              SimE2eEngine(canonical_env()))
@@ -254,8 +254,8 @@ def test_position_read_once_per_wake_and_polled_with(tmp_path, monkeypatch):
     assert summary.records_written == 30 and summary.e2e_tests_run == 20
     read_at = dict(reads)
     assert all(pos is read_at[float(k)] for k, pos in enumerate(polled))
-    assert len(tagged) == len(polled) == 30
-    assert all(t is p for t, p in zip(tagged, polled))
+    assert len(rows) == len(polled) == 30
+    assert all(row[records._POSITION_ROW] == p for row, p in zip(rows, polled))
 
 
 def test_e2e_only_wakes_read_their_own_time(tmp_path):
@@ -386,12 +386,12 @@ def test_replay_with_e2e_keeps_each_line_position(tmp_path):
     replayed = read_all_ran(summary_b)
     assert len(replayed) == len(originals) == 300
     for orig, rep in zip(originals, replayed):
-        assert dataclasses.replace(rep, source="sim") == orig
+        assert rep._replace(source="sim") == orig
     pos_at = {rec.ts_unix_ms: rec.pos for rec in replayed}
     e2e = read_e2e_trace([p for p in summary_b.files if p.endswith(".e2e")][0])
     assert len(e2e) == summary_b.e2e_tests_run == 5
     for rec in e2e:  # e2e lines store no height above ground
-        assert rec.pos == dataclasses.replace(pos_at[rec.ts_unix_ms], alt_m_agl=None)
+        assert rec.pos == pos_at[rec.ts_unix_ms]._replace(alt_m_agl=None)
 
 
 class FaultyE2eEngine(SimE2eEngine):
@@ -598,7 +598,7 @@ def test_a_clean_replay_run_builds_no_record_objects(tmp_path, monkeypatch):
 # --- the writer thread: every item handed to it is written, in order ---
 
 def _rows(n, start_ms=SIM_EPOCH_MS):
-    return [records._row_of(dataclasses.replace(make_record(), ts_unix_ms=start_ms + 1000 * k))
+    return [records._row_of(make_record()._replace(ts_unix_ms=start_ms + 1000 * k))
             for k in range(n)]
 
 

@@ -1,6 +1,5 @@
 """Modem report grammar: parse/render round-trip, positioned errors, replay."""
 
-import dataclasses
 import tracemalloc
 
 import pytest
@@ -154,7 +153,7 @@ def test_replay_backend_rejects_bad_file_on_construction(tmp_path):
     # A bad last line is refused too: construction checks the whole trace.
     late = write_trace(tmp_path / "late.trace", 3)
     with late.open("a") as fh:
-        fh.write(encode_record(dataclasses.replace(bad, ts_unix_ms=1_700_000_003_000)) + "\n")
+        fh.write(encode_record(bad._replace(ts_unix_ms=1_700_000_003_000)) + "\n")
     with pytest.raises(TraceDecodeError, match="rsrp_dbm") as exc_info:
         ReplayBackend(late)
     assert exc_info.value.line == 4

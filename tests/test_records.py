@@ -1,6 +1,5 @@
 """Record validation and trace round-trip behaviour."""
 
-import dataclasses
 import json
 import math
 from importlib import resources
@@ -31,6 +30,7 @@ from skylog.records import (
     RttSummary,
     ServingCellSample,
     TraceDecodeError,
+    ValidationResult,
     decode_e2e,
     decode_record,
     encode_e2e,
@@ -52,6 +52,36 @@ def test_valid_record_passes(record):
     result = validate_record(record)
     assert result.ok
     assert result.message is None
+
+
+def test_a_violation_is_falsy():
+    assert bool(ValidationResult(message="x")) is False
+    assert ValidationResult(message="x").ok is False
+    assert bool(ValidationResult()) is True and ValidationResult().ok
+
+
+def test_record_reprs_are_pinned():
+    assert repr(make_record()) == (
+        "MeasurementRecord(ts_unix_ms=1700000000000, pos=GeoPosition(lat_deg=40.0, "
+        "lon_deg=-100.0, alt_m_amsl=650.0, alt_m_agl=50.0), serving=ServingCellSample("
+        "earfcn=1300, pci=101, cell_id=1715004, tac=4321, rsrp_dbm=-95.0, rsrq_db=-11.5, "
+        "rssi_dbm=-70.0, sinr_db=12.5), neighbors=(NeighborCellSample(earfcn=1300, pci=202, "
+        "rsrp_dbm=-101.5, rsrq_db=-14.0, rssi_dbm=-70.0),), source='sim')")
+    assert repr(make_e2e()) == (
+        "EndToEndRecord(ts_unix_ms=1700000000000, pos=GeoPosition(lat_deg=40.0, "
+        "lon_deg=-100.0, alt_m_amsl=650.0, alt_m_agl=None), rtt=RttSummary(sent=20, "
+        "received=19, min_ms=31.2, mean_ms=44.8, p50_ms=42.0, max_ms=88.1, "
+        "loss_fraction=0.05), dl_mbps=24.6, ul_mbps=9.1, duration_s=5.0)")
+    assert repr(ValidationResult()) == "ValidationResult(field=None, value=None, message=None)"
+
+
+def test_records_are_immutable_tuples_copied_with_replace():
+    rec = make_record()
+    assert rec == tuple(rec) and rec.pos == (40.0, -100.0, 650.0, 50.0)
+    moved = rec._replace(source="hw")
+    assert (moved.source, rec.source) == ("hw", "sim")
+    with pytest.raises(AttributeError):
+        rec.source = "hw"
 
 
 def test_rsrp_above_ceiling_rejected():
@@ -619,9 +649,9 @@ _E2E_FINITE_CHECKS = {
 @pytest.mark.parametrize("name", list(_E2E_FINITE_CHECKS))
 def test_validate_e2e_finite_check_messages_are_pinned(e2e_record, name, value):
     if name in ("dl_mbps", "ul_mbps", "duration_s"):
-        rec = dataclasses.replace(e2e_record, **{name: value})
+        rec = e2e_record._replace(**{name: value})
     else:
-        rec = dataclasses.replace(e2e_record, rtt=dataclasses.replace(e2e_record.rtt, **{name: value}))
+        rec = e2e_record._replace(rtt=e2e_record.rtt._replace(**{name: value}))
     result = validate_e2e(rec)
     assert (result.field, result.message) == _E2E_FINITE_CHECKS[name]
 
@@ -682,7 +712,7 @@ def _field_types(recs) -> list:
     out = []
     for rec in recs:
         for obj in (rec, rec.pos, rec.serving, *rec.neighbors):
-            out.append([type(getattr(obj, f.name)) for f in dataclasses.fields(obj)])
+            out.append([type(getattr(obj, name)) for name in obj._fields])
     return out
 
 
@@ -889,14 +919,14 @@ def _field_check_outcomes(tmp_path) -> dict:
             for case, value in _outside(name).items():
                 doc = json.loads(encode_record(base))
                 if part == "pos":
-                    rec = dataclasses.replace(base, pos=dataclasses.replace(base.pos, **{name: value}))
+                    rec = base._replace(pos=base.pos._replace(**{name: value}))
                     doc[name] = value
                 elif part == "serving":
-                    rec = dataclasses.replace(base, serving=dataclasses.replace(base.serving, **{name: value}))
+                    rec = base._replace(serving=base.serving._replace(**{name: value}))
                     doc["serving"][name] = value
                 else:
-                    nbr = dataclasses.replace(base.neighbors[0], **{name: value})
-                    rec = dataclasses.replace(base, neighbors=(nbr,))
+                    nbr = base.neighbors[0]._replace(**{name: value})
+                    rec = base._replace(neighbors=(nbr,))
                     doc["neighbors"][0][name] = value
                 result = validate_record(rec)
                 path.write_text(json.dumps(doc) + "\n")

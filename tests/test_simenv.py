@@ -534,7 +534,7 @@ DATA = files("skylog") / "data"
 
 
 def shipped_env(seed=7):
-    return dataclasses.replace(load_environment(DATA / "threecell.env"), seed=seed)
+    return load_environment(DATA / "threecell.env")._replace(seed=seed)
 
 
 def shipped_plan():
@@ -685,12 +685,12 @@ def test_tick_cells_are_the_clamped_reference_over_20_seeds():
     positions = [flight_position(plan, t) for t in range(2060)]
     for st in base.stations:
         site = st.site_pos
-        positions += [dataclasses.replace(site, alt_m_amsl=site.alt_m_amsl + dz,
-                                          alt_m_agl=site.alt_m_agl + dz)
+        positions += [site._replace(alt_m_amsl=site.alt_m_amsl + dz,
+                                      alt_m_agl=site.alt_m_agl + dz)
                       for dz in (0.0, 0.5, 0.999, 1.0, 1.001, 2.0)]
     refused = 0
     for seed in range(1, 21):
-        env = dataclasses.replace(base, seed=seed)
+        env = base._replace(seed=seed)
         cells = SimModemBackend(env).poll_cells
         for pos in positions:
             want = _outcome(partial(_reference_cells, env), pos)
