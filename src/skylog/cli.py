@@ -7,7 +7,9 @@ analyze, export.  Exit codes: 0 success, 1 usage error, 2 runtime failure.
 The simulator (simenv), the socket code (netprobe), the collection stage
 (collector, modem, signal) and logging are imported by the commands that
 run them, so analyze and export load none of them.  Only the commands that
-log (collect, serve, probe, simulate) configure logging.
+log (collect, serve, probe, simulate) configure logging.  main() imports
+analysis and geoexport for analyze and export only, before dispatch, so
+their compile counts as set-up, not as the command's work.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional
 
-from . import analysis
-from .geoexport import _create, _file_targets, export_csv, export_geojson, write_csv
 from .records import (
     METRIC_FIELDS,
     EndToEndRecord,
@@ -41,6 +41,7 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 LOGGING_COMMANDS = ("collect", "serve", "probe", "simulate")
+ANALYSIS_COMMANDS = ("analyze", "export")
 
 
 class UsageError(Exception):
@@ -161,11 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e2e", nargs="+", default=[], metavar="TRACE",
                    help="end-to-end trace file(s)")
     p.add_argument("--report", required=True, help="output report path")
-    p.add_argument("--rsrq-poor", type=float, default=analysis.DEFAULT_RSRQ_POOR_DB,
+    p.add_argument("--rsrq-poor", type=float,
                    help="poor-quality RSRQ threshold, dB (default: -19)")
-    p.add_argument("--tp-min", type=float, default=analysis.DEFAULT_TP_MIN_MBPS,
+    p.add_argument("--tp-min", type=float,
                    help="throughput floor, Mbps (default: 5)")
-    p.add_argument("--rtt-max", type=float, default=analysis.DEFAULT_RTT_MAX_MS,
+    p.add_argument("--rtt-max", type=float,
                    help="latency ceiling on RTT medians, ms (default: 150)")
     p.add_argument("--alt-bin", type=float, default=10.0,
                    help="altitude bin height, m (default: 10)")
@@ -314,14 +315,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
+    from .geoexport import _create, _file_targets, write_csv
     if args.grid is not None and not args.by_voxel:
         raise UsageError("--grid needs --by-voxel")
     [report_path] = _file_targets(args.report)  # refused before any input is read
     survey = analysis.Survey(chain.from_iterable(map(iter_rows, args.ran)), args.alt_bin,
                              (args.grid or analysis.DEFAULT_GRID_M) if args.by_voxel else None)
     e2e = [rec for p in args.e2e for rec in read_e2e_trace(p)]
-    report = survey.report(e2e, rsrq_poor_db=args.rsrq_poor, tp_min_mbps=args.tp_min,
-                           rtt_max_ms=args.rtt_max)
+    thresholds = {"rsrq_poor_db": args.rsrq_poor, "tp_min_mbps": args.tp_min,
+                  "rtt_max_ms": args.rtt_max}  # None: Survey.report's default
+    report = survey.report(e2e, **{k: v for k, v in thresholds.items() if v is not None})
 
     doc: dict = {"coverage": report.to_doc()}
     tables = []  # (suffix, header, rows)
@@ -357,6 +361,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from . import analysis
+    from .geoexport import _file_targets, export_csv, export_geojson
     if args.format == "csv" and args.metric:
         raise UsageError("--metric applies to geojson export only")
     _file_targets(args.out)  # refused before any input is read
@@ -377,6 +383,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         import logging
         logging.basicConfig(level=getattr(logging, args.log_level.upper()),
                             format="%(asctime)s %(levelname)s %(name)s: %(message)s")
+    if args.command in ANALYSIS_COMMANDS:
+        from . import analysis, geoexport  # noqa: F401
     try:
         return args.func(args)
     except UsageError as exc:

@@ -35,10 +35,9 @@ import logging
 import math
 import threading
 import time
-from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Protocol
+from typing import Callable, NamedTuple, Optional, Protocol
 
 from .modem import ModemBackend, ModemError, ModemReport, RangeError, ReplayExhausted, ReportSyntaxError
 from .records import (
@@ -100,11 +99,7 @@ class E2eEngine(Protocol):
         ...
 
 
-# The config and summary stay dataclasses, which only the collecting commands
-# import: __post_init__ checks a config, and a summary is mutable and reported
-# through asdict.
-@dataclass
-class CollectorConfig:
+class _CollectorConfigFields(NamedTuple):
     output_dir: str
     sample_interval_ms: int = 1000
     e2e_interval_s: float = 60.0  # 0 disables end-to-end testing
@@ -112,7 +107,15 @@ class CollectorConfig:
     duration_s: Optional[float] = None  # None = run until stop signal
     run_id: Optional[str] = None
 
-    def __post_init__(self):
+
+class CollectorConfig(_CollectorConfigFields):
+    """A NamedTuple checked when built, by _replace too: a config that breaks
+    a bound raises ValueError before any run can start."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.sample_interval_ms < 100:
             raise ValueError("sample_interval_ms must be >= 100")
         if self.max_file_records < 1:
@@ -126,23 +129,28 @@ class CollectorConfig:
         # The run id is a file name stem inside output_dir, never a path.
         if self.run_id is not None and any(c in self.run_id for c in ("/", "\\", "\0")):
             raise ValueError("run_id must not hold a path separator or NUL")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, whose tuple.__new__ would skip the checks.
+        return cls(*iterable)
 
 
-@dataclass
-class RunSummary:
+class RunSummary(NamedTuple):
     records_written: int
     polls_failed: int
     e2e_tests_run: int
     start_ms: int
     end_ms: int
-    files: list[str] = field(default_factory=list)
+    files: tuple[str, ...]
 
     @property
     def polls_attempted(self) -> int:
         return self.records_written + self.polls_failed
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def assemble_record(report: ModemReport, pos: GeoPosition, ts_unix_ms: int,
@@ -375,7 +383,7 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
         e2e_tests_run=worker.completed if worker is not None else 0,
         start_ms=t0,
         end_ms=clock.now_ms(),
-        files=list(writer.files),
+        files=tuple(writer.files),
     )
 
 

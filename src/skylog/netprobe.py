@@ -21,9 +21,8 @@ import socketserver
 import struct
 import threading
 import time
-from dataclasses import dataclass
 from statistics import median
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .records import GeoPosition, RttSummary
 
@@ -50,8 +49,7 @@ class PartialTransferError(RuntimeError):
         super().__init__(f"{message} (after {bytes_so_far} bytes)")
 
 
-@dataclass  # __post_init__ checks it, as collector.CollectorConfig's does
-class ProbeConfig:
+class _ProbeConfigFields(NamedTuple):
     server_host: str = "127.0.0.1"
     rtt_port: int = 7701
     tp_port: int = 7702
@@ -62,7 +60,16 @@ class ProbeConfig:
     tp_block_bytes: int = 65536
     ul_throttle_mbps: Optional[float] = None  # None = unthrottled
 
-    def __post_init__(self):
+
+class ProbeConfig(_ProbeConfigFields):
+    """A NamedTuple checked when built, by _replace too, as
+    collector.CollectorConfig is: a bad config raises ValueError before any
+    socket opens."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.rtt_count < 1 or self.rtt_interval_ms <= 0 or self.rtt_timeout_ms <= 0:
             raise ValueError("rtt counts and intervals must be positive")
         if self.rtt_timeout_ms < self.rtt_interval_ms:
@@ -71,6 +78,12 @@ class ProbeConfig:
         if error is not None:
             raise ValueError(error)
         _check_throttle("ul_throttle_mbps", self.ul_throttle_mbps)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, whose tuple.__new__ would skip the checks.
+        return cls(*iterable)
 
 
 def _test_error(duration_s, block_bytes) -> Optional[str]:

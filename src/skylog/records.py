@@ -2,14 +2,14 @@
 
 Every other module exchanges data through the types defined here.  They
 are typing.NamedTuples: immutable, indexable in field order, equal to a
-plain tuple of the same values, and copied with _replace; unlike
-dataclasses they need no import beyond typing, so analyze and export never
-load dataclasses and inspect.  Trace files are UTF-8, one JSON object per
-LF-terminated line; a lone CR is not a line break, and a CR before the LF
-is dropped, so CRLF reads as LF.  Each line is decoded on its own, so a
-byte that is not UTF-8 is refused with its line number.  dB/dBm fields are
-stored with one decimal digit of precision, matching commodity modem
-reporting granularity.
+plain tuple of the same values, and copied with _replace.  Unlike
+dataclasses, they and the plan, config and summary types elsewhere need no
+import beyond typing, so no command loads dataclasses.  Trace files are
+UTF-8, one JSON object per LF-terminated line; a lone CR is not a line
+break, and a CR before the LF is dropped, so CRLF reads as LF.  Each line
+is decoded on its own, so a byte that is not UTF-8 is refused with its
+line number.  dB/dBm fields are stored with one decimal digit of
+precision, matching commodity modem reporting granularity.
 
 Each per-line boundary has one exact fast path for the plain row and a
 reference path for everything else.  One guard, plain_row, decides for

@@ -35,8 +35,7 @@ import math
 import operator
 import struct
 from _blake2 import blake2b
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple, Optional
 
 from .geo import EARTH_RADIUS_M, tangent_forward
@@ -129,19 +128,23 @@ class Waypoint(NamedTuple):
     hover_s: float = 0.0
 
 
-# A dataclass, unlike the NamedTuples above: __post_init__ derives leg_s, and
-# dataclasses.replace(plan, waypoints=...) derives it again for the new plan.
-@dataclass(frozen=True)
-class FlightPlan:
+class _PlanFields(NamedTuple):
     waypoints: tuple[Waypoint, ...]
-    # Seconds to fly leg i (waypoint i to i + 1), derived from the waypoints
-    # once.  Not part of the plan's identity: left out of ==, hash and repr.
-    leg_s: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+
+class FlightPlan(_PlanFields):
+    """A NamedTuple of waypoints.  Its leg table is kept in an instance
+    __dict__, so the class refuses attribute assignment itself."""
+
+    # Seconds to fly leg i (waypoint i to i + 1): derived once per plan, on first
+    # read (a plan from _replace derives its own), and left out of ==, hash and repr.
+    @cached_property
+    def leg_s(self) -> tuple[float, ...]:
         wps = self.waypoints
-        object.__setattr__(self, "leg_s", tuple(
-            _leg_length_m(a.pos, b.pos) / a.speed_mps for a, b in zip(wps, wps[1:])))
+        return tuple(_leg_length_m(a.pos, b.pos) / a.speed_mps for a, b in zip(wps, wps[1:]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FlightPlan is immutable: cannot set {name!r}")
 
 
 def _check_station(st: BaseStation) -> None:

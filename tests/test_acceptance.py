@@ -10,7 +10,6 @@ import math
 import random
 import socket
 import time
-from dataclasses import replace
 from functools import partial
 from importlib import resources
 
@@ -342,7 +341,7 @@ def test_criterion_7_loopback_probes():
         assert rtt.p50_ms is not None and rtt.p50_ms < 5.0
 
         assert 8.0 <= throughput_test(cfg, "DL") <= 10.5
-        assert 8.0 <= throughput_test(replace(cfg, ul_throttle_mbps=10.0),
+        assert 8.0 <= throughput_test(cfg._replace(ul_throttle_mbps=10.0),
                                       "UL") <= 10.5
 
         # raw upload with a fixed block count: the server's total must match

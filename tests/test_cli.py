@@ -548,6 +548,34 @@ def test_analyze_and_export_load_no_simulator_or_sockets(tmp_path, short_flight,
     assert loaded & DATACLASSES == set()
 
 
+# Loaded by neither simulate nor collect: dataclasses and what it imports, but
+# tokenize, which logging imports too (through traceback and linecache), and the
+# analysis code with its csv writer.
+NOT_COLLECTING = (DATACLASSES - {"tokenize"}) | {"skylog.analysis", "skylog.geoexport", "csv"}
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--env", ENV, "--plan", PLAN, "--duration", "60", "--out", "{out}/sim"],
+    ["collect", "--backend", "replay", "--replay", "{trace}", "--e2e-interval", "0",
+     "--out", "{out}/rp"],
+], ids=["simulate", "collect-replay"])
+def test_simulate_and_collect_load_no_dataclasses_or_analysis(tmp_path, short_flight, command):
+    trace, _ = short_flight
+    argv = [a.format(trace=trace, out=tmp_path) for a in command]
+    loaded = loaded_by_main(*argv)
+    assert "skylog.collector" in loaded
+    assert loaded & NOT_COLLECTING == set()
+
+
+def test_netprobe_loads_no_dataclasses():
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, skylog.netprobe; print(*sorted(sys.modules))"],
+                          capture_output=True, text=True, timeout=60)
+    loaded = set(proc.stdout.split())
+    assert "skylog.netprobe" in loaded, proc.stderr
+    assert loaded & (DATACLASSES - {"tokenize"}) == set()
+
+
 def test_simulate_loads_no_sockets(tmp_path):
     loaded = loaded_by_main("simulate", "--env", ENV, "--plan", PLAN, "--duration", "60",
                             "--out", str(tmp_path))
@@ -814,6 +842,11 @@ def test_simulate_cadence_and_summary(capsys, tmp_path):
     assert summary["records_written"] == 60
     assert summary["polls_failed"] == 0
     assert summary["e2e_tests_run"] == 1
+    # The whole line is pinned: the summary's files tuple is written as a JSON list.
+    assert stdout == ('{"records_written": 60, "polls_failed": 0, "e2e_tests_run": 1, '
+                      '"start_ms": 1700000000000, "end_ms": 1700000059000, "files": '
+                      + json.dumps([str(out / "cadence-0001.trace"), str(out / "cadence.e2e")])
+                      + "}\n")
     traces = [f for f in summary["files"] if f.endswith(".trace")]
     records = read_trace(traces[0])
     assert len(records) == 60

@@ -1,7 +1,6 @@
 """Sampling cadence, loss accounting, rotation, durability, replay equality."""
 
 import contextlib
-import dataclasses
 import json
 import math
 import sys
@@ -16,6 +15,7 @@ import pytest
 from skylog import collector, records
 from skylog.collector import (
     CollectorConfig,
+    RunSummary,
     SIM_EPOCH_MS,
     SimClock,
     assemble_record,
@@ -88,6 +88,9 @@ def test_60s_run_yields_60_records_exactly_spaced(tmp_path):
     deltas = [b.ts_unix_ms - a.ts_unix_ms for a, b in zip(records, records[1:])]
     assert all(d == 1000 for d in deltas)
     assert records[0].ts_unix_ms == SIM_EPOCH_MS
+    # files is a tuple, always passed: no summary shares a default list with another.
+    assert type(summary.files) is tuple
+    assert RunSummary._field_defaults == {}
 
 
 def test_records_carry_plan_positions_and_sim_source(tmp_path):
@@ -337,6 +340,26 @@ def test_config_bounds():
             CollectorConfig(output_dir="x", run_id=bad)
     for good in ("flight-7", "..", ".hidden"):
         assert CollectorConfig(output_dir="x", run_id=good).run_id == good
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"sample_interval_ms": 50}, "sample_interval_ms must be >= 100"),
+    ({"max_file_records": 0}, "max_file_records must be >= 1"),
+    ({"e2e_interval_s": 0.0004}, "e2e_interval_s must be finite and 0 (off) or >= 0.001"),
+    ({"duration_s": math.nan}, "duration_s must be finite and >= 0"),
+    ({"run_id": "a/b"}, "run_id must not hold a path separator or NUL"),
+])
+def test_config_bounds_hold_for_replace(tmp_path, change, message):
+    # _replace builds a new config, so it is refused as a direct build is, with
+    # the same message, and no run can start from it.
+    cfg = CollectorConfig(output_dir=str(tmp_path / "out"))
+    for build in (partial(CollectorConfig, cfg.output_dir, **change),
+                  partial(cfg._replace, **change)):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+    assert cfg._replace(duration_s=5.0) == CollectorConfig(cfg.output_dir, duration_s=5.0)
+    assert not (tmp_path / "out").exists()
 
 
 def test_unwritable_output_is_fatal(tmp_path):
@@ -681,7 +704,7 @@ def test_the_threaded_and_inline_paths_write_the_same_bytes(tmp_path):
     assert {p.rsplit("/", 1)[1] for p in threaded.files} == names
     for name in names:
         assert (tmp_path / "inline" / name).read_bytes() == (tmp_path / "threaded" / name).read_bytes()
-    assert dataclasses.replace(inline, files=[]) == dataclasses.replace(threaded, files=[])
+    assert inline._replace(files=()) == threaded._replace(files=())
 
 
 def test_trace_writer_failure_on_the_threaded_path(tmp_path, monkeypatch):

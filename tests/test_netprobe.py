@@ -439,6 +439,28 @@ def test_probe_config_bounds():
             MeasurementServer("127.0.0.1", 0, 0, dl_throttle_mbps=bad)
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"rtt_count": 0}, "rtt counts and intervals must be positive"),
+    ({"rtt_timeout_ms": 10, "rtt_interval_ms": 50}, "rtt_timeout_ms must be >= rtt_interval_ms"),
+    ({"tp_duration_s": math.inf}, "duration_s must be finite and positive"),
+    ({"tp_block_bytes": 0}, "block_bytes must be a positive integer"),
+    ({"tp_block_bytes": netprobe.MAX_BLOCK_BYTES + 1}, f"block_bytes above {netprobe.MAX_BLOCK_BYTES}"),
+    ({"ul_throttle_mbps": 0.0}, "ul_throttle_mbps must be finite and positive, got 0.0"),
+])
+def test_probe_config_bounds_hold_for_replace(monkeypatch, change, message):
+    # _replace builds a new config, so it is refused as a direct build is, with
+    # the same message, before any socket could open.
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+    monkeypatch.setattr(socket, "socket", no_socket)
+    cfg = ProbeConfig()
+    for build in (lambda: ProbeConfig(**change), lambda: cfg._replace(**change)):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+    assert cfg._replace(rtt_count=5) == ProbeConfig(rtt_count=5)
+
+
 def test_probe_engine_returns_full_tuple(server):
     cfg = loopback_cfg(server, rtt_count=3, tp_duration_s=0.2)
     engine = ProbeE2eEngine(cfg)

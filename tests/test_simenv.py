@@ -1,6 +1,5 @@
 """Propagation, LoS model, radio sampling, flight paths, config loading."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -263,16 +262,22 @@ def test_flight_plan_leg_table_is_derived_state():
     plan = FlightPlan(waypoints=(wp(0, 0, 10, speed=10.0), wp(100, 0, 10)))
     assert plan.leg_s == (simenv._leg_length_m(plan.waypoints[0].pos,
                                                plan.waypoints[1].pos) / 10.0,)
+    assert plan.leg_s is plan.leg_s  # derived once, then kept
     # Left out of ==, hash and repr: two plans differing only there are one plan.
+    # The table is kept in the plan's __dict__, which attribute assignment cannot
+    # reach.
     other = FlightPlan(waypoints=plan.waypoints)
-    object.__setattr__(other, "leg_s", (123.0,))
+    vars(other)["leg_s"] = (123.0,)
+    assert other.leg_s == (123.0,)
     assert other == plan
     assert hash(other) == hash(plan)
     assert "leg_s" not in repr(plan)
+    with pytest.raises(AttributeError):
+        plan.leg_s = (1.0,)
     with pytest.raises(TypeError):
         FlightPlan(waypoints=plan.waypoints, leg_s=(1.0,))
-    # replace() builds a new plan, so the table follows the new waypoints.
-    moved = dataclasses.replace(plan, waypoints=(wp(0, 0, 10, speed=5.0), wp(0, 60, 20)))
+    # _replace builds a new plan, so the table follows the new waypoints.
+    moved = plan._replace(waypoints=(wp(0, 0, 10, speed=5.0), wp(0, 60, 20)))
     assert moved.leg_s == (simenv._leg_length_m(moved.waypoints[0].pos,
                                                 moved.waypoints[1].pos) / 5.0,)
     restored = pickle.loads(pickle.dumps(plan))
