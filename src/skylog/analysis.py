@@ -6,10 +6,13 @@ yields them; no record object is built) into a {value: count} tally per
 metric for each group of rows that share a serving cell, altitude band and
 voxel; the per-cell, per-band and per-voxel tables merge those groups when
 they are read.  Values are stored to 0.1 dB, so the tallies are bounded by
-the surveyed area, not by flight time.  Means and variances are accumulated
-with math.fsum, which is exactly rounded and therefore independent of input
-order: a tally expanded value by value gives the floats of the sample list,
-and grouped results can be compared bit-for-bit against a reimplementation.
+the surveyed area, not by flight time, and each distinct nonzero float is
+held once, however many tallies count it (a zero or an int is not shared, as
+its sign or type would show in the output; see Survey).  Means and variances
+are accumulated with math.fsum, which is exactly rounded and therefore
+independent of input order: a tally expanded value by value gives the floats
+of the sample list, and grouped results can be compared bit-for-bit against a
+reimplementation.
 """
 
 from __future__ import annotations
@@ -66,6 +69,12 @@ class NonfiniteThreshold(ValueError):
     pass
 
 
+def _check_thresholds(**thresholds: float) -> None:
+    for name, value in thresholds.items():
+        if not math.isfinite(value):  # NaN would compare false against every sample
+            raise NonfiniteThreshold(f"threshold {name} must be finite, got {value!r}")
+
+
 class LengthMismatch(ValueError):
     pass
 
@@ -111,14 +120,24 @@ def _bin_stats(tally: dict[float, int]) -> BinStats:
     return BinStats(n, mean, std, min(tally), max(tally))
 
 
-def _count(groups: dict, key, values: Sequence) -> None:
-    """Add one sample of each metric to the tallies of group key."""
+def _intern(interned: dict, v):
+    """interned's float equal to v, for a nonzero float (see Survey); else v."""
+    return interned.setdefault(v, v) if type(v) is float and v else v
+
+
+def _count(groups: dict, key, values: Sequence, interned: dict) -> None:
+    """Add one sample of each metric to the tallies of group key.  A value
+    new to a tally is keyed by _intern's object; a repeat keeps the key."""
     tallies = groups.get(key)
     if tallies is None:
-        groups[key] = [{v: 1} for v in values]
+        groups[key] = [{_intern(interned, v): 1} for v in values]
     else:
         for tally, v in zip(tallies, values):
-            tally[v] = tally.get(v, 0) + 1
+            c = tally.get(v)
+            if c is None:
+                tally[_intern(interned, v)] = 1
+            else:
+                tally[v] = c + 1
 
 
 def _merge(groups: dict, part: int, metrics: Sequence[int]) -> dict:
@@ -332,7 +351,14 @@ class Survey:
     the first record's (lat, lon).  The per-cell, per-band and per-voxel
     tables merge the groups on one key part when they are read, for only the
     metrics they return.  There are at most cells x bands x voxels groups, so
-    memory follows the surveyed area, not the length of the trace."""
+    memory follows the surveyed area, not the length of the trace.
+
+    A value new to a tally is keyed by one float object per distinct value,
+    shared by every tally (the benchmark's six flights hold 1,439 distinct
+    values under 23,196 tally keys).  Only nonzero floats are shared, since for
+    them equal means the same repr, so no output can tell.  A zero keeps the
+    sign of the first one its tally counts, which its min, max and mean
+    carry; an int or bool (3 == 3.0 == True) keeps its own type."""
 
     def __init__(self, rows: Iterable[tuple], alt_bin_m: float = 10.0,
                  grid: Optional[tuple[float, float]] = None) -> None:
@@ -342,6 +368,7 @@ class Survey:
             ground_m, slab_m = grid
         self.grid = grid
         groups, pcis = self.groups, self.pcis = {}, {}
+        interned: dict[float, float] = {}
         floor, radians, n, voxel = math.floor, math.radians, 0, None
         for n, row in enumerate(rows, start=1):
             cell_id, lat, lon, amsl_m, agl_m, nbrs, *values = _place(row)
@@ -355,9 +382,9 @@ class Survey:
                 voxel = (floor(x / ground_m), floor(y / ground_m), floor(amsl_m / slab_m))
             agl_band = None if agl_m is None else floor(agl_m / alt_bin_m) * alt_bin_m
             _count(groups, (cell_id, agl_band, floor(amsl_m / alt_bin_m) * alt_bin_m, voxel),
-                   values)
+                   values, interned)
             for nb in nbrs:
-                _count(pcis, nb[_PCI], _neighbor_values(nb))
+                _count(pcis, nb[_PCI], _neighbor_values(nb), interned)
         self.n = n
 
     def _stats(self, part: int, names: tuple) -> dict:
@@ -393,13 +420,18 @@ class Survey:
                rsrq_poor_db: float = DEFAULT_RSRQ_POOR_DB,
                tp_min_mbps: float = DEFAULT_TP_MIN_MBPS,
                rtt_max_ms: float = DEFAULT_RTT_MAX_MS) -> CoverageReport:
-        """coverage_report of this survey, by voxel when it has a grid."""
-        for name, value in [("rsrq_poor_db", rsrq_poor_db), ("tp_min_mbps", tp_min_mbps),
-                            ("rtt_max_ms", rtt_max_ms)]:
-            if not math.isfinite(value):  # NaN would compare false against every sample
-                raise NonfiniteThreshold(f"threshold {name} must be finite, got {value!r}")
-        e2e = list(e2e_records)
-        if not self.n and not e2e:
+        """coverage_report of this survey, by voxel when it has a grid.  The
+        thresholds are checked before e2e_records is read, in one pass that
+        counts the records and keeps none."""
+        _check_thresholds(rsrq_poor_db=rsrq_poor_db, tp_min_mbps=tp_min_mbps,
+                          rtt_max_ms=rtt_max_ms)
+        n_e2e = dl = ul = rtt = 0
+        for r in e2e_records:
+            n_e2e += 1
+            dl += r.dl_mbps >= tp_min_mbps
+            ul += r.ul_mbps >= tp_min_mbps
+            rtt += r.rtt.p50_ms is not None and r.rtt.p50_ms <= rtt_max_ms
+        if not self.n and not n_e2e:
             raise EmptyInput("nothing to report: both traces are empty")
 
         frac_rsrq_poor = None
@@ -420,15 +452,11 @@ class Survey:
                         if share < LOW_CONTRIBUTION_SHARE)
 
         frac_dl = frac_ul = frac_rtt = None
-        if e2e:
-            n = len(e2e)
-            frac_dl = sum(1 for r in e2e if r.dl_mbps >= tp_min_mbps) / n
-            frac_ul = sum(1 for r in e2e if r.ul_mbps >= tp_min_mbps) / n
-            frac_rtt = sum(1 for r in e2e
-                           if r.rtt.p50_ms is not None and r.rtt.p50_ms <= rtt_max_ms) / n
+        if n_e2e:
+            frac_dl, frac_ul, frac_rtt = dl / n_e2e, ul / n_e2e, rtt / n_e2e
 
         return CoverageReport(
-            n_ran_samples=self.n, n_e2e_samples=len(e2e),
+            n_ran_samples=self.n, n_e2e_samples=n_e2e,
             rsrq_poor_db=rsrq_poor_db, tp_min_mbps=tp_min_mbps,
             rtt_max_ms=rtt_max_ms, by_voxel=self.grid is not None,
             frac_rsrq_poor=frac_rsrq_poor, frac_dl_ge=frac_dl, frac_ul_ge=frac_ul,

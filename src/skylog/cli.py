@@ -319,13 +319,29 @@ def cmd_analyze(args) -> int:
     from .geoexport import _create, _file_targets, write_csv
     if args.grid is not None and not args.by_voxel:
         raise UsageError("--grid needs --by-voxel")
-    [report_path] = _file_targets(args.report)  # refused before any input is read
+    # A bad target, bin size or threshold is refused before any input is read.
+    [report_path] = _file_targets(args.report)
+    analysis._check_bin_sizes("bin width", args.alt_bin)
+    analysis._check_bin_sizes("bin width", args.rtt_bin)
+    thresholds = {"rsrq_poor_db": args.rsrq_poor, "tp_min_mbps": args.tp_min,
+                  "rtt_max_ms": args.rtt_max}
+    thresholds = {k: v for k, v in thresholds.items() if v is not None}  # else report's default
+    analysis._check_thresholds(**thresholds)
+
     survey = analysis.Survey(chain.from_iterable(map(iter_rows, args.ran)), args.alt_bin,
                              (args.grid or analysis.DEFAULT_GRID_M) if args.by_voxel else None)
-    e2e = [rec for p in args.e2e for rec in read_e2e_trace(p)]
-    thresholds = {"rsrq_poor_db": args.rsrq_poor, "tp_min_mbps": args.tp_min,
-                  "rtt_max_ms": args.rtt_max}  # None: Survey.report's default
-    report = survey.report(e2e, **{k: v for k, v in thresholds.items() if v is not None})
+    rtt_medians: list[float] = []
+
+    def e2e_records():
+        """Each e2e file's records in turn, its RTT medians gathered on the
+        way; a file's list is let go before the next file is read."""
+        for path in args.e2e:
+            recs = read_e2e_trace(path)
+            rtt_medians.extend(r.rtt.p50_ms for r in recs if r.rtt.p50_ms is not None)
+            yield from recs
+            del recs
+
+    report = survey.report(e2e_records(), **thresholds)
 
     doc: dict = {"coverage": report.to_doc()}
     tables = []  # (suffix, header, rows)
@@ -341,7 +357,6 @@ def cmd_analyze(args) -> int:
                            ["alt_lower_m", "count", "mean", "std", "min", "max"],
                            [(lower, *s[metric])
                             for lower, s in bins.items()]))
-    rtt_medians = [r.rtt.p50_ms for r in e2e if r.rtt.p50_ms is not None]
     if rtt_medians:
         doc["pdf_rtt_ms"] = analysis.histogram_pdf(rtt_medians, args.rtt_bin)
         tables.append(("pdf-rtt", ["bin_start_ms", "density"], doc["pdf_rtt_ms"]))

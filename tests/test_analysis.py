@@ -1,6 +1,9 @@
 import math
 import random
 import warnings
+from contextlib import contextmanager
+from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +28,10 @@ from skylog.analysis import (
     neighbor_stats,
     spearman_rho,
 )
+from skylog.cli import main as cli_main
 from skylog.geo import tangent_forward, tangent_inverse
-from skylog.records import METRIC_FIELDS, GeoPosition, NeighborCellSample, RttSummary, _row_of
+from skylog.records import (METRIC_FIELDS, GeoPosition, NeighborCellSample, RttSummary, _row_of,
+                            iter_rows)
 
 from conftest import make_e2e, make_neighbor, make_record, make_serving
 from coverage_fixtures import (
@@ -525,6 +530,102 @@ def test_survey_tables_match_a_regroup_from_scratch(agl_missing_from):
     assert back.voxel_grid().cells == expected_voxels(recs[::-1])
 
 
+# --- tally keys: one float object per distinct value ---
+
+def reference_count(groups: dict, key, values, interned: dict) -> None:
+    """Survey's _count as it was before it shared its float keys."""
+    tallies = groups.get(key)
+    if tallies is None:
+        groups[key] = [{v: 1} for v in values]
+    else:
+        for tally, v in zip(tallies, values):
+            tally[v] = tally.get(v, 0) + 1
+
+
+@contextmanager
+def unshared_keys():
+    with mock.patch.object(analysis, "_count", reference_count):
+        yield
+
+
+def outputs_repr(survey: Survey) -> str:
+    """Everything a survey reports, as a repr: it tells 3 from 3.0 and -0.0 from 0.0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bins = survey.altitude_bins()
+    return repr((survey.report([]), survey.voxel_grid(), bins, survey.ecdf_rsrq()))
+
+
+def tally_keys(survey: Survey) -> list:
+    return [v for groups in (survey.groups, survey.pcis) for tallies in groups.values()
+            for tally in tallies for v in tally]
+
+
+@pytest.fixture(scope="module")
+def seed7_trace(tmp_path_factory):
+    """RAN trace of the whole shipped plan, flown in the shipped seed-7 environment."""
+    out = tmp_path_factory.mktemp("seed7")
+    data = resources.files("skylog") / "data"
+    assert cli_main(["simulate", "--env", str(data / "threecell.env"), "--plan",
+                     str(data / "climb.plan"), "--duration", "2060", "--e2e-interval", "0",
+                     "--out", str(out)]) == 0
+    return next(out.glob("*.trace"))
+
+
+def test_a_survey_holds_one_float_per_distinct_value(seed7_trace):
+    survey = Survey(iter_rows(seed7_trace), grid=analysis.DEFAULT_GRID_M)
+    keys = [v for v in tally_keys(survey) if type(v) is float and v]
+    distinct = len(set(keys))
+    assert len({id(v) for v in keys}) == distinct < len(keys) / 2
+    with unshared_keys():
+        unshared = Survey(iter_rows(seed7_trace), grid=analysis.DEFAULT_GRID_M)
+    assert len({id(v) for v in tally_keys(unshared) if type(v) is float and v}) > 2 * distinct
+    assert outputs_repr(survey) == outputs_repr(unshared)
+
+
+def test_each_tally_keeps_the_sign_of_its_first_zero():
+    # Cells 1 and 2 share a voxel, and cell 1 flies on to a second one.
+    rows = [_row_of(make_record(pos=pos_at(x, 2.0), neighbors=(),
+                                serving=make_serving(cell_id=cell, sinr_db=sinr)))
+            for x, cell, sinr in [(2.0, 1, -0.0), (3.0, 2, 0.0), (60.0, 1, -0.0)]]
+    survey = Survey(rows, grid=analysis.DEFAULT_GRID_M)
+    sinr = list(METRIC_FIELDS).index("sinr")
+    assert len(survey.groups) == 3
+    assert [math.copysign(1, v) for tallies in survey.groups.values()
+            for v in tallies[sinr]] == [-1, 1, -1]
+    report = survey.report([])
+    assert repr(report.per_cell[2]["sinr"]) == "BinStats(count=1, mean=0.0, std=None, min=0.0, max=0.0)"
+    with unshared_keys():
+        unshared = Survey(rows, grid=analysis.DEFAULT_GRID_M)
+    assert repr(report.per_cell) == repr(unshared.report([]).per_cell)
+    assert repr(survey.voxel_grid()) == repr(unshared.voxel_grid())
+
+
+# Values that compare equal across types: an int or bool must keep its own
+# type in every tally that counts it first, and a float its own.
+_MIXED = st.sampled_from([3, 3.0, True, 1, 1.0, False, 0, 0.0, -0.0, -12.5, float("-12.5")])
+
+
+@st.composite
+def mixed_type_records(draw):
+    metrics = {f: draw(_MIXED) for f in METRIC_FIELDS.values()}
+    neighbor = {f: draw(_MIXED) for f in ("rsrp_dbm", "rsrq_db", "rssi_dbm")}
+    return make_record(pos=pos_at(draw(st.sampled_from([2.0, 40.0])), 2.0,
+                                  agl=draw(st.sampled_from([5.0, 25.0]))),
+                       serving=make_serving(cell_id=draw(st.sampled_from([1, 2])), **metrics),
+                       neighbors=(make_neighbor(pci=draw(st.sampled_from([7, 8])), **neighbor),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(mixed_type_records(), min_size=1, max_size=12))
+def test_ints_and_bools_keep_their_type_in_every_tally(recs):
+    rows = list(map(_row_of, recs))
+    survey = Survey(rows, grid=analysis.DEFAULT_GRID_M)
+    with unshared_keys():
+        unshared = Survey(rows, grid=analysis.DEFAULT_GRID_M)
+    assert outputs_repr(survey) == outputs_repr(unshared)
+
+
 # --- coverage report ---
 
 def test_report_rsrq_poor_fraction_exact():
@@ -551,6 +652,26 @@ def test_report_lost_burst_counts_against_latency():
     ok = make_e2e()
     report = coverage_report([], [dead, ok])
     assert report.frac_rtt_le == 0.5
+
+
+@pytest.mark.parametrize("lost_bursts", [0, 3])
+def test_report_reads_a_one_shot_iterator_like_a_list(lost_bursts):
+    lost = make_e2e(rtt=RttSummary(sent=20, received=0, loss_fraction=1.0), dl_mbps=2.0)
+    recs = rtt_coverage_trace() + dl_coverage_trace() + [lost] * lost_bursts
+    survey = Survey(map(_row_of, rsrq_poor_trace()))
+    one_shot = survey.report(iter(recs))
+    assert one_shot == survey.report(list(recs))
+    assert one_shot.n_e2e_samples == 20 + lost_bursts
+    assert one_shot.frac_rtt_le == (8 + 10) / (20 + lost_bursts)
+
+
+def test_report_checks_thresholds_before_reading_e2e():
+    def unread():
+        raise AssertionError("e2e records read before the thresholds were checked")
+        yield
+
+    with pytest.raises(NonfiniteThreshold, match="threshold rtt_max_ms must be finite"):
+        Survey(map(_row_of, rsrq_poor_trace())).report(unread(), rtt_max_ms=math.nan)
 
 
 def test_report_flags_low_contribution_cell():

@@ -324,6 +324,63 @@ def test_analyze_refuses_bad_value_before_writing(capsys, tmp_path, short_flight
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("value", ["-5", "0", "nan"])
+def test_analyze_refuses_a_bad_rtt_bin_with_no_e2e_trace(capsys, tmp_path, short_flight, value):
+    # The histogram that reads --rtt-bin is drawn only from RTT medians, so
+    # without a check up front a run with no --e2e wrote its report.
+    trace, _ = short_flight
+    rc, stdout, err = run_cli(capsys, "analyze", "--ran", str(trace), "--rtt-bin", value,
+                              "--report", str(tmp_path / "new" / "r.json"))
+    assert (rc, stdout) == (2, "")
+    assert f"bin width must be positive, got {float(value)!r}" in err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("source", ["ran", "e2e"])
+def test_analyze_reports_a_bad_threshold_before_a_bad_trace(capsys, tmp_path, short_flight,
+                                                            source):
+    trace, e2e = short_flight
+    bad = tmp_path / f"bad.{source}"
+    good = trace if source == "ran" else e2e
+    bad.write_text("{\n" + good.read_text(encoding="utf-8").split("\n", 1)[1], encoding="utf-8")
+    paths = {"ran": trace, "e2e": e2e, source: bad}
+    rc, stdout, err = run_cli(capsys, "analyze", "--ran", str(paths["ran"]),
+                              "--e2e", str(paths["e2e"]), "--tp-min", "nan",
+                              "--report", str(tmp_path / "new" / "r.json"))
+    assert (rc, stdout) == (2, "")
+    assert "threshold tp_min_mbps must be finite" in err
+    assert "line 1" not in err
+    assert not (tmp_path / "new").exists()
+
+
+def test_analyze_reads_each_e2e_trace_once(capsys, tmp_path, monkeypatch, short_flight):
+    trace, e2e = short_flight
+    second = tmp_path / "second.e2e"
+    second.write_bytes(e2e.read_bytes())
+    calls = []
+    monkeypatch.setattr("skylog.cli.read_e2e_trace",
+                        lambda path: calls.append(path) or read_e2e_trace(path))
+    rc, _, _ = run_cli(capsys, "analyze", "--ran", str(trace), "--e2e", str(e2e), str(second),
+                       "--report", str(tmp_path / "r.json"))
+    assert rc == 0
+    assert calls == [str(e2e), str(second)]
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert doc["coverage"]["n_e2e_samples"] == 2 * len(read_e2e_trace(e2e)) == 4
+    assert (tmp_path / "r-pdf-rtt.csv").exists()
+
+
+def test_a_bad_line_in_the_second_e2e_trace_is_named(capsys, tmp_path, short_flight):
+    trace, e2e = short_flight
+    first, second = e2e.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = tmp_path / "bad.e2e"
+    bad.write_text(first + second[:40] + "\n", encoding="utf-8")  # line 2 cut off mid-object
+    rc, stdout, err = run_cli(capsys, "analyze", "--ran", str(trace), "--e2e", str(e2e), str(bad),
+                              "--report", str(tmp_path / "new" / "r.json"))
+    assert (rc, stdout) == (2, "")
+    assert "line 2" in err
+    assert not (tmp_path / "new").exists()
+
+
 def _with_literal(path, key: str, dest, literal: str) -> str:
     """A copy of a trace (its first line) or environment file at dest, with
     key's value written as the JSON literal given."""
