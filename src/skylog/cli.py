@@ -30,6 +30,7 @@ from .records import (
     METRIC_FIELDS,
     EndToEndRecord,
     GeoPosition,
+    Invalid,
     encode_e2e,
     iter_rows,
     read_e2e_trace,
@@ -296,9 +297,10 @@ def cmd_probe(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     pos = GeoPosition(args.lat, args.lon, args.alt)
-    result = validate_position(pos)
-    if not result:
-        raise UsageError(f"tag position: {result.message}")
+    try:
+        validate_position(pos)
+    except Invalid as exc:
+        raise UsageError(f"tag position: {exc}") from None
     rtt, dl, ul, duration = ProbeE2eEngine(cfg).measure(pos, salt=0)
     rec = EndToEndRecord(ts_unix_ms=time.time_ns() // 1_000_000, pos=pos,
                          rtt=rtt, dl_mbps=dl, ul_mbps=ul, duration_s=duration)

@@ -43,8 +43,8 @@ from .modem import ModemBackend, ModemError, ModemReport, RangeError, ReplayExha
 from .records import (
     EndToEndRecord,
     GeoPosition,
+    Invalid,
     MeasurementRecord,
-    RecordRefused,
     RttSummary,
     accepted_line,
     encode_e2e,
@@ -155,15 +155,13 @@ class RunSummary(NamedTuple):
 
 def assemble_record(report: ModemReport, pos: GeoPosition, ts_unix_ms: int,
                     source: str = "sim") -> MeasurementRecord:
-    """Build and validate a record; raises ValueError naming the violation.
-    The tick builds a row instead (see run_collection); this is the same
-    check on a record."""
+    """Build and validate a record; raises records.Invalid naming the
+    violation.  The tick builds a row instead (see run_collection); this is
+    the same check on a record."""
     rec = MeasurementRecord(ts_unix_ms=ts_unix_ms, pos=pos,
                             serving=report.serving, neighbors=report.neighbors,
                             source=source)
-    result = validate_record(rec)
-    if not result:
-        raise ValueError(f"invalid record: {result.message}")
+    validate_record(rec)
     return rec
 
 
@@ -246,12 +244,11 @@ class _E2eWorker:
             rtt, dl, ul, duration = self.engine.measure(pos, salt)
             rec = EndToEndRecord(ts_unix_ms=ts, pos=pos, rtt=rtt,
                                  dl_mbps=dl, ul_mbps=ul, duration_s=duration)
-            result = validate_e2e(rec)
-            if not result:
-                log.warning("dropping invalid e2e record: %s", result.message)
-                return
+            validate_e2e(rec)
             self.put(rec)
             self.completed += 1
+        except Invalid as exc:
+            log.warning("dropping invalid e2e record: %s", exc)
         except Exception:
             log.exception("end-to-end test failed")
 
@@ -364,7 +361,7 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
                 else:
                     try:
                         line = accepted_line((next_ran, *pos, *cells, source))
-                    except RecordRefused as exc:
+                    except Invalid as exc:
                         polls_failed += 1
                         log.warning("poll %d dropped: invalid record: %s", n_ran, exc)
                     else:

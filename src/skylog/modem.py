@@ -34,6 +34,7 @@ from .records import (
     NEIGHBOR_FIELDS,
     SERVING_FIELDS,
     GeoPosition,
+    Invalid,
     NeighborCellSample,
     ServingCellSample,
     iter_rows,
@@ -92,9 +93,10 @@ class ModemBackend(Protocol):
 
 
 def _validate_report(report: ModemReport) -> None:
-    result = validate_cells(report.serving, report.neighbors)
-    if not result:
-        raise RangeError(result.field, result.value)
+    try:
+        validate_cells(report.serving, report.neighbors)
+    except Invalid as exc:
+        raise RangeError(exc.field, exc.value) from None
 
 
 class _Scanner:

@@ -35,6 +35,8 @@ ECHO_DATAGRAM_LEN = 64
 
 MAX_BLOCK_BYTES = 4 * 1024 * 1024
 MAX_CONTROL_LINE = 65536
+# What the server still reads from a client whose header it refused.
+MAX_REFUSED_INPUT = 1024 * 1024
 
 
 class HandshakeError(RuntimeError):
@@ -195,7 +197,9 @@ def rtt_probe(cfg: ProbeConfig) -> RttSummary:
         sent=sent,
         received=len(values),
         min_ms=values[0],
-        mean_ms=sum(values) / len(values),
+        # A float sum can carry the mean past the extremes: three replies of
+        # 0.1 ms average 0.10000000000000002.
+        mean_ms=min(max(sum(values) / len(values), values[0]), values[-1]),
         p50_ms=median(values),
         max_ms=values[-1],
         loss_fraction=(sent - len(values)) / sent,
@@ -359,6 +363,14 @@ class _ThroughputHandler(socketserver.StreamRequestHandler):
                                            header["duration_s"], self.server.dl_throttle_mbps)
                 result = {"bytes": sent, "duration_s": active_s}
             self.wfile.write((json.dumps(result) + "\n").encode("utf-8"))
+            if error is not None:
+                # Closing with input unread resets the connection, which can
+                # reach the client before it has read the reply or shut down
+                # its own side: end the reply, then read what the client
+                # still sends, up to MAX_REFUSED_INPUT bytes.
+                self.wfile.flush()
+                self.connection.shutdown(socket.SHUT_WR)
+                self.rfile.read(MAX_REFUSED_INPUT)
         except (PartialTransferError, OSError) as exc:
             log.warning("throughput session aborted: %s", exc)
 

@@ -37,6 +37,11 @@ and CSV line).
 The collector's tick lives on the same rows: it builds one from the polled
 cells (_cells_of's layout), and accepted_line checks it once and gives the
 writer its finished line.
+
+Every record check (validate_record, validate_cells, validate_e2e,
+validate_position, accepted_line) returns nothing for what it accepts and
+raises Invalid, a ValueError carrying the first violated invariant's field
+and value, for what it refuses; each boundary turns that into its own error.
 """
 
 from __future__ import annotations
@@ -178,26 +183,14 @@ class EndToEndRecord(NamedTuple):
     duration_s: float
 
 
-class ValidationResult(NamedTuple):
-    """Outcome of validate_record: OK, or the first violated invariant."""
+class Invalid(ValueError):
+    """What every record check raises: the first violated invariant, with
+    its field and value; str() is the check's message."""
 
-    field: Optional[str] = None
-    value: object = None
-    message: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.message is None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-_OK = ValidationResult()
-
-
-def _violation(field_name: str, value: object, message: str) -> ValidationResult:
-    return ValidationResult(field=field_name, value=value, message=message)
+    def __init__(self, field: str, value: object, message: str):
+        self.field = field
+        self.value = value
+        super().__init__(message)
 
 
 _FINITE = (-sys.float_info.max, sys.float_info.max)
@@ -233,9 +226,9 @@ _RTT_CHECKS = _checks(("min_ms", "mean_ms", "p50_ms", "max_ms", "loss_fraction")
 _SERVICE_CHECKS = _checks(("dl_mbps", "ul_mbps", "duration_s"))
 
 
-def _check_fields(obj, checks, prefix: str = "") -> ValidationResult:
-    """The first field of obj outside its bounds, or OK; a message is built
-    only on failure."""
+def _check_fields(obj, checks, prefix: str = "") -> None:
+    """Raise Invalid for the first field of obj outside its bounds; a message
+    is built only on failure."""
     for name, lo, hi in checks:
         value = getattr(obj, name)
         if not (lo <= value <= hi):
@@ -245,82 +238,67 @@ def _check_fields(obj, checks, prefix: str = "") -> ValidationResult:
                 message = "is not finite"
             else:
                 message = f"out of [{lo:g},{hi:g}]"
-            return _violation(prefix + name, value, f"{prefix}{name} {message}")
-    return _OK
+            raise Invalid(prefix + name, value, f"{prefix}{name} {message}")
 
 
-def validate_position(pos: GeoPosition) -> ValidationResult:
+def validate_position(pos: GeoPosition) -> None:
     # alt_m_agl, checked last, may be absent.
-    return _check_fields(pos, _POSITION_CHECKS if pos.alt_m_agl is not None else _POSITION_CHECKS[:-1])
+    _check_fields(pos, _POSITION_CHECKS if pos.alt_m_agl is not None else _POSITION_CHECKS[:-1])
 
 
-def validate_record(rec: MeasurementRecord) -> ValidationResult:
-    """Return OK or the first violated invariant with field name and value."""
+def validate_record(rec: MeasurementRecord) -> None:
+    """Raise Invalid for the first violated invariant, naming its field and value."""
     if rec.source not in SOURCES:
-        return _violation("source", rec.source, f"source not one of {SOURCES}")
-    result = _check_fields(rec, _TS_CHECKS) and validate_position(rec.pos)
-    if not result:
-        return result
-    return validate_cells(rec.serving, rec.neighbors)
+        raise Invalid("source", rec.source, f"source not one of {SOURCES}")
+    _check_fields(rec, _TS_CHECKS)
+    validate_position(rec.pos)
+    validate_cells(rec.serving, rec.neighbors)
 
 
-def validate_cells(serving: ServingCellSample, neighbors) -> ValidationResult:
+def validate_cells(serving: ServingCellSample, neighbors) -> None:
     """Serving cell, neighbor count, then each neighbor; shared with modem reports."""
-    result = _check_fields(serving, _SERVING_CHECKS)
-    if not result:
-        return result
+    _check_fields(serving, _SERVING_CHECKS)
     # Total wideband power includes the reference-signal component.
     if serving.rssi_dbm < serving.rsrp_dbm:
-        return _violation("rssi_dbm", serving.rssi_dbm, "rssi_dbm below rsrp_dbm")
+        raise Invalid("rssi_dbm", serving.rssi_dbm, "rssi_dbm below rsrp_dbm")
     if len(neighbors) > MAX_NEIGHBORS:
-        return _violation("neighbors", len(neighbors), f"more than {MAX_NEIGHBORS} neighbors")
+        raise Invalid("neighbors", len(neighbors), f"more than {MAX_NEIGHBORS} neighbors")
     for i, nbr in enumerate(neighbors):
-        result = _check_fields(nbr, _NEIGHBOR_CHECKS, f"neighbors[{i}].")
-        if not result:
-            return result
+        _check_fields(nbr, _NEIGHBOR_CHECKS, f"neighbors[{i}].")
         if (nbr.earfcn, nbr.pci) == (serving.earfcn, serving.pci):
-            return _violation(f"neighbors[{i}]", (nbr.earfcn, nbr.pci), "neighbor duplicates serving cell")
-    return _OK
+            raise Invalid(f"neighbors[{i}]", (nbr.earfcn, nbr.pci), "neighbor duplicates serving cell")
 
 
-def validate_e2e(rec: EndToEndRecord) -> ValidationResult:
-    result = _check_fields(rec, _TS_CHECKS) and validate_position(rec.pos)
-    if not result:
-        return result
+def validate_e2e(rec: EndToEndRecord) -> None:
+    _check_fields(rec, _TS_CHECKS)
+    validate_position(rec.pos)
     rtt = rec.rtt
     if rtt.sent < 1:
-        return _violation("rtt.sent", rtt.sent, "rtt.sent must be >= 1")
+        raise Invalid("rtt.sent", rtt.sent, "rtt.sent must be >= 1")
     if rtt.received < 0 or rtt.received > rtt.sent:
-        return _violation("rtt.received", rtt.received, "rtt.received outside [0, sent]")
+        raise Invalid("rtt.received", rtt.received, "rtt.received outside [0, sent]")
     stats = (rtt.min_ms, rtt.mean_ms, rtt.p50_ms, rtt.max_ms)
     if rtt.received == 0:
         if any(s is not None for s in stats):
-            return _violation("rtt", stats, "rtt statistics present with zero replies")
+            raise Invalid("rtt", stats, "rtt statistics present with zero replies")
     else:
         if any(s is None for s in stats):
-            return _violation("rtt", stats, "rtt statistics missing with replies present")
-        result = _check_fields(rtt, _RTT_CHECKS[:-1], "rtt.")
-        if not result:
-            return result
+            raise Invalid("rtt", stats, "rtt statistics missing with replies present")
+        _check_fields(rtt, _RTT_CHECKS[:-1], "rtt.")
         if not (rtt.min_ms <= rtt.p50_ms <= rtt.max_ms):
-            return _violation("rtt.p50_ms", rtt.p50_ms, "rtt p50 outside [min, max]")
+            raise Invalid("rtt.p50_ms", rtt.p50_ms, "rtt p50 outside [min, max]")
         if not (rtt.min_ms <= rtt.mean_ms <= rtt.max_ms):
-            return _violation("rtt.mean_ms", rtt.mean_ms, "rtt mean outside [min, max]")
-    result = _check_fields(rtt, _RTT_CHECKS[-1:], "rtt.")
-    if not result:
-        return result
+            raise Invalid("rtt.mean_ms", rtt.mean_ms, "rtt mean outside [min, max]")
+    _check_fields(rtt, _RTT_CHECKS[-1:], "rtt.")
     expected_loss = (rtt.sent - rtt.received) / rtt.sent
     if abs(rtt.loss_fraction - expected_loss) > 1e-9:
-        return _violation("rtt.loss_fraction", rtt.loss_fraction, "loss_fraction inconsistent with sent/received")
-    result = _check_fields(rec, _SERVICE_CHECKS)
-    if not result:
-        return result
+        raise Invalid("rtt.loss_fraction", rtt.loss_fraction, "loss_fraction inconsistent with sent/received")
+    _check_fields(rec, _SERVICE_CHECKS)
     if rec.dl_mbps < 0 or rec.ul_mbps < 0:
-        return _violation("dl_mbps" if rec.dl_mbps < 0 else "ul_mbps",
-                          min(rec.dl_mbps, rec.ul_mbps), "throughput negative")
+        raise Invalid("dl_mbps" if rec.dl_mbps < 0 else "ul_mbps",
+                      min(rec.dl_mbps, rec.ul_mbps), "throughput negative")
     if rec.duration_s <= 0:
-        return _violation("duration_s", rec.duration_s, "duration_s must be > 0")
-    return _OK
+        raise Invalid("duration_s", rec.duration_s, "duration_s must be > 0")
 
 
 def quantize_db(value: float) -> float:
@@ -372,21 +350,15 @@ def encode_row(row: tuple) -> str:
     return _template_line(row) if plain_row(row) else _encode_record_reference(_record_of(row))
 
 
-class RecordRefused(ValueError):
-    """accepted_line's refusal: the message of validate_record's violation."""
-
-
 def accepted_line(row: tuple) -> str:
     """encode_row of a row the collector accepts, with the row checked once:
     a plain row fills the template, any other must pass validate_record,
-    or RecordRefused carries that check's message.  A row that is not
-    ROW_FIELDS-shaped raises what unpacking it raises."""
+    which raises Invalid.  A row that is not ROW_FIELDS-shaped raises what
+    unpacking it raises."""
     if plain_row(row):
         return _template_line(row)
     rec = _record_of(row)
-    result = validate_record(rec)
-    if not result:
-        raise RecordRefused(result.message)
+    validate_record(rec)
     return _encode_record_reference(rec)
 
 
@@ -555,10 +527,11 @@ def decode_e2e(text: str, line_no: Optional[int] = None) -> EndToEndRecord:
 
 
 def _checked(rec, validate, line_no: int):
-    """rec when validate accepts it, else the violation as a TraceDecodeError."""
-    result = validate(rec)
-    if not result:
-        raise TraceDecodeError(result.message, line=line_no)
+    """rec when validate accepts it, else its Invalid as a TraceDecodeError."""
+    try:
+        validate(rec)
+    except Invalid as exc:
+        raise TraceDecodeError(str(exc), line=line_no) from None
     return rec
 
 
@@ -697,7 +670,7 @@ def read_e2e_trace(path) -> list[EndToEndRecord]:
 
 __all__ = [
     "GeoPosition", "ServingCellSample", "NeighborCellSample", "MeasurementRecord",
-    "RttSummary", "EndToEndRecord", "ValidationResult", "TraceDecodeError", "RecordRefused",
+    "RttSummary", "EndToEndRecord", "Invalid", "TraceDecodeError",
     "validate_record", "validate_cells", "validate_e2e", "validate_position",
     "encode_record", "encode_row", "accepted_line", "decode_record", "encode_e2e", "decode_e2e",
     "plain_row", "valid_row",

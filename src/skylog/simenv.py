@@ -52,6 +52,7 @@ from .records import (
     _SINR_HI,
     _SINR_LO,
     GeoPosition,
+    Invalid,
     NeighborCellSample,
     RttSummary,
     ServingCellSample,
@@ -148,18 +149,20 @@ class FlightPlan(_PlanFields):
 
 
 def _check_station(st: BaseStation) -> None:
-    result = _check_fields(st, _checks(("earfcn", "pci", "cell_id", "tac")))
-    if not result:
-        raise ConfigError(f"station pci={st.pci}: {result.message}")
+    try:
+        _check_fields(st, _checks(("earfcn", "pci", "cell_id", "tac")))
+    except Invalid as exc:
+        raise ConfigError(f"station pci={st.pci}: {exc}") from None
     if not (30.0 <= st.eirp_dbm <= 65.0):
         raise ConfigError(f"station pci={st.pci}: eirp_dbm {st.eirp_dbm} outside [30,65]")
     agl = st.site_pos.alt_m_agl
     if agl is None or not (0 < agl < math.inf):
         raise ConfigError(f"station pci={st.pci}: antenna height must be > 0 m AGL")
     # A mast may stand taller than the UAV ceiling that bounds a record's AGL.
-    result = validate_position(st.site_pos._replace(alt_m_agl=None))
-    if not result:
-        raise ConfigError(f"station pci={st.pci}: site_pos.{result.message}")
+    try:
+        validate_position(st.site_pos._replace(alt_m_agl=None))
+    except Invalid as exc:
+        raise ConfigError(f"station pci={st.pci}: site_pos.{exc}") from None
 
 
 def _check_environment(env: RadioEnvironment) -> None:
@@ -192,9 +195,10 @@ def _check_waypoints(waypoints: tuple[Waypoint, ...]) -> None:
             raise ConfigError(f"waypoint {i}: alt_m_agl required")
         if agl > PLAN_AGL_CEILING_M:
             raise ConfigError(f"waypoint {i}: alt_m_agl {agl} above {PLAN_AGL_CEILING_M} m ceiling")
-        result = validate_position(wp.pos)
-        if not result:
-            raise ConfigError(f"waypoint {i}: {result.message}")
+        try:
+            validate_position(wp.pos)
+        except Invalid as exc:
+            raise ConfigError(f"waypoint {i}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

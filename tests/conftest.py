@@ -3,6 +3,7 @@ import pytest
 from skylog.records import (
     EndToEndRecord,
     GeoPosition,
+    Invalid,
     MeasurementRecord,
     NeighborCellSample,
     RttSummary,
@@ -47,6 +48,16 @@ def make_e2e(**over) -> EndToEndRecord:
     )
     base.update(over)
     return EndToEndRecord(**base)
+
+
+def violation(check, *args):
+    """(field, message) of the Invalid that check(*args) raises, or None
+    when the check passes."""
+    try:
+        check(*args)
+    except Invalid as exc:
+        return exc.field, str(exc)
+    return None
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +27,9 @@ from skylog.netprobe import (
     throughput_test,
     unpack_echo,
 )
+from skylog.records import validate_e2e
+
+from conftest import make_e2e, violation
 
 
 @pytest.fixture
@@ -67,6 +71,46 @@ def test_loopback_rtt_all_received(server):
     assert summary.p50_ms < 5.0
     assert summary.min_ms <= summary.p50_ms <= summary.max_ms
     assert summary.min_ms <= summary.mean_ms <= summary.max_ms
+
+
+def test_equal_rtts_give_a_mean_the_trace_format_accepts(monkeypatch):
+    """Three echoes of exactly 0.1 ms each: their float average,
+    0.10000000000000002, lies past the max, and the summary must hold the
+    mean at the max for the record to pass validate_e2e."""
+    now_ns, in_flight = [0], []
+
+    class EchoAfterOneTenthMs:
+        """A datagram socket whose every echo arrives 0.1 ms after its send."""
+
+        def __init__(self, *args):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def settimeout(self, timeout):
+            pass
+
+        def sendto(self, data, addr):
+            in_flight.append(data)
+
+        def recv(self, size):
+            if not in_flight:
+                raise TimeoutError
+            now_ns[0] += 100_000
+            return in_flight.pop(0)
+
+    monkeypatch.setattr(netprobe, "socket", SimpleNamespace(
+        socket=EchoAfterOneTenthMs, AF_INET=socket.AF_INET, SOCK_DGRAM=socket.SOCK_DGRAM))
+    monkeypatch.setattr(netprobe, "time", SimpleNamespace(perf_counter_ns=lambda: now_ns[0]))
+    summary = rtt_probe(ProbeConfig(server_host="127.0.0.1", rtt_port=1, tp_port=1,
+                                    rtt_count=3, rtt_interval_ms=10, rtt_timeout_ms=500))
+    assert (summary.received, summary.min_ms, summary.max_ms) == (3, 0.1, 0.1)
+    assert summary.mean_ms == summary.max_ms
+    assert violation(validate_e2e, make_e2e(rtt=summary)) is None
 
 
 def test_rtt_server_down():

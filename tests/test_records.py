@@ -25,12 +25,13 @@ from skylog.records import (
     SERVING_FIELDS,
     TAC_MAX,
     GeoPosition,
+    Invalid,
     MeasurementRecord,
     NeighborCellSample,
     RttSummary,
     ServingCellSample,
     TraceDecodeError,
-    ValidationResult,
+    accepted_line,
     decode_e2e,
     decode_record,
     encode_e2e,
@@ -44,20 +45,12 @@ from skylog.records import (
 )
 from skylog.records import _encode_record_reference, _record_of, _row_of, plain_row, valid_row
 
-from conftest import make_e2e, make_neighbor, make_record, make_serving
+from conftest import make_e2e, make_neighbor, make_record, make_serving, violation
 from record_strategies import StrSource, any_records
 
 
 def test_valid_record_passes(record):
-    result = validate_record(record)
-    assert result.ok
-    assert result.message is None
-
-
-def test_a_violation_is_falsy():
-    assert bool(ValidationResult(message="x")) is False
-    assert ValidationResult(message="x").ok is False
-    assert bool(ValidationResult()) is True and ValidationResult().ok
+    assert violation(validate_record, record) is None
 
 
 def test_record_reprs_are_pinned():
@@ -72,7 +65,6 @@ def test_record_reprs_are_pinned():
         "lon_deg=-100.0, alt_m_amsl=650.0, alt_m_agl=None), rtt=RttSummary(sent=20, "
         "received=19, min_ms=31.2, mean_ms=44.8, p50_ms=42.0, max_ms=88.1, "
         "loss_fraction=0.05), dl_mbps=24.6, ul_mbps=9.1, duration_s=5.0)")
-    assert repr(ValidationResult()) == "ValidationResult(field=None, value=None, message=None)"
 
 
 def test_records_are_immutable_tuples_copied_with_replace():
@@ -86,69 +78,66 @@ def test_records_are_immutable_tuples_copied_with_replace():
 
 def test_rsrp_above_ceiling_rejected():
     rec = make_record(serving=make_serving(rsrp_dbm=-30.0))
-    result = validate_record(rec)
-    assert not result
-    assert result.field == "rsrp_dbm"
-    assert result.value == -30.0
+    with pytest.raises(Invalid) as refused:
+        validate_record(rec)
+    assert refused.value.field == "rsrp_dbm"
+    assert refused.value.value == -30.0
 
 
 def test_rsrp_below_floor_rejected():
     rec = make_record(serving=make_serving(rsrp_dbm=-141.0))
-    assert validate_record(rec).field == "rsrp_dbm"
+    assert violation(validate_record, rec)[0] == "rsrp_dbm"
 
 
 def test_rssi_below_rsrp_rejected():
     rec = make_record(serving=make_serving(rsrp_dbm=-60.0, rssi_dbm=-61.0))
-    result = validate_record(rec)
-    assert result.field == "rssi_dbm"
+    assert violation(validate_record, rec)[0] == "rssi_dbm"
 
 
 def test_neighbor_duplicating_serving_rejected():
     dup = make_neighbor(earfcn=1300, pci=101)
     rec = make_record(neighbors=(dup,))
-    result = validate_record(rec)
-    assert not result
-    assert "duplicates serving" in result.message
+    _, message = violation(validate_record, rec)
+    assert "duplicates serving" in message
 
 
 def test_same_pci_on_other_earfcn_allowed():
     rec = make_record(neighbors=(make_neighbor(earfcn=2850, pci=101),))
-    assert validate_record(rec).ok
+    assert violation(validate_record, rec) is None
 
 
 def test_nine_neighbors_rejected():
     nbrs = tuple(make_neighbor(pci=200 + i) for i in range(9))
-    result = validate_record(make_record(neighbors=nbrs))
-    assert result.field == "neighbors"
+    assert violation(validate_record, make_record(neighbors=nbrs))[0] == "neighbors"
 
 
 def test_agl_out_of_range_rejected():
     pos = GeoPosition(lat_deg=40.0, lon_deg=-100.0, alt_m_amsl=900.0, alt_m_agl=250.0)
-    assert validate_record(make_record(pos=pos)).field == "alt_m_agl"
+    assert violation(validate_record, make_record(pos=pos))[0] == "alt_m_agl"
 
 
 def test_agl_may_be_absent():
     pos = GeoPosition(lat_deg=40.0, lon_deg=-100.0, alt_m_amsl=900.0, alt_m_agl=None)
-    assert validate_record(make_record(pos=pos)).ok
+    assert violation(validate_record, make_record(pos=pos)) is None
 
 
 def test_bad_source_rejected():
-    assert validate_record(make_record(source="live")).field == "source"
+    assert violation(validate_record, make_record(source="live"))[0] == "source"
 
 
 def test_nan_metric_rejected():
     rec = make_record(serving=make_serving(sinr_db=float("nan")))
-    assert validate_record(rec).field == "sinr_db"
+    assert violation(validate_record, rec)[0] == "sinr_db"
 
 
 def test_pci_range():
-    assert validate_record(make_record(serving=make_serving(pci=504))).field == "pci"
-    assert validate_record(make_record(serving=make_serving(pci=503))).ok
+    assert violation(validate_record, make_record(serving=make_serving(pci=504)))[0] == "pci"
+    assert violation(validate_record, make_record(serving=make_serving(pci=503))) is None
 
 
 def test_cell_id_range():
     over = 2**28
-    assert validate_record(make_record(serving=make_serving(cell_id=over))).field == "cell_id"
+    assert violation(validate_record, make_record(serving=make_serving(cell_id=over)))[0] == "cell_id"
 
 
 def test_encode_uses_exact_keys(record):
@@ -240,7 +229,7 @@ def test_read_trace_rejects_out_of_range(tmp_path):
 # --- end-to-end records ---
 
 def test_valid_e2e_passes(e2e_record):
-    assert validate_e2e(e2e_record).ok
+    assert violation(validate_e2e, e2e_record) is None
 
 
 def test_e2e_round_trip(e2e_record):
@@ -250,7 +239,7 @@ def test_e2e_round_trip(e2e_record):
 def test_e2e_total_loss_drops_stats():
     rtt = RttSummary(sent=10, received=0, loss_fraction=1.0)
     rec = make_e2e(rtt=rtt)
-    assert validate_e2e(rec).ok
+    assert violation(validate_e2e, rec) is None
     doc = json.loads(encode_e2e(rec))
     assert doc["rtt"]["min_ms"] is None
     assert decode_e2e(encode_e2e(rec)) == rec
@@ -259,13 +248,13 @@ def test_e2e_total_loss_drops_stats():
 def test_e2e_stats_with_zero_received_rejected():
     rtt = RttSummary(sent=10, received=0, min_ms=1.0, mean_ms=1.0,
                      p50_ms=1.0, max_ms=1.0, loss_fraction=1.0)
-    assert validate_e2e(make_e2e(rtt=rtt)).field == "rtt"
+    assert violation(validate_e2e, make_e2e(rtt=rtt))[0] == "rtt"
 
 
 def test_e2e_loss_fraction_consistency():
     rtt = RttSummary(sent=10, received=9, min_ms=1.0, mean_ms=1.0,
                      p50_ms=1.0, max_ms=1.0, loss_fraction=0.5)
-    assert validate_e2e(make_e2e(rtt=rtt)).field == "rtt.loss_fraction"
+    assert violation(validate_e2e, make_e2e(rtt=rtt))[0] == "rtt.loss_fraction"
 
 
 @pytest.mark.parametrize("changes, field", [
@@ -353,7 +342,7 @@ def measurement_records(draw):
 @settings(max_examples=200, deadline=None)
 @given(measurement_records())
 def test_property_round_trip(rec):
-    assert validate_record(rec).ok
+    assert violation(validate_record, rec) is None
     again = decode_record(encode_record(rec))
     assert again == rec
 
@@ -522,10 +511,9 @@ def test_every_fixed_layout_writer_takes_its_template_exactly_on_plain_row(row):
 def test_ts_unix_ms_is_int64_milliseconds(ts, ok):
     rec = make_record(ts_unix_ms=ts)
     assert valid_row(_row_of(rec)) is ok
-    for result in (validate_record(rec), validate_e2e(make_e2e(ts_unix_ms=ts))):
-        assert (result.ok, result.field) == (ok, None if ok else "ts_unix_ms")
-    if not ok:
-        assert validate_record(rec).message == "ts_unix_ms out of [0,9223372036854775807]"
+    refused = None if ok else ("ts_unix_ms", "ts_unix_ms out of [0,9223372036854775807]")
+    assert violation(validate_record, rec) == refused
+    assert violation(validate_e2e, make_e2e(ts_unix_ms=ts)) == refused
 
 
 # --- schema walker strictness: one test per kind of bad field ---
@@ -652,8 +640,7 @@ def test_validate_e2e_finite_check_messages_are_pinned(e2e_record, name, value):
         rec = e2e_record._replace(**{name: value})
     else:
         rec = e2e_record._replace(rtt=e2e_record.rtt._replace(**{name: value}))
-    result = validate_e2e(rec)
-    assert (result.field, result.message) == _E2E_FINITE_CHECKS[name]
+    assert violation(validate_e2e, rec) == _E2E_FINITE_CHECKS[name]
 
 
 def test_decode_e2e_optional_and_required_fields(e2e_record):
@@ -687,9 +674,9 @@ def _reference_read(text: str, line_no: int) -> list:
     """What read_trace must do with one line: decode_record, validate_record,
     and the violation raised as a TraceDecodeError naming the line."""
     rec = decode_record(text, line_no)
-    result = validate_record(rec)
-    if not result:
-        raise TraceDecodeError(result.message, line=line_no)
+    refused = violation(validate_record, rec)
+    if refused is not None:
+        raise TraceDecodeError(refused[1], line=line_no)
     return [rec]
 
 
@@ -928,14 +915,16 @@ def _field_check_outcomes(tmp_path) -> dict:
                     nbr = base.neighbors[0]._replace(**{name: value})
                     rec = base._replace(neighbors=(nbr,))
                     doc["neighbors"][0][name] = value
-                result = validate_record(rec)
+                refused = violation(validate_record, rec)
+                # The tick's check refuses the row as validate_record refuses the record.
+                assert violation(accepted_line, _row_of(rec)) == refused
                 path.write_text(json.dumps(doc) + "\n")
                 try:
                     read_trace(path)
                     error = None
                 except TraceDecodeError as exc:
                     error = str(exc)
-                out[part, name, case] = (result.field, result.message, error)
+                out[part, name, case] = (*(refused or (None, None)), error)
     return out
 
 
@@ -1085,7 +1074,7 @@ def test_row_guard_never_accepts_what_validate_record_refuses(simulated_line):
                 rows.append(apply(apply(base, where_a, v_a), where_b, v_b))
     accepted = [row for row in rows if valid_row(row)]
     assert valid_row(base) and 0 < len(accepted) < len(rows)
-    assert [row for row in accepted if not validate_record(_record_of(row))] == []
+    assert [row for row in accepted if violation(validate_record, _record_of(row))] == []
 
 
 def _valid_spellings(doc: dict) -> list:

@@ -40,6 +40,8 @@ from skylog.simenv import (
     synth_e2e,
 )
 
+from conftest import violation
+
 ANCHOR_LAT, ANCHOR_LON = 40.0, -100.0
 
 
@@ -180,7 +182,7 @@ def test_radio_sample_emits_valid_serving():
     env = env_with(stations, seed=11)
     for i in range(50):
         report = radio_sample(env, uav_at(40.0 * i, 11.0 * i, 2.0 + (i % 12) * 10))
-        assert validate_cells(report.serving, ()).ok
+        assert violation(validate_cells, report.serving, ()) is None
         assert len(report.neighbors) == 2
         for nbr in report.neighbors:
             assert (nbr.earfcn, nbr.pci) != (report.serving.earfcn, report.serving.pci)
