@@ -31,6 +31,7 @@ from .records import (
     EndToEndRecord,
     GeoPosition,
     Invalid,
+    TraceDecodeError,
     encode_e2e,
     iter_rows,
     read_e2e_trace,
@@ -411,8 +412,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("skylog: interrupted", file=sys.stderr)
         return EXIT_RUNTIME
     except (ValueError, OSError, RuntimeError) as exc:
-        # config errors, trace decode errors, socket failures, analysis errors
-        print(f"skylog: error: {exc}", file=sys.stderr)
+        # config errors, trace decode errors, socket failures, analysis errors;
+        # a trace error names its line, and the file comes from the reader.
+        where = f"{exc.path}: " if isinstance(exc, TraceDecodeError) and exc.path else ""
+        print(f"skylog: error: {where}{exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -20,7 +20,10 @@ records.accepted_line checks it once and renders its trace line: a plain
 row (records.plain_row, the guard of every fixed-layout writer) fills the
 template, any other is dropped or kept exactly as validate_record would
 the record.  On the threaded path the writer thread is handed the
-finished lines (and the e2e records).
+finished lines (and the e2e records).  The run summary's line counts,
+records_written and e2e_tests_run, are the writer's own: a writer error
+ends the run with an exception, so a returned summary counts exactly the
+lines on disk.
 
 Ticks are scheduled on absolute deadlines (t0 + n*interval) so cadence
 cannot drift over an hour-long flight.  Records are stamped with the
@@ -182,7 +185,6 @@ class _TraceWriter:
         self.error: Optional[Exception] = None
         self._ran_fh = None
         self._ran_seq = 0
-        self._ran_in_file = 0
         self._e2e_fh = None
 
     def _rotate_ran(self):
@@ -191,14 +193,13 @@ class _TraceWriter:
         self._ran_seq += 1
         path = self.out_dir / f"{self.run_id}-{self._ran_seq:04d}.trace"
         self._ran_fh = open(path, "w", encoding="utf-8", newline="\n")
-        self._ran_in_file = 0
         self.files.append(str(path))
 
     def _write_ran(self, line: str):
-        if self._ran_fh is None or self._ran_in_file >= self.max_file_records:
+        # A new file before the first line and after every max_file_records lines.
+        if self.ran_written % self.max_file_records == 0:
             self._rotate_ran()
         self._ran_fh.write(line + "\n")
-        self._ran_in_file += 1
         self.ran_written += 1
 
     def _write_e2e(self, rec: EndToEndRecord):
@@ -229,34 +230,27 @@ class _TraceWriter:
             self._e2e_fh.close()
 
 
-class _E2eWorker:
-    """Runs end-to-end tests; each run_test hands its record to put (the
-    writer's write, or the call that hands it to the writer thread)."""
-
-    def __init__(self, engine: E2eEngine, put: Callable[[EndToEndRecord], None]):
-        self.engine = engine
-        self.put = put
-        self.completed = 0
-
-    def run_test(self, pos: GeoPosition, ts: int, salt: int) -> None:
-        """One test; a failed test or an invalid record is logged and dropped."""
-        try:
-            rtt, dl, ul, duration = self.engine.measure(pos, salt)
-            rec = EndToEndRecord(ts_unix_ms=ts, pos=pos, rtt=rtt,
-                                 dl_mbps=dl, ul_mbps=ul, duration_s=duration)
-            validate_e2e(rec)
-            self.put(rec)
-            self.completed += 1
-        except Invalid as exc:
-            log.warning("dropping invalid e2e record: %s", exc)
-        except Exception:
-            log.exception("end-to-end test failed")
+def _run_e2e_test(engine: E2eEngine, put: Callable[[EndToEndRecord], None],
+                  pos: GeoPosition, ts: int, salt: int) -> None:
+    """One end-to-end test, its record handed to put (the writer's write, or
+    the call that hands it to the writer thread); a failed test or an
+    invalid record is logged and dropped."""
+    try:
+        rtt, dl, ul, duration = engine.measure(pos, salt)
+        rec = EndToEndRecord(ts_unix_ms=ts, pos=pos, rtt=rtt,
+                             dl_mbps=dl, ul_mbps=ul, duration_s=duration)
+        validate_e2e(rec)
+        put(rec)
+    except Invalid as exc:
+        log.warning("dropping invalid e2e record: %s", exc)
+    except Exception:
+        log.exception("end-to-end test failed")
 
 
 def _on_thread(stack: contextlib.ExitStack, name: str, fn: Callable) -> Callable:
     """A call that hands fn's arguments to a thread named name, which runs
     them in order; stack's exit waits for everything handed to it.  No
-    future is read, so fn handles its own errors, as write and run_test do."""
+    future is read, so fn handles its own errors, as write and _run_e2e_test do."""
     # Imported here: cli loads this module for analyze and export too.
     from concurrent.futures import ThreadPoolExecutor
     pool = stack.enter_context(ThreadPoolExecutor(max_workers=1, thread_name_prefix=name))
@@ -269,11 +263,13 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
                    stop_event: Optional[threading.Event] = None) -> RunSummary:
     """Run the sampling loop until duration elapses, the backend is exhausted,
     or the stop event fires; returns the run summary after a full flush.
+    Its records_written and e2e_tests_run are the writer's counts of the
+    lines it wrote; a writer error raises RuntimeError instead.
 
     Only this loop knows the flight time: each wake calls position_at once
     with the scheduled offset in seconds from the run start, and hands that
-    position to the backend's poll_cells on a RAN tick and to the e2e worker
-    on an e2e tick.  ReplayExhausted from either call ends the run cleanly.
+    position to the backend's poll_cells on a RAN tick and to the end-to-end
+    test on an e2e tick.  ReplayExhausted from either call ends the run cleanly.
     A poll error other than the counted modem, range and syntax errors ends
     the run: the threads are stopped after flushing every accepted record, and
     the exception propagates unchanged.
@@ -288,7 +284,7 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
     poll error.
 
     Threads run only for a clock that waits: under SimClock the tick calls
-    the writer's and the e2e worker's per-item code itself, so nothing
+    the writer's write and each end-to-end test itself, so nothing
     queues and memory does not grow with the flight.  On every exit path,
     an exception's too, the e2e thread finishes the tests it was handed,
     then the writer thread the writes, then the files close.
@@ -324,10 +320,11 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
     with contextlib.ExitStack() as stack:
         stack.callback(writer.close)
         write = _on_thread(stack, "skylog-writer", writer.write) if threaded else writer.write
-        worker = None
+        run_test = None
         if e2e_engine is not None and e2e_ms > 0:
-            worker = _E2eWorker(e2e_engine, write)
-            run_test = _on_thread(stack, "skylog-e2e", worker.run_test) if threaded else worker.run_test
+            run_test = partial(_run_e2e_test, e2e_engine, write)
+            if threaded:
+                run_test = _on_thread(stack, "skylog-e2e", run_test)
         while True:
             if writer.error is not None:
                 break
@@ -336,7 +333,7 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
             next_ran = t0 + n_ran * interval
             deadlines = [next_ran]
             next_e2e = None
-            if worker is not None:
+            if run_test is not None:
                 next_e2e = t0 + n_e2e * e2e_ms
                 deadlines.append(next_e2e)
             wake = min(deadlines)
@@ -368,7 +365,7 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
                         write(line)
                 n_ran += 1
 
-            if worker is not None and wake == next_e2e:
+            if run_test is not None and wake == next_e2e:
                 run_test(pos, next_e2e, n_e2e)
                 n_e2e += 1
     if writer.error is not None:
@@ -377,7 +374,7 @@ def run_collection(cfg: CollectorConfig, clock: Clock, modem: ModemBackend,
     return RunSummary(
         records_written=writer.ran_written,
         polls_failed=polls_failed,
-        e2e_tests_run=worker.completed if worker is not None else 0,
+        e2e_tests_run=writer.e2e_written,
         start_ms=t0,
         end_ms=clock.now_ms(),
         files=tuple(writer.files),

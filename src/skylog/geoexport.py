@@ -218,14 +218,10 @@ def _voxel_rows(grid: VoxelGrid, names: list[str]) -> Iterator[list]:
         yield row
 
 
-def _cell(value) -> str:
-    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
-
-
 def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Union[str, Sequence]]) -> int:
-    """The one CSV writer, to an open file: LF line ends, repr floats, empty
-    cells for None; returns the row count.  A row given as a str is a line
-    already rendered so, written as it is."""
+    """The one CSV writer, to an open file: LF line ends, and csv.writer's
+    repr floats and empty cells for None; returns the row count.  A row
+    given as a str is a line already rendered so, written as it is."""
     count = 0
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -233,7 +229,7 @@ def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Union[str, Sequ
         if type(row) is str:
             out.write(row)
         else:
-            writer.writerow([_cell(v) for v in row])
+            writer.writerow(row)
     return count
 
 

@@ -11,7 +11,8 @@ a hardware backend can be a thin translation layer:
     error-line = "ERROR: " 1*3DIGIT CRLF
     db1        = ["-"] 1*3DIGIT "." DIGIT
 
-ASCII only, CRLF line endings, byte-exact.
+ASCII only, CRLF line endings, byte-exact.  The parser keeps one offset
+into the text; a failure works out its 1-based line and column from it.
 
 A backend has one method, poll_cells: the next report as the cell part of
 a trace row, which the collector's tick spreads into its row as it is.  A
@@ -99,48 +100,48 @@ def _validate_report(report: ModemReport) -> None:
         raise RangeError(exc.field, exc.value) from None
 
 
+def _syntax_error(text: str, pos: int, expected: str) -> ReportSyntaxError:
+    """The error for text at offset pos: its line is 1 plus the LFs before
+    pos, its column 1 plus the characters since the last of them."""
+    return ReportSyntaxError(text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos), expected)
+
+
 class _Scanner:
-    """Character cursor with 1-based line/column tracking."""
+    """Character cursor over the text; a failure works out its 1-based line
+    and column from the offset it stopped at."""
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.column = 1
 
     def fail(self, expected: str):
-        raise ReportSyntaxError(self.line, self.column, expected)
+        raise _syntax_error(self.text, self.pos, expected)
 
     def at_end(self) -> bool:
         return self.pos >= len(self.text)
-
-    def peek(self) -> Optional[str]:
-        return self.text[self.pos] if self.pos < len(self.text) else None
 
     def looking_at(self, literal: str) -> bool:
         return self.text.startswith(literal, self.pos)
 
     def expect(self, literal: str, expected: Optional[str] = None) -> None:
+        # Advances to the first character that differs, so a failure points there.
         for ch in literal:
-            if self.peek() != ch:
+            if not self.looking_at(ch):
                 self.fail(expected or f"'{literal}'")
             self.pos += 1
-            self.column += 1
 
     def expect_crlf(self) -> None:
         if not self.looking_at("\r\n"):
             self.fail("CRLF")
         self.pos += 2
-        self.line += 1
-        self.column = 1
 
     def take_digits(self, max_digits: Optional[int] = None) -> str:
         start = self.pos
-        while not self.at_end() and self.text[self.pos].isascii() and self.text[self.pos].isdigit():
+        # _to_text made the text ASCII, where isdigit means 0-9 alone.
+        while not self.at_end() and self.text[self.pos].isdigit():
             if max_digits is not None and self.pos - start == max_digits:
                 break
             self.pos += 1
-            self.column += 1
         if self.pos == start:
             self.fail("digit")
         return self.text[start:self.pos]
@@ -151,34 +152,21 @@ class _Scanner:
 
     def take_db1(self) -> float:
         start = self.pos
-        if self.peek() == "-":
+        if self.looking_at("-"):
             self.pos += 1
-            self.column += 1
         self.take_digits(max_digits=3)
         self.expect(".", expected="'.'")
-        frac = self.peek()
-        if frac is None or not (frac.isascii() and frac.isdigit()):
-            self.fail("digit")
-        self.pos += 1
-        self.column += 1
+        self.take_digits(max_digits=1)
         return float(self.text[start:self.pos])
 
 
 def _to_text(raw: Union[bytes, bytearray, str]) -> str:
-    if isinstance(raw, str):
-        data = raw.encode("utf-8", errors="surrogatepass")
-    else:
-        data = bytes(raw)
-    line, column = 1, 1
-    for b in data:
-        if b > 0x7F:
-            raise ReportSyntaxError(line, column, "ASCII character")
-        if b == 0x0A:
-            line += 1
-            column = 1
-        else:
-            column += 1
-    return data.decode("ascii")
+    data = raw.encode("utf-8", errors="surrogatepass") if isinstance(raw, str) else bytes(raw)
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # latin-1 gives one character per byte, so the column counts bytes.
+        raise _syntax_error(data.decode("latin-1"), exc.start, "ASCII character") from None
 
 
 def _parse_cell(sc: _Scanner, prefix: str, cls, layout):

@@ -77,11 +77,13 @@ METRIC_FIELDS = {"rsrp": "rsrp_dbm", "rsrq": "rsrq_db", "rssi": "rssi_dbm", "sin
 
 
 class TraceDecodeError(ValueError):
-    """Malformed trace line; carries 1-based line/column when known."""
+    """Malformed trace line; carries 1-based line/column when known, and
+    path (not in str()) when a trace reader raised it."""
 
     def __init__(self, message: str, line: Optional[int] = None, column: Optional[int] = None):
         self.line = line
         self.column = column
+        self.path = None
         where = ""
         if line is not None:
             where = f"line {line}" + (f", column {column}" if column is not None else "") + ": "
@@ -401,7 +403,7 @@ def _parse_json_line(text: str, line_no: Optional[int]) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TraceDecodeError(exc.msg, line=line_no, column=exc.colno) from exc
-    except ValueError as exc:  # an integer literal beyond sys.get_int_max_str_digits()
+    except (ValueError, RecursionError) as exc:  # a too-long integer literal, or too deep a nesting
         raise TraceDecodeError(str(exc), line=line_no) from exc
     if not isinstance(doc, dict):
         raise TraceDecodeError("trace line is not an object", line=line_no, column=1)
@@ -616,7 +618,7 @@ def _ingest_row(text: str, line_no: int) -> tuple:
     try:
         doc, end = _scan_once(text, 0)
         row = _clean_row(doc) if end == len(text) else None
-    except (StopIteration, ValueError):  # json.JSONDecodeError, or a too-long integer literal
+    except (StopIteration, ValueError, RecursionError):  # JSONDecodeError, a long literal, deep nesting
         row = None
     if row is None:
         row = _row_of(_checked(decode_record(text, line_no), validate_record, line_no))
@@ -631,26 +633,31 @@ def _read_lines(path, ingest, ts_of) -> Iterator:
     """The one trace-reading loop: ingest(text, line_no) each non-empty line and
     enforce strictly increasing timestamps, ts_of(result), naming the line on failure.
     Lines are split on LF as bytes and each is decoded as strict UTF-8 on its own,
-    so a bad byte is refused with its line number and its offset in that line."""
+    so a bad byte is refused with its line number and its offset in that line.
+    A TraceDecodeError raised here carries path, the file it names."""
     last_ts: Optional[int] = None
     with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.removesuffix(b"\n").removesuffix(b"\r")
-            if not raw:
-                continue
-            try:
-                line = raw.decode()
-            except UnicodeDecodeError as exc:
-                raise TraceDecodeError(f"not valid UTF-8: {exc}", line=line_no) from None
-            item = ingest(line, line_no)
-            ts = ts_of(item)
-            if last_ts is not None and ts <= last_ts:
-                raise TraceDecodeError(
-                    f"ts_unix_ms not strictly increasing ({ts} after {last_ts})",
-                    line=line_no,
-                )
-            last_ts = ts
-            yield item
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                raw = raw.removesuffix(b"\n").removesuffix(b"\r")
+                if not raw:
+                    continue
+                try:
+                    line = raw.decode()
+                except UnicodeDecodeError as exc:
+                    raise TraceDecodeError(f"not valid UTF-8: {exc}", line=line_no) from None
+                item = ingest(line, line_no)
+                ts = ts_of(item)
+                if last_ts is not None and ts <= last_ts:
+                    raise TraceDecodeError(
+                        f"ts_unix_ms not strictly increasing ({ts} after {last_ts})",
+                        line=line_no,
+                    )
+                last_ts = ts
+                yield item
+        except TraceDecodeError as exc:
+            exc.path = path
+            raise
 
 
 def iter_rows(path) -> Iterator[tuple]:

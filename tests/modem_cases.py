@@ -43,6 +43,9 @@ SYNTAX_CASES = [
     ("error code too long", b"ERROR: 1234\r\n", 1, 11, "CRLF"),
     ("error code missing", b"ERROR: \r\n", 1, 8, "digit"),
     ("error prefix malformed", b"ERROR:7\r\n", 1, 7, "ERROR: "),
+    ("lone CR before OK", _SRV.removesuffix(b"\r\n") + b"\rOK\r\n", 1, 53, "CRLF"),
+    ("non-ascii byte on a neighbor line",
+     _SRV + b"+NBR: 5230,102,-98.5,-14.0,-62\xc2\xb5.0\r\nOK\r\n", 2, 31, "ASCII"),
 ]
 
 # (name, raw, field, value)

@@ -381,6 +381,20 @@ def test_a_bad_line_in_the_second_e2e_trace_is_named(capsys, tmp_path, short_fli
     assert not (tmp_path / "new").exists()
 
 
+def test_a_refused_line_in_the_second_ran_trace_names_its_file(capsys, tmp_path, short_flight):
+    trace, _ = short_flight
+    lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = json.dumps({**json.loads(lines[2]), "lat_deg": 91.0}, separators=(",", ":")) + "\n"
+    bad = tmp_path / "b" / "bad.trace"
+    bad.parent.mkdir()
+    bad.write_text("".join(lines), encoding="utf-8")
+    rc, stdout, err = run_cli(capsys, "analyze", "--ran", str(trace), str(bad),
+                              "--report", str(tmp_path / "new" / "r.json"))
+    assert (rc, stdout) == (2, "")
+    assert err == f"skylog: error: {bad}: line 3: lat_deg out of [-90,90]\n"
+    assert not (tmp_path / "new").exists()
+
+
 def _with_literal(path, key: str, dest, literal: str) -> str:
     """A copy of a trace (its first line) or environment file at dest, with
     key's value written as the JSON literal given."""
@@ -477,6 +491,32 @@ def test_an_integer_literal_past_the_digit_limit_names_its_line_or_file(
     where = f"{bad}: " if source == "env" else "line 1: "
     assert (rc, stdout) == (2, "")
     assert f"{where}Exceeds the limit" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, key, argv", [
+    ("trace", "lat_deg", ["analyze", "--ran", "{bad}", "--report", "{out}/r.json"]),
+    ("trace", "lat_deg", ["export", "--format", "geojson", "--ran", "{bad}", "--out", "{out}/p.geojson"]),
+    ("trace", "lat_deg", ["export", "--format", "csv", "--ran", "{bad}", "--out", "{out}/p.csv"]),
+    ("trace", "lat_deg", ["collect", "--backend", "replay", "--replay", "{bad}",
+                          "--e2e-interval", "0", "--out", "{out}"]),
+    ("e2e", "dl_mbps", ["analyze", "--ran", "{trace}", "--e2e", "{bad}", "--report", "{out}/r.json"]),
+    ("env", "seed", ["simulate", "--env", "{bad}", "--plan", PLAN, "--duration", "5",
+                     "--out", "{out}"]),
+], ids=["analyze", "export", "export-csv", "replay", "e2e", "env"])
+def test_json_nested_past_the_recursion_limit_names_its_line_or_file(
+        capsys, tmp_path, short_flight, source, key, argv):
+    """json raises RecursionError for such nesting, which is no ValueError:
+    each reader refuses it as it refuses a bad literal, naming the file and
+    the line (or the environment file), and exits 2 with nothing written."""
+    trace, e2e = short_flight
+    path = {"trace": trace, "e2e": e2e, "env": Path(ENV)}[source]
+    bad = _with_literal(path, key, tmp_path / f"bad{path.suffix}", "[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "out"
+    rc, stdout, err = run_cli(capsys, *(a.format(bad=bad, trace=trace, out=out) for a in argv))
+    where = f"{bad}: " if source == "env" else f"{bad}: line 1: "
+    assert (rc, stdout) == (2, "")
+    assert f"{where}maximum recursion depth exceeded" in err
     assert not out.exists()
 
 
