@@ -223,11 +223,15 @@ class _TraceWriter:
             self.error = exc
 
     def close(self) -> None:
-        """Close the files; called after the last write."""
-        if self._ran_fh is not None:
-            self._ran_fh.close()
-        if self._e2e_fh is not None:
-            self._e2e_fh.close()
+        """Close the files; called after the last write.  The .e2e file
+        closes even when closing the trace fails (a full disk can surface
+        only at its final flush), and that error propagates."""
+        try:
+            if self._ran_fh is not None:
+                self._ran_fh.close()
+        finally:
+            if self._e2e_fh is not None:
+                self._e2e_fh.close()
 
 
 def _run_e2e_test(engine: E2eEngine, put: Callable[[EndToEndRecord], None],

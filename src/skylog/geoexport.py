@@ -8,25 +8,23 @@ GeoJSON coordinates follow the standard's (lon, lat, alt) order with
 altitude above mean sea level; altitude is duplicated into the properties
 table for consumers that drop the third coordinate.  Features are rendered
 and written one at a time, byte-identical to ``json.dumps(doc, indent=2)``
-of the whole document plus a newline.  Both record writers take their fast
-path on records.plain_row, the one guard of every fixed-layout writer (the
-trace line's too): export_geojson builds one %-template per property
-layout, once per call, and renders a plain row straight into it.  Any
-other row, a null alt_m_agl included, goes through the reference path,
-_record_feature and _feature_text, which write each value as json.dumps does.
+of the whole document plus a newline.  There is one template: the
+per-record feature.  export_geojson builds one %-template per property
+layout, once per call, and renders a row straight into it when
+records.plain_row, the one guard of every fixed-layout writer (the trace
+line's too), accepts it.  Every other feature, a voxel's or a row's with a
+null alt_m_agl, is written by json.dumps (_feature_text).
 
 Every CSV skylog writes, the analyze tables included, goes through
-write_csv: float cells use repr-style formatting, so re-parsing them
-reproduces the stored values bit-for-bit, and None becomes an empty cell.
-A record's CSV columns are its row's, neighbors flattened and padded to
-MAX_NEIGHBORS.  A plain record row fills the %-template for its neighbor
-count and reaches write_csv as that finished line; any other row goes cell
-by cell through csv.writer, the reference path, as every voxel and analyze
-table row does.  An empty source or unknown metric is refused
-before the output path is touched.  Rows are rendered as they are read, into a
-temporary sibling that replaces the path only once complete, so a failed
-export (a bad trace line, a full disk) leaves the path as it was; _create
-does the same for a set of files, none replaced unless all are written.
+write_csv, whose csv.writer writes every row: float cells come out as
+their repr, so re-parsing them reproduces the stored values bit-for-bit,
+and None becomes an empty cell.  A record's CSV columns are its row's,
+neighbors flattened and padded to MAX_NEIGHBORS.  An empty source or
+unknown metric is refused before the output path is touched.  Rows are
+rendered as they are read, into a temporary sibling that replaces the path
+only once complete, so a failed export (a bad trace line, a full disk)
+leaves the path as it was; _create does the same for a set of files, none
+replaced unless all are written.
 """
 
 from __future__ import annotations
@@ -35,21 +33,17 @@ import contextlib
 import csv
 import errno
 import json
-import math
 import os
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .analysis import EmptyInput, UnknownMetric, VoxelGrid
 from .records import (
-    DB_FIELD_RANGES,
     MAX_NEIGHBORS,
     METRIC_FIELDS,
     NEIGHBOR_FIELDS,
-    POSITION_FIELDS,
     ROW_FIELDS,
     plain_row,
 )
@@ -66,15 +60,7 @@ RECORD_CSV_HEADER = (
     + list(ROW_FIELDS[_NEIGHBORS + 1:])
 )
 
-# How json.dumps writes each exact type.  Non-finite floats and every other
-# type (bools, containers, subclasses) go through json.dumps itself.
-_JSON_VALUE = {
-    float: lambda v: float.__repr__(v) if math.isfinite(v) else json.dumps(v),
-    int: int.__repr__,
-    str: encode_basestring_ascii,
-    type(None): lambda v: "null",
-}
-
+# A Point feature as _feature_text lays it out; _record_features fills it.
 _FEATURE = ('    {\n      "type": "Feature",\n      "geometry": {\n'
             '        "type": "Point",\n        "coordinates": [\n'
             '          %s,\n          %s,\n          %s\n        ]\n      },\n'
@@ -132,20 +118,18 @@ def _create(*paths) -> Iterator[list[TextIO]]:
             tmp.unlink(missing_ok=True)
 
 
-def _json_value(value) -> str:
-    return _JSON_VALUE.get(type(value), json.dumps)(value)
-
-
 def _row_getter(*names: str) -> itemgetter:
     return itemgetter(*map(ROW_FIELDS.index, names))
 
 
 def _feature_text(lon, lat, alt, props: dict) -> str:
-    """One Point feature, props not empty, as json.dumps(..., indent=2) lays
-    it out inside the top-level "features" list, without separators."""
-    body = ",\n        ".join(f"{encode_basestring_ascii(k)}: {_json_value(v)}"
-                              for k, v in props.items())
-    return _FEATURE % (_json_value(lon), _json_value(lat), _json_value(alt), body)
+    """One Point feature as json.dumps(..., indent=2) lays it out inside the
+    top-level "features" list, without separators.  json.dumps escapes every
+    newline inside a string, so each raw newline it writes is layout."""
+    feature = {"type": "Feature",
+               "geometry": {"type": "Point", "coordinates": [lon, lat, alt]},
+               "properties": props}
+    return "    " + json.dumps(feature, indent=2).replace("\n", "\n    ")
 
 
 def export_geojson(source: Source, path, metric: Optional[str] = None) -> int:
@@ -218,18 +202,14 @@ def _voxel_rows(grid: VoxelGrid, names: list[str]) -> Iterator[list]:
         yield row
 
 
-def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Union[str, Sequence]]) -> int:
+def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> int:
     """The one CSV writer, to an open file: LF line ends, and csv.writer's
-    repr floats and empty cells for None; returns the row count.  A row
-    given as a str is a line already rendered so, written as it is."""
+    repr floats and empty cells for None; returns the row count."""
     count = 0
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for count, row in enumerate(rows, start=1):
-        if type(row) is str:
-            out.write(row)
-        else:
-            writer.writerow(row)
+        writer.writerow(row)
     return count
 
 
@@ -241,7 +221,7 @@ def export_csv(source: Source, path) -> int:
         names = _metric_names(None)
         header, rows = _voxel_header(names), _voxel_rows(source, names)
     else:
-        header, rows = RECORD_CSV_HEADER, map(_record_line, source)
+        header, rows = RECORD_CSV_HEADER, map(_record_row, source)
     with _create(path) as [out]:
         return write_csv(out, header, rows)
 
@@ -251,26 +231,3 @@ def _record_row(row: tuple) -> list:
     nbrs = row[_NEIGHBORS][:MAX_NEIGHBORS]
     return [*row[:_NEIGHBORS], *chain.from_iterable(nbrs),
             *_NO_NEIGHBOR * (MAX_NEIGHBORS - len(nbrs)), *row[_NEIGHBORS + 1:]]
-
-
-def _csv_template(n: int) -> str:
-    """write_csv's line for a plain record row with n neighbors: %d for an int
-    cell, %r for a float one, empty cells for the absent neighbors, then the
-    bare source."""
-    cells = ["%r" if name in POSITION_FIELDS or name in DB_FIELD_RANGES else "%d"
-             for name in (*ROW_FIELDS[:_NEIGHBORS], *NEIGHBOR_FIELDS * n)]
-    cells += [""] * (len(NEIGHBOR_FIELDS) * (MAX_NEIGHBORS - n))
-    return ",".join([*cells, "%s"]) + "\n"
-
-
-_CSV_LINES = tuple(map(_csv_template, range(MAX_NEIGHBORS + 1)))
-
-
-def _record_line(row: tuple) -> Union[str, list]:
-    """A ROW_FIELDS row for write_csv: its finished line when it is plain
-    (records.plain_row, which allows at most MAX_NEIGHBORS neighbors), else
-    its cells (_record_row) for the reference path."""
-    if plain_row(row):
-        nbrs = row[_NEIGHBORS]
-        return _CSV_LINES[len(nbrs)] % (*row[:_NEIGHBORS], *chain.from_iterable(nbrs), row[-1])
-    return _record_row(row)

@@ -11,10 +11,9 @@ is decoded on its own, so a byte that is not UTF-8 is refused with its
 line number.  dB/dBm fields are stored with one decimal digit of
 precision, matching commodity modem reporting granularity.
 
-Each per-line boundary has one exact fast path for the plain row and a
-reference path for everything else.  One guard, plain_row, decides for
-every fixed-layout writer (this trace line, geoexport's GeoJSON feature
-and CSV line).
+The trace line and geoexport's per-record GeoJSON feature each have one
+exact fast path for the plain row and a reference path for everything
+else.  One guard, plain_row, decides for both fixed-layout writers.
 
 - encode_row fills one %-template (_RECORD_LINE, _NEIGHBOR_LINE) for a
   plain row.  A dB field is written with %.1f, which gives round(x, 1)'s
@@ -331,7 +330,8 @@ _AGL = ROW_FIELDS.index("alt_m_agl")
 
 
 def plain_row(row: tuple) -> bool:
-    """The one guard of the fixed-layout writers: valid_row accepts the row,
+    """The one guard of the fixed-layout writers, encode_row's trace line and
+    geoexport's per-record GeoJSON feature: valid_row accepts the row,
     its alt_m_agl is a float and its source an exact str, so every value
     may go into a %-template as %d, %r or %.1f, and the source bare."""
     return valid_row(row) and type(row[_AGL]) is float and type(row[-1]) is str
@@ -629,9 +629,10 @@ def _ingest_e2e(text: str, line_no: int) -> EndToEndRecord:
     return _checked(decode_e2e(text, line_no), validate_e2e, line_no)
 
 
-def _read_lines(path, ingest, ts_of) -> Iterator:
+def _read_lines(path, ingest) -> Iterator:
     """The one trace-reading loop: ingest(text, line_no) each non-empty line and
-    enforce strictly increasing timestamps, ts_of(result), naming the line on failure.
+    enforce strictly increasing timestamps, item[0] of its result, naming the
+    line on failure.
     Lines are split on LF as bytes and each is decoded as strict UTF-8 on its own,
     so a bad byte is refused with its line number and its offset in that line.
     A TraceDecodeError raised here carries path, the file it names."""
@@ -647,7 +648,7 @@ def _read_lines(path, ingest, ts_of) -> Iterator:
                 except UnicodeDecodeError as exc:
                     raise TraceDecodeError(f"not valid UTF-8: {exc}", line=line_no) from None
                 item = ingest(line, line_no)
-                ts = ts_of(item)
+                ts = item[0]
                 if last_ts is not None and ts <= last_ts:
                     raise TraceDecodeError(
                         f"ts_unix_ms not strictly increasing ({ts} after {last_ts})",
@@ -663,7 +664,7 @@ def _read_lines(path, ingest, ts_of) -> Iterator:
 def iter_rows(path) -> Iterator[tuple]:
     """Yield a RAN trace file's records as ROW_FIELDS rows as they are read, enforcing
     validity and timestamp monotonicity; a bad line raises when the stream reaches it."""
-    return _read_lines(path, _ingest_row, itemgetter(0))
+    return _read_lines(path, _ingest_row)
 
 
 def read_trace(path) -> list[MeasurementRecord]:
@@ -672,7 +673,7 @@ def read_trace(path) -> list[MeasurementRecord]:
 
 
 def read_e2e_trace(path) -> list[EndToEndRecord]:
-    return list(_read_lines(path, _ingest_e2e, itemgetter(0)))
+    return list(_read_lines(path, _ingest_e2e))
 
 
 __all__ = [

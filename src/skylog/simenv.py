@@ -407,7 +407,7 @@ def flight_position(plan: FlightPlan, t_s: float) -> GeoPosition:
             return wp.pos
         t -= wp.hover_s
         if t < leg_s:
-            return _lerp_pos(wp.pos, wps[i + 1].pos, t / leg_s if leg_s > 0 else 1.0)
+            return _lerp_pos(wp.pos, wps[i + 1].pos, t / leg_s)
         t -= leg_s
     return wps[-1].pos
 

@@ -852,6 +852,38 @@ def test_export_does_not_depend_on_the_ingest_path(capsys, tmp_path, monkeypatch
         assert (fast / out).read_bytes() == (reference / out).read_bytes(), out
 
 
+def test_export_of_rows_without_alt_m_agl_is_the_stdlib_writers(capsys, tmp_path, short_flight):
+    """Lines with no alt_m_agl (a GNSS fix with no takeoff altitude) fill no
+    template: the GeoJSON is json.dumps's indent=2 text with no alt_m_agl
+    property, and each CSV row is the full trace's with an empty alt_m_agl."""
+    trace = short_flight[0]
+    no_agl = tmp_path / "no_agl.trace"
+    with open(no_agl, "w", encoding="utf-8") as fh:
+        for line in trace.read_text().splitlines():
+            doc = json.loads(line)
+            del doc["alt_m_agl"]
+            fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+    for name, fmt in (("p.geojson", "geojson"), ("full.csv", "csv"), ("no_agl.csv", "csv")):
+        src = trace if name == "full.csv" else no_agl
+        rc, _, _ = run_cli(capsys, "export", "--ran", str(src), "--format", fmt,
+                           "--out", str(tmp_path / name))
+        assert rc == 0
+    text = (tmp_path / "p.geojson").read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    assert len(doc["features"]) == 120
+    assert not [f for f in doc["features"] if "alt_m_agl" in f["properties"]]
+    full = (tmp_path / "full.csv").read_text().splitlines()
+    got = (tmp_path / "no_agl.csv").read_text().splitlines()
+    assert got[0] == full[0] and len(got) == len(full) == 121
+    agl = full[0].split(",").index("alt_m_agl")
+    for want, row in zip(full[1:], got[1:]):
+        cells = want.split(",")
+        assert cells[agl] != ""
+        cells[agl] = ""
+        assert row == ",".join(cells)
+
+
 def write_orbit_trace(path, n: int) -> None:
     """n records of a survey that keeps circling one 100 m loop at four
     heights under three cells: the record count grows with n, while the

@@ -736,6 +736,40 @@ def test_a_writer_failure_closes_every_file(tmp_path, monkeypatch, make_clock):
     assert sum(len(read_trace(fh.name)) for fh in opened if fh.name.endswith(".trace")) == 250
 
 
+class FailingClose:
+    """A trace file whose close closes it and then raises the full-disk
+    OSError, as a final flush onto a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def close(self):
+        self._fh.close()
+        raise OSError(28, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+@pytest.mark.parametrize("make_clock", [SimClock, VirtualClock])
+def test_a_trace_close_failure_still_closes_the_e2e_file(tmp_path, monkeypatch, make_clock):
+    """The error of closing the trace file ends the run, and the .e2e file
+    is closed all the same."""
+    opened = []
+
+    def failing_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return FailingClose(fh) if fh.name.endswith(".trace") else fh
+
+    monkeypatch.setattr(collector, "open", failing_open, raising=False)
+    cfg, _, modem, source, engine = sim_setup(tmp_path, duration=300.0)
+    with pytest.raises(OSError, match="No space left"):
+        run_collection(cfg, make_clock(), modem, source, engine)
+    assert sorted(fh.name.rsplit(".", 1)[1] for fh in opened) == ["e2e", "trace"]
+    assert all(fh.closed for fh in opened)
+
+
 class ContractBreakingBackend(FlakyBackend):
     """Poll break_at returns broken(cells) instead of its well-formed cells."""
 

@@ -489,20 +489,18 @@ def test_a_valid_row_fills_the_template_with_the_json_dumps_bytes(row):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(any_records().map(_row_of), valid_rows()))
 def test_every_fixed_layout_writer_takes_its_template_exactly_on_plain_row(row):
-    """One guard: the trace line, the GeoJSON feature and the CSV line each
-    go to their reference path exactly when plain_row refuses the row."""
+    """One guard: the trace line and the GeoJSON feature each go to their
+    reference path exactly when plain_row refuses the row."""
     taken = []
 
     def reference(name):
         return lambda *args: taken.append(name) or ""
 
     with mock.patch.object(records, "_encode_record_reference", reference("trace")), \
-            mock.patch.object(geoexport, "_record_feature", reference("geojson")), \
-            mock.patch.object(geoexport, "_record_row", reference("csv")):
+            mock.patch.object(geoexport, "_record_feature", reference("geojson")):
         encode_row(row)
         list(geoexport._record_features([row], list(records.METRIC_FIELDS.values())))
-        geoexport._record_line(row)
-    assert taken == ([] if plain_row(row) else ["trace", "geojson", "csv"])
+    assert taken == ([] if plain_row(row) else ["trace", "geojson"])
 
 
 @pytest.mark.parametrize("ts, ok", [(0, True), (2**63 - 1, True), (-1, False), (2**63, False),
